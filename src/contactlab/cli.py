@@ -475,21 +475,79 @@ def _run_action_charge(params, seed, report):
     report.add_verdict("pi_energy_vanishes", ac.pi_energy, 1e-10)
 
 
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return _is_num(v) and float(v).is_integer()
+
+
+# parameter type name -> (description, predicate on the JSON value)
+_PARAM_TYPES = {
+    "num": ("a number", _is_num),
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "nums": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_num, v))),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+# kind -> (runner, {param: type}); a param not listed is rejected
 _RUNNERS = {
-    "dual_checks": (_run_dual_checks, {"n_values", "n_samples", "tol", "formula_tol"}),
-    "perturbed_reeb": (_run_perturbed_reeb, {"n", "n_samples", "tol"}),
-    "orbit": (_run_orbit, {"model", "w", "guess", "T_guess", "winding", "expect_period", "tol"}),
-    "return_map": (_run_return_map, {"model", "w", "tol"}),
-    "thickening": (_run_thickening, {"model", "radius", "c", "n_points", "tol"}),
-    "spectrum": (_run_spectrum, {"a", "T", "n_modes", "k_max", "tol", "gap_trials"}),
+    "dual_checks": (
+        _run_dual_checks,
+        {"n_values": "ints", "n_samples": "int", "tol": "num", "formula_tol": "num"},
+    ),
+    "perturbed_reeb": (_run_perturbed_reeb, {"n": "int", "n_samples": "int", "tol": "num"}),
+    "orbit": (
+        _run_orbit,
+        {"model": "str", "w": "nums", "guess": "nums", "T_guess": "num",
+         "expect_period": "num", "tol": "num"},
+    ),
+    "return_map": (_run_return_map, {"model": "str", "w": "nums", "tol": "num"}),
+    "thickening": (
+        _run_thickening,
+        {"model": "str", "radius": "num", "c": "num", "n_points": "int", "tol": "num"},
+    ),
+    "spectrum": (
+        _run_spectrum,
+        {"a": "num", "T": "num", "n_modes": "int", "k_max": "int", "tol": "num", "gap_trials": "int"},
+    ),
     "cylinder_decay": (
         _run_cylinder_decay,
-        {"regime", "R", "n_tau", "n_t", "n_modes", "rate_rtol", "a", "delta0"},
+        {"regime": "str", "R": "num", "n_tau": "int", "n_t": "int", "n_modes": "int",
+         "rate_rtol": "num", "a": "num", "delta0": "num"},
     ),
-    "three_interval": (_run_three_interval, {"mode", "c", "N", "gamma", "n_sequences"}),
-    "center_of_mass": (_run_center_of_mass, {"dim", "T", "n_t", "tol", "offset"}),
-    "action_charge": (_run_action_charge, {"c", "T", "R", "n_tau", "n_t"}),
+    "three_interval": (
+        _run_three_interval, {"mode": "str", "c": "num", "N": "int", "n_sequences": "int"}
+    ),
+    "center_of_mass": (
+        _run_center_of_mass, {"dim": "int", "T": "num", "n_t": "int", "tol": "num", "offset": "nums"}
+    ),
+    "action_charge": (
+        _run_action_charge, {"c": "num", "T": "num", "R": "num", "n_tau": "int", "n_t": "int"}
+    ),
 }
+
+
+def _check_scenario(data: dict, where) -> None:
+    """Raise ConfigError unless kind, seed and every param are known and well typed."""
+    kind = data.get("kind")
+    if kind not in _RUNNERS:
+        raise ConfigError(f"{where}: unknown scenario kind {kind!r}")
+    if not _is_int(data.get("seed", 0)):
+        raise ConfigError(f"{where}: seed must be an integer, got {data['seed']!r}")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: params must be an object")
+    schema = _RUNNERS[kind][1]
+    unknown = set(params) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown params for {kind}: {sorted(unknown)}")
+    for name, value in params.items():
+        what, ok = _PARAM_TYPES[schema[name]]
+        if not ok(value):
+            raise ConfigError(f"{where}: param {name!r} of {kind} must be {what}, got {value!r}")
 
 
 def load_scenario(path) -> dict:
@@ -503,16 +561,7 @@ def load_scenario(path) -> dict:
     unknown_top = set(data) - {"kind", "seed", "params", "name"}
     if unknown_top:
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown_top)}")
-    kind = data.get("kind")
-    if kind not in _RUNNERS:
-        raise ConfigError(f"{path}: unknown scenario kind {kind!r}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}: params must be an object")
-    allowed = _RUNNERS[kind][1]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown params for {kind}: {sorted(unknown)}")
+    _check_scenario(data, path)
     data.setdefault("seed", 0)
     data.setdefault("name", path.stem)
     return data
@@ -522,6 +571,7 @@ def run_scenario(scenario, seed_override=None) -> Report:
     """Execute one scenario (a dict or a path) and return its Report."""
     if not isinstance(scenario, dict):
         scenario = load_scenario(scenario)
+    _check_scenario(scenario, scenario.get("name", "scenario"))
     seed = int(seed_override if seed_override is not None else scenario.get("seed", 0))
     echo = {
         "kind": scenario["kind"],

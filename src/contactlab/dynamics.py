@@ -7,9 +7,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import ContactChart, reeb_solve, xi_frame
-from .errors import LeftChartDomain, NoConvergence
+from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
+# Every point closes up at T = 0, so a Newton period that falls below this
+# fraction of the guess has collapsed onto that trivial solution.
+MIN_PERIOD_FRACTION = 1e-3
 
 
 @dataclass
@@ -243,7 +246,13 @@ def find_closed_orbit(
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
     (the continuation question for family scans).
+
+    Raises NoConvergence, with the Newton residual history, when the period
+    collapses below ``MIN_PERIOD_FRACTION * T_guess``.  Zero lattice offsets
+    are not rejected: contractible orbits legitimately have them.
     """
+    if not T_guess > 0:
+        raise OutOfRange(f"T_guess must be positive, got {T_guess!r}")
     x0 = np.asarray(guess, dtype=float)
     S = _section_basis(chart, x0)
     if fix_point:
@@ -287,7 +296,7 @@ def find_closed_orbit(
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
         c = c + step[:-1]
         T = T + step[-1]
-        if T <= 0:
+        if T <= MIN_PERIOD_FRACTION * T_guess:
             raise NoConvergence(it + 1, res, history)
     raise NoConvergence(max_iter, history[-1], history)
 
@@ -366,7 +375,8 @@ def orbit_family_scan(
 ) -> FamilyScan:
     """Continue the seed orbit in transverse directions and track periods.
 
-    Failures at individual samples are recorded per sample, not raised; the
+    Failures at individual samples (no convergence, a singular chart, a
+    trajectory leaving the chart) are recorded per sample, not raised; the
     spread max|T_i - T_seed| is taken over the converged samples.
     """
     rows = []
@@ -384,5 +394,7 @@ def orbit_family_scan(
                 periods.append(orb.period)
             except NoConvergence as err:
                 rows.append(FamilySample(di, s, None, err.residual, False))
+            except (SingularChart, LeftChartDomain):
+                rows.append(FamilySample(di, s, None, np.inf, False))
     spread = float(max(abs(T - seed.period) for T in periods)) if periods else np.nan
     return FamilyScan(seed.period, rows, spread, sum(1 for r in rows if not r.converged))

@@ -149,47 +149,6 @@ def mixed_setup() -> MorseBottSetup:
     )
 
 
-def prequantization_setup(g: int = 1) -> MorseBottSetup:
-    """Q = S^1 x R^(2g) with theta = dt + standard symplectic potential.
-
-    d theta is the standard symplectic form on the 2g transverse directions,
-    so m = 0 and G spans those directions.
-    """
-    dim = 1 + 2 * g
-
-    def comp(i):
-        if i == 0:
-            return lambda x: 1.0, lambda x: np.zeros(dim)
-        # pairs (a_j, b_j) at slots (2j+1, 2j+2): theta += (a db - b da)/2
-        j = (i - 1) // 2
-        if (i - 1) % 2 == 0:
-            def c(x, j=j):
-                return -0.5 * x[2 + 2 * j]
-            def gr(x, j=j):
-                v = np.zeros(dim)
-                v[2 + 2 * j] = -0.5
-                return v
-        else:
-            def c(x, j=j):
-                return 0.5 * x[1 + 2 * j]
-            def gr(x, j=j):
-                v = np.zeros(dim)
-                v[1 + 2 * j] = 0.5
-                return v
-        return c, gr
-
-    comps, grads = zip(*[comp(i) for i in range(dim)])
-    basis = tuple(np.eye(dim)[:, 1 + i] for i in range(2 * g))
-    return MorseBottSetup(
-        theta=FormExpr(list(comps), list(grads)),
-        x_theta=FieldExpr.constant([1.0] + [0.0] * 2 * g),
-        n_basis=(),
-        g_basis=basis,
-        periods=(1.0,) + (None,) * (2 * g),
-        name=f"prequant(g={g})",
-    )
-
-
 @dataclass(frozen=True)
 class ThickeningChart:
     """Contact chart on base x (cotangent fiber mu) x (symplectic fiber e)."""

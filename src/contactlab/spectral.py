@@ -45,6 +45,11 @@ def _scalar_basis_samples(n_modes: int, period: float, n_t: int):
     return t, np.array(rows)
 
 
+def _is_constant(S_samples: np.ndarray) -> bool:
+    """True when every sample of S(t) equals the first one exactly."""
+    return bool(np.all(S_samples == S_samples[0]))
+
+
 @dataclass
 class SpectralOperator:
     """Galerkin matrix of B = J0 d/dt - S(t) on loops of rank-2k sections."""
@@ -132,29 +137,37 @@ def assemble_operator(
     n_scalar = 2 * n_modes + 1
     dim = rank * n_scalar
     M = np.zeros((dim, dim))
+    # (scalar row, fiber row, scalar column, fiber column) view of M
+    blocks = M.reshape(n_scalar, rank, n_scalar, rank)
 
     # First-order part: exact entries.  Within mode k the (cos, sin) block is
     # [[0, w J0], [-w J0, 0]], which is symmetric because J0 is antisymmetric.
-    for k in range(1, n_modes + 1):
-        w = 2 * np.pi * k / period
-        c = (2 * k - 1) * rank
-        s = 2 * k * rank
-        M[c : c + rank, s : s + rank] += w * J0
-        M[s : s + rank, c : c + rank] += -w * J0
+    ks = np.arange(1, n_modes + 1)
+    wJ = (2 * np.pi * ks / period)[:, None, None] * J0
+    constant_S = _is_constant(S_samples)
+    if constant_S:
+        # nothing else lands in these blocks: write the entries that
+        # symmetrizing M would give, bit for bit, and skip that dim^2 pass
+        wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
+    blocks[2 * ks - 1, :, 2 * ks, :] += wJ
+    blocks[2 * ks, :, 2 * ks - 1, :] -= wJ
 
     # Zeroth-order part by quadrature Galerkin: exact for trigonometric S up
-    # to the grid bandwidth, and exactly symmetric since S(t_m) is.
-    _, F = _scalar_basis_samples(n_modes, period, n_t)
-    wq = period / n_t
-    constant_S = np.allclose(S_samples, S_samples[0][None, :, :], rtol=0, atol=0)
+    # to the grid bandwidth.  A constant S acts on each scalar mode alone, so
+    # it fills only the diagonal blocks and M is exactly symmetric as built;
+    # otherwise the quadrature products are symmetrized.
     if constant_S:
-        M -= np.kron(np.eye(n_scalar), S_samples[0])
+        diag = np.arange(n_scalar)
+        blocks[diag, :, diag, :] -= S_samples[0]
     else:
+        _, F = _scalar_basis_samples(n_modes, period, n_t)
+        wq = period / n_t
         for i in range(rank):
             for j in range(rank):
                 W = F * (wq * S_samples[:, i, j])[None, :]
                 M[i::rank, j::rank] -= W @ F.T
-    M = 0.5 * (M + M.T)
+        M += M.T
+        M *= 0.5
     return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, M)
 
 
@@ -207,10 +220,42 @@ class SpectrumResult:
     kernel_tol: float
 
 
+def _eigh(op: SpectralOperator, vectors: bool):
+    """``np.linalg.eigvalsh(op.matrix)``, or ``eigh`` with ``vectors``.
+
+    With constant S the matrix is block-diagonal in the Fourier basis: one
+    rank x rank block for mode 0 and one (2 rank)^2 (cos, sin) block per mode
+    k >= 1.  The blocks are read out of ``op.matrix`` and solved in one
+    stacked call, O(n_modes rank^3) instead of O(dim^3); eigenvalues come
+    back ascending as from the dense call, and each eigenvector column is
+    supported on one block.  A time-dependent S takes the dense call.
+    """
+    if not _is_constant(op.S_samples):
+        return np.linalg.eigh(op.matrix) if vectors else np.linalg.eigvalsh(op.matrix)
+    r, K = op.rank, op.n_modes
+    ks = np.arange(K)
+    shape = (K, 2 * r, K, 2 * r)  # (mode, row, mode, column) past mode 0
+    ev0, V0 = np.linalg.eigh(op.matrix[:r, :r])
+    evk, Vk = np.linalg.eigh(op.matrix[r:, r:].reshape(shape)[ks, :, ks, :])
+    ev = np.concatenate([ev0, evk.ravel()])
+    order = np.argsort(ev)
+    if not vectors:
+        return ev[order]
+    evecs = np.zeros_like(op.matrix)
+    evecs[:r, :r] = V0
+    evecs[r:, r:].reshape(shape)[ks, :, ks, :] = Vk
+    return ev[order], evecs[:, order]
+
+
 def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumResult:
     """Sorted eigenvalues, kernel dimension, and the gap to the first
-    eigenvalue of modulus above kernel_tol."""
-    ev = np.linalg.eigvalsh(op.matrix)
+    eigenvalue of modulus above kernel_tol.
+
+    A constant S is solved mode by mode (one small block per Fourier mode);
+    a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
+    ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
+    """
+    ev = _eigh(op, vectors=False)
     nonzero = np.abs(ev) > kernel_tol
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
     return SpectrumResult(ev, gap, int(np.sum(~nonzero)), kernel_tol)
@@ -231,23 +276,26 @@ def gap_inequality_check(
     slack: float = 1e-8,
     kernel_tol: float = KERNEL_TOL,
 ) -> GapCheckReport:
-    """Check ||B s||^2 >= gap^2 ||s||^2 on random sections projected off the kernel."""
-    evals, evecs = np.linalg.eigh(op.matrix)
+    """Check ||B s||^2 >= gap^2 ||s||^2 on random sections projected off the kernel.
+
+    The operator is decomposed once (mode by mode for constant S, as in
+    ``spectrum``).  All trial sections come from one (n_trials, dim) Philox
+    draw, the same numbers as n_trials draws of size dim; the kernel
+    projection and B s are matrix products over all trials at once, with
+    B s taken through the assembled ``op.matrix``.
+    """
+    evals, evecs = _eigh(op, vectors=True)
     nonzero = np.abs(evals) > kernel_tol
     gap2 = float(np.min(evals[nonzero] ** 2)) if np.any(nonzero) else np.inf
     rng = np.random.Generator(np.random.Philox(seed))
-    worst = np.inf
-    for _ in range(n_trials):
-        s = rng.standard_normal(op.dim)
-        coeff = evecs.T @ s
-        coeff[~nonzero] = 0.0
-        s = evecs @ coeff
-        ns2 = float(s @ s)
-        if ns2 == 0.0:
-            continue
-        Bs = op.matrix @ s
-        q = float(Bs @ Bs) / ns2
-        worst = min(worst, q)
+    X = rng.standard_normal((n_trials, op.dim))
+    kernel = evecs[:, ~nonzero]
+    X -= (X @ kernel) @ kernel.T
+    ns2 = np.einsum("ij,ij->i", X, X)
+    BX = X @ op.matrix  # rows are (B s)^T since B is symmetric
+    bs2 = np.einsum("ij,ij->i", BX, BX)
+    hit = ns2 > 0.0
+    worst = float(np.min(bs2[hit] / ns2[hit])) if np.any(hit) else np.inf
     passed = worst >= gap2 - slack
     return GapCheckReport(float(np.sqrt(gap2)), worst, n_trials, bool(passed))
 

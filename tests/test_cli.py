@@ -154,3 +154,28 @@ def test_suite_with_thread_cap(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert "passed" in r.stdout
+
+
+def test_bad_param_type_is_config_error_exit_2(tmp_path):
+    payload = {"kind": "spectrum", "params": {"n_modes": "abc"}}
+    with pytest.raises(ConfigError, match="n_modes"):
+        cli.load_scenario(write_scenario(tmp_path, "bad_type", payload))
+    with pytest.raises(ConfigError, match="n_modes"):
+        cli.run_scenario(payload)
+    r = subprocess.run(
+        [sys.executable, "-m", "contactlab.cli", "run", str(tmp_path / "bad_type.json"),
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("orbit", {"winding": [5, 0, 0]}), ("three_interval", {"gamma": 0.3})],
+)
+def test_params_no_runner_reads_are_rejected(tmp_path, kind, params):
+    with pytest.raises(ConfigError, match="unknown params"):
+        cli.load_scenario(write_scenario(tmp_path, "unread", {"kind": kind, "params": params}))

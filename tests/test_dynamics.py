@@ -16,7 +16,7 @@ from contactlab.dynamics import (
     orbit_family_scan,
     return_map,
 )
-from contactlab.errors import LeftChartDomain, NoConvergence
+from contactlab.errors import LeftChartDomain, NoConvergence, SingularChart
 from contactlab.models import (
     darboux_chart,
     perturbed_tube_chart,
@@ -105,6 +105,15 @@ def test_orbit_action_equals_period():
     assert abs(orbt.action() - 1.0) < 1e-8
 
 
+def test_period_collapse_is_not_an_orbit():
+    # from T_guess = 0.3 the first Newton step lands on T ~ 5.6e-17, where
+    # every point closes up with residual 0; that is no closed orbit
+    with pytest.raises(NoConvergence) as info:
+        find_closed_orbit(torus_chart(), [0.1, 0.2, 0.0], 0.3)
+    assert info.value.history
+    assert info.value.history[0] > 0.1
+
+
 def test_return_map_torus_identity():
     ch = torus_chart()
     orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0)
@@ -177,6 +186,28 @@ def test_family_scan_detects_broken_family():
     for row in scan.samples:
         assert not row.converged
         assert row.residual > 1e-6
+
+
+def test_family_scan_records_chart_failures_per_sample(monkeypatch):
+    ch = torus_chart()
+    seed = ReebOrbit.from_point(ch, np.zeros(3), 1.0)
+    real = dynamics.find_closed_orbit
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SingularChart("singular at the second sample")
+        if len(calls) == 3:
+            raise LeftChartDomain("left the chart at the third sample")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "find_closed_orbit", flaky)
+    scan = orbit_family_scan(ch, seed, [np.array([0.0, 1.0, 0.0])], n_samples=4, step=0.1)
+    assert [r.converged for r in scan.samples] == [True, False, False, True]
+    assert scan.n_failed == 2
+    assert scan.samples[1].period is None and scan.samples[1].residual == np.inf
+    assert scan.period_spread < 1e-8
 
 
 def test_fixed_step_rk4_reproducible():

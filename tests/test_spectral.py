@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactlab import spectral
 from contactlab.core import PerturbationData
@@ -279,3 +281,114 @@ def test_time_dependent_S_rotating_frame_oracle():
     sel = got[lo:hi]
     plo = np.searchsorted(predicted, -20.0)
     assert np.max(np.abs(sel - predicted[plo : plo + len(sel)])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# mode-by-mode eigen path for constant S against the dense oracle
+
+
+def dense_gap(ev, kernel_tol=spectral.KERNEL_TOL):
+    nonzero = np.abs(ev) > kernel_tol
+    return float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
+
+
+@st.composite
+def constant_operators(draw):
+    rank = draw(st.sampled_from([2, 4]))
+    ints = st.integers(-8, 8)
+    A = np.array(draw(st.lists(ints, min_size=rank * rank, max_size=rank * rank)), dtype=float)
+    A = A.reshape(rank, rank) / 4.0
+    B = np.array(draw(st.lists(st.integers(-3, 3), min_size=rank * rank, max_size=rank * rank)),
+                 dtype=float).reshape(rank, rank)
+    period = draw(st.floats(0.2, 5.0))
+    n_modes = draw(st.integers(0, 8))
+    # symmetric S, and an antisymmetric J0 that need not be a complex structure
+    return assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank, J0=B - B.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_operators())
+def test_block_spectrum_matches_dense_oracle(op):
+    oracle = np.linalg.eigvalsh(op.matrix)
+    res = spectrum(op)
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    assert res.eigenvalues.shape == (op.dim,)
+    assert np.all(np.diff(res.eigenvalues) >= 0)
+    assert np.max(np.abs(res.eigenvalues - oracle)) <= 1e-10 * scale
+    g = dense_gap(oracle)
+    assert res.gap == g or abs(res.gap - g) <= 1e-10 * max(1.0, g)
+
+
+def sequential_gap_check(op, n_trials, seed, slack=1e-8, kernel_tol=spectral.KERNEL_TOL):
+    """One trial at a time through a dense eigen-decomposition."""
+    evals, evecs = np.linalg.eigh(op.matrix)
+    nonzero = np.abs(evals) > kernel_tol
+    gap2 = float(np.min(evals[nonzero] ** 2)) if np.any(nonzero) else np.inf
+    rng = np.random.Generator(np.random.Philox(seed))
+    worst = np.inf
+    for _ in range(n_trials):
+        s = rng.standard_normal(op.dim)
+        coeff = evecs.T @ s
+        coeff[~nonzero] = 0.0
+        s = evecs @ coeff
+        ns2 = float(s @ s)
+        if ns2 == 0.0:
+            continue
+        Bs = op.matrix @ s
+        worst = min(worst, float(Bs @ Bs) / ns2)
+    return worst, worst >= gap2 - slack
+
+
+def varying_S(t):
+    return np.array([[0.3 + 0.2 * np.cos(2 * np.pi * t), 0.1 * np.sin(2 * np.pi * t)],
+                     [0.1 * np.sin(2 * np.pi * t), -0.25]])
+
+
+@pytest.mark.parametrize(
+    "S",
+    [np.zeros((2, 2)), 0.9 * np.eye(2), np.array([[0.4, 0.1], [0.1, -0.2]]), varying_S],
+    ids=["kernel", "shift", "general", "time_dependent"],
+)
+def test_batched_gap_check_matches_sequential_loop(S):
+    op = assemble_operator(S, period=1.0, n_modes=12)
+    rep = gap_inequality_check(op, n_trials=200, seed=7)
+    worst, passed = sequential_gap_check(op, n_trials=200, seed=7)
+    assert abs(rep.min_quotient - worst) <= 1e-10 * worst
+    assert rep.passed == passed
+    assert rep.n_trials == 200
+    assert abs(rep.gap - spectrum(op).gap) <= 1e-12 * rep.gap
+
+
+def test_time_dependent_S_takes_dense_path(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(solver):
+        def call(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    op = assemble_operator(varying_S, period=1.0, n_modes=16)
+    res = spectrum(op)
+    assert calls == [(op.dim, op.dim)]
+    # the same dense call as before: identical numbers
+    assert np.array_equal(res.eigenvalues, real(op.matrix))
+    assert res.gap == dense_gap(res.eigenvalues)
+
+    # one sample off by one ulp is no longer constant
+    samples = np.broadcast_to(0.4 * np.eye(2), (64, 2, 2)).copy()
+    samples[5, 0, 0] = np.nextafter(0.4, 1.0)
+    calls.clear()
+    spectrum(assemble_operator(samples, period=1.0, n_modes=8, n_t=64))
+    assert calls == [(34, 34)]
+
+    # constant S never hands the full matrix to a dense solver
+    calls.clear()
+    const = assemble_operator(0.4 * np.eye(2), period=1.0, n_modes=16)
+    spectrum(const)
+    gap_inequality_check(const, n_trials=5)
+    assert calls and (const.dim, const.dim) not in calls
