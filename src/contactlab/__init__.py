@@ -8,8 +8,6 @@ on model cylinders, tied together by a scenario-driven CLI.
 
 from .core import (
     ContactChart,
-    FieldExpr,
-    FormExpr,
     PerturbationData,
     chart_diagnostics,
     contact_volume,

@@ -430,8 +430,12 @@ def _random_hypothesis_sequence(rng, N, gamma):
     return x / np.max(x)
 
 
+def _center_of_mass_dim(params) -> int:
+    return int(params.get("dim", 2))
+
+
 def _run_center_of_mass(params, seed, report):
-    dim = int(params.get("dim", 2))
+    dim = _center_of_mass_dim(params)
     T = float(params.get("T", 1.0))
     n_t = int(params.get("n_t", 64))
     tol = float(params.get("tol", 1e-8))
@@ -488,11 +492,13 @@ _PARAM_TYPES = {
     "num": ("a number", _is_num),
     "int": ("an integer", _is_int),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "nums": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_num, v))),
-    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "nums": ("a non-empty list of numbers", lambda v: isinstance(v, list) and v and all(map(_is_num, v))),
+    "ints": ("a non-empty list of integers", lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
 }
 
-# kind -> (runner, {param: type}); a param not listed is rejected
+# kind -> (runner, {param: type}); a param not listed is rejected.  A list
+# type may come as (type, length): the exact length, or a function of the
+# params that gives it.
 _RUNNERS = {
     "dual_checks": (
         _run_dual_checks,
@@ -501,10 +507,10 @@ _RUNNERS = {
     "perturbed_reeb": (_run_perturbed_reeb, {"n": "int", "n_samples": "int", "tol": "num"}),
     "orbit": (
         _run_orbit,
-        {"model": "str", "w": "nums", "guess": "nums", "T_guess": "num",
+        {"model": "str", "w": ("nums", 2), "guess": ("nums", 3), "T_guess": "num",
          "expect_period": "num", "tol": "num"},
     ),
-    "return_map": (_run_return_map, {"model": "str", "w": "nums", "tol": "num"}),
+    "return_map": (_run_return_map, {"model": "str", "w": ("nums", 2), "tol": "num"}),
     "thickening": (
         _run_thickening,
         {"model": "str", "radius": "num", "c": "num", "n_points": "int", "tol": "num"},
@@ -522,7 +528,8 @@ _RUNNERS = {
         _run_three_interval, {"mode": "str", "c": "num", "N": "int", "n_sequences": "int"}
     ),
     "center_of_mass": (
-        _run_center_of_mass, {"dim": "int", "T": "num", "n_t": "int", "tol": "num", "offset": "nums"}
+        _run_center_of_mass,
+        {"dim": "int", "T": "num", "n_t": "int", "tol": "num", "offset": ("nums", _center_of_mass_dim)},
     ),
     "action_charge": (
         _run_action_charge, {"c": "num", "T": "num", "R": "num", "n_tau": "int", "n_t": "int"}
@@ -544,10 +551,19 @@ def _check_scenario(data: dict, where) -> None:
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(f"{where}: unknown params for {kind}: {sorted(unknown)}")
+    rules = {name: spec if isinstance(spec, tuple) else (spec, None) for name, spec in schema.items()}
     for name, value in params.items():
-        what, ok = _PARAM_TYPES[schema[name]]
+        what, ok = _PARAM_TYPES[rules[name][0]]
         if not ok(value):
             raise ConfigError(f"{where}: param {name!r} of {kind} must be {what}, got {value!r}")
+    # lengths may depend on other params, so they are checked once all types hold
+    for name, value in params.items():
+        length = rules[name][1]
+        length = length(params) if callable(length) else length
+        if length is not None and len(value) != length:
+            raise ConfigError(
+                f"{where}: param {name!r} of {kind} must have {length} entries, got {len(value)}"
+            )
 
 
 def load_scenario(path) -> dict:

@@ -1,11 +1,14 @@
 """Chart-level contact algebra.
 
-A chart is an open piece of R^(2n+1) carrying a contact one-form given by
-evaluable coefficient functions.  Everything here is a pure function of the
-point: Reeb fields, the projection to the contact distribution, the dual
-isomorphism between one-forms and vector fields, the closed-form identities
-for a conformally rescaled contact form, and gradients with respect to the
-triad metric.
+A chart is an open piece of R^(2n+1) carrying a contact one-form given as a
+callable ``lam(x)`` returning the 2n+1 coefficients at the point, with an
+optional callable ``grad(x)`` returning the Jacobian ``G[i, j] = d lam_j /
+d x_i``; without it the derivative goes through the one 4th-order
+finite-difference stencil, ``fd_gradient``, applied to the whole vector.
+Everything here is a pure function of the point: Reeb fields, the projection
+to the contact distribution, the dual isomorphism between one-forms and
+vector fields, the closed-form identities for a conformally rescaled contact
+form, and gradients with respect to the triad metric.
 """
 
 from dataclasses import dataclass
@@ -20,87 +23,39 @@ from .errors import IncompatibleJ, SingularChart
 DEFAULT_FD_STEP = 1e-4
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """4th-order centered finite-difference gradient of a scalar function."""
+def fd_gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """4th-order centered finite differences of f at x; row i is d f / d x_i.
+
+    A scalar f gives its gradient, shape (d,); a vector-valued f with m
+    components gives the (d, m) matrix G[i, j] = d f_j / d x_i.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
+    rows = []
     for i in range(x.size):
         e = np.zeros(x.size)
         e[i] = 1.0
-        g[i] = (
-            -f(x + 2 * h * e) + 8 * f(x + h * e) - 8 * f(x - h * e) + f(x - 2 * h * e)
-        ) / (12 * h)
-    return g
-
-
-class _ComponentExpr:
-    """Shared machinery for coordinate expressions with one component per axis."""
-
-    def __init__(self, components, grads=None):
-        comps = []
-        for c in components:
-            if callable(c):
-                comps.append(c)
-            else:
-                comps.append((lambda v: (lambda x: v))(float(c)))
-        self.components = tuple(comps)
-        self.grads = tuple(grads) if grads is not None else None
-        if self.grads is not None and len(self.grads) != len(self.components):
-            raise ValueError("one gradient per component required")
-
-    def __len__(self):
-        return len(self.components)
-
-    def at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([c(x) for c in self.components], dtype=float)
-
-    def grad_matrix(self, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-        """Matrix G with G[i, j] = d(component_j)/dx_i, analytic when available."""
-        x = np.asarray(x, dtype=float)
-        d = len(self.components)
-        G = np.empty((d, d))
-        if self.grads is not None:
-            for j, gj in enumerate(self.grads):
-                G[:, j] = np.asarray(gj(x), dtype=float)
-        else:
-            for j, cj in enumerate(self.components):
-                G[:, j] = fd_gradient(cj, x, h)
-        return G
-
-    @classmethod
-    def constant(cls, values):
-        values = [float(v) for v in values]
-        zeros = np.zeros(len(values))
-        grads = [(lambda z: (lambda x: z))(zeros) for _ in values]
-        return cls(values, grads)
-
-
-class FormExpr(_ComponentExpr):
-    """A one-form: covector coefficients as functions of the chart point."""
-
-    arity = "covector"
-
-
-class FieldExpr(_ComponentExpr):
-    """A vector field: vector components as functions of the chart point."""
-
-    arity = "vector"
+        rows.append(
+            (-f(x + 2 * h * e) + 8 * f(x + h * e) - 8 * f(x - h * e) + f(x - 2 * h * e)) / (12 * h)
+        )
+    return np.array(rows, dtype=float)
 
 
 @dataclass(frozen=True)
 class ContactChart:
     """Coordinate chart of dimension 2n+1 carrying a contact form.
 
-    ``periods[i]`` declares coordinate i as an angle with that period (None
-    for a plain real coordinate); ``domain`` is an optional membership test
-    used by flow integration.
+    ``lam(x)`` returns the 2n+1 coefficients of the form at x; ``grad(x)``,
+    when given, returns its Jacobian G with G[i, j] = d lam_j / d x_i, and
+    otherwise dlam goes through ``fd_gradient`` on ``lam``.  ``periods[i]``
+    declares coordinate i as an angle with that period (None for a plain real
+    coordinate); ``domain`` is an optional membership test used by flow
+    integration.
     """
 
     n: int
-    lam: FormExpr
+    lam: Callable[[np.ndarray], np.ndarray]
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "chart"
-    h_fd: float = DEFAULT_FD_STEP
     periods: Optional[tuple] = None
     domain: Optional[Callable[[np.ndarray], bool]] = None
 
@@ -109,17 +64,23 @@ class ContactChart:
         return 2 * self.n + 1
 
     def __post_init__(self):
-        if len(self.lam) != self.dim:
-            raise ValueError(f"lambda needs {self.dim} components, got {len(self.lam)}")
         if self.periods is not None and len(self.periods) != self.dim:
             raise ValueError("one period entry per coordinate")
 
     def lambda_at(self, x) -> np.ndarray:
-        return self.lam.at(x)
+        L = np.asarray(self.lam(np.asarray(x, dtype=float)), dtype=float)
+        if L.shape != (self.dim,):
+            raise ValueError(f"{self.name}: lambda needs {self.dim} components, got shape {L.shape}")
+        return L
 
     def dlambda_at(self, x) -> np.ndarray:
         """Antisymmetric matrix D with dlam(u, v) = u . D v."""
-        G = self.lam.grad_matrix(x, self.h_fd)
+        x = np.asarray(x, dtype=float)
+        G = np.asarray(self.grad(x) if self.grad is not None else fd_gradient(self.lam, x), dtype=float)
+        if G.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"{self.name}: the Jacobian of lambda needs shape ({self.dim}, {self.dim}), got {G.shape}"
+            )
         return G - G.T
 
     def wrap_diff(self, a, b) -> np.ndarray:
@@ -141,7 +102,6 @@ class PerturbationData:
 
     f: Callable[[np.ndarray], float]
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
 
     def f_at(self, x) -> float:
         return float(self.f(np.asarray(x, dtype=float)))
@@ -153,12 +113,11 @@ class PerturbationData:
         x = np.asarray(x, dtype=float)
         if self.grad_f is not None:
             return np.asarray(self.grad_f(x), dtype=float) / self.f_at(x)
-        return fd_gradient(lambda y: float(np.log(self.f(y))), x, self.h_fd)
+        return fd_gradient(self.g_at, x)
 
     def dg_check(self, x) -> float:
         """Gap between the declared dg and a finite-difference recomputation."""
-        fd = fd_gradient(lambda y: float(np.log(self.f(y))), np.asarray(x, float), self.h_fd)
-        return float(np.max(np.abs(self.dg_at(x) - fd)))
+        return float(np.max(np.abs(self.dg_at(x) - fd_gradient(self.g_at, x))))
 
 
 @dataclass(frozen=True)
@@ -177,6 +136,17 @@ def _stacked_residual(L, D, v) -> float:
     )
 
 
+def _dual_system(chart: ContactChart, x):
+    """(lam, dlam, M) at x with the dual matrix M = dlam^T + lam lam^T.
+
+    M X = X . dlam + lam(X) lam is the one-form dual to X, and the Reeb field
+    is the solution of M X = lam.
+    """
+    L = chart.lambda_at(x)
+    D = chart.dlambda_at(x)
+    return L, D, D.T + np.outer(L, L)
+
+
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """Solve the stacked (2n+2)x(2n+1) system lam(X)=1, X . dlam = 0.
 
@@ -185,9 +155,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     condition number are reported rather than silently accepted.
     """
     x = np.asarray(x, dtype=float)
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
-    M = D.T + np.outer(L, L)
+    L, D, M = _dual_system(chart, x)
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= _RANK_TOL * s[0]:
         raise SingularChart(
@@ -206,10 +174,7 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     Ms = np.empty((npts, d, d))
     Ls = np.empty((npts, d))
     for i in range(npts):
-        L = chart.lambda_at(xs[i])
-        D = chart.dlambda_at(xs[i])
-        Ms[i] = D.T + np.outer(L, L)
-        Ls[i] = L
+        Ls[i], _, Ms[i] = _dual_system(chart, xs[i])
     try:
         return np.linalg.solve(Ms, Ls[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
@@ -235,21 +200,14 @@ def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     return np.eye(chart.dim) - np.outer(X, L)
 
 
-def _dual_matrix(chart: ContactChart, x) -> np.ndarray:
-    # sharp(X) = X . dlam + lam(X) lam has components (D^T + lam lam^T) X.
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
-    return D.T + np.outer(L, L)
-
-
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
     """The vector field dual to a one-form under the contact form.
 
     Returns the unique X with alpha = X . dlam + lam(X) lam, equivalently
     Y_alpha + alpha(X_lam) X_lam with Y_alpha in the contact distribution.
     """
-    a = alpha.at(x) if isinstance(alpha, _ComponentExpr) else np.asarray(alpha, dtype=float)
-    M = _dual_matrix(chart, x)
+    a = np.asarray(alpha, dtype=float)
+    M = _dual_system(chart, x)[2]
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= _RANK_TOL * s[0]:
         raise SingularChart(f"{chart.name}: dual system singular at {x}")
@@ -272,8 +230,7 @@ def xi_dual_part(chart: ContactChart, alpha, x) -> np.ndarray:
 
 def log_derivative_field(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
     """The xi-part of the dual field of dg, g = log f (drives all f-identities)."""
-    dg = FormExpr.constant(pert.dg_at(x))
-    return xi_dual_part(chart, dg, x)
+    return xi_dual_part(chart, pert.dg_at(x), x)
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
@@ -291,14 +248,10 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> C
     finite-difference path on purpose so the closed-form identities are
     checked against an independent evaluation.
     """
-    comps = [
-        (lambda c: (lambda y: pert.f_at(y) * c(y)))(ci) for ci in chart.lam.components
-    ]
     return ContactChart(
         n=chart.n,
-        lam=FormExpr(comps),
+        lam=lambda y: pert.f_at(y) * chart.lam(y),
         name=name or f"{chart.name}*f",
-        h_fd=chart.h_fd,
         periods=chart.periods,
         domain=chart.domain,
     )
@@ -337,7 +290,7 @@ def triad_gradient(chart: ContactChart, J, h, x, grad_h=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     G = triad_metric(chart, J, x)
-    dh = np.asarray(grad_h(x), dtype=float) if grad_h is not None else fd_gradient(h, x, chart.h_fd)
+    dh = np.asarray(grad_h(x), dtype=float) if grad_h is not None else fd_gradient(h, x)
     return np.linalg.solve(G, dh)
 
 
@@ -354,7 +307,6 @@ def compatible_xi_structure(chart: ContactChart, x) -> np.ndarray:
     A = S.T @ D @ S
     J_blk = -A @ np.linalg.inv(np.real(sqrtm(A.T @ A)))
     X = reeb_field(chart, x)
-    L = chart.lambda_at(x)
     B = np.column_stack([S, X])
     Binv = np.linalg.inv(B)
     return S @ J_blk @ Binv[: S.shape[1], :]
@@ -367,20 +319,30 @@ def xi_frame(chart: ContactChart, x) -> np.ndarray:
     result is reproducible.
     """
     x = np.asarray(x, dtype=float)
-    Pi = xi_projection_matrix(chart, x)
+    F = _gram_schmidt(xi_projection_matrix(chart, x), 2 * chart.n, 1e-10)
+    if F.shape[1] != 2 * chart.n:
+        raise SingularChart(f"{chart.name}: could not frame xi at {x}")
+    return F
+
+
+def _gram_schmidt(A: np.ndarray, rank: int, tol: float) -> np.ndarray:
+    """Orthonormal columns from the columns of A taken in order.
+
+    A column whose remainder after removing the earlier ones has norm at most
+    ``tol`` is skipped; the loop stops after ``rank`` columns, and returns
+    fewer when A has lower rank.
+    """
     cols = []
-    for i in range(chart.dim):
-        v = Pi[:, i].copy()
+    for i in range(A.shape[1]):
+        v = A[:, i].copy()
         for u in cols:
             v -= (u @ v) * u
         nv = np.linalg.norm(v)
-        if nv > 1e-10:
+        if nv > tol:
             cols.append(v / nv)
-        if len(cols) == 2 * chart.n:
+        if len(cols) == rank:
             break
-    if len(cols) != 2 * chart.n:
-        raise SingularChart(f"{chart.name}: could not frame xi at {x}")
-    return np.column_stack(cols)
+    return np.column_stack(cols) if cols else np.zeros((A.shape[0], 0))
 
 
 def _pfaffian(A: np.ndarray) -> float:

@@ -431,7 +431,7 @@ class RotatingTubeQ:
         return weighted_tube_flow(self.w_fiber, q, s)
 
     def flow_diff(self, s) -> np.ndarray:
-        c, cs, sn = self.w_fiber, np.cos(self.w_fiber * s), np.sin(self.w_fiber * s)
+        cs, sn = np.cos(self.w_fiber * s), np.sin(self.w_fiber * s)
         M = np.eye(3)
         M[1, 1] = cs
         M[1, 2] = sn

@@ -6,10 +6,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import ContactChart, reeb_solve, xi_frame
+from .core import ContactChart, _gram_schmidt, reeb_solve, xi_frame
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
+# Step of the centred differences of the Reeb field.
+REEB_JACOBIAN_STEP = 1e-5
 # Every point closes up at T = 0, so a Newton period that falls below this
 # fraction of the guess has collapsed onto that trivial solution.
 MIN_PERIOD_FRACTION = 1e-3
@@ -98,43 +100,40 @@ def flow_point(chart, x0, T, **kw) -> np.ndarray:
     return flow(chart, x0, T, **kw).end
 
 
-def reeb_jacobian(chart: ContactChart, x, h: float = 1e-5) -> np.ndarray:
-    """Jacobian of the Reeb field by centered differences (batched solves)."""
-    x = np.asarray(x, dtype=float)
+def _reeb_and_jacobian(chart: ContactChart, x):
+    """Reeb field at x and its Jacobian by centred differences, both from one
+    batched solve over x and its 2d stencil points."""
+    from .core import reeb_batch
+
     d = chart.dim
-    pts = np.empty((2 * d, d))
-    for j in range(d):
-        pts[2 * j] = x
-        pts[2 * j, j] += h
-        pts[2 * j + 1] = x
-        pts[2 * j + 1, j] -= h
-    from .core import reeb_batch
-
+    h = REEB_JACOBIAN_STEP
+    j = np.arange(d)
+    pts = np.tile(x, (2 * d + 1, 1))
+    pts[1 + 2 * j, j] += h
+    pts[2 + 2 * j, j] -= h
     vals = reeb_batch(chart, pts)
-    return ((vals[0::2] - vals[1::2]) / (2 * h)).T
+    return vals[0], ((vals[1::2] - vals[2::2]) / (2 * h)).T
 
 
-def monodromy(chart: ContactChart, x0, T, rtol=1e-10, atol=1e-12, jac_h: float = 1e-5):
-    """Integrate the variational equation; returns (endpoint, dphi^T(x0))."""
-    from .core import reeb_batch
+def reeb_jacobian(chart: ContactChart, x) -> np.ndarray:
+    """Jacobian of the Reeb field by centered differences (batched solves)."""
+    return _reeb_and_jacobian(chart, np.asarray(x, dtype=float))[1]
 
+
+def monodromy(chart: ContactChart, x0, T, rtol=1e-10, atol=1e-12):
+    """Integrate the variational equation; returns (endpoint, dphi^T(x0)).
+
+    Raises LeftChartDomain when the trajectory leaves the chart domain.
+    """
     x0 = np.asarray(x0, dtype=float)
     d = chart.dim
 
     def rhs(t, y):
         x = y[:d]
-        M = y[d:].reshape(d, d)
-        # one batched solve covers the field and its FD stencil
-        pts = np.empty((2 * d + 1, d))
-        pts[0] = x
-        for j in range(d):
-            pts[1 + 2 * j] = x
-            pts[1 + 2 * j, j] += jac_h
-            pts[2 + 2 * j] = x
-            pts[2 + 2 * j, j] -= jac_h
-        vals = reeb_batch(chart, pts)
-        A = ((vals[1::2] - vals[2::2]) / (2 * jac_h)).T
-        return np.concatenate([vals[0], (A @ M).ravel()])
+        if not chart.contains(x):
+            raise LeftChartDomain(f"{chart.name}: left domain at t={t:g}, x={x}")
+        X, A = _reeb_and_jacobian(chart, x)
+        return np.concatenate([X, (A @ y[d:].reshape(d, d)).ravel()])
 
     y0 = np.concatenate([x0, np.eye(d).ravel()])
     sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=rtol, atol=atol)
@@ -209,18 +208,7 @@ def _section_basis(chart, x0) -> np.ndarray:
     """Orthonormal basis of the hyperplane through x0 orthogonal to X_lam(x0)."""
     X = reeb_solve(chart, x0).vector
     X = X / np.linalg.norm(X)
-    d = chart.dim
-    cols = []
-    for i in range(d):
-        v = np.eye(d)[:, i] - (X[i]) * X
-        for u in cols:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            cols.append(v / nv)
-        if len(cols) == d - 1:
-            break
-    return np.column_stack(cols)
+    return _gram_schmidt(np.eye(chart.dim) - np.outer(X, X), chart.dim - 1, 1e-8)
 
 
 def find_closed_orbit(

@@ -13,27 +13,23 @@ Coordinate conventions:
 
 import numpy as np
 
-from .core import ContactChart, FormExpr
+from .core import ContactChart
 
 
 def darboux_chart(n: int = 1, scale: float = 1.0) -> ContactChart:
     """Standard chart with lam = scale * (dz - sum p_i dq_i)."""
     dim = 2 * n + 1
-    comps = []
-    grads = []
-    for i in range(n):  # dq_i coefficient: -scale * p_i
-        comps.append((lambda k: (lambda x: -scale * x[n + k]))(i))
-        g = np.zeros(dim)
-        g[n + i] = -scale
-        grads.append((lambda v: (lambda x: v))(g.copy()))
-    zero = np.zeros(dim)
-    for i in range(n):  # dp_i coefficient: 0
-        comps.append(lambda x: 0.0)
-        grads.append((lambda v: (lambda x: v))(zero))
-    comps.append(lambda x: scale)  # dz coefficient
-    grads.append((lambda v: (lambda x: v))(zero))
+    G = np.zeros((dim, dim))
+    G[np.arange(n, 2 * n), np.arange(n)] = -scale  # d/dp_i of the dq_i coefficient
+
+    def lam(x):
+        out = np.zeros(dim)
+        out[:n] = -scale * x[n : 2 * n]
+        out[-1] = scale
+        return out
+
     name = f"darboux(n={n})" if scale == 1.0 else f"{scale:g}*darboux(n={n})"
-    return ContactChart(n=n, lam=FormExpr(comps, grads), name=name)
+    return ContactChart(n, lam, lambda x: G, name=name)
 
 
 def darboux_flat_dual_formula(n: int, alpha0: float, a, b, x) -> np.ndarray:
@@ -57,43 +53,49 @@ def darboux_flat_dual_formula(n: int, alpha0: float, a, b, x) -> np.ndarray:
 def exp_factor_chart(n: int = 1) -> ContactChart:
     """Chart carrying e^z * lam0 with analytic derivatives."""
     dim = 2 * n + 1
-    comps = []
-    grads = []
-    for i in range(n):
-        comps.append((lambda k: (lambda x: -np.exp(x[-1]) * x[n + k]))(i))
+    q = np.arange(n)
 
-        def gq(x, k=i):
-            g = np.zeros(dim)
-            g[n + k] = -np.exp(x[-1])
-            g[-1] = -np.exp(x[-1]) * x[n + k]
-            return g
+    def lam(x):
+        ez = np.exp(x[-1])
+        out = np.zeros(dim)
+        out[:n] = -ez * x[n : 2 * n]
+        out[-1] = ez
+        return out
 
-        grads.append(gq)
-    for i in range(n):
-        comps.append(lambda x: 0.0)
-        grads.append(lambda x: np.zeros(dim))
-    comps.append(lambda x: np.exp(x[-1]))
+    def grad(x):
+        ez = np.exp(x[-1])
+        G = np.zeros((dim, dim))
+        G[n + q, q] = -ez
+        G[-1, :n] = -ez * x[n : 2 * n]
+        G[-1, -1] = ez
+        return G
 
-    def gz(x):
-        g = np.zeros(dim)
-        g[-1] = np.exp(x[-1])
-        return g
-
-    grads.append(gz)
-    return ContactChart(n=n, lam=FormExpr(comps, grads), name=f"exp_z*darboux(n={n})")
+    return ContactChart(n, lam, grad, name=f"exp_z*darboux(n={n})")
 
 
 def torus_chart() -> ContactChart:
     """lam = dt1 + p dt2 on (t1, t2, p); t1 and t2 are unit-period angles."""
-    comps = [lambda x: 1.0, lambda x: x[2], lambda x: 0.0]
-    grads = [
-        lambda x: np.zeros(3),
-        lambda x: np.array([0.0, 0.0, 1.0]),
-        lambda x: np.zeros(3),
-    ]
+    G = np.zeros((3, 3))
+    G[2, 1] = 1.0
     return ContactChart(
-        n=1, lam=FormExpr(comps, grads), name="torus", periods=(1.0, 1.0, None)
+        1, lambda x: np.array([1.0, x[2], 0.0]), lambda x: G, name="torus", periods=(1.0, 1.0, None)
     )
+
+
+def _solid_torus_chart(w_theta: float, w_fiber: float, quartic: float, name: str) -> ContactChart:
+    """lam = (1 + w_fiber*r^2/2 + quartic*r^4/4) dtheta + (x dy - y dx)/2."""
+    c = float(w_fiber)
+    q = float(quartic)
+
+    def lam(x):
+        r2 = x[1] ** 2 + x[2] ** 2
+        return np.array([1.0 + 0.5 * c * r2 + 0.25 * q * r2**2, -0.5 * x[2], 0.5 * x[1]])
+
+    def grad(x):
+        s = c + q * (x[1] ** 2 + x[2] ** 2)
+        return np.array([[0.0, 0.0, 0.0], [s * x[1], 0.0, 0.5], [s * x[2], -0.5, 0.0]])
+
+    return ContactChart(1, lam, grad, name=name, periods=(2 * np.pi / w_theta, None, None))
 
 
 def weighted_tube_chart(w_theta: float, w_fiber: float) -> ContactChart:
@@ -108,24 +110,7 @@ def weighted_tube_chart(w_theta: float, w_fiber: float) -> ContactChart:
     2*pi*w_fiber/w_theta.  This is the local model of a weighted-sphere
     orbit with frequency ratio w_fiber/w_theta.
     """
-    c = float(w_fiber)
-
-    comps = [
-        lambda x: 1.0 + 0.5 * c * (x[1] ** 2 + x[2] ** 2),
-        lambda x: -0.5 * x[2],
-        lambda x: 0.5 * x[1],
-    ]
-    grads = [
-        lambda x: np.array([0.0, c * x[1], c * x[2]]),
-        lambda x: np.array([0.0, 0.0, -0.5]),
-        lambda x: np.array([0.0, 0.5, 0.0]),
-    ]
-    return ContactChart(
-        n=1,
-        lam=FormExpr(comps, grads),
-        name=f"tube(w={w_theta:g},{w_fiber:g})",
-        periods=(2 * np.pi / w_theta, None, None),
-    )
+    return _solid_torus_chart(w_theta, w_fiber, 0.0, f"tube(w={w_theta:g},{w_fiber:g})")
 
 
 def weighted_tube_flow(w_fiber: float, x0, t) -> np.ndarray:
@@ -146,30 +131,7 @@ def perturbed_tube_chart(w_theta: float, w_fiber: float, quartic: float) -> Cont
     rotation non-resonant and destroys the closed-orbit family away from the
     central circle.
     """
-    c = float(w_fiber)
-    q = float(quartic)
-
-    def r2(x):
-        return x[1] ** 2 + x[2] ** 2
-
-    comps = [
-        lambda x: 1.0 + 0.5 * c * r2(x) + 0.25 * q * r2(x) ** 2,
-        lambda x: -0.5 * x[2],
-        lambda x: 0.5 * x[1],
-    ]
-    grads = [
-        lambda x: np.array(
-            [0.0, (c + q * r2(x)) * x[1], (c + q * r2(x)) * x[2]]
-        ),
-        lambda x: np.array([0.0, 0.0, -0.5]),
-        lambda x: np.array([0.0, 0.5, 0.0]),
-    ]
-    return ContactChart(
-        n=1,
-        lam=FormExpr(comps, grads),
-        name=f"tube(w={w_theta:g},{w_fiber:g})+r4",
-        periods=(2 * np.pi / w_theta, None, None),
-    )
+    return _solid_torus_chart(w_theta, w_fiber, quartic, f"tube(w={w_theta:g},{w_fiber:g})+r4")
 
 
 def standard_darboux_J(chart: ContactChart):

@@ -8,18 +8,24 @@ its structural identities (zero-section pullback, Reeb lift, the splitting
 of the contact distribution, radial scaling), and constructs / tests complex
 structures adapted to the base.
 
+The set-up gives theta and X_theta as callables of the base point, like a
+chart's ``lam``.  On coordinates (q, mu, e) the canonical form is
+lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2: one callable for
+its coefficients and one for its Jacobian, which is constant apart from the
+d theta block.
+
 Everything here works in flat trivializations: the splitting frames are
 constant in the base coordinates and the bundle connection is the trivial
 one, which satisfies the required invariance axioms in these model charts.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import ContactChart, FieldExpr, FormExpr, contact_volume, reeb_solve
+from .core import ContactChart, contact_volume, fd_gradient, reeb_solve
 from .errors import BadBlocks, NotContact
 
 
@@ -27,21 +33,25 @@ from .errors import BadBlocks, NotContact
 class MorseBottSetup:
     """Pre-contact base data (Q, theta, X_theta, splitting).
 
-    dim Q = 1 + m + 2g; ``n_basis`` spans the integrable complement H inside
+    dim Q = 1 + m + 2g; ``theta(q)`` and ``x_theta(q)`` return the dim_q
+    components of the form and of the field at q, and ``theta_grad(q)``, when
+    given, the Jacobian G[i, j] = d theta_j / d q_i (finite differences
+    otherwise).  ``n_basis`` spans the integrable complement H inside
     ker d theta, ``g_basis`` a symplectic complement of ker d theta in TQ.
     Frames are constant vectors in the base coordinates (flat models).
     """
 
-    theta: FormExpr
-    x_theta: FieldExpr
+    theta: Callable[[np.ndarray], np.ndarray]
+    x_theta: Callable[[np.ndarray], np.ndarray]
     n_basis: tuple  # m constant vectors, each of length dim_q
     g_basis: tuple  # 2g constant vectors
+    theta_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     periods: Optional[tuple] = None
     name: str = "setup"
 
     @property
     def dim_q(self) -> int:
-        return len(self.theta)
+        return 1 + len(self.n_basis) + len(self.g_basis)
 
     @property
     def m(self) -> int:
@@ -51,14 +61,19 @@ class MorseBottSetup:
     def g(self) -> int:
         return len(self.g_basis) // 2
 
+    def theta_jacobian(self, q) -> np.ndarray:
+        """G[i, j] = d theta_j / d q_i at q."""
+        q = np.asarray(q, dtype=float)
+        return self.theta_grad(q) if self.theta_grad is not None else fd_gradient(self.theta, q)
+
     def dtheta_at(self, q) -> np.ndarray:
-        G = self.theta.grad_matrix(np.asarray(q, dtype=float))
+        G = self.theta_jacobian(q)
         return G - G.T
 
     def splitting_matrix(self, q=None) -> np.ndarray:
         """Columns [X_theta | N | G] in base coordinates."""
         q0 = np.zeros(self.dim_q) if q is None else np.asarray(q, dtype=float)
-        cols = [np.asarray(self.x_theta.at(q0), dtype=float)]
+        cols = [np.asarray(self.x_theta(q0), dtype=float)]
         cols += [np.asarray(v, dtype=float) for v in self.n_basis]
         cols += [np.asarray(v, dtype=float) for v in self.g_basis]
         return np.column_stack(cols)
@@ -78,8 +93,8 @@ def validate_setup(setup: MorseBottSetup, points) -> SetupDiagnostics:
     rank_ok = True
     for q in points:
         q = np.asarray(q, dtype=float)
-        th = setup.theta.at(q)
-        X = setup.x_theta.at(q)
+        th = setup.theta(q)
+        X = setup.x_theta(q)
         worst_theta = max(worst_theta, abs(float(th @ X) - 1.0))
         D = setup.dtheta_at(q)
         s = np.linalg.svd(D, compute_uv=False)
@@ -95,10 +110,11 @@ def validate_setup(setup: MorseBottSetup, points) -> SetupDiagnostics:
 def circle_setup() -> MorseBottSetup:
     """Q = S^1 with theta = d t: m = 0, g = 0 (prequantization-type base)."""
     return MorseBottSetup(
-        theta=FormExpr.constant([1.0]),
-        x_theta=FieldExpr.constant([1.0]),
+        theta=lambda q: np.array([1.0]),
+        x_theta=lambda q: np.array([1.0]),
         n_basis=(),
         g_basis=(),
+        theta_grad=lambda q: np.zeros((1, 1)),
         periods=(1.0,),
         name="circle",
     )
@@ -107,10 +123,11 @@ def circle_setup() -> MorseBottSetup:
 def torus_setup() -> MorseBottSetup:
     """Q = T^2 with theta = d t1, H spanned by d/d t2: m = 1, g = 0."""
     return MorseBottSetup(
-        theta=FormExpr.constant([1.0, 0.0]),
-        x_theta=FieldExpr.constant([1.0, 0.0]),
+        theta=lambda q: np.array([1.0, 0.0]),
+        x_theta=lambda q: np.array([1.0, 0.0]),
         n_basis=(np.array([0.0, 1.0]),),
         g_basis=(),
+        theta_grad=lambda q: np.zeros((2, 2)),
         periods=(1.0, 1.0),
         name="torus",
     )
@@ -123,27 +140,15 @@ def mixed_setup() -> MorseBottSetup:
     standard symplectic form on the (a, b) plane.
     """
     dim = 4
-
-    def grad_const(v):
-        return lambda x: np.asarray(v, dtype=float)
-
-    comps = [
-        lambda x: 1.0,
-        lambda x: 0.0,
-        lambda x: -0.5 * x[3],
-        lambda x: 0.5 * x[2],
-    ]
-    grads = [
-        grad_const(np.zeros(dim)),
-        grad_const(np.zeros(dim)),
-        grad_const([0.0, 0.0, 0.0, -0.5]),
-        grad_const([0.0, 0.0, 0.5, 0.0]),
-    ]
+    G = np.zeros((dim, dim))
+    G[3, 2] = -0.5  # d/db of the da coefficient -b/2
+    G[2, 3] = 0.5  # d/da of the db coefficient a/2
     return MorseBottSetup(
-        theta=FormExpr(comps, grads),
-        x_theta=FieldExpr.constant([1.0, 0.0, 0.0, 0.0]),
+        theta=lambda q: np.array([1.0, 0.0, -0.5 * q[3], 0.5 * q[2]]),
+        x_theta=lambda q: np.array([1.0, 0.0, 0.0, 0.0]),
         n_basis=(np.array([0.0, 1.0, 0.0, 0.0]),),
         g_basis=(np.eye(dim)[:, 2], np.eye(dim)[:, 3]),
+        theta_grad=lambda q: G,
         periods=(1.0, 1.0, None, None),
         name="mixed",
     )
@@ -197,47 +202,27 @@ class ThickeningChart:
 
 
 def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
+    """lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 on (q, mu, e).
+
+    Returns the coefficient callable, its Jacobian callable and the m x dim_q
+    N-coframe.
+    """
     dq, m = setup.dim_q, setup.m
-    dim = dq + m + 2 * k
-    B = setup.splitting_matrix()
-    N_co = np.linalg.inv(B)[1 : 1 + m, :] if dq else np.zeros((m, dq))
+    s = dq + m  # first E-fiber coordinate
+    N_co = np.linalg.inv(setup.splitting_matrix())[1 : 1 + m, :]
+    G_fibers = np.zeros((s + 2 * k, s + 2 * k))
+    G_fibers[dq:s, :dq] = N_co
+    G_fibers[s:, s:] = 0.5 * Omega
 
-    comps = []
-    grads = []
-    for i in range(dq):
-        def c(x, i=i):
-            base = setup.theta.components[i](x[:dq])
-            return base + float(x[dq : dq + m] @ N_co[:, i])
+    def lam(x):
+        return np.concatenate([setup.theta(x[:dq]) + x[dq:s] @ N_co, np.zeros(m), 0.5 * (x[s:] @ Omega)])
 
-        def gr(x, i=i):
-            v = np.zeros(dim)
-            if setup.theta.grads is not None:
-                v[:dq] = setup.theta.grads[i](x[:dq])
-            else:
-                from .core import fd_gradient
+    def grad(x):
+        G = G_fibers.copy()
+        G[:dq, :dq] = setup.theta_jacobian(x[:dq])
+        return G
 
-                v[:dq] = fd_gradient(setup.theta.components[i], x[:dq])
-            v[dq : dq + m] = N_co[:, i]
-            return v
-
-        comps.append(c)
-        grads.append(gr)
-    for a in range(m):
-        comps.append(lambda x: 0.0)
-        grads.append((lambda dim: (lambda x: np.zeros(dim)))(dim))
-    for j in range(2 * k):
-        def c(x, j=j):
-            e = x[dq + m :]
-            return 0.5 * float(e @ Omega[:, j])
-
-        def gr(x, j=j):
-            v = np.zeros(dim)
-            v[dq + m :] = 0.5 * Omega[:, j]
-            return v
-
-        comps.append(c)
-        grads.append(gr)
-    return FormExpr(comps, grads), N_co
+    return lam, grad, N_co
 
 
 def _fiber_grid(r: float, fdim: int, pts_per_dim: int, cap: int = 4096) -> np.ndarray:
@@ -334,15 +319,13 @@ def build_thickening(
             raise BadBlocks("Omega", "fiber symplectic matrix must be antisymmetric")
         if abs(np.linalg.det(Omega)) < 1e-12:
             raise BadBlocks("Omega", "fiber symplectic matrix is degenerate")
-    lam, N_co = _assemble_lambda_F(setup, Omega, k)
+    lam, grad, N_co = _assemble_lambda_F(setup, Omega, k)
     dq, m = setup.dim_q, setup.m
     n = (dq + m + 2 * k - 1) // 2  # total dim = dq + m + 2k = 2n + 1
     periods = None
     if setup.periods is not None:
         periods = tuple(setup.periods) + (None,) * (m + 2 * k)
-    chart = ContactChart(
-        n=n, lam=lam, name=f"thicken({setup.name})", periods=periods
-    )
+    chart = ContactChart(n, lam, grad, name=f"thicken({setup.name})", periods=periods)
     verified = contact_tube_radius(chart, dq, radius, fiber_pts=fiber_pts, base_pts=base_pts)
     return ThickeningChart(setup, k, Omega, chart, N_co, float(verified))
 
@@ -356,7 +339,7 @@ def reeb_of_thickening(tc: ThickeningChart, q) -> np.ndarray:
 def lifted_x_theta(tc: ThickeningChart, q) -> np.ndarray:
     """Horizontal lift of the base circle field (flat connection: zero fiber part)."""
     v = np.zeros(tc.dim)
-    v[: tc.dim_q] = tc.setup.x_theta.at(np.asarray(q, dtype=float))
+    v[: tc.dim_q] = tc.setup.x_theta(np.asarray(q, dtype=float))
     return v
 
 
@@ -372,7 +355,7 @@ def split_contact_distribution(tc: ThickeningChart, x):
     q, mu, e = tc.split_point(x)
     dq, m, k = tc.dim_q, tc.m, tc.k
     X_F = lifted_x_theta(tc, q)
-    th = tc.setup.theta.at(q)
+    th = tc.setup.theta(q)
     # deterministic basis of ker theta on the base
     kerb = null_space(th[None, :])
     V = []
@@ -399,7 +382,7 @@ class RadialReport:
     max_cartan_error: float  # d(R . Omega~) vs 2 Omega~
 
 
-def radial_identities(tc: ThickeningChart, c: float, points, h: float = 1e-4) -> RadialReport:
+def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
     """Check the fiber-scaling and Cartan identities of the radial field.
 
     The pullback is evaluated by scaling the E-fiber of the point and of the
@@ -432,17 +415,7 @@ def radial_identities(tc: ThickeningChart, c: float, points, h: float = 1e-4) ->
             lhs = float((scale * v) @ Om_scaled @ (scale * w))
             rhs = c * c * float(v @ Om @ w)
             worst_scale = max(worst_scale, abs(lhs - rhs))
-        # d(rho) by finite differences
-        G = np.zeros((dim, dim))
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = 1.0
-            G[i, :] = (
-                -rho(x + 2 * h * ei)
-                + 8 * rho(x + h * ei)
-                - 8 * rho(x - h * ei)
-                + rho(x - 2 * h * ei)
-            ) / (12 * h)
+        G = fd_gradient(rho, x)
         drho = G - G.T
         worst_cartan = max(worst_cartan, float(np.max(np.abs(drho - 2 * Om))))
     return RadialReport(worst_scale, worst_cartan)
@@ -620,7 +593,7 @@ def zero_section_pullback_defect(tc: ThickeningChart, points) -> float:
     for q in points:
         x = tc.zero_section_point(q)
         lam = tc.chart.lambda_at(x)
-        th = tc.setup.theta.at(np.asarray(q, dtype=float))
+        th = tc.setup.theta(np.asarray(q, dtype=float))
         worst = max(worst, float(np.max(np.abs(lam[: tc.dim_q] - th))))
         worst = max(worst, float(np.max(np.abs(lam[tc.dim_q :]))) if tc.dim > tc.dim_q else 0.0)
     return worst

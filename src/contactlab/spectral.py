@@ -323,6 +323,7 @@ def linearized_orbit_operator(chart, pert, orbit, n_t: int = 64) -> LinearizedOr
     connection is the trivial one of the chart, which satisfies the triad
     axioms in the flat model charts.
     """
+    from .core import fd_gradient, perturbed_reeb
     from .dynamics import reeb_jacobian
     from .errors import HypothesisViolated
 
@@ -342,19 +343,5 @@ def linearized_orbit_operator(chart, pert, orbit, n_t: int = 64) -> LinearizedOr
         if pert is None:
             jacs.append(reeb_jacobian(chart, z))
         else:
-            h = chart.h_fd
-            d = chart.dim
-            A = np.empty((d, d))
-            from .core import perturbed_reeb
-
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = 1.0
-                A[:, j] = (
-                    -perturbed_reeb(chart, pert, z + 2 * h * e)
-                    + 8 * perturbed_reeb(chart, pert, z + h * e)
-                    - 8 * perturbed_reeb(chart, pert, z - h * e)
-                    + perturbed_reeb(chart, pert, z - 2 * h * e)
-                ) / (12 * h)
-            jacs.append(A)
+            jacs.append(fd_gradient(lambda y: perturbed_reeb(chart, pert, y), z).T)
     return LinearizedOrbitOperator(orbit.period, t_grid, np.array(jacs))

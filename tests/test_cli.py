@@ -156,11 +156,27 @@ def test_suite_with_thread_cap(tmp_path):
     assert "passed" in r.stdout
 
 
-def test_bad_param_type_is_config_error_exit_2(tmp_path):
-    payload = {"kind": "spectrum", "params": {"n_modes": "abc"}}
-    with pytest.raises(ConfigError, match="n_modes"):
+@pytest.mark.parametrize(
+    "payload,param",
+    [
+        pytest.param({"kind": "spectrum", "params": {"n_modes": "abc"}}, "n_modes", id="n_modes_abc"),
+        pytest.param({"kind": "orbit", "params": {"model": "tube", "w": [2.0]}}, "'w'", id="w_short"),
+        pytest.param({"kind": "orbit", "params": {"guess": [0.1, 0.2]}}, "guess", id="guess_short"),
+        pytest.param({"kind": "dual_checks", "params": {"n_values": []}}, "n_values", id="n_values_empty"),
+        pytest.param(
+            {"kind": "center_of_mass", "params": {"dim": 3, "offset": [0.1, 0.2]}}, "offset",
+            id="offset_short_for_dim",
+        ),
+        pytest.param(
+            {"kind": "center_of_mass", "params": {"offset": [0.1]}}, "offset",
+            id="offset_short_for_default_dim",
+        ),
+    ],
+)
+def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):
+    with pytest.raises(ConfigError, match=param):
         cli.load_scenario(write_scenario(tmp_path, "bad_type", payload))
-    with pytest.raises(ConfigError, match="n_modes"):
+    with pytest.raises(ConfigError, match=param):
         cli.run_scenario(payload)
     r = subprocess.run(
         [sys.executable, "-m", "contactlab.cli", "run", str(tmp_path / "bad_type.json"),

@@ -152,11 +152,23 @@ def test_hamiltonian_dual_formula():
 
 
 def test_singular_chart_raises():
-    from contactlab.core import ContactChart, FormExpr
+    from contactlab.core import ContactChart
 
-    degenerate = ContactChart(n=1, lam=FormExpr.constant([0.0, 0.0, 1.0]))
+    degenerate = ContactChart(
+        n=1, lam=lambda x: np.array([0.0, 0.0, 1.0]), grad=lambda x: np.zeros((3, 3))
+    )
     with pytest.raises(SingularChart):
         core.reeb_field(degenerate, np.zeros(3))
+
+
+def test_wrong_length_lambda_names_the_dimension():
+    from contactlab.core import ContactChart
+
+    short = ContactChart(n=1, lam=lambda x: np.zeros(2))
+    with pytest.raises(ValueError, match="needs 3 components"):
+        short.lambda_at(np.zeros(3))
+    with pytest.raises(ValueError, match=r"needs shape \(3, 3\)"):
+        short.dlambda_at(np.zeros(3))
 
 
 def test_contact_volume_sign_consistent():

@@ -1,10 +1,12 @@
 """Flows, closed orbits, return maps, and family scans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from contactlab import dynamics
-from contactlab.core import ContactChart, FormExpr
+from contactlab.core import ContactChart
 from contactlab.dynamics import (
     MorseBottCandidate,
     Nondegenerate,
@@ -63,10 +65,20 @@ def test_flow_leaves_domain():
     ch = ContactChart(
         n=1,
         lam=darboux_chart(1).lam,
+        grad=darboux_chart(1).grad,
         domain=lambda x: abs(x[2]) < 0.5,
     )
     with pytest.raises(LeftChartDomain):
         flow(ch, [0.0, 0.0, 0.0], 1.0)
+
+
+def test_monodromy_enforces_chart_domain():
+    # the torus flow runs along t1 and leaves |t1| < 0.5 at time 0.4
+    ch = dataclasses.replace(torus_chart(), domain=lambda x: abs(x[0]) < 0.5)
+    with pytest.raises(LeftChartDomain):
+        dynamics.monodromy(ch, [0.1, 0.2, 0.0], 1.0)
+    with pytest.raises(NoConvergence):
+        find_closed_orbit(ch, [0.1, 0.2, 0.0], 1.1)
 
 
 def test_torus_orbit_found_anywhere():

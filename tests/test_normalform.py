@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from contactlab import models
 from contactlab import normalform as nf
 from contactlab.core import contact_volume, reeb_solve
 from contactlab.errors import BadBlocks, NotContact
@@ -76,15 +77,13 @@ def test_not_contact_reports_verified_radius():
     # constant base coefficient), so exercise the tube verification on a
     # warped tube whose volume density is 1 - r^2: the half-value bound
     # fails beyond r ~ 0.7
-    from contactlab.core import ContactChart, FormExpr
+    from contactlab.core import ContactChart
 
     # h = 1 + x^4 gives volume density 1 - x^4 (vanishing at |x| = 1)
-    comps = [
-        lambda x: 1.0 + x[1] ** 4,
-        lambda x: -0.5 * x[2],
-        lambda x: 0.5 * x[1],
-    ]
-    warped = ContactChart(n=1, lam=FormExpr(comps), periods=(1.0, None, None))
+    def lam(x):
+        return np.array([1.0 + x[1] ** 4, -0.5 * x[2], 0.5 * x[1]])
+
+    warped = ContactChart(n=1, lam=lam, periods=(1.0, None, None))
     assert nf.contact_tube_radius(warped, 1, 0.4) == 0.4
     # odd grid count puts samples on the fiber axes; half-volume is crossed
     # at x = 0.5^(1/4) ~ 0.84
@@ -154,16 +153,31 @@ def test_vertical_dlambda_block(circle_e2, torus_cot, mixed_full):
         assert np.max(np.abs(blk - expected)) < 1e-8
 
 
-def test_structural_dlambda_identity(circle_e2):
-    # d lam_F = pi^* d theta + d Theta_G + Omega~, checked against the
-    # finite-difference exterior derivative of the assembled form
-    from contactlab.core import ContactChart, FormExpr
+MODEL_CHARTS = {
+    "darboux1": lambda: models.darboux_chart(1),
+    "darboux2": lambda: models.darboux_chart(2),
+    "darboux3": lambda: models.darboux_chart(3),
+    "darboux2_scaled": lambda: models.darboux_chart(2, scale=2.5),
+    "exp_factor1": lambda: models.exp_factor_chart(1),
+    "exp_factor2": lambda: models.exp_factor_chart(2),
+    "torus": models.torus_chart,
+    "weighted_tube": lambda: models.weighted_tube_chart(2.0, 1.3),
+    "perturbed_tube": lambda: models.perturbed_tube_chart(1.0, 0.7, 0.4),
+}
 
-    tc = circle_e2
-    fd_chart = ContactChart(n=tc.chart.n, lam=FormExpr(tc.chart.lam.components))
-    x = np.array([0.3, 0.1, -0.2])
+
+@pytest.mark.parametrize("name", [*MODEL_CHARTS, "circle_e2", "torus_cot", "mixed_full"])
+def test_structural_dlambda_identity(name, request):
+    # the analytic dlambda of every shipped chart and thickening (for these
+    # d lam_F = pi^* d theta + d Theta_G + Omega~) against the
+    # finite-difference exterior derivative of the same form
+    from contactlab.core import ContactChart
+
+    chart = MODEL_CHARTS[name]() if name in MODEL_CHARTS else request.getfixturevalue(name).chart
+    fd_chart = ContactChart(chart.n, lam=chart.lam, periods=chart.periods)
+    x = np.resize([0.3, 0.1, -0.2], chart.dim)
     D_fd = fd_chart.dlambda_at(x)
-    D_an = tc.chart.dlambda_at(x)
+    D_an = chart.dlambda_at(x)
     assert np.max(np.abs(D_fd - D_an)) < 1e-6
 
 
