@@ -1,19 +1,27 @@
 """Scenario runner: batch experiments over the library with JSON reports.
 
 A scenario is a JSON file {"kind": ..., "seed": ..., "params": {...}} fully
-determining one experiment; reports echo the scenario, carry scalar results,
-CSV-serializable tables, and pass/fail verdicts with their tolerances.
-Randomness comes exclusively from a counter-based generator keyed by the
-seed, so re-running a scenario yields byte-identical report files.
+determining one experiment.  Each kind's params, with their types, defaults
+and minimums, live in one table here (``_KINDS``); kinds with variants pick
+one by ``model``, ``regime`` or ``mode``, and each variant has its own
+params.  A key the chosen variant does not read, a non-finite number and a
+value of the wrong type, length or range are config errors.  Reports echo
+the resolved scenario, so ``scenario.params`` lists every value the run
+used; they carry scalar results, CSV-serializable tables, and pass/fail
+verdicts with their tolerances.  Randomness comes exclusively from a
+counter-based generator keyed by the seed, so re-running a scenario yields
+byte-identical report files.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -87,20 +95,17 @@ def _jsonable(v):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario runners: each reads the resolved params ``p`` (see _resolve)
 
 
-def _run_dual_checks(params, seed, report):
-    n_values = params.get("n_values", [1, 2, 3])
-    n_samples = int(params.get("n_samples", 1000))
-    tol = float(params.get("tol", 1e-9))
-    formula_tol = float(params.get("formula_tol", 1e-10))
+def _run_dual_checks(p, seed, report):
+    n_values = p["n_values"]
     rng = _rng(seed)
     worst_rt = 0.0
     worst_formula = 0.0
-    per = max(1, n_samples // len(n_values))
+    per = max(1, p["n_samples"] // len(n_values))
     for n in n_values:
-        ch = models.darboux_chart(int(n))
+        ch = models.darboux_chart(n)
         d = ch.dim
         for _ in range(per):
             x = rng.uniform(-1, 1, d)
@@ -116,12 +121,12 @@ def _run_dual_checks(params, seed, report):
             # printed component formula for constant coefficients
             alpha0 = a[-1]
             aa, bb = a[:n], a[n : 2 * n]
-            ref = models.darboux_flat_dual_formula(int(n), alpha0, aa, bb, x)
+            ref = models.darboux_flat_dual_formula(n, alpha0, aa, bb, x)
             worst_formula = max(worst_formula, float(np.max(np.abs(v - ref))))
     report.results["max_round_trip_error"] = worst_rt
     report.results["max_formula_error"] = worst_formula
-    report.add_verdict("dual_round_trip", worst_rt, tol)
-    report.add_verdict("darboux_component_formula", worst_formula, formula_tol)
+    report.add_verdict("dual_round_trip", worst_rt, p["tol"])
+    report.add_verdict("darboux_component_formula", worst_formula, p["formula_tol"])
 
 
 def _random_positive_factor(rng, dim):
@@ -139,15 +144,12 @@ def _random_positive_factor(rng, dim):
     return core.PerturbationData(f, grad_f)
 
 
-def _run_perturbed_reeb(params, seed, report):
-    n = int(params.get("n", 1))
-    n_samples = int(params.get("n_samples", 200))
-    tol = float(params.get("tol", 1e-8))
+def _run_perturbed_reeb(p, seed, report):
     rng = _rng(seed)
-    ch = models.darboux_chart(n)
+    ch = models.darboux_chart(p["n"])
     worst = 0.0
     worst_proj = 0.0
-    for _ in range(n_samples):
+    for _ in range(p["n_samples"]):
         x = rng.uniform(-1, 1, ch.dim)
         pert = _random_positive_factor(rng, ch.dim)
         closed = core.perturbed_reeb(ch, pert, x)
@@ -161,54 +163,37 @@ def _run_perturbed_reeb(params, seed, report):
         worst_proj = max(worst_proj, float(np.max(np.abs(pf - direct_proj))))
     report.results["max_reeb_formula_gap"] = worst
     report.results["max_projection_formula_gap"] = worst_proj
-    report.add_verdict("perturbed_reeb_formula", worst, tol)
-    report.add_verdict("perturbed_projection_formula", worst_proj, tol)
+    report.add_verdict("perturbed_reeb_formula", worst, p["tol"])
+    report.add_verdict("perturbed_projection_formula", worst_proj, p["tol"])
 
 
-def _run_orbit(params, seed, report):
-    model = params.get("model", "torus")
-    tol = float(params.get("tol", 1e-8))
-    if model == "torus":
-        ch = models.torus_chart()
-        guess = np.array(params.get("guess", [0.1, 0.2, 0.0]), dtype=float)
-        orb = dynamics.find_closed_orbit(ch, guess, float(params.get("T_guess", 1.1)))
-        expect = float(params.get("expect_period", 1.0))
-    elif model == "tube":
-        w = params.get("w", [2.0, 1.0])
-        ch = models.weighted_tube_chart(float(w[0]), float(w[1]))
-        guess = np.array(params.get("guess", [0.0, 0.1, 0.05]), dtype=float)
-        orb = dynamics.find_closed_orbit(ch, guess, float(params.get("T_guess", 3.0)))
-        expect = float(params.get("expect_period", 2 * np.pi / float(w[0])))
-    else:
-        raise ConfigError(f"unknown orbit model {model!r}")
+def _run_orbit(p, seed, report):
+    ch = models.torus_chart() if p["model"] == "torus" else models.weighted_tube_chart(*p["w"])
+    orb = dynamics.find_closed_orbit(ch, np.array(p["guess"]), p["T_guess"])
     report.results["period"] = orb.period
     report.results["closure_residual"] = orb.closure_residual
     report.results["action"] = orb.action()
-    report.add_verdict("period", abs(orb.period - expect), tol)
-    report.add_verdict("closure", orb.closure_residual, tol)
+    report.add_verdict("period", abs(orb.period - p["expect_period"]), p["tol"])
+    report.add_verdict("closure", orb.closure_residual, p["tol"])
     report.add_verdict("action_equals_period", abs(orb.action() - orb.period), 1e-8)
 
 
-def _run_return_map(params, seed, report):
-    model = params.get("model", "tube")
-    if model == "tube":
-        w = params.get("w", [1.0, 1.41421356])
-        tol = float(params.get("tol", 1e-6))
-        ch = models.weighted_tube_chart(float(w[0]), float(w[1]))
-        T = 2 * np.pi / float(w[0])
-        orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), T)
+def _run_return_map(p, seed, report):
+    if p["model"] == "tube":
+        w_theta, w_fiber = p["w"]
+        ch = models.weighted_tube_chart(w_theta, w_fiber)
+        orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi / w_theta)
         rm = dynamics.return_map(ch, orb)
-        angle = 2 * np.pi * float(w[1]) / float(w[0])
+        angle = 2 * np.pi * w_fiber / w_theta
         expected = np.array([np.exp(1j * angle), np.exp(-1j * angle)])
         got = np.sort_complex(rm.eigenvalues)
         exp_sorted = np.sort_complex(expected)
         err = float(np.max(np.abs(got - exp_sorted)))
         report.results["eigenvalues"] = [_jsonable(complex(z)) for z in got]
-        report.add_verdict("eigenvalue_error", err, tol)
+        report.add_verdict("eigenvalue_error", err, p["tol"])
         report.add_verdict("symplectic_defect", rm.symplectic_error, 1e-6)
         report.add_verdict("det_psi_minus_one", abs(float(np.linalg.det(rm.matrix)) - 1.0), 1e-8)
-    elif model == "torus":
-        tol = float(params.get("tol", 1e-8))
+    else:
         ch = models.torus_chart()
         orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), 1.0)
         rm = dynamics.return_map(ch, orb)
@@ -216,31 +201,17 @@ def _run_return_map(params, seed, report):
         cls = dynamics.classify_orbit(rm)
         is_mb2 = isinstance(cls, dynamics.MorseBottCandidate) and cls.multiplicity == 2
         report.results["matrix"] = rm.matrix
-        report.add_verdict("identity_return_map", err, tol)
+        report.add_verdict("identity_return_map", err, p["tol"])
         report.add_verdict("morse_bott_multiplicity_2", 0.0 if is_mb2 else 1.0, 0.5, passed=is_mb2)
-    else:
-        raise ConfigError(f"unknown return_map model {model!r}")
 
 
-def _thickening_model(name):
-    if name == "circle_e2":
-        setup = normalform.circle_setup()
-        Omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return setup, Omega
-    if name == "torus_cotangent":
-        setup = normalform.torus_setup()
-        return setup, np.zeros((0, 0))
-    raise ConfigError(f"unknown thickening model {name!r}")
-
-
-def _run_thickening(params, seed, report):
-    model = params.get("model", "circle_e2")
-    radius = float(params.get("radius", 0.5))
-    c = float(params.get("c", 2.0))
-    n_points = int(params.get("n_points", 100))
-    tol = float(params.get("tol", 1e-6))
+def _run_thickening(p, seed, report):
+    radius = p["radius"]
     rng = _rng(seed)
-    setup, Omega = _thickening_model(model)
+    if p["model"] == "circle_e2":
+        setup, Omega = normalform.circle_setup(), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    else:
+        setup, Omega = normalform.torus_setup(), np.zeros((0, 0))
     tc = normalform.build_thickening(setup, Omega, radius=radius)
     qs = [rng.uniform(0, 1, setup.dim_q) for _ in range(8)]
     report.results["verified_radius"] = tc.verified_radius
@@ -257,7 +228,7 @@ def _run_thickening(params, seed, report):
     fdim = tc.m + 2 * tc.k
     worst_rank = 0
     worst_ann = 0.0
-    for _ in range(n_points):
+    for _ in range(p["n_points"]):
         q = rng.uniform(0, 1, setup.dim_q)
         f = rng.uniform(-radius / 2, radius / 2, fdim)
         x = np.concatenate([q, f])
@@ -271,21 +242,16 @@ def _run_thickening(params, seed, report):
     report.add_verdict("xi_splitting_rank", float(worst_rank), 0.5)
     report.add_verdict("lambda_annihilates_splitting", worst_ann, 1e-10)
     pts = [np.concatenate([rng.uniform(0, 1, setup.dim_q), rng.uniform(-radius / 2, radius / 2, fdim)]) for _ in range(10)]
-    rad = normalform.radial_identities(tc, c, pts)
+    rad = normalform.radial_identities(tc, p["c"], pts)
     report.results["radial_scaling_error"] = rad.max_scaling_error
     report.results["cartan_error"] = rad.max_cartan_error
-    report.add_verdict("radial_scaling", rad.max_scaling_error, tol)
-    report.add_verdict("cartan_formula", rad.max_cartan_error, tol)
+    report.add_verdict("radial_scaling", rad.max_scaling_error, p["tol"])
+    report.add_verdict("cartan_formula", rad.max_cartan_error, p["tol"])
 
 
-def _run_spectrum(params, seed, report):
-    a = float(params.get("a", np.pi))
-    T = float(params.get("T", 1.0))
-    n_modes = int(params.get("n_modes", 256))
-    k_max = int(params.get("k_max", 20))
-    tol = float(params.get("tol", 1e-8))
-    trials = int(params.get("gap_trials", 1000))
-    op = spectral.assemble_operator(a * np.eye(2), period=T, n_modes=n_modes, rank=2)
+def _run_spectrum(p, seed, report):
+    a, T, k_max, tol = p["a"], p["T"], p["k_max"], p["tol"]
+    op = spectral.assemble_operator(a * np.eye(2), period=T, n_modes=p["n_modes"], rank=2)
     spec_res = spectral.spectrum(op)
     expected = np.array(
         sorted(2 * np.pi * k / T - a for k in range(-k_max, k_max + 1))
@@ -303,7 +269,7 @@ def _run_spectrum(params, seed, report):
     expected_gap = float(np.min(np.abs(expected[np.abs(expected) > 1e-12])))
     report.add_verdict("eigenvalue_grid", worst, tol)
     report.add_verdict("gap_value", abs(spec_res.gap - expected_gap), tol)
-    gap_rep = spectral.gap_inequality_check(op, n_trials=trials, seed=seed)
+    gap_rep = spectral.gap_inequality_check(op, n_trials=p["gap_trials"], seed=seed)
     report.results["min_rayleigh_quotient"] = gap_rep.min_quotient
     report.add_verdict(
         "gap_inequality",
@@ -313,49 +279,28 @@ def _run_spectrum(params, seed, report):
     )
 
 
-def _run_cylinder_decay(params, seed, report):
-    regime = params.get("regime", "slow_mode")
-    R = float(params.get("R", 20.0))
-    n_tau = int(params.get("n_tau", 512))
-    n_t = int(params.get("n_t", 128))
-    n_modes = int(params.get("n_modes", 16))
-    rate_rtol = float(params.get("rate_rtol", 0.02))
-    a = float(params.get("a", -0.7))
-    delta0 = float(params.get("delta0", 2.0))
-
-    if regime == "kernel_control":
+def _run_cylinder_decay(p, seed, report):
+    R, n_tau, n_t, n_modes = p["R"], p["n_tau"], p["n_t"], p["n_modes"]
+    zeta0 = np.zeros((n_t, 2))
+    zeta0[:, 0] = 1.0  # constant section: pure lowest-|lambda| content
+    if p["regime"] == "kernel_control":
         op = spectral.assemble_operator(np.zeros((2, 2)), period=1.0, n_modes=n_modes, n_t=n_t)
-        zeta0 = np.zeros((n_t, 2))
-        zeta0[:, 0] = 1.0
         fieldc = decay.solve_cylinder(op, None, zeta0, R, n_tau, n_t=n_t)
         fit = decay.decay_rate(fieldc)
-        expected = 0.0
         passed = abs(fit.rate) < 0.01
         report.add_verdict("no_decay_rate", abs(fit.rate), 0.01, passed=passed)
     else:
-        op = spectral.assemble_operator(a * np.eye(2), period=1.0, n_modes=n_modes, n_t=n_t)
+        op = spectral.assemble_operator(p["a"] * np.eye(2), period=1.0, n_modes=n_modes, n_t=n_t)
         lam1 = spectral.spectrum(op).gap
-        zeta0 = np.zeros((n_t, 2))
-        zeta0[:, 0] = 1.0  # constant section: pure lowest-|lambda| content
-        forcing = None
-        if regime == "forcing_limited":
-            delta0 = float(params.get("delta0", 0.3))
-            profile = np.zeros((n_t, 2))
-            profile[:, 0] = 1.0
-            forcing = decay.Forcing(delta0, profile)
-            expected = min(lam1, delta0)
-        elif regime == "slow_mode":
-            profile = np.zeros((n_t, 2))
-            profile[:, 0] = 1.0
-            forcing = decay.Forcing(delta0, profile)
-            expected = min(lam1, delta0)
-        else:
-            raise ConfigError(f"unknown cylinder regime {regime!r}")
+        profile = np.zeros((n_t, 2))
+        profile[:, 0] = 1.0
+        forcing = decay.Forcing(p["delta0"], profile)
+        expected = min(lam1, p["delta0"])
         fieldc = decay.solve_cylinder(op, forcing, zeta0, R, n_tau, n_t=n_t)
         fit = decay.decay_rate(fieldc)
         rel = abs(fit.rate - expected) / expected
-        passed = rel <= rate_rtol
-        report.add_verdict("decay_rate_relative_error", rel, rate_rtol, passed=passed)
+        passed = rel <= p["rate_rtol"]
+        report.add_verdict("decay_rate_relative_error", rel, p["rate_rtol"], passed=passed)
         report.results["expected_rate"] = expected
     norms = fieldc.slice_norms
     fitline = np.exp(fit.intercept - fit.rate * fieldc.tau)
@@ -369,11 +314,10 @@ def _run_cylinder_decay(params, seed, report):
     report.results["r_squared"] = fit.r_squared
 
 
-def _run_three_interval(params, seed, report):
-    mode = params.get("mode", "exp")
-    if mode == "exp":
-        c = float(params.get("c", 1.0))
-        N = int(params.get("N", 50))
+def _run_three_interval(p, seed, report):
+    N = p["N"]
+    if p["mode"] == "exp":
+        c = p["c"]
         gamma = decay.gamma_of_c(c)
         x = np.exp(-c * np.arange(N + 1))
         rep = decay.three_interval_bound(decay.IntervalSeq(x, gamma))
@@ -388,9 +332,8 @@ def _run_three_interval(params, seed, report):
         cs = np.linspace(0.01, 5.0, 200)
         worst = max(abs(decay.growth_factor(decay.gamma_of_c(ci)) - np.exp(ci)) for ci in cs)
         report.add_verdict("growth_factor_identity", worst, 1e-12)
-    elif mode == "random":
-        n_seq = int(params.get("n_sequences", 10000))
-        N = int(params.get("N", 50))
+    else:
+        n_seq = p["n_sequences"]
         rng = _rng(seed)
         n_fail = 0
         failed_at = []
@@ -405,8 +348,6 @@ def _run_three_interval(params, seed, report):
         report.results["n_sequences"] = n_seq
         report.results["failed_sequence_indices"] = failed_at
         report.add_verdict("all_bounds_hold", float(n_fail), 0.5, passed=n_fail == 0)
-    else:
-        raise ConfigError(f"unknown three_interval mode {mode!r}")
 
 
 def _random_hypothesis_sequence(rng, N, gamma):
@@ -430,16 +371,9 @@ def _random_hypothesis_sequence(rng, N, gamma):
     return x / np.max(x)
 
 
-def _center_of_mass_dim(params) -> int:
-    return int(params.get("dim", 2))
-
-
-def _run_center_of_mass(params, seed, report):
-    dim = _center_of_mass_dim(params)
-    T = float(params.get("T", 1.0))
-    n_t = int(params.get("n_t", 64))
-    tol = float(params.get("tol", 1e-8))
-    offset = np.array(params.get("offset", [0.0] + [0.08] * (dim - 1)), dtype=float)
+def _run_center_of_mass(p, seed, report):
+    dim, T, n_t = p["dim"], p["T"], p["n_t"]
+    offset = np.array(p["offset"])
     model = decay.FlatTorusQ(dim)
     ts = np.arange(n_t) / n_t
     base = np.zeros(dim)
@@ -450,18 +384,14 @@ def _run_center_of_mass(params, seed, report):
     err_m = float(np.max(np.abs(model.wrap(res.m - expected_m))))
     report.results["m"] = res.m
     report.results["iterations"] = res.iterations
-    report.add_verdict("center_matches_closed_form", err_m, tol)
+    report.add_verdict("center_matches_closed_form", err_m, p["tol"])
     report.add_verdict("mean_residual", res.residual_mean, 1e-9)
     report.add_verdict("xi_residual", res.residual_xi, 1e-9)
     report.add_verdict("newton_iterations", float(res.iterations), 12.0)
 
 
-def _run_action_charge(params, seed, report):
-    c = float(params.get("c", 0.5))
-    T = float(params.get("T", 2.0))
-    R = float(params.get("R", 1.0))
-    n_tau = int(params.get("n_tau", 33))
-    n_t = int(params.get("n_t", 64))
+def _run_action_charge(p, seed, report):
+    c, T, R, n_tau, n_t = p["c"], p["T"], p["R"], p["n_tau"], p["n_t"]
     ch = models.torus_chart()
     taus = np.linspace(0, R, n_tau)
     ts = np.arange(n_t) / n_t
@@ -479,127 +409,183 @@ def _run_action_charge(params, seed, report):
     report.add_verdict("pi_energy_vanishes", ac.pi_energy, 1e-10)
 
 
+# ---------------------------------------------------------------------------
+# parameter tables
+
+
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _is_int(v) -> bool:
     return _is_num(v) and float(v).is_integer()
 
 
-# parameter type name -> (description, predicate on the JSON value)
-_PARAM_TYPES = {
-    "num": ("a number", _is_num),
-    "int": ("an integer", _is_int),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "nums": ("a non-empty list of numbers", lambda v: isinstance(v, list) and v and all(map(_is_num, v))),
-    "ints": ("a non-empty list of integers", lambda v: isinstance(v, list) and v and all(map(_is_int, v))),
-}
-
-# kind -> (runner, {param: type}); a param not listed is rejected.  A list
-# type may come as (type, length): the exact length, or a function of the
-# params that gives it.
-_RUNNERS = {
-    "dual_checks": (
-        _run_dual_checks,
-        {"n_values": "ints", "n_samples": "int", "tol": "num", "formula_tol": "num"},
-    ),
-    "perturbed_reeb": (_run_perturbed_reeb, {"n": "int", "n_samples": "int", "tol": "num"}),
-    "orbit": (
-        _run_orbit,
-        {"model": "str", "w": ("nums", 2), "guess": ("nums", 3), "T_guess": "num",
-         "expect_period": "num", "tol": "num"},
-    ),
-    "return_map": (_run_return_map, {"model": "str", "w": ("nums", 2), "tol": "num"}),
-    "thickening": (
-        _run_thickening,
-        {"model": "str", "radius": "num", "c": "num", "n_points": "int", "tol": "num"},
-    ),
-    "spectrum": (
-        _run_spectrum,
-        {"a": "num", "T": "num", "n_modes": "int", "k_max": "int", "tol": "num", "gap_trials": "int"},
-    ),
-    "cylinder_decay": (
-        _run_cylinder_decay,
-        {"regime": "str", "R": "num", "n_tau": "int", "n_t": "int", "n_modes": "int",
-         "rate_rtol": "num", "a": "num", "delta0": "num"},
-    ),
-    "three_interval": (
-        _run_three_interval, {"mode": "str", "c": "num", "N": "int", "n_sequences": "int"}
-    ),
-    "center_of_mass": (
-        _run_center_of_mass,
-        {"dim": "int", "T": "num", "n_t": "int", "tol": "num", "offset": ("nums", _center_of_mass_dim)},
-    ),
-    "action_charge": (
-        _run_action_charge, {"c": "num", "T": "num", "R": "num", "n_tau": "int", "n_t": "int"}
-    ),
+# type name -> (one value, several values, predicate on one JSON value, cast)
+_TYPES = {
+    "num": ("a finite number", "finite numbers", _is_num, float),
+    "pos": ("a positive number", "positive numbers", lambda v: _is_num(v) and v > 0, float),
+    "int": ("an integer", "integers", _is_int, int),
 }
 
 
-def _check_scenario(data: dict, where) -> None:
-    """Raise ConfigError unless kind, seed and every param are known and well typed."""
-    kind = data.get("kind")
-    if kind not in _RUNNERS:
-        raise ConfigError(f"{where}: unknown scenario kind {kind!r}")
-    if not _is_int(data.get("seed", 0)):
-        raise ConfigError(f"{where}: seed must be an integer, got {data['seed']!r}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}: params must be an object")
-    schema = _RUNNERS[kind][1]
-    unknown = set(params) - set(schema)
+class _Param(NamedTuple):
+    """One scenario parameter.
+
+    ``type`` is a key of _TYPES: the type of the value, or of each entry when
+    the default is a list.  A list of reals is a vector and must be as long as
+    its default; a list of integers may have any non-empty length.
+    ``default`` may be a function of the params resolved before this one.
+    ``minimum``, when set, bounds every number of the value from below."""
+
+    type: str
+    default: object
+    minimum: Optional[int] = None
+
+
+_ORBIT_TOL = {"tol": _Param("num", 1e-8)}
+_THICKENING = {"radius": _Param("pos", 0.5), "c": _Param("pos", 2.0),
+               "n_points": _Param("int", 100, 1), "tol": _Param("num", 1e-6)}
+_CYLINDER = {"R": _Param("pos", 20.0), "n_tau": _Param("int", 512, 1),
+             "n_t": _Param("int", 128, 1), "n_modes": _Param("int", 16, 0)}
+_FORCED_CYLINDER = {**_CYLINDER, "rate_rtol": _Param("num", 0.02), "a": _Param("num", -0.7)}
+_SEQUENCE_LENGTH = {"N": _Param("int", 50, 2)}
+
+# kind -> (runner, None, {param: _Param}), or, for a kind with variants,
+# (runner, variant param, {variant: {param: _Param}}) with the first variant
+# the default.  A param not listed for the chosen variant is rejected.
+_KINDS = {
+    "dual_checks": (_run_dual_checks, None, {
+        "n_values": _Param("int", [1, 2, 3], 1), "n_samples": _Param("int", 1000, 1),
+        "tol": _Param("num", 1e-9), "formula_tol": _Param("num", 1e-10)}),
+    "perturbed_reeb": (_run_perturbed_reeb, None, {
+        "n": _Param("int", 1, 1), "n_samples": _Param("int", 200, 1), "tol": _Param("num", 1e-8)}),
+    "orbit": (_run_orbit, "model", {
+        "torus": {"guess": _Param("num", [0.1, 0.2, 0.0]), "T_guess": _Param("pos", 1.1),
+                  "expect_period": _Param("pos", 1.0), **_ORBIT_TOL},
+        "tube": {"w": _Param("pos", [2.0, 1.0]), "guess": _Param("num", [0.0, 0.1, 0.05]),
+                 "T_guess": _Param("pos", 3.0),
+                 "expect_period": _Param("pos", lambda p: 2 * np.pi / p["w"][0]), **_ORBIT_TOL}}),
+    "return_map": (_run_return_map, "model", {
+        "tube": {"w": _Param("pos", [1.0, 1.41421356]), "tol": _Param("num", 1e-6)},
+        "torus": {"tol": _Param("num", 1e-8)}}),
+    "thickening": (_run_thickening, "model",
+                   {"circle_e2": _THICKENING, "torus_cotangent": _THICKENING}),
+    "spectrum": (_run_spectrum, None, {
+        "a": _Param("num", np.pi), "T": _Param("pos", 1.0), "n_modes": _Param("int", 256, 0),
+        "k_max": _Param("int", 20, 0), "tol": _Param("num", 1e-8),
+        "gap_trials": _Param("int", 1000, 1)}),
+    "cylinder_decay": (_run_cylinder_decay, "regime", {
+        "slow_mode": {**_FORCED_CYLINDER, "delta0": _Param("pos", 2.0)},
+        "forcing_limited": {**_FORCED_CYLINDER, "delta0": _Param("pos", 0.3)},
+        "kernel_control": _CYLINDER}),
+    "three_interval": (_run_three_interval, "mode", {
+        "exp": {"c": _Param("pos", 1.0), **_SEQUENCE_LENGTH},
+        "random": {"n_sequences": _Param("int", 10000, 1), **_SEQUENCE_LENGTH}}),
+    "center_of_mass": (_run_center_of_mass, None, {
+        "dim": _Param("int", 2, 1), "T": _Param("pos", 1.0), "n_t": _Param("int", 64, 1),
+        "tol": _Param("num", 1e-8),
+        "offset": _Param("num", lambda p: [0.0] + [0.08] * (p["dim"] - 1))}),
+    "action_charge": (_run_action_charge, None, {
+        "c": _Param("num", 0.5), "T": _Param("pos", 2.0), "R": _Param("pos", 1.0),
+        "n_tau": _Param("int", 33, 2), "n_t": _Param("int", 64, 1)}),
+}
+
+
+def _resolve_param(value, spec: _Param, default, what: str):
+    """Check one value (given or default) against its spec and return it cast."""
+    one, several, ok, cast = _TYPES[spec.type]
+    is_list = isinstance(default, list)
+    if not is_list:
+        rule, entries = one, [value]
+    elif spec.type == "int":
+        rule = f"a non-empty list of {several}"
+        entries = value if isinstance(value, list) and value else None
+    else:
+        rule = f"a list of {len(default)} {several}"
+        entries = value if isinstance(value, list) and len(value) == len(default) else None
+    if spec.minimum is not None:
+        rule += f", each at least {spec.minimum}" if is_list else f" of at least {spec.minimum}"
+    if entries is None or not all(
+        ok(v) and (spec.minimum is None or v >= spec.minimum) for v in entries
+    ):
+        raise ConfigError(f"{what} must be {rule}, got {value!r}")
+    return [cast(v) for v in entries] if is_list else cast(value)
+
+
+def _resolve(data, where, name=None) -> dict:
+    """Validate a scenario and return it resolved.
+
+    The resolved scenario has kind, seed, name (default: ``name``, else the
+    kind) and every param of its kind and variant, defaults filled in and
+    each value cast once.  Raises ConfigError on an unknown top-level key,
+    kind, variant or param, a seed that is not a non-negative integer, and a
+    param of the wrong type, length or range or not finite.  Resolving a
+    resolved scenario returns it unchanged."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: scenario must be a JSON object")
+    unknown = set(data) - {"kind", "seed", "params", "name"}
     if unknown:
-        raise ConfigError(f"{where}: unknown params for {kind}: {sorted(unknown)}")
-    rules = {name: spec if isinstance(spec, tuple) else (spec, None) for name, spec in schema.items()}
-    for name, value in params.items():
-        what, ok = _PARAM_TYPES[rules[name][0]]
-        if not ok(value):
-            raise ConfigError(f"{where}: param {name!r} of {kind} must be {what}, got {value!r}")
-    # lengths may depend on other params, so they are checked once all types hold
-    for name, value in params.items():
-        length = rules[name][1]
-        length = length(params) if callable(length) else length
-        if length is not None and len(value) != length:
+        raise ConfigError(f"{where}: unknown top-level keys {sorted(unknown)}")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"{where}: unknown scenario kind {kind!r}")
+    seed = data.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"{where}: seed must be a non-negative integer, got {seed!r}")
+    name = data.get("name", name or kind)
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}: name must be a string, got {name!r}")
+    given = data.get("params", {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where}: params must be an object")
+    _, key, table = _KINDS[kind]
+    params, label = {}, kind
+    if key is not None:
+        variant = given.get(key, next(iter(table)))
+        if not isinstance(variant, str) or variant not in table:
             raise ConfigError(
-                f"{where}: param {name!r} of {kind} must have {length} entries, got {len(value)}"
+                f"{where}: {key} of {kind} must be one of {list(table)}, got {variant!r}"
             )
+        params[key] = variant
+        label, table = f"{kind} {key} {variant!r}", table[variant]
+    unknown = set(given) - set(params) - set(table)
+    if unknown:
+        raise ConfigError(f"{where}: unknown params for {label}: {sorted(unknown)}")
+    for pname, spec in table.items():
+        default = spec.default(params) if callable(spec.default) else spec.default
+        what = f"{where}: param {pname!r} of {label}"
+        params[pname] = _resolve_param(given.get(pname, default), spec, default, what)
+    return {"kind": kind, "seed": int(seed), "name": name, "params": params}
 
 
 def load_scenario(path) -> dict:
+    """Read one scenario file and return it resolved (see _resolve)."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: scenario must be a JSON object")
-    unknown_top = set(data) - {"kind", "seed", "params", "name"}
-    if unknown_top:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown_top)}")
-    _check_scenario(data, path)
-    data.setdefault("seed", 0)
-    data.setdefault("name", path.stem)
-    return data
+    return _resolve(data, path, path.stem)
 
 
 def run_scenario(scenario, seed_override=None) -> Report:
-    """Execute one scenario (a dict or a path) and return its Report."""
+    """Execute one scenario (a dict or a path) and return its Report.
+
+    The report echoes the resolved scenario, so it names every value it ran with."""
     if not isinstance(scenario, dict):
         scenario = load_scenario(scenario)
-    _check_scenario(scenario, scenario.get("name", "scenario"))
-    seed = int(seed_override if seed_override is not None else scenario.get("seed", 0))
-    echo = {
-        "kind": scenario["kind"],
-        "seed": seed,
-        "name": scenario.get("name", scenario["kind"]),
-        "params": scenario.get("params", {}),
-    }
-    report = Report(scenario=echo)
-    runner = _RUNNERS[scenario["kind"]][0]
+    if seed_override is not None:
+        scenario = {**scenario, "seed": seed_override}
+    scenario = _resolve(scenario, scenario.get("name", "scenario"))
+    report = Report(scenario=scenario)
+    runner = _KINDS[scenario["kind"]][0]
     start = time.perf_counter()
     try:
-        runner(scenario.get("params", {}), seed, report)
+        runner(scenario["params"], scenario["seed"], report)
     except ConfigError:
         raise
     except ContactLabError as err:
@@ -642,12 +628,7 @@ def _print_verdicts(report: Report, stream=sys.stdout):
 
 def _cmd_run(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        report = run_scenario(scenario, seed_override=args.seed)
+        report = run_scenario(load_scenario(args.scenario), seed_override=args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -655,7 +636,8 @@ def _cmd_run(args) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
     emit_report(report, args.out, args.format)
-    print(f"{scenario['name']}: {'pass' if report.all_passed else 'FAIL'} ({report.wall_time:.2f}s)")
+    status = "pass" if report.all_passed else "FAIL"
+    print(f"{report.scenario['name']}: {status} ({report.wall_time:.2f}s)")
     _print_verdicts(report)
     return 0 if report.all_passed else 1
 
@@ -671,18 +653,26 @@ def _suite_worker(item):
     return scenario["name"], report.all_passed, report.wall_time, None
 
 
+def _thread_count() -> int:
+    raw = os.environ.get("CONTACTLAB_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"CONTACTLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _cmd_suite(args) -> int:
     paths = sorted(Path(args.scenario_dir).glob("*.json"))
     if not paths:
         print(f"config error: no scenarios in {args.scenario_dir}", file=sys.stderr)
         return 2
     try:
-        for p in paths:
-            load_scenario(p)  # validate everything before running anything
+        threads = _thread_count()
+        scenarios = [load_scenario(p) for p in paths]  # validate everything before running anything
+        if args.seed is not None:
+            _resolve({**scenarios[0], "seed": args.seed}, "--seed")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    threads = int(os.environ.get("CONTACTLAB_THREADS", "1"))
     items = [(p, args.seed, args.out, args.format) for p in paths]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

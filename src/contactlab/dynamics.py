@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import ContactChart, _gram_schmidt, reeb_solve, xi_frame
+from .core import ContactChart, _gram_schmidt, reeb_solve, xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
@@ -305,10 +305,7 @@ def return_map(chart: ContactChart, orbit: ReebOrbit, unit_tol: float = 1e-6) ->
     p = orbit.base_point
     _, M = monodromy(chart, p, orbit.period)
     S = orbit.frame
-    L = chart.lambda_at(p)
-    X = reeb_solve(chart, p).vector
-    Pi = np.eye(chart.dim) - np.outer(X, L)
-    Psi = S.T @ (Pi @ (M @ S))
+    Psi = S.T @ (xi_projection_matrix(chart, p) @ (M @ S))
     D = chart.dlambda_at(p)
     Omega0 = S.T @ D @ S
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))

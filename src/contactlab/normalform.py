@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import ContactChart, contact_volume, fd_gradient, reeb_solve
+from .core import ContactChart, contact_volume, fd_gradient, reeb_solve, xi_projection_matrix
 from .errors import BadBlocks, NotContact
 
 
@@ -511,10 +511,7 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B, tol: float = 1e-12) -> Adap
     Jb[iE :, iE :] = J_E
     Jmat = P @ Jb @ Pinv
 
-    x0 = tc.zero_section_point(q0)
-    lam0 = tc.chart.lambda_at(x0)
-    X_F = reeb_solve(tc.chart, x0).vector
-    Pi = np.eye(dim) - np.outer(X_F, lam0)
+    Pi = xi_projection_matrix(tc.chart, tc.zero_section_point(q0))
     square_defect = float(np.max(np.abs(Jmat @ Jmat + Pi)))
     ok, _ = check_adapted(tc, Jmat, q0)
     return AdaptedJ(J_G, J_E, B, Jmat, square_defect, bool(ok))

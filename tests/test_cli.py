@@ -171,6 +171,15 @@ def test_suite_with_thread_cap(tmp_path):
             {"kind": "center_of_mass", "params": {"offset": [0.1]}}, "offset",
             id="offset_short_for_default_dim",
         ),
+        pytest.param({"kind": "center_of_mass", "params": {"dim": 0}}, "'dim'", id="dim_zero"),
+        pytest.param({"kind": "spectrum", "params": {"n_modes": -1}}, "n_modes", id="n_modes_negative"),
+        pytest.param({"kind": "center_of_mass", "params": {"n_t": 0}}, "'n_t'", id="n_t_zero"),
+        # written to the scenario file as json.dumps(float("nan")) == "NaN"
+        pytest.param({"kind": "spectrum", "params": {"T": float("nan")}}, "'T'", id="T_nan"),
+        pytest.param({"kind": "spectrum", "params": {"gap_trials": 0}}, "gap_trials", id="gap_trials_zero"),
+        pytest.param({"kind": "dual_checks", "params": {"n_values": [0]}}, "n_values", id="n_values_zero"),
+        pytest.param({"kind": "perturbed_reeb", "params": {"n": 0}}, "'n'", id="n_zero"),
+        pytest.param({"kind": "spectrum", "seed": -1}, "seed", id="seed_negative"),
     ],
 )
 def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):
@@ -190,8 +199,67 @@ def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):
 
 @pytest.mark.parametrize(
     "kind,params",
-    [("orbit", {"winding": [5, 0, 0]}), ("three_interval", {"gamma": 0.3})],
+    [
+        ("orbit", {"winding": [5, 0, 0]}),
+        ("three_interval", {"gamma": 0.3}),
+        ("return_map", {"model": "torus", "w": [5, 1]}),
+        ("cylinder_decay", {"regime": "kernel_control", "a": 5, "delta0": -1}),
+        ("three_interval", {"mode": "exp", "n_sequences": 3}),
+        ("orbit", {"model": "torus", "w": [2.0, 1.0]}),
+    ],
 )
 def test_params_no_runner_reads_are_rejected(tmp_path, kind, params):
     with pytest.raises(ConfigError, match="unknown params"):
         cli.load_scenario(write_scenario(tmp_path, "unread", {"kind": kind, "params": params}))
+
+
+def test_run_scenario_rejects_unknown_top_level_keys():
+    scen = {"kind": "three_interval", "parms": {"mode": "random", "n_sequences": 5}}
+    with pytest.raises(ConfigError, match="parms"):
+        cli.run_scenario(scen)
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_is_config_error_exit_2(tmp_path, threads):
+    import os
+
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    write_scenario(scen_dir, "exp", {"kind": "three_interval", "params": {"N": 5}})
+    r = subprocess.run(
+        [sys.executable, "-m", "contactlab.cli", "suite", str(scen_dir), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, CONTACTLAB_THREADS=threads),
+    )
+    assert r.returncode == 2
+    assert "config error" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "kind,key,variant",
+    [(kind, key, variant) for kind, (_, key, table) in cli._KINDS.items()
+     for variant in (table if key is not None else [None])],
+)
+def test_resolving_fills_every_default_and_is_idempotent(kind, key, variant):
+    given = {} if key is None else {key: variant}
+    resolved = cli._resolve({"kind": kind, "params": given}, "test")
+    table = cli._KINDS[kind][2] if key is None else cli._KINDS[kind][2][variant]
+    assert set(resolved["params"]) == set(table) | set(given)
+    assert resolved == {"kind": kind, "seed": 0, "name": kind, "params": resolved["params"]}
+    assert cli._resolve(resolved, "test") == resolved
+    assert json.loads(json.dumps(resolved)) == resolved
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        {"kind": "three_interval", "seed": 3, "params": {"mode": "random", "n_sequences": 20, "N": 10}},
+        {"kind": "dual_checks", "seed": 4, "params": {"n_values": [1, 2], "n_samples": 20}},
+    ],
+)
+def test_echoed_scenario_reruns_to_identical_report(tmp_path, scen):
+    first = cli.emit_report(cli.run_scenario(scen), tmp_path / "a", "json")[0]
+    echoed = json.loads(first.read_text())["scenario"]
+    second = cli.emit_report(cli.run_scenario(echoed), tmp_path / "b", "json")[0]
+    assert first.read_bytes() == second.read_bytes()
