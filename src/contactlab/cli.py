@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -377,7 +377,11 @@ def _run_center_of_mass(p, seed, report):
     model = decay.FlatTorusQ(dim)
     ts = np.arange(n_t) / n_t
     base = np.zeros(dim)
-    gamma = np.stack([model.flow(base, T * t) for t in ts]) + offset[None, :]
+    # a zero-mean wobble per coordinate keeps the loop average, hence the
+    # closed-form center, at base + offset, but moves Newton off its answer
+    phases = _rng(seed).uniform(0.0, 2 * np.pi, dim)
+    wobble = 0.03 * np.cos(2 * np.pi * ts[:, None] + phases[None, :])
+    gamma = np.stack([model.flow(base, T * t) for t in ts]) + offset[None, :] + wobble
     gamma = np.mod(gamma, model.periods)
     res = decay.center_of_mass(model, gamma, T)
     expected_m = model.wrap(base + offset)
@@ -438,19 +442,22 @@ class _Param(NamedTuple):
     ``type`` is a key of _TYPES: the type of the value, or of each entry when
     the default is a list.  A list of reals is a vector and must be as long as
     its default; a list of integers may have any non-empty length.
-    ``default`` may be a function of the params resolved before this one.
-    ``minimum``, when set, bounds every number of the value from below."""
+    ``minimum``, when set, bounds every number of the value from below.
+    ``default`` and ``minimum`` may be functions of the params resolved
+    before this one."""
 
     type: str
     default: object
-    minimum: Optional[int] = None
+    minimum: object = None
 
 
 _ORBIT_TOL = {"tol": _Param("num", 1e-8)}
 _THICKENING = {"radius": _Param("pos", 0.5), "c": _Param("pos", 2.0),
                "n_points": _Param("int", 100, 1), "tol": _Param("num", 1e-6)}
-_CYLINDER = {"R": _Param("pos", 20.0), "n_tau": _Param("int", 512, 1),
-             "n_t": _Param("int", 128, 1), "n_modes": _Param("int", 16, 0)}
+# n_t carries n_modes Fourier modes; n_tau + 1 slices cover the decay fit's 10
+_CYLINDER = {"R": _Param("pos", 20.0), "n_tau": _Param("int", 512, 9),
+             "n_modes": _Param("int", 16, 0),
+             "n_t": _Param("int", 128, lambda p: 2 * p["n_modes"] + 2)}
 _FORCED_CYLINDER = {**_CYLINDER, "rate_rtol": _Param("num", 0.02), "a": _Param("num", -0.7)}
 _SEQUENCE_LENGTH = {"N": _Param("int", 50, 2)}
 
@@ -486,7 +493,7 @@ _KINDS = {
         "exp": {"c": _Param("pos", 1.0), **_SEQUENCE_LENGTH},
         "random": {"n_sequences": _Param("int", 10000, 1), **_SEQUENCE_LENGTH}}),
     "center_of_mass": (_run_center_of_mass, None, {
-        "dim": _Param("int", 2, 1), "T": _Param("pos", 1.0), "n_t": _Param("int", 64, 1),
+        "dim": _Param("int", 2, 2), "T": _Param("pos", 1.0), "n_t": _Param("int", 64, 2),
         "tol": _Param("num", 1e-8),
         "offset": _Param("num", lambda p: [0.0] + [0.08] * (p["dim"] - 1))}),
     "action_charge": (_run_action_charge, None, {
@@ -495,8 +502,9 @@ _KINDS = {
 }
 
 
-def _resolve_param(value, spec: _Param, default, what: str):
-    """Check one value (given or default) against its spec and return it cast."""
+def _resolve_param(value, spec: _Param, default, minimum, what: str):
+    """Check one value (given or default) against its spec and resolved
+    minimum and return it cast."""
     one, several, ok, cast = _TYPES[spec.type]
     is_list = isinstance(default, list)
     if not is_list:
@@ -507,11 +515,9 @@ def _resolve_param(value, spec: _Param, default, what: str):
     else:
         rule = f"a list of {len(default)} {several}"
         entries = value if isinstance(value, list) and len(value) == len(default) else None
-    if spec.minimum is not None:
-        rule += f", each at least {spec.minimum}" if is_list else f" of at least {spec.minimum}"
-    if entries is None or not all(
-        ok(v) and (spec.minimum is None or v >= spec.minimum) for v in entries
-    ):
+    if minimum is not None:
+        rule += f", each at least {minimum}" if is_list else f" of at least {minimum}"
+    if entries is None or not all(ok(v) and (minimum is None or v >= minimum) for v in entries):
         raise ConfigError(f"{what} must be {rule}, got {value!r}")
     return [cast(v) for v in entries] if is_list else cast(value)
 
@@ -556,9 +562,9 @@ def _resolve(data, where, name=None) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown params for {label}: {sorted(unknown)}")
     for pname, spec in table.items():
-        default = spec.default(params) if callable(spec.default) else spec.default
+        default, minimum = (f(params) if callable(f) else f for f in (spec.default, spec.minimum))
         what = f"{where}: param {pname!r} of {label}"
-        params[pname] = _resolve_param(given.get(pname, default), spec, default, what)
+        params[pname] = _resolve_param(given.get(pname, default), spec, default, minimum, what)
     return {"kind": kind, "seed": int(seed), "name": name, "params": params}
 
 

@@ -147,6 +147,20 @@ def _dual_system(chart: ContactChart, x):
     return L, D, D.T + np.outer(L, L)
 
 
+def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
+    """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M.
+
+    One SVD-based least-squares call gives both the solution and the
+    singular values for the rank check.  Raises SingularChart naming the
+    chart, the ``system`` and x when sigma_min <= _RANK_TOL sigma_max."""
+    v, _, _, s = np.linalg.lstsq(M, rhs, rcond=None)
+    if s[-1] <= _RANK_TOL * s[0]:
+        raise SingularChart(
+            f"{chart.name}: {system} at {x} (sigma_min/sigma_max = {s[-1] / s[0]:.2e})"
+        )
+    return v, float(s[0] / s[-1])
+
+
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """Solve the stacked (2n+2)x(2n+1) system lam(X)=1, X . dlam = 0.
 
@@ -156,14 +170,8 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """
     x = np.asarray(x, dtype=float)
     L, D, M = _dual_system(chart, x)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= _RANK_TOL * s[0]:
-        raise SingularChart(
-            f"{chart.name}: Reeb system rank-deficient at {x} "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.2e})"
-        )
-    v = np.linalg.solve(M, L)
-    return ReebSolve(v, _stacked_residual(L, D, v), float(s[0] / s[-1]))
+    v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
+    return ReebSolve(v, _stacked_residual(L, D, v), cond)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
@@ -206,13 +214,8 @@ def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
     Returns the unique X with alpha = X . dlam + lam(X) lam, equivalently
     Y_alpha + alpha(X_lam) X_lam with Y_alpha in the contact distribution.
     """
-    a = np.asarray(alpha, dtype=float)
     M = _dual_system(chart, x)[2]
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= _RANK_TOL * s[0]:
-        raise SingularChart(f"{chart.name}: dual system singular at {x}")
-    v, *_ = np.linalg.lstsq(M, a, rcond=None)
-    return v
+    return _checked_solve(M, np.asarray(alpha, dtype=float), chart, x, "dual system singular")[0]
 
 
 def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     OutsideTube,
     ResolutionTooCoarse,
 )
-from .spectral import SpectralOperator
+from .spectral import SpectralOperator, _eigh
 
 # ---------------------------------------------------------------------------
 # three-interval lemma
@@ -128,14 +128,6 @@ class Forcing:
 _RESONANCE_TOL = 1e-9
 
 
-def _mode_solution(a0: float, lam: float, ell: float, delta0: float, tau: np.ndarray) -> np.ndarray:
-    """Closed form of a' + lam a = ell e^(-delta0 tau), a(0) = a0."""
-    if abs(lam - delta0) < _RESONANCE_TOL:
-        return (a0 + ell * tau) * np.exp(-lam * tau)
-    c = ell / (lam - delta0)
-    return (a0 - c) * np.exp(-lam * tau) + c * np.exp(-delta0 * tau)
-
-
 def solve_cylinder(
     op: SpectralOperator,
     forcing: Optional[Forcing],
@@ -148,157 +140,127 @@ def solve_cylinder(
 ) -> CylinderField:
     """March d/dtau zeta + B zeta = L from tau = 0 to R.
 
-    ``method='eigen'`` integrates each eigenmode of B exactly (closed-form
-    scalar ODEs); modes with negative eigenvalue are solved backward from a
-    zero condition at tau = R, which selects the decaying solution instead of
-    the exponentially growing one.  ``method='cn'`` is a Crank-Nicolson march
-    in coefficient space (second-order accurate), required when S depends on
-    tau.
+    B is diagonalized once, by the mode-by-mode eigen-solve that
+    ``spectral.spectrum`` uses (one small block per Fourier mode for constant
+    S, one dense solve for time-dependent S), and both marches work in its
+    eigen-coordinates.  ``method='eigen'`` integrates each eigenmode exactly
+    (closed-form scalar ODEs); modes with negative eigenvalue are solved
+    backward from a zero condition at tau = R, which selects the decaying
+    solution instead of the exponentially growing one.  ``method='cn'`` is a
+    Crank-Nicolson march (second-order accurate) with the same selection,
+    required when S depends on tau (``S_of_tau``).
 
-    ``zeta0`` is either grid samples (n_t, rank) or a coefficient vector in
-    the operator's Galerkin basis.
+    ``zeta0`` is either grid samples (len(op.t_grid), rank) on the operator's
+    own grid or a coefficient vector in the operator's Galerkin basis; a grid
+    forcing profile is sampled on the same grid, and a dict profile gives
+    eigenmode amplitudes, for either method.  ``n_t`` (default: the operator
+    grid) sets the output grid, on which every tau-slice is synthesized in
+    one product.
     """
     n_t = n_t or len(op.t_grid)
     if n_t < 2 * op.n_modes + 2:
         raise ResolutionTooCoarse(
             f"n_t = {n_t} cannot carry {op.n_modes} Fourier modes"
         )
+    if method not in ("eigen", "cn"):
+        raise ValueError(f"unknown method {method!r}")
     tau = np.linspace(0.0, R, n_tau + 1)
     t = np.arange(n_t) * (op.period / n_t)
 
     zeta0 = np.asarray(zeta0, dtype=float)
     if zeta0.ndim == 2:
-        if zeta0.shape != (n_t, op.rank):
-            raise ModeMismatch(f"zeta0 grid must be {(n_t, op.rank)}, got {zeta0.shape}")
-        # project through the operator's own grid resolution
-        if n_t == len(op.t_grid):
-            c0 = op.coefficients_from_grid(zeta0)
-        else:
-            resampled = _resample_periodic(zeta0, len(op.t_grid))
-            c0 = op.coefficients_from_grid(resampled)
+        c0 = op.coefficients_from_grid(zeta0)
+    elif zeta0.shape == (op.dim,):
+        c0 = zeta0
     else:
-        if zeta0.shape != (op.dim,):
-            raise ModeMismatch(f"zeta0 coefficients must have length {op.dim}")
-        c0 = zeta0.copy()
+        raise ModeMismatch(f"zeta0 coefficients must have length {op.dim}")
+    evals, evecs = _eigh(op, vectors=True)
+    a0 = evecs.T @ c0
+    # forcing amplitudes in eigen-coordinates (ascending-eigenvalue order)
+    delta0, profile = (forcing.delta0, forcing.profile) if forcing is not None else (1.0, None)
+    ell = np.zeros(op.dim)
+    if isinstance(profile, dict):
+        for idx, amp in profile.items():
+            if not 0 <= int(idx) < op.dim:
+                raise ModeMismatch(f"eigenmode index {idx} out of range")
+            ell[int(idx)] = float(amp)
+    elif profile is not None:
+        ell = evecs.T @ op.coefficients_from_grid(profile)
 
     if method == "cn" or S_of_tau is not None:
-        coeffs = _crank_nicolson_march(op, forcing, c0, tau, S_of_tau)
-    elif method == "eigen":
-        coeffs = _eigen_march(op, forcing, c0, tau, R)
+        A = _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau)
     else:
-        raise ValueError(f"unknown method {method!r}")
-
-    values = np.empty((n_tau + 1, n_t, op.rank))
-    for i in range(n_tau + 1):
-        values[i] = op.grid_from_coefficients(coeffs[i], n_t=n_t)
-    return CylinderField(tau, t, values, op.period)
+        A = _eigen_march(evals, a0, ell, delta0, tau)
+    coeffs = (evecs @ A.T).T
+    return CylinderField(tau, t, op.grid_from_coefficients(coeffs, n_t=n_t), op.period)
 
 
-def _resample_periodic(samples: np.ndarray, n_new: int) -> np.ndarray:
-    spec = np.fft.fft(samples, axis=0)
-    n_old = samples.shape[0]
-    out = np.zeros((n_new,) + samples.shape[1:], dtype=complex)
-    half = min(n_old, n_new) // 2
-    out[: half + 1] = spec[: half + 1]
-    out[-half:] = spec[-half:]
-    return np.real(np.fft.ifft(out, axis=0)) * (n_new / n_old)
+def _eigen_march(evals, a0, ell, delta0, tau):
+    """Closed-form eigen-amplitudes (n_tau + 1, dim) of a' + lam a = ell e^(-delta0 tau).
+
+    Each mode evaluates only its own branch, so no exponential overflows.
+    """
+    R = tau[-1]
+    A = np.zeros((len(tau), len(evals)))
+    forced_decay = np.exp(-delta0 * tau)[:, None]
+    stable = evals >= 0
+    resonant = stable & (np.abs(evals - delta0) < _RESONANCE_TOL)
+    # decaying-solution selection: the zero condition at tau = R overrides
+    # the initial value of the unstable modes, which stay zero unless forced
+    unstable = ~stable & (ell != 0.0)
+    lam, c = evals[unstable], ell[unstable] / (evals[unstable] - delta0)
+    # exponents combined first: lam (R - tau) - delta0 R <= 0 on [0, R], so
+    # no overflow even for very negative lam
+    A[:, unstable] = c * (forced_decay - np.exp(np.multiply.outer(R - tau, lam) - delta0 * R))
+    lam = evals[resonant]
+    A[:, resonant] = (a0[resonant] + np.multiply.outer(tau, ell[resonant])) * np.exp(
+        -np.multiply.outer(tau, lam)
+    )
+    generic = stable & ~resonant
+    lam, c = evals[generic], ell[generic] / (evals[generic] - delta0)
+    A[:, generic] = (a0[generic] - c) * np.exp(-np.multiply.outer(tau, lam)) + c * forced_decay
+    return A
 
 
-def _grid_forcing_coefficients(op: SpectralOperator, forcing: Forcing) -> np.ndarray:
-    profile = np.asarray(forcing.profile, dtype=float)
-    if profile.shape[0] != len(op.t_grid):
-        profile = _resample_periodic(profile, len(op.t_grid))
-    return op.coefficients_from_grid(profile)
-
-
-def _eigen_march(op, forcing, c0, tau, R):
-    evals, evecs = np.linalg.eigh(op.matrix)
-    a0 = evecs.T @ c0
-    delta0 = forcing.delta0 if forcing is not None else 1.0
-    ell = np.zeros(op.dim)
-    if forcing is not None and forcing.profile is not None:
-        if isinstance(forcing.profile, dict):
-            # amplitudes against the ascending-eigenvalue basis
-            for idx, amp in forcing.profile.items():
-                if not 0 <= int(idx) < op.dim:
-                    raise ModeMismatch(f"eigenmode index {idx} out of range")
-                ell[int(idx)] = float(amp)
-        else:
-            ell = evecs.T @ _grid_forcing_coefficients(op, forcing)
-    A = np.empty((len(tau), len(a0)))
-    for i, (lam, a, l) in enumerate(zip(evals, a0, ell)):
-        if lam < 0:
-            # decaying-solution selection: zero condition at tau = R overrides
-            # the supplied initial value for the unstable modes
-            if l == 0.0:
-                A[:, i] = 0.0
-            else:
-                # exponents combined first: lam (R - tau) - delta0 R <= 0 on
-                # [0, R], so no overflow even for very negative lam
-                c = l / (lam - delta0)
-                A[:, i] = c * (np.exp(-delta0 * tau) - np.exp(lam * (R - tau) - delta0 * R))
-        else:
-            A[:, i] = _mode_solution(a, lam, l, delta0, tau)
-    return (evecs @ A.T).T
-
-
-def _crank_nicolson_march(op, forcing, c0, tau, S_of_tau):
+def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
+    """Crank-Nicolson eigen-amplitudes (n_tau + 1, dim)."""
     from .spectral import assemble_operator
 
-    n = op.dim
     dtau = tau[1] - tau[0]
-    evs = np.linalg.eigvalsh(op.matrix)
-    if dtau * float(np.max(np.abs(evs))) >= 2.0:
-        raise ResolutionTooCoarse(
-            f"dtau = {dtau:g} too coarse for |lambda|_max = {np.max(np.abs(evs)):g}"
-        )
-    if forcing is not None and isinstance(forcing.profile, dict):
-        raise ModeMismatch("eigenmode forcing requires the eigen solver")
-    delta0 = forcing.delta0 if forcing is not None else 1.0
-    g = (
-        _grid_forcing_coefficients(op, forcing)
-        if forcing is not None and forcing.profile is not None
-        else np.zeros(n)
-    )
+    lam_max = float(np.max(np.abs(evals)))
+    if dtau * lam_max >= 2.0:
+        raise ResolutionTooCoarse(f"dtau = {dtau:g} too coarse for |lambda|_max = {lam_max:g}")
     ells = np.exp(-delta0 * tau)
+    pos = evals >= 0
+    neg = ~pos
+    A = np.zeros((len(tau), len(evals)))
+    A[0, pos] = a0[pos]
 
     if S_of_tau is None:
-        # diagonalize once; march stable modes forward and unstable modes
-        # backward from the zero condition at tau = R, mirroring the
-        # decaying-solution selection of the eigen-expansion solver
-        evals, evecs = np.linalg.eigh(op.matrix)
-        a0 = evecs.T @ c0
-        gl = evecs.T @ g
-        pos = evals >= 0
-        neg = ~pos
-        A = np.zeros((len(tau), n))
-        A[0, pos] = a0[pos]
-        lp, gp = evals[pos], gl[pos]
+        # march stable modes forward and unstable modes backward from the
+        # zero condition at tau = R, mirroring the eigen-expansion solver
+        lp, gp = evals[pos], ell[pos]
         for m in range(len(tau) - 1):
             lbar = 0.5 * (ells[m] + ells[m + 1]) * gp
             A[m + 1, pos] = ((1 - 0.5 * dtau * lp) * A[m, pos] + dtau * lbar) / (
                 1 + 0.5 * dtau * lp
             )
-        ln, gn = evals[neg], gl[neg]
-        A[-1, neg] = 0.0
+        ln, gn = evals[neg], ell[neg]
         for m in range(len(tau) - 2, -1, -1):
             lbar = 0.5 * (ells[m] + ells[m + 1]) * gn
             A[m, neg] = ((1 + 0.5 * dtau * ln) * A[m + 1, neg] - dtau * lbar) / (
                 1 - 0.5 * dtau * ln
             )
-        return (evecs @ A.T).T
+        return A
 
     # tau-dependent coefficients: march restricted to the nonnegative
     # eigenspace of the initial operator.  A full forward march would
     # amplify roundoff seeded into the strongly negative modes, so the
     # decaying-solution selection here drops that subspace throughout
     # (exact when the stable/unstable splitting is tau-invariant).
-    evals, evecs = np.linalg.eigh(op.matrix)
-    P = evecs[:, evals >= 0]
-    y = P.T @ c0
-    gy = P.T @ g
-    k = P.shape[1]
-    Ik = np.eye(k)
+    P = evecs[:, pos]
+    y, gy = a0[pos], ell[pos]
+    Ik = np.eye(len(y))
 
     def B_red(s):
         full = assemble_operator(
@@ -307,15 +269,13 @@ def _crank_nicolson_march(op, forcing, c0, tau, S_of_tau):
         ).matrix
         return P.T @ full @ P
 
-    coeffs = np.empty((len(tau), n))
-    coeffs[0] = P @ y
     for m in range(len(tau) - 1):
         Bm = B_red(tau[m])
         Bp = B_red(tau[m + 1])
         rhs = (Ik - 0.5 * dtau * Bm) @ y + 0.5 * dtau * (ells[m] + ells[m + 1]) * gy
         y = np.linalg.solve(Ik + 0.5 * dtau * Bp, rhs)
-        coeffs[m + 1] = P @ y
-    return coeffs
+        A[m + 1, pos] = y
+    return A
 
 
 # ---------------------------------------------------------------------------

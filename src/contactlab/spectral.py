@@ -18,6 +18,7 @@ from .errors import AsymmetricHessian, ModeMismatch
 
 KERNEL_TOL = 1e-8
 DEFAULT_MODES = 128
+_TRIAL_BLOCK = 64  # gap-check trial sections per matrix product
 
 
 def standard_J(rank: int) -> np.ndarray:
@@ -37,12 +38,12 @@ def _scalar_basis_samples(n_modes: int, period: float, n_t: int):
     rule, which is exact for these trigonometric products.
     """
     t = np.arange(n_t) * (period / n_t)
-    rows = [np.full(n_t, 1.0 / np.sqrt(period))]
-    for k in range(1, n_modes + 1):
-        w = 2 * np.pi * k / period
-        rows.append(np.sqrt(2.0 / period) * np.cos(w * t))
-        rows.append(np.sqrt(2.0 / period) * np.sin(w * t))
-    return t, np.array(rows)
+    wt = np.multiply.outer(2 * np.pi * np.arange(1, n_modes + 1) / period, t)
+    rows = np.empty((2 * n_modes + 1, n_t))
+    rows[0] = 1.0 / np.sqrt(period)
+    rows[1::2] = np.sqrt(2.0 / period) * np.cos(wt)
+    rows[2::2] = np.sqrt(2.0 / period) * np.sin(wt)
+    return t, rows
 
 
 def _is_constant(S_samples: np.ndarray) -> bool:
@@ -89,9 +90,12 @@ class SpectralOperator:
         return (F @ samples * w).reshape(-1)
 
     def grid_from_coefficients(self, coeffs: np.ndarray, n_t: Optional[int] = None) -> np.ndarray:
+        """Loop samples (n_t, rank) of a coefficient vector (dim,), or
+        (..., n_t, rank) of a stack (..., dim), on one basis evaluation."""
         n_t = n_t or len(self.t_grid)
         _, F = _scalar_basis_samples(self.n_modes, self.period, n_t)
-        return F.T @ coeffs.reshape(2 * self.n_modes + 1, self.rank)
+        coeffs = np.asarray(coeffs)
+        return F.T @ coeffs.reshape(coeffs.shape[:-1] + (2 * self.n_modes + 1, self.rank))
 
 
 def assemble_operator(
@@ -278,24 +282,31 @@ def gap_inequality_check(
 ) -> GapCheckReport:
     """Check ||B s||^2 >= gap^2 ||s||^2 on random sections projected off the kernel.
 
-    The operator is decomposed once (mode by mode for constant S, as in
-    ``spectrum``).  All trial sections come from one (n_trials, dim) Philox
-    draw, the same numbers as n_trials draws of size dim; the kernel
-    projection and B s are matrix products over all trials at once, with
-    B s taken through the assembled ``op.matrix``.
+    The eigenvalues come from one decomposition (mode by mode for constant S,
+    as in ``spectrum``, so the gap is the one ``spectrum`` reports); the
+    eigenvectors are solved for only when the kernel is nontrivial.  The
+    trial sections come from one Philox stream, drawn _TRIAL_BLOCK at a time:
+    the same numbers as n_trials draws of size dim.  The kernel projection
+    and B s are matrix products over each block, with B s taken through the
+    assembled ``op.matrix``, so the check holds O(_TRIAL_BLOCK dim) floats
+    beyond the operator instead of O(n_trials dim + dim^2).
     """
-    evals, evecs = _eigh(op, vectors=True)
+    evals = _eigh(op, vectors=False)
     nonzero = np.abs(evals) > kernel_tol
     gap2 = float(np.min(evals[nonzero] ** 2)) if np.any(nonzero) else np.inf
+    kernel = None if np.all(nonzero) else _eigh(op, vectors=True)[1][:, ~nonzero]
     rng = np.random.Generator(np.random.Philox(seed))
-    X = rng.standard_normal((n_trials, op.dim))
-    kernel = evecs[:, ~nonzero]
-    X -= (X @ kernel) @ kernel.T
-    ns2 = np.einsum("ij,ij->i", X, X)
-    BX = X @ op.matrix  # rows are (B s)^T since B is symmetric
-    bs2 = np.einsum("ij,ij->i", BX, BX)
-    hit = ns2 > 0.0
-    worst = float(np.min(bs2[hit] / ns2[hit])) if np.any(hit) else np.inf
+    worst = np.inf
+    for start in range(0, n_trials, _TRIAL_BLOCK):
+        X = rng.standard_normal((min(_TRIAL_BLOCK, n_trials - start), op.dim))
+        if kernel is not None:
+            X -= (X @ kernel) @ kernel.T
+        ns2 = np.einsum("ij,ij->i", X, X)
+        BX = X @ op.matrix  # rows are (B s)^T since B is symmetric
+        bs2 = np.einsum("ij,ij->i", BX, BX)
+        hit = ns2 > 0.0
+        if np.any(hit):
+            worst = min(worst, float(np.min(bs2[hit] / ns2[hit])))
     passed = worst >= gap2 - slack
     return GapCheckReport(float(np.sqrt(gap2)), worst, n_trials, bool(passed))
 

@@ -41,6 +41,13 @@ def test_every_kind_runs_and_passes(kind, params):
     assert report.wall_time >= 0
 
 
+def test_center_of_mass_scenario_runs_newton():
+    # the loop must not start at its own center: Newton has to take a step
+    report = cli.run_scenario({"kind": "center_of_mass", "seed": 7})
+    assert report.all_passed, [v for v in report.verdicts if not v.passed]
+    assert report.results["iterations"] >= 1
+
+
 def test_unknown_kind_rejected(tmp_path):
     p = write_scenario(tmp_path, "bad", {"kind": "spectre"})
     with pytest.raises(ConfigError):
@@ -180,6 +187,15 @@ def test_suite_with_thread_cap(tmp_path):
         pytest.param({"kind": "dual_checks", "params": {"n_values": [0]}}, "n_values", id="n_values_zero"),
         pytest.param({"kind": "perturbed_reeb", "params": {"n": 0}}, "'n'", id="n_zero"),
         pytest.param({"kind": "spectrum", "seed": -1}, "seed", id="seed_negative"),
+        # grids too small for the cylinder march and the decay fit
+        pytest.param({"kind": "cylinder_decay", "params": {"n_tau": 2}}, "n_tau", id="n_tau_two"),
+        pytest.param(
+            {"kind": "cylinder_decay", "params": {"n_modes": 4, "n_t": 9}}, "'n_t'",
+            id="n_t_below_modes",
+        ),
+        # a one-point loop and a one-dimensional locus make the center trivial
+        pytest.param({"kind": "center_of_mass", "params": {"n_t": 1}}, "'n_t'", id="n_t_one"),
+        pytest.param({"kind": "center_of_mass", "params": {"dim": 1}}, "'dim'", id="dim_one"),
     ],
 )
 def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):

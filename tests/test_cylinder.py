@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contactlab.decay import CylinderField, Forcing, decay_rate, solve_cylinder
 from contactlab.errors import InsufficientDecay, ModeMismatch, ResolutionTooCoarse
@@ -102,6 +104,14 @@ def test_cn_agrees_with_eigen_and_converges_quadratically():
     g1 = np.max(np.abs(cn200.values[-1] - exact200.values[-1]))
     g2 = np.max(np.abs(cn400.values[-1] - exact.values[-1]))
     assert g1 / g2 >= 3.5
+    # eigenmode (dict) forcing, on the slowest stable mode and an unstable one
+    evals = np.linalg.eigvalsh(op.matrix)
+    forcing = Forcing(1.3, {int(np.searchsorted(evals, 0.0)): 0.8, 0: 0.5})
+    fields = {(n, m): solve_cylinder(op, forcing, z0, 5.0, n, n_t=32, method=m)
+              for n in (200, 400) for m in ("eigen", "cn")}
+    gaps = [np.max(np.abs(fields[n, "cn"].values - fields[n, "eigen"].values)) for n in (200, 400)]
+    assert gaps[0] < 1e-3
+    assert gaps[0] / gaps[1] >= 3.5
 
 
 def test_cn_tau_dependent_coefficients():
@@ -137,6 +147,94 @@ def test_mode_mismatch_errors():
         solve_cylinder(op, None, np.zeros((16, 2)), 1.0, 10, n_t=32)
     with pytest.raises(ModeMismatch):
         solve_cylinder(op, Forcing(1.0, {10**6: 1.0}), constant_slice(32), 1.0, 10, n_t=32)
+    # grid data lives on the operator's own grid, whatever the output grid
+    with pytest.raises(ModeMismatch):
+        solve_cylinder(op, None, constant_slice(16), 1.0, 10, n_t=16)
+
+
+# ---------------------------------------------------------------------------
+# both marches against a dense eigen-decomposition written out here
+
+
+def dense_reference(op, forcing, zeta0, R, n_tau, n_t, method):
+    """Field of solve_cylinder from np.linalg.eigh(op.matrix), per-mode
+    scalar recurrences and an explicit Fourier synthesis."""
+    T, n_scalar = op.period, 2 * op.n_modes + 1
+
+    def basis(n):
+        t = np.arange(n) * (T / n)
+        rows = [np.full(n, 1.0 / np.sqrt(T))]
+        for k in range(1, op.n_modes + 1):
+            rows += [np.sqrt(2.0 / T) * np.cos(2 * np.pi * k * t / T),
+                     np.sqrt(2.0 / T) * np.sin(2 * np.pi * k * t / T)]
+        return np.array(rows)
+
+    F = basis(len(op.t_grid))
+    project = lambda grid: (F @ grid).reshape(-1) * (T / len(op.t_grid))
+    evals, evecs = np.linalg.eigh(op.matrix)
+    a0, ell = evecs.T @ project(zeta0), evecs.T @ project(forcing.profile)
+    d0 = forcing.delta0
+    tau = np.linspace(0.0, R, n_tau + 1)
+    h = tau[1] - tau[0]
+    e = np.exp(-d0 * tau)
+    A = np.zeros((n_tau + 1, op.dim))
+    for i, lam in enumerate(evals):
+        c = ell[i] / (lam - d0)
+        if method == "eigen" and lam < 0:
+            A[:, i] = c * (e - np.exp(lam * (R - tau) - d0 * R))
+        elif method == "eigen":
+            A[:, i] = (a0[i] - c) * np.exp(-lam * tau) + c * e
+        elif lam < 0:
+            for m in range(n_tau - 1, -1, -1):
+                src = h * 0.5 * (e[m] + e[m + 1]) * ell[i]
+                A[m, i] = ((1 + 0.5 * h * lam) * A[m + 1, i] - src) / (1 - 0.5 * h * lam)
+        else:
+            A[0, i] = a0[i]
+            for m in range(n_tau):
+                src = h * 0.5 * (e[m] + e[m + 1]) * ell[i]
+                A[m + 1, i] = ((1 - 0.5 * h * lam) * A[m, i] + src) / (1 + 0.5 * h * lam)
+    coeffs = A @ evecs.T
+    G = basis(n_t)
+    return np.array([G.T @ c.reshape(n_scalar, op.rank) for c in coeffs])
+
+
+def assert_marches_match_dense(op, seed, delta0, R=1.5):
+    rng = np.random.default_rng(seed)
+    n_grid = len(op.t_grid)
+    zeta0 = rng.standard_normal((n_grid, op.rank))
+    forcing = Forcing(delta0, rng.standard_normal((n_grid, op.rank)))
+    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
+    n_tau = int(np.ceil(R * lam_max)) + 4  # dtau |lambda|_max < 1 for CN
+    n_t = n_grid + 5  # output grid differs from the operator grid
+    for method in ("eigen", "cn"):
+        got = solve_cylinder(op, forcing, zeta0, R, n_tau, n_t=n_t, method=method).values
+        ref = dense_reference(op, forcing, zeta0, R, n_tau, n_t, method)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), method
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rank=st.sampled_from([2, 4]),
+    n_modes=st.integers(1, 5),
+    period=st.floats(0.5, 2.0),
+    delta0=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_marches_match_dense_reference_for_constant_S(rank, n_modes, period, delta0, seed):
+    A = np.random.default_rng(seed).standard_normal((rank, rank))
+    op = assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank)
+    # keep clear of resonance, where the closed form cancels catastrophically
+    assume(np.min(np.abs(np.linalg.eigvalsh(op.matrix) - delta0)) > 0.05)
+    assert_marches_match_dense(op, seed, delta0)
+
+
+def test_marches_match_dense_reference_for_time_dependent_S():
+    def S(t):
+        return np.array([[0.6 + 0.3 * np.cos(2 * np.pi * t), 0.2 * np.sin(2 * np.pi * t)],
+                         [0.2 * np.sin(2 * np.pi * t), -0.4 + 0.1 * np.cos(4 * np.pi * t)]])
+
+    op = assemble_operator(S, period=1.0, n_modes=5, n_t=32)
+    assert_marches_match_dense(op, seed=11, delta0=0.9)
 
 
 def synthetic_field(rate, amp=5.0, R=20.0, n_tau=200):

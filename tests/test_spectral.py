@@ -392,3 +392,14 @@ def test_time_dependent_S_takes_dense_path(monkeypatch):
     spectrum(const)
     gap_inequality_check(const, n_trials=5)
     assert calls and (const.dim, const.dim) not in calls
+
+
+@pytest.mark.parametrize("S", [0.9 * np.eye(2), varying_S], ids=["constant", "time_dependent"])
+@pytest.mark.parametrize("n_t", [None, 41])
+def test_stacked_grid_synthesis_equals_per_vector_loop(S, n_t):
+    op = assemble_operator(S, period=1.3, n_modes=6)
+    coeffs = np.random.default_rng(3).standard_normal((3, 4, op.dim))
+    stacked = op.grid_from_coefficients(coeffs, n_t=n_t)
+    loop = np.array([[op.grid_from_coefficients(c, n_t=n_t) for c in row] for row in coeffs])
+    assert stacked.shape == (3, 4, n_t or len(op.t_grid), op.rank)
+    assert np.array_equal(stacked, loop)
