@@ -45,7 +45,6 @@ from .dynamics import (
     classify_orbit,
     find_closed_orbit,
     flow,
-    flow_point,
     monodromy,
     orbit_family_scan,
     return_map,

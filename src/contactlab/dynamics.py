@@ -10,11 +10,21 @@ from .core import ContactChart, _gram_schmidt, reeb_solve, xi_frame, xi_projecti
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
+# Relative and absolute tolerances of the adaptive RK45 integrator.
+RTOL = 1e-10
+ATOL = 1e-12
 # Step of the centred differences of the Reeb field.
 REEB_JACOBIAN_STEP = 1e-5
 # Every point closes up at T = 0, so a Newton period that falls below this
 # fraction of the guess has collapsed onto that trivial solution.
 MIN_PERIOD_FRACTION = 1e-3
+# The minimum-norm least-squares step -pinv(J) F vanishes exactly where
+# J^T F = 0, a stationary point of |F|^2 / 2 (Dennis & Schnabel, "Numerical
+# Methods for Unconstrained Optimization", ch. 10): Gauss-Newton has stalled
+# there and repeats the same shot.  A step this small relative to the
+# unknowns (section coordinates and the period) changes the shot by less than
+# the 1e-10 integrator tolerance resolves, so it cannot reduce F.
+STALL_STEP = 1e-12
 
 
 @dataclass
@@ -26,78 +36,6 @@ class Trajectory:
     @property
     def end(self) -> np.ndarray:
         return self.states[-1]
-
-
-class _ReebRHS:
-    """Right-hand side x' = X_lam(x) that records the worst defining-equation
-    residual seen and enforces the chart domain."""
-
-    def __init__(self, chart: ContactChart):
-        self.chart = chart
-        self.max_residual = 0.0
-
-    def __call__(self, t, x):
-        if not self.chart.contains(x):
-            raise LeftChartDomain(f"{self.chart.name}: left domain at t={t:g}, x={x}")
-        sol = reeb_solve(self.chart, x)
-        if sol.residual > self.max_residual:
-            self.max_residual = sol.residual
-        return sol.vector
-
-
-def _rk4(f, x0, T, steps):
-    h = T / steps
-    xs = np.empty((steps + 1, len(x0)))
-    xs[0] = x0
-    x = np.array(x0, dtype=float)
-    t = 0.0
-    for i in range(steps):
-        k1 = f(t, x)
-        k2 = f(t + h / 2, x + h / 2 * k1)
-        k3 = f(t + h / 2, x + h / 2 * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        xs[i + 1] = x
-    return np.linspace(0.0, T, steps + 1), xs
-
-
-def flow(
-    chart: ContactChart,
-    x0,
-    T: float,
-    steps: int = 200,
-    method: str = "rk45",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> Trajectory:
-    """Integrate the Reeb flow for time T from x0.
-
-    ``method='rk45'`` uses adaptive RK45 at tight tolerances; ``'rk4'`` is a
-    fixed-step integrator for bit-reproducible runs.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    rhs = _ReebRHS(chart)
-    if T == 0:
-        return Trajectory(np.array([0.0]), x0[None, :], 0.0)
-    if method == "rk4":
-        times, states = _rk4(rhs, x0, T, steps)
-    else:
-        t_eval = np.linspace(0.0, T, steps + 1)
-        sol = solve_ivp(
-            rhs, (0.0, T), x0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        times, states = sol.t, sol.y.T
-    for x in states[:: max(1, len(states) // 32)]:
-        if not chart.contains(x):
-            raise LeftChartDomain(f"{chart.name}: trajectory left domain")
-    return Trajectory(times, states, rhs.max_residual)
-
-
-def flow_point(chart, x0, T, **kw) -> np.ndarray:
-    return flow(chart, x0, T, **kw).end
 
 
 def _reeb_and_jacobian(chart: ContactChart, x):
@@ -120,27 +58,67 @@ def reeb_jacobian(chart: ContactChart, x) -> np.ndarray:
     return _reeb_and_jacobian(chart, np.asarray(x, dtype=float))[1]
 
 
-def monodromy(chart: ContactChart, x0, T, rtol=1e-10, atol=1e-12):
-    """Integrate the variational equation; returns (endpoint, dphi^T(x0)).
+def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
+    """Integrate x' = X_lam(x) with the variations Y' = DX_lam(x) Y, Y(0) = V.
+
+    One adaptive RK45 run over [0, T] of the state [x, Y] with ``V`` of shape
+    (d, k).  Every right-hand side checks the chart domain.  With k = 0 it is
+    one Reeb solve, whose worst defining-equation residual is tracked; with
+    k > 0 it is one batched solve for the field and its Jacobian.  Returns
+    (times, states, max_residual); each state row is [x, Y.ravel()] and
+    max_residual stays 0 when k > 0.
+    """
+    d, k = V.shape
+    max_residual = 0.0
+
+    def rhs(t, y):
+        nonlocal max_residual
+        x = y[:d]
+        if not chart.contains(x):
+            raise LeftChartDomain(f"{chart.name}: left domain at t={t:g}, x={x}")
+        if k == 0:
+            sol = reeb_solve(chart, x)
+            max_residual = max(max_residual, sol.residual)
+            return sol.vector
+        X, A = _reeb_and_jacobian(chart, x)
+        return np.concatenate([X, (A @ y[d:].reshape(d, k)).ravel()])
+
+    y0 = np.concatenate([x0, V.ravel()])
+    sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=RTOL, atol=ATOL, t_eval=t_eval)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol.t, sol.y.T, max_residual
+
+
+def flow(chart: ContactChart, x0, T: float, steps: int = 200) -> Trajectory:
+    """Integrate the Reeb flow for time T from x0, sampled at steps + 1 equally
+    spaced times.
 
     Raises LeftChartDomain when the trajectory leaves the chart domain.
     """
     x0 = np.asarray(x0, dtype=float)
+    if T == 0:
+        return Trajectory(np.array([0.0]), x0[None, :], 0.0)
+    times, states, max_residual = _integrate(
+        chart, x0, T, np.zeros((len(x0), 0)), t_eval=np.linspace(0.0, T, steps + 1)
+    )
+    return Trajectory(times, states, max_residual)
+
+
+def monodromy(chart: ContactChart, x0, T, V=None):
+    """Flow x0 for time T along with the variations V; returns
+    (endpoint, dphi^T(x0) @ V).
+
+    ``V`` (d x k, default the identity, so the full dphi^T(x0)) holds the
+    tangent vectors to carry; only those k columns are integrated, and with
+    k = 0 the run is the flow alone.  Raises LeftChartDomain when the
+    trajectory leaves the chart domain.
+    """
+    x0 = np.asarray(x0, dtype=float)
     d = chart.dim
-
-    def rhs(t, y):
-        x = y[:d]
-        if not chart.contains(x):
-            raise LeftChartDomain(f"{chart.name}: left domain at t={t:g}, x={x}")
-        X, A = _reeb_and_jacobian(chart, x)
-        return np.concatenate([X, (A @ y[d:].reshape(d, d)).ravel()])
-
-    y0 = np.concatenate([x0, np.eye(d).ravel()])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"variational integration failed: {sol.message}")
-    yT = sol.y[:, -1]
-    return yT[:d], yT[d:].reshape(d, d)
+    V = np.eye(d) if V is None else np.asarray(V, dtype=float)
+    _, states, _ = _integrate(chart, x0, T, V)
+    return states[-1, :d], states[-1, d:].reshape(V.shape)
 
 
 @dataclass
@@ -233,28 +211,31 @@ def find_closed_orbit(
 
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
-    (the continuation question for family scans).
+    (the continuation question for family scans).  Each Newton step makes
+    one ``monodromy`` call that carries only the section basis, so this path
+    (no section columns) integrates the flow alone.
 
     Raises NoConvergence, with the Newton residual history, when the period
-    collapses below ``MIN_PERIOD_FRACTION * T_guess``.  Zero lattice offsets
-    are not rejected: contractible orbits legitimately have them.
+    collapses below ``MIN_PERIOD_FRACTION * T_guess``, when the Gauss-Newton
+    step stalls (see ``STALL_STEP``), or after ``max_iter`` steps.  Zero
+    lattice offsets are not rejected: contractible orbits legitimately have
+    them.  Raises OutOfRange for a non-positive ``T_guess`` and for a
+    ``winding`` the chart's periods cannot carry.
     """
     if not T_guess > 0:
         raise OutOfRange(f"T_guess must be positive, got {T_guess!r}")
     x0 = np.asarray(guess, dtype=float)
-    S = _section_basis(chart, x0)
-    if fix_point:
-        S = np.zeros((chart.dim, 0))
     d = chart.dim
+    S = np.zeros((d, 0)) if fix_point else _section_basis(chart, x0)
     offset = None
     if winding is not None:
         if chart.periods is None:
-            raise ValueError("winding requires a chart with declared periods")
+            raise OutOfRange(f"{chart.name}: winding requires a chart with declared periods")
         offset = np.zeros(d)
         for i, (w, P) in enumerate(zip(winding, chart.periods)):
             if w:
                 if P is None:
-                    raise ValueError(f"coordinate {i} is not periodic")
+                    raise OutOfRange(f"{chart.name}: winding {w} on coordinate {i}, which is not periodic")
                 offset[i] = w * P
 
     c = np.zeros(S.shape[1])
@@ -263,7 +244,7 @@ def find_closed_orbit(
     for it in range(max_iter):
         x = x0 + S @ c
         try:
-            end, M = monodromy(chart, x, T)
+            end, MS = monodromy(chart, x, T, S)
         except LeftChartDomain:
             raise NoConvergence(it, np.inf, history)
         raw = end - x
@@ -280,8 +261,10 @@ def find_closed_orbit(
             orbit_T = T
             return ReebOrbit.from_point(chart, x, orbit_T, n_samples=n_samples, tol=10 * tol)
         Xend = reeb_solve(chart, end).vector
-        Jac = np.column_stack([(M @ S) - S, Xend])
+        Jac = np.column_stack([MS - S, Xend])
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
+        if np.max(np.abs(step)) <= STALL_STEP * (1.0 + abs(T)):
+            raise NoConvergence(it + 1, res, history)
         c = c + step[:-1]
         T = T + step[-1]
         if T <= MIN_PERIOD_FRACTION * T_guess:
@@ -303,9 +286,9 @@ class ReturnMap:
 def return_map(chart: ContactChart, orbit: ReebOrbit, unit_tol: float = 1e-6) -> ReturnMap:
     """Monodromy of the variational flow projected to the xi-frame at the base."""
     p = orbit.base_point
-    _, M = monodromy(chart, p, orbit.period)
     S = orbit.frame
-    Psi = S.T @ (xi_projection_matrix(chart, p) @ (M @ S))
+    _, MS = monodromy(chart, p, orbit.period, S)
+    Psi = S.T @ (xi_projection_matrix(chart, p) @ MS)
     D = chart.dlambda_at(p)
     Omega0 = S.T @ D @ S
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
@@ -340,6 +323,7 @@ class FamilySample:
     period: Optional[float]
     residual: float
     converged: bool
+    history: tuple = ()  # Newton residuals of a sample that did not converge
 
 
 @dataclass
@@ -378,7 +362,7 @@ def orbit_family_scan(
                 rows.append(FamilySample(di, s, orb.period, orb.closure_residual, True))
                 periods.append(orb.period)
             except NoConvergence as err:
-                rows.append(FamilySample(di, s, None, err.residual, False))
+                rows.append(FamilySample(di, s, None, err.residual, False, tuple(err.history)))
             except (SingularChart, LeftChartDomain):
                 rows.append(FamilySample(di, s, None, np.inf, False))
     spread = float(max(abs(T - seed.period) for T in periods)) if periods else np.nan

@@ -67,16 +67,6 @@ class SpectralOperator:
     def dim(self) -> int:
         return self.rank * (2 * self.n_modes + 1)
 
-    def basis_index(self, mode: int, kind: str, component: int) -> int:
-        """Flat index of basis element (mode, cos|sin|const, fiber component)."""
-        if mode == 0:
-            if kind != "const":
-                raise ModeMismatch("mode 0 has only the constant branch")
-            scalar = 0
-        else:
-            scalar = 2 * mode - 1 + (0 if kind == "cos" else 1)
-        return scalar * self.rank + component
-
     def coefficients_from_grid(self, samples: np.ndarray) -> np.ndarray:
         """Project loop samples (n_t, rank) onto the Galerkin basis."""
         samples = np.asarray(samples, dtype=float)

@@ -77,10 +77,12 @@ def test_reports_byte_identical(tmp_path):
 
 
 def test_seed_changes_draws():
-    scen = {"kind": "dual_checks", "params": {"n_values": [1], "n_samples": 20}, "name": "s"}
+    # the smallest Rayleigh quotient over the seeded trial sections depends on
+    # the draws themselves, not on roundoff (480.6 vs 774.1 for seeds 1, 2)
+    scen = {"kind": "spectrum", "params": {"n_modes": 8, "gap_trials": 20}, "name": "s"}
     r1 = cli.run_scenario(scen, seed_override=1)
     r2 = cli.run_scenario(scen, seed_override=2)
-    assert r1.results["max_round_trip_error"] != r2.results["max_round_trip_error"]
+    assert r1.results["min_rayleigh_quotient"] != r2.results["min_rayleigh_quotient"]
 
 
 def test_report_round_trip(tmp_path):

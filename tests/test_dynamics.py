@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactlab import dynamics
+from contactlab import core, dynamics
 from contactlab.core import ContactChart
 from contactlab.dynamics import (
     MorseBottCandidate,
@@ -15,12 +17,14 @@ from contactlab.dynamics import (
     classify_orbit,
     find_closed_orbit,
     flow,
+    monodromy,
     orbit_family_scan,
     return_map,
 )
-from contactlab.errors import LeftChartDomain, NoConvergence, SingularChart
+from contactlab.errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
+    exp_factor_chart,
     perturbed_tube_chart,
     torus_chart,
     weighted_tube_chart,
@@ -79,6 +83,52 @@ def test_monodromy_enforces_chart_domain():
         dynamics.monodromy(ch, [0.1, 0.2, 0.0], 1.0)
     with pytest.raises(NoConvergence):
         find_closed_orbit(ch, [0.1, 0.2, 0.0], 1.1)
+
+
+CHARTS = {
+    "tube": weighted_tube_chart(1.0, 0.7),
+    "perturbed_tube": perturbed_tube_chart(1.0, 1.0, 0.8),
+    "torus": torus_chart(),
+    "exp_factor": exp_factor_chart(1),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(CHARTS)),
+    st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    st.floats(0.1, 2.0),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_monodromy_carries_only_the_requested_variations(name, x, T, k, seed):
+    chart = CHARTS[name]
+    V = np.random.Generator(np.random.Philox(seed)).uniform(-1.0, 1.0, (chart.dim, k))
+    end, MV = monodromy(chart, x, T, V)
+    assert MV.shape == (chart.dim, k)
+    assert np.max(np.abs(MV - monodromy(chart, x, T)[1] @ V), initial=0.0) < 1e-8
+    if k == 0:
+        assert np.max(np.abs(end - flow(chart, x, T).end)) < 1e-12
+
+
+def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
+    real = core.reeb_batch
+    calls = []
+    monkeypatch.setattr(core, "reeb_batch", lambda *args: calls.append(1) or real(*args))
+    orb = find_closed_orbit(weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 6.2, fix_point=True)
+    assert abs(orb.period - 2 * np.pi) < 1e-8
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "chart, winding",
+    # the Darboux chart declares no periods; the torus fiber coordinate p has none
+    [(darboux_chart(1), (0, 0, 1)), (torus_chart(), (1, 0, 1))],
+    ids=["chart_without_periods", "non_periodic_coordinate"],
+)
+def test_winding_misuse_is_out_of_range(chart, winding):
+    with pytest.raises(OutOfRange):
+        find_closed_orbit(chart, [0.0, 0.0, 0.0], 1.0, winding=winding)
 
 
 def test_torus_orbit_found_anywhere():
@@ -190,7 +240,9 @@ def test_family_scan_round_sphere_tube():
 
 
 def test_family_scan_detects_broken_family():
-    # a radius-dependent rotation speed destroys every off-center orbit
+    # a radius-dependent rotation speed destroys every off-center orbit;
+    # Gauss-Newton stalls at a least-squares stationary point and stops there,
+    # well before its max_iter = 25 steps, keeping its residual history
     ch = perturbed_tube_chart(1.0, 1.0, 0.8)
     seed = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
     scan = orbit_family_scan(ch, seed, [np.array([0.0, 1.0, 0.0])], n_samples=3, step=0.1)
@@ -198,6 +250,8 @@ def test_family_scan_detects_broken_family():
     for row in scan.samples:
         assert not row.converged
         assert row.residual > 1e-6
+        assert 0 < len(row.history) < 25
+        assert row.history[-1] == row.residual
 
 
 def test_family_scan_records_chart_failures_per_sample(monkeypatch):
@@ -220,15 +274,6 @@ def test_family_scan_records_chart_failures_per_sample(monkeypatch):
     assert scan.n_failed == 2
     assert scan.samples[1].period is None and scan.samples[1].residual == np.inf
     assert scan.period_spread < 1e-8
-
-
-def test_fixed_step_rk4_reproducible():
-    ch = weighted_tube_chart(1.0, 0.9)
-    a = flow(ch, [0.0, 0.2, 0.1], 1.0, steps=400, method="rk4")
-    b = flow(ch, [0.0, 0.2, 0.1], 1.0, steps=400, method="rk4")
-    assert np.array_equal(a.states, b.states)
-    c = flow(ch, [0.0, 0.2, 0.1], 1.0, steps=400)
-    assert np.max(np.abs(a.end - c.end)) < 1e-8
 
 
 def test_off_center_orbit_action():
