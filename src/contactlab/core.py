@@ -11,6 +11,7 @@ vector fields, the closed-form identities for a conformally rescaled contact
 form, and gradients with respect to the triad metric.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -150,15 +151,15 @@ def _dual_system(chart: ContactChart, x):
 def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
     """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M.
 
-    One SVD-based least-squares call gives both the solution and the
-    singular values for the rank check.  Raises SingularChart naming the
+    The singular values give the rank check and the condition number; the
+    solve itself is one LU factorization.  Raises SingularChart naming the
     chart, the ``system`` and x when sigma_min <= _RANK_TOL sigma_max."""
-    v, _, _, s = np.linalg.lstsq(M, rhs, rcond=None)
+    s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= _RANK_TOL * s[0]:
         raise SingularChart(
-            f"{chart.name}: {system} at {x} (sigma_min/sigma_max = {s[-1] / s[0]:.2e})"
+            f"{chart.name}: {system} at {x} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})"
         )
-    return v, float(s[0] / s[-1])
+    return np.linalg.solve(M, rhs), float(s[0] / s[-1])
 
 
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
@@ -348,36 +349,50 @@ def _gram_schmidt(A: np.ndarray, rank: int, tol: float) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((A.shape[0], 0))
 
 
-def _pfaffian(A: np.ndarray) -> float:
-    """Pfaffian of a small even-dimensional antisymmetric matrix (recursive)."""
-    m = A.shape[0]
-    if m == 0:
-        return 1.0
-    if m % 2 == 1:
-        return 0.0
-    if m == 2:
-        return float(A[0, 1])
-    total = 0.0
-    idx = list(range(1, m))
-    for pos, j in enumerate(idx):
-        rest = [k for k in idx if k != j]
-        minor = A[np.ix_(rest, rest)]
-        total += ((-1) ** pos) * A[0, j] * _pfaffian(minor)
-    return float(total)
+def _pfaffian(A: np.ndarray):
+    """Pfaffians of a stack (..., m, m) of antisymmetric matrices, shape (...).
+
+    Skew-symmetric Parlett-Reid reduction with row pivoting (Wimmer 2012,
+    ACM TOMS 38, arXiv:1102.3440): m/2 steps over the whole stack, each one
+    swap and one rank-2 update, O(m^3) per matrix.  A zero pivot (a zero
+    row) gives exactly 0, an odd order 0, and a single matrix a float.
+    """
+    A = np.array(A, dtype=float)
+    *batch, m, _ = A.shape
+    if m % 2:
+        return np.zeros(batch) if batch else 0.0
+    A = A.reshape((math.prod(batch), m, m))
+    pf = np.ones(len(A))
+    r = np.arange(len(A))
+    for k in range(0, m - 1, 2):
+        p = k + 1 + np.argmax(np.abs(A[:, k, k + 1 :]), axis=1)
+        pf[p != k + 1] *= -1.0
+        for B in (A, A.swapaxes(1, 2)):
+            B[r, k + 1], B[r, p] = B[r, p], B[r, k + 1]
+        piv = A[:, k, k + 1]
+        pf *= piv
+        tau = A[:, k, k + 2 :] / np.where(piv == 0.0, 1.0, piv)[:, None]
+        col = A[:, k + 2 :, k + 1]
+        A[:, k + 2 :, k + 2 :] += tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+    return float(pf[0]) if not batch else pf.reshape(batch)
 
 
-def contact_volume(chart: ContactChart, x) -> float:
-    """Signed density of lam ^ (dlam)^n against the coordinate volume form."""
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
+def contact_volume(chart: ContactChart, x):
+    """Signed density of lam ^ (dlam)^n against the coordinate volume form.
+
+    A point of shape (d,) gives a float; a stack (N, d) gives shape (N,).
+    The chart is evaluated once per point, and one stacked ``_pfaffian``
+    call takes the bordered matrices [[0, lam^T], [-lam, dlam]], whose
+    Pfaffian times n! is the density.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     d = chart.dim
-    B = np.zeros((d + 1, d + 1))
-    B[0, 1:] = L
-    B[1:, 0] = -L
-    B[1:, 1:] = D
-    import math
-
-    return math.factorial(chart.n) * _pfaffian(B)
+    B = np.zeros((len(pts), d + 1, d + 1))
+    for Bi, p in zip(B, pts):
+        L = chart.lambda_at(p)
+        Bi[0, 1:], Bi[1:, 0], Bi[1:, 1:] = L, -L, chart.dlambda_at(p)
+    vol = math.factorial(chart.n) * _pfaffian(B)
+    return float(vol[0]) if np.ndim(x) == 1 else vol
 
 
 @dataclass
@@ -390,16 +405,11 @@ class ChartDiagnostics:
 
 def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
     """Non-degeneracy report over sample points: volume, sign, conditioning."""
-    vols, conds, resids = [], [], []
-    for x in points:
-        vols.append(contact_volume(chart, x))
-        sol = reeb_solve(chart, x)
-        conds.append(sol.cond)
-        resids.append(sol.residual)
-    vols = np.array(vols)
+    vols = contact_volume(chart, np.asarray(points, dtype=float))
+    sols = [reeb_solve(chart, x) for x in points]
     return ChartDiagnostics(
         min_abs_volume=float(np.min(np.abs(vols))),
         sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),
-        max_cond=float(np.max(conds)),
-        max_reeb_residual=float(np.max(resids)),
+        max_cond=max(sol.cond for sol in sols),
+        max_reeb_residual=max(sol.residual for sol in sols),
     )

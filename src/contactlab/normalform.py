@@ -249,7 +249,9 @@ def contact_tube_radius(
     The contact volume must keep the zero-section sign and at least half the
     zero-section magnitude at every sampled point.  Returns the radius when
     it verifies; otherwise bisects for the largest verified radius and
-    raises NotContact carrying it.
+    raises NotContact carrying it.  Each radius costs one stacked
+    contact_volume call over the whole base x fiber grid; the zero-section
+    volumes ride along with the first one.
     """
     fdim = chart.dim - dim_q
     base_axes = []
@@ -262,26 +264,27 @@ def contact_tube_radius(
         if dim_q
         else np.zeros((1, 0))
     )
+    nb = len(base_grid)
 
-    def verified(r: float) -> bool:
+    def tube(r: float) -> np.ndarray:
         fgrid = _fiber_grid(r, fdim, fiber_pts)
-        for q in base_grid:
-            x0 = np.concatenate([q, np.zeros(fdim)])
-            v0 = contact_volume(chart, x0)
-            if abs(v0) < 1e-12:
-                return False
-            for f in fgrid:
-                v = contact_volume(chart, np.concatenate([q, f]))
-                if np.sign(v) != np.sign(v0) or abs(v) < 0.5 * abs(v0):
-                    return False
-        return True
+        return np.hstack([np.repeat(base_grid, len(fgrid), axis=0), np.tile(fgrid, (nb, 1))])
 
-    if verified(radius):
+    zero_section = np.hstack([base_grid, np.zeros((nb, fdim))])
+    vols = contact_volume(chart, np.vstack([zero_section, tube(radius)]))
+    v0 = vols[:nb, None]
+
+    def holds(v: np.ndarray) -> bool:
+        v = v.reshape(nb, -1)
+        same_sign = np.sign(v) == np.sign(v0)
+        return bool(np.all(np.abs(v0) >= 1e-12) and np.all(same_sign & (np.abs(v) >= 0.5 * np.abs(v0))))
+
+    if holds(vols[nb:]):
         return float(radius)
     lo, hi = 0.0, radius
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if verified(mid):
+        if holds(contact_volume(chart, tube(mid))):
             lo = mid
         else:
             hi = mid

@@ -1,17 +1,42 @@
-"""Dual isomorphism, projections, and Darboux-chart identities."""
+"""Dual isomorphism, projections, Darboux-chart identities, contact volume."""
+
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import core
+from contactlab import cli, core
 from contactlab.errors import SingularChart
 from contactlab.models import darboux_chart, darboux_flat_dual_formula, exp_factor_chart
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def random_antisymmetric(g, shape):
+    X = g.standard_normal(shape)
+    return X - np.swapaxes(X, -1, -2)
+
+
+def cofactor_pfaffian(A):
+    """Pfaffian by expansion along the first row: the oracle for core._pfaffian."""
+    m = A.shape[0]
+    if m == 0:
+        return 1.0
+    if m % 2 == 1:
+        return 0.0
+    total = 0.0
+    for pos, j in enumerate(range(1, m)):
+        rest = [k for k in range(1, m) if k != j]
+        total += (-1) ** pos * A[0, j] * cofactor_pfaffian(A[np.ix_(rest, rest)])
+    return float(total)
 
 
 def test_reeb_field_standard_chart():
@@ -161,6 +186,15 @@ def test_singular_chart_raises():
         core.reeb_field(degenerate, np.zeros(3))
 
 
+def test_vanishing_form_raises_singular_chart():
+    # every singular value is 0: the message must not divide by sigma_max
+    from contactlab.core import ContactChart
+
+    zero = ContactChart(n=1, lam=lambda x: np.zeros(3), grad=lambda x: np.zeros((3, 3)))
+    with pytest.raises(SingularChart, match="sigma_max = 0.00e"):
+        core.reeb_field(zero, np.zeros(3))
+
+
 def test_wrong_length_lambda_names_the_dimension():
     from contactlab.core import ContactChart
 
@@ -169,6 +203,60 @@ def test_wrong_length_lambda_names_the_dimension():
         short.lambda_at(np.zeros(3))
     with pytest.raises(ValueError, match=r"needs shape \(3, 3\)"):
         short.dlambda_at(np.zeros(3))
+
+
+def test_shipped_dual_round_trip_error_is_at_roundoff():
+    # the dual systems are solved by LU, which leaves about 4e-16 on this
+    # scenario; an SVD least-squares solve leaves 1.6e-14
+    report = cli.run_scenario(cli.load_scenario(SCENARIOS / "dual_round_trip.json"))
+    assert report.results["max_round_trip_error"] < 2e-15
+
+
+def test_pfaffian_matches_cofactor_expansion():
+    g = rng(30)
+    for m in range(2, 9):
+        for _ in range(50):
+            A = random_antisymmetric(g, (m, m))
+            got, ref = core._pfaffian(A), cofactor_pfaffian(A)
+            if m % 2:
+                assert got == 0.0 == ref
+            else:
+                assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_pfaffian_of_a_stack_equals_the_loop():
+    A = random_antisymmetric(rng(31), (2, 10, 8, 8))
+    stacked = core._pfaffian(A)
+    assert stacked.shape == (2, 10)
+    assert np.array_equal(stacked, [[core._pfaffian(a) for a in row] for row in A])
+
+
+def test_pfaffian_of_odd_order_is_zero():
+    A = random_antisymmetric(rng(32), (4, 7, 7))
+    assert core._pfaffian(A[0]) == 0.0
+    assert np.array_equal(core._pfaffian(A), np.zeros(4))
+
+
+def test_pfaffian_with_a_zero_row_is_exactly_zero():
+    A = random_antisymmetric(rng(33), (6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(6):
+            Z = A.copy()
+            Z[j, :] = 0.0
+            Z[:, j] = 0.0
+            assert core._pfaffian(Z) == 0.0
+        assert core._pfaffian(np.zeros((3, 4, 4))).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_contact_volume_of_a_point_and_of_a_stack():
+    ch = darboux_chart(2)
+    xs = rng(7).uniform(-1, 1, (6, ch.dim))
+    vols = core.contact_volume(ch, xs)
+    single = [core.contact_volume(ch, x) for x in xs]
+    assert vols.shape == (6,)
+    assert all(type(v) is float for v in single)
+    assert np.array_equal(vols, single)
 
 
 def test_contact_volume_sign_consistent():

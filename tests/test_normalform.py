@@ -1,7 +1,11 @@
 """Thickening construction, structural identities, adapted structures."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactlab import models
 from contactlab import normalform as nf
@@ -72,24 +76,43 @@ def test_degenerate_fiber_form_rejected():
         nf.build_thickening(nf.circle_setup(), np.zeros((2, 2)), radius=0.5)
 
 
-def test_not_contact_reports_verified_radius():
+def warped_tube():
     # flat-model thickenings are contact at every radius (the volume is the
     # constant base coefficient), so exercise the tube verification on a
-    # warped tube whose volume density is 1 - r^2: the half-value bound
-    # fails beyond r ~ 0.7
+    # warped tube: h = 1 + x^4 gives volume density 1 - x^4 (vanishing at
+    # |x| = 1), so the half-value bound fails beyond x ~ 0.84
     from contactlab.core import ContactChart
 
-    # h = 1 + x^4 gives volume density 1 - x^4 (vanishing at |x| = 1)
     def lam(x):
         return np.array([1.0 + x[1] ** 4, -0.5 * x[2], 0.5 * x[1]])
 
-    warped = ContactChart(n=1, lam=lam, periods=(1.0, None, None))
+    return ContactChart(n=1, lam=lam, periods=(1.0, None, None))
+
+
+def test_not_contact_reports_verified_radius():
+    warped = warped_tube()
     assert nf.contact_tube_radius(warped, 1, 0.4) == 0.4
     # odd grid count puts samples on the fiber axes; half-volume is crossed
     # at x = 0.5^(1/4) ~ 0.84
     with pytest.raises(NotContact) as err:
         nf.contact_tube_radius(warped, 1, 1.1, fiber_pts=17)
     assert 0.75 < err.value.radius < 0.95
+
+
+def test_tube_check_makes_one_volume_call_per_radius(monkeypatch):
+    real = nf.contact_volume
+    calls = []
+    monkeypatch.setattr(nf, "contact_volume", lambda *args: calls.append(1) or real(*args))
+    warped = warped_tube()
+    assert nf.contact_tube_radius(warped, 1, 0.4) == 0.4
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotContact) as err:
+        nf.contact_tube_radius(warped, 1, 1.1, fiber_pts=17)
+    assert 0.75 < err.value.radius < 0.95
+    # the zero-section volumes ride along with the first call; then one call
+    # per bisection round
+    assert len(calls) == 1 + 20
 
 
 def test_reeb_is_lifted_circle_field(circle_e2, torus_cot, mixed_full):
@@ -284,3 +307,29 @@ def test_adaptedness_criteria_agree_randomized(circle_e2, torus_cot, mixed_full)
         assert ok == (not detuned)
         checked += 1
     assert checked == 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["darboux1", "darboux2", "darboux3", "exp_factor1", "exp_factor2",
+                     "circle_e2", "torus_cot", "mixed_full"]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_contact_volume_is_n_factorial_root_of_dual_determinant(circle_e2, torus_cot, mixed_full, name, seed):
+    # the bordered matrix [[0, lam^T], [-lam, dlam]] has determinant
+    # lam^T adj(dlam) lam = det(dlam^T + lam lam^T), and the contact volume is
+    # n! times its Pfaffian
+    thickenings = {"circle_e2": circle_e2, "torus_cot": torus_cot, "mixed_full": mixed_full}
+    g = rng(seed)
+    if name in thickenings:
+        tc = thickenings[name]
+        chart = tc.chart
+        xs = np.hstack([g.uniform(0, 1, (5, tc.dim_q)), g.uniform(-0.2, 0.2, (5, tc.dim - tc.dim_q))])
+    else:
+        chart = MODEL_CHARTS[name]()
+        xs = g.uniform(-1, 1, (5, chart.dim))
+    vols = contact_volume(chart, xs)
+    for x, vol in zip(xs, vols):
+        L, D = chart.lambda_at(x), chart.dlambda_at(x)
+        oracle = math.factorial(chart.n) * math.sqrt(np.linalg.det(D.T + np.outer(L, L)))
+        assert abs(abs(vol) - oracle) <= 1e-10 * oracle
