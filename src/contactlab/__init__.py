@@ -34,6 +34,7 @@ from .decay import (
     gamma_of_c,
     growth_factor,
     mean_zero_check,
+    random_hypothesis_sequences,
     solve_cylinder,
     three_interval_bound,
 )

@@ -30,6 +30,9 @@ from . import core
 from .errors import ConfigError, ContactLabError, NumericalFailure
 
 
+_SEQUENCE_BLOCK = 4096  # random three-interval sequences drawn and checked per array call
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -337,38 +340,15 @@ def _run_three_interval(p, seed, report):
         rng = _rng(seed)
         n_fail = 0
         failed_at = []
-        for i in range(n_seq):
-            gamma = rng.uniform(0.05, 0.49)
-            x = _random_hypothesis_sequence(rng, N, gamma)
+        for start in range(0, n_seq, _SEQUENCE_BLOCK):
+            gamma, x = decay.random_hypothesis_sequences(rng, min(_SEQUENCE_BLOCK, n_seq - start), N)
             rep = decay.three_interval_bound(decay.IntervalSeq(x, gamma))
-            if not (rep.hypothesis_holds and rep.bound_holds):
-                n_fail += 1
-                if len(failed_at) < 20:
-                    failed_at.append(i)
+            failed = start + np.flatnonzero(~(rep.hypothesis_holds & rep.bound_holds))
+            n_fail += failed.size
+            failed_at += [int(i) for i in failed[: 20 - len(failed_at)]]
         report.results["n_sequences"] = n_seq
         report.results["failed_sequence_indices"] = failed_at
         report.add_verdict("all_bounds_hold", float(n_fail), 0.5, passed=n_fail == 0)
-
-
-def _random_hypothesis_sequence(rng, N, gamma):
-    """Random nonnegative sequence satisfying the three-interval hypothesis.
-
-    Mixes exact two-sided geometric solutions a xi^-k + b xi^(k-N) with the
-    ratio recursion r_{k+1} = 1/gamma - 1/r_k + u (u >= 0), whose u = 0
-    stretches realize the equality case."""
-    xi = decay.growth_factor(gamma)
-    k = np.arange(N + 1, dtype=float)
-    if rng.uniform() < 0.5:
-        a, b = rng.uniform(0, 1, 2)
-        return a * xi**-k + b * xi ** (k - N)
-    r = rng.uniform(1.0 / xi, xi)
-    x = [1.0]
-    for _ in range(N):
-        u = rng.exponential(0.5) if rng.uniform() < 0.7 else 0.0
-        x.append(x[-1] * r)
-        r = 1.0 / gamma - 1.0 / r + u
-    x = np.array(x)
-    return x / np.max(x)
 
 
 def _run_center_of_mass(p, seed, report):

@@ -28,11 +28,16 @@ from .spectral import SpectralOperator, _eigh
 # three-interval lemma
 
 
-def growth_factor(gamma: float) -> float:
-    """Geometric factor (1 + sqrt(1 - 4 gamma^2)) / (2 gamma), gamma in (0, 1/2)."""
-    if not 0.0 < gamma < 0.5:
+def growth_factor(gamma: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Geometric factor (1 + sqrt(1 - 4 gamma^2)) / (2 gamma), gamma in (0, 1/2).
+
+    A scalar gamma gives a float, an array gives an array of the same shape;
+    OutOfRange if any entry lies outside (0, 1/2)."""
+    g = np.asarray(gamma, dtype=float)
+    if not np.all((0.0 < g) & (g < 0.5)):
         raise OutOfRange(f"gamma must lie strictly in (0, 1/2), got {gamma}")
-    return (1.0 + math.sqrt(1.0 - 4.0 * gamma * gamma)) / (2.0 * gamma)
+    xi = (1.0 + np.sqrt(1.0 - 4.0 * g * g)) / (2.0 * g)
+    return float(xi) if xi.ndim == 0 else xi
 
 
 def gamma_of_c(c: float) -> float:
@@ -44,26 +49,34 @@ def gamma_of_c(c: float) -> float:
 
 @dataclass(frozen=True)
 class IntervalSeq:
-    """Nonnegative sequence with a three-interval coupling constant."""
+    """Finite nonnegative sequence with a three-interval coupling constant.
+
+    One sequence is x of shape (N+1,) with a scalar gamma; a stack of n
+    sequences is x of shape (n, N+1) with gamma of shape (n,)."""
 
     x: np.ndarray
-    gamma: float
+    gamma: Union[float, np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if np.any(self.x < 0):
-            raise OutOfRange("sequence entries must be nonnegative")
-        if not 0.0 < self.gamma < 0.5:
-            raise OutOfRange(f"gamma must lie strictly in (0, 1/2), got {self.gamma}")
+        # nan fails both comparisons, so this also rejects non-finite entries
+        if not np.all((self.x >= 0) & (self.x < np.inf)):
+            raise OutOfRange("sequence entries must be finite and nonnegative")
+        if self.x.ndim not in (1, 2) or np.shape(self.gamma) != self.x.shape[:-1]:
+            raise OutOfRange(f"x of shape {self.x.shape} needs one gamma per sequence, "
+                             f"got gamma of shape {np.shape(self.gamma)}")
+        growth_factor(self.gamma)  # OutOfRange unless every gamma lies in (0, 1/2)
 
 
 @dataclass
 class ThreeIntervalReport:
-    hypothesis_holds: bool
-    violations: np.ndarray  # interior indices where x_k > gamma (x_{k-1} + x_{k+1})
-    bound: np.ndarray  # x_0 xi^-k + x_N xi^-(N-k)
-    bound_holds: bool
-    xi: float
+    """Lemma check of one sequence, or of a stack (fields gain a sequence axis)."""
+
+    hypothesis_holds: Union[bool, np.ndarray]
+    violations: np.ndarray  # interior k where x_k > gamma (x_{k-1} + x_{k+1}); stack: (seq, k) rows
+    bound: np.ndarray  # x_0 xi^-k + x_N xi^-(N-k), shaped like x
+    bound_holds: Union[bool, np.ndarray]
+    xi: Union[float, np.ndarray]
 
 
 def three_interval_bound(seq: IntervalSeq, slack: float = 1e-12) -> ThreeIntervalReport:
@@ -71,21 +84,61 @@ def three_interval_bound(seq: IntervalSeq, slack: float = 1e-12) -> ThreeInterva
     holds, assert the geometric bound x_k <= x_0 xi^-k + x_N xi^-(N-k).
 
     The hypothesis is checked, not assumed; violating interior indices are
-    returned as a diagnostic (the clusters of intervals that fail).
+    returned as a diagnostic (the clusters of intervals that fail).  A stack
+    x of shape (n, N+1) is checked row by row in one pass over the last
+    axis: the report holds (n,) verdicts and xi, an (n, N+1) bound and
+    (sequence, index) violations; each row is what the single-sequence call
+    on it returns.
     """
     x = seq.x
-    N = len(x) - 1
-    xi = growth_factor(seq.gamma)
-    scale = max(1.0, float(np.max(x)))
-    interior = np.arange(1, N)
-    lhs = x[interior]
-    rhs = seq.gamma * (x[interior - 1] + x[interior + 1])
-    violations = interior[lhs > rhs + slack * scale]
-    k = np.arange(N + 1)
-    bound = x[0] * xi ** (-k.astype(float)) + x[N] * xi ** (-(N - k).astype(float))
-    hypothesis = violations.size == 0
-    bound_holds = bool(hypothesis and np.all(x <= bound + slack * scale))
-    return ThreeIntervalReport(hypothesis, violations, bound, bound_holds, xi)
+    N = x.shape[-1] - 1
+    gamma = np.asarray(seq.gamma, dtype=float)[..., None]
+    xi = growth_factor(gamma)
+    tol = slack * np.maximum(1.0, np.max(x, axis=-1, keepdims=True))
+    bad = x[..., 1:-1] > gamma * (x[..., :-2] + x[..., 2:]) + tol
+    violations = np.argwhere(bad)
+    violations[:, -1] += 1  # interior column k-1 is sequence index k
+    k = np.arange(N + 1, dtype=float)
+    bound = x[..., :1] * xi**-k + x[..., N:] * xi ** -(N - k)
+    hypothesis = ~np.any(bad, axis=-1)
+    bound_holds = hypothesis & np.all(x <= bound + tol, axis=-1)
+    if x.ndim == 1:
+        return ThreeIntervalReport(bool(hypothesis), violations[:, 0], bound, bool(bound_holds), float(xi[0]))
+    return ThreeIntervalReport(hypothesis, violations, bound, bound_holds, xi[:, 0])
+
+
+def random_hypothesis_sequences(
+    rng: np.random.Generator, n_seq: int, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma, x): n_seq random sequences that satisfy the three-interval
+    hypothesis, gamma of shape (n_seq,) and x of shape (n_seq, N+1).
+
+    Per row, gamma ~ U(0.05, 0.49), and with probability 1/2 the row is an
+    exact two-sided geometric solution a xi^-k + b xi^(k-N) (a, b ~ U(0, 1)).
+    Otherwise it follows the ratio recursion r_{k+1} = 1/gamma - 1/r_k + u_k
+    from r_0 ~ U(1/xi, xi), with u_k ~ Exp(0.5) with probability 0.7, else 0
+    (u = 0 stretches are the equality case), normalized by its maximum.  The
+    recursion runs over k once for all rows, in log space (L_{k+1} = L_k +
+    log r_k, x = exp(L - max L)): the products r_0 ... r_{k-1} overflow for
+    long sequences, as xi ~ 20 at gamma = 0.05.
+    """
+    gamma = rng.uniform(0.05, 0.49, n_seq)
+    xi = growth_factor(gamma)
+    two_sided = rng.uniform(size=n_seq) < 0.5
+    a, b = rng.uniform(0.0, 1.0, (2, n_seq, 1))
+    u = rng.exponential(0.5, (n_seq, N - 1))
+    u[rng.uniform(size=u.shape) >= 0.7] = 0.0
+    r = np.empty((n_seq, N))
+    r[:, 0] = rng.uniform(1.0 / xi, xi)
+    for j in range(1, N):
+        r[:, j] = 1.0 / gamma - 1.0 / r[:, j - 1] + u[:, j - 1]
+    x = np.zeros((n_seq, N + 1))  # log x_k = log r_0 + ... + log r_{k-1} until the exp
+    np.cumsum(np.log(r, out=r), axis=1, out=x[:, 1:])
+    x = np.exp(x - np.max(x, axis=1, keepdims=True))
+    k = np.arange(N + 1, dtype=float)
+    xt = xi[two_sided, None]
+    x[two_sided] = a[two_sided] * xt**-k + b[two_sided] * xt ** (k - N)
+    return gamma, x
 
 
 # ---------------------------------------------------------------------------

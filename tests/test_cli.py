@@ -1,8 +1,10 @@
 """Scenario runner: dispatch, determinism, exit codes, serialization."""
 
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,42 @@ def test_every_kind_runs_and_passes(kind, params):
     report = cli.run_scenario({"kind": kind, "seed": 1, "params": params, "name": kind})
     assert report.all_passed, [v for v in report.verdicts if not v.passed]
     assert report.wall_time >= 0
+
+
+def test_three_interval_random_mode_holds_for_long_sequences():
+    # the sequences used to be built as running products, which overflow at
+    # N = 400 and turned into NaN rows reported as counterexamples
+    scen = {"kind": "three_interval", "seed": 1, "params": {"mode": "random", "n_sequences": 200, "N": 400}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cli.run_scenario(scen)
+    assert report.all_passed, [v for v in report.verdicts if not v.passed]
+    assert report.results["failed_sequence_indices"] == []
+
+
+def test_three_interval_random_mode_checks_in_blocks(monkeypatch):
+    calls = []
+    real = cli.decay.three_interval_bound
+    monkeypatch.setattr(cli.decay, "three_interval_bound", lambda seq: calls.append(len(seq.x)) or real(seq))
+    report = cli.run_scenario({"kind": "three_interval", "seed": 2, "params": {"mode": "random", "n_sequences": 5000}})
+    assert report.all_passed
+    assert len(calls) == math.ceil(5000 / cli._SEQUENCE_BLOCK) and sum(calls) == 5000
+
+
+def test_three_interval_random_mode_reports_sequence_indices(monkeypatch):
+    # a check that fails row 3 of every block must report the global indices
+    real = cli.decay.three_interval_bound
+
+    def fail_row_3(seq):
+        rep = real(seq)
+        rep.bound_holds[3] = False
+        return rep
+
+    monkeypatch.setattr(cli.decay, "three_interval_bound", fail_row_3)
+    n = 2 * cli._SEQUENCE_BLOCK + 10
+    report = cli.run_scenario({"kind": "three_interval", "seed": 2, "params": {"mode": "random", "n_sequences": n}})
+    assert report.results["failed_sequence_indices"] == [3, cli._SEQUENCE_BLOCK + 3, 2 * cli._SEQUENCE_BLOCK + 3]
+    assert report.verdicts[0].observed == 3.0 and not report.all_passed
 
 
 def test_center_of_mass_scenario_runs_newton():
