@@ -476,9 +476,10 @@ _KINDS = {
         "dim": _Param("int", 2, 2), "T": _Param("pos", 1.0), "n_t": _Param("int", 64, 2),
         "tol": _Param("num", 1e-8),
         "offset": _Param("num", lambda p: [0.0] + [0.08] * (p["dim"] - 1))}),
+    # the one-sided second-order tau derivative needs three slices
     "action_charge": (_run_action_charge, None, {
         "c": _Param("num", 0.5), "T": _Param("pos", 2.0), "R": _Param("pos", 1.0),
-        "n_tau": _Param("int", 33, 2), "n_t": _Param("int", 64, 1)}),
+        "n_tau": _Param("int", 33, 3), "n_t": _Param("int", 64, 1)}),
 }
 
 

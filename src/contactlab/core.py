@@ -9,6 +9,12 @@ Everything here is a pure function of the point: Reeb fields, the projection
 to the contact distribution, the dual isomorphism between one-forms and
 vector fields, the closed-form identities for a conformally rescaled contact
 form, and gradients with respect to the triad metric.
+
+The circle lives here too, once: a chart's ``periods`` is None or one entry
+per coordinate, a period P for an angle and None for a plain coordinate.
+``wrap_angles`` reduces angle differences to [-P/2, P/2), ``unwrap_angles``
+lifts samples along a loop or grid axis to the universal cover, and
+``periodic_derivative`` differentiates periodic samples spectrally.
 """
 
 import math
@@ -39,6 +45,54 @@ def fd_gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.nd
             (-f(x + 2 * h * e) + 8 * f(x + h * e) - 8 * f(x - h * e) + f(x - 2 * h * e)) / (12 * h)
         )
     return np.array(rows, dtype=float)
+
+
+def _angle_columns(periods):
+    """Indices and periods (a float array) of the angle coordinates."""
+    cols = [i for i, P in enumerate(() if periods is None else periods) if P is not None]
+    return cols, np.array([periods[i] for i in cols], dtype=float)
+
+
+def wrap_angles(d, periods) -> np.ndarray:
+    """A copy of d with each angle coordinate (last axis) reduced to [-P/2, P/2)
+    (rounding can give P/2 itself for an input a few ulps below -P/2).
+
+    ``periods`` follows the chart convention: None for no angles at all, or
+    one entry per coordinate, a period P or None for a plain coordinate.
+    """
+    d = np.array(d, dtype=float)
+    cols, P = _angle_columns(periods)
+    if cols:
+        d[..., cols] = (d[..., cols] + P / 2.0) % P - P / 2.0
+    return d
+
+
+def unwrap_angles(z, periods, axis: int = 0) -> np.ndarray:
+    """Samples z (..., dim) lifted along ``axis`` to the universal cover.
+
+    Each angle coordinate becomes its first sample plus the running sum of
+    its wrapped steps, so it no longer jumps by a period between neighbours;
+    plain coordinates are returned untouched.  ``periods`` as in
+    ``wrap_angles``.
+    """
+    z = np.array(z, dtype=float)
+    cols, P = _angle_columns(periods)
+    if cols:
+        a = z[..., cols]
+        steps = wrap_angles(np.diff(a, axis=axis), P)
+        first = np.take(a, [0], axis=axis)
+        z[..., cols] = np.concatenate([first, first + np.cumsum(steps, axis=axis)], axis=axis)
+    return z
+
+
+def periodic_derivative(samples, period: float) -> np.ndarray:
+    """Spectral derivative of equally spaced samples of a period-``period``
+    function, taken along axis 0 (exact on trigonometric polynomials of
+    degree below n/2 for n samples)."""
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples)
+    freqs = (2j * np.pi * np.fft.fftfreq(n, d=period / n)).reshape((n,) + (1,) * (samples.ndim - 1))
+    return np.real(np.fft.ifft(freqs * np.fft.fft(samples, axis=0), axis=0))
 
 
 @dataclass(frozen=True)
@@ -86,12 +140,7 @@ class ContactChart:
 
     def wrap_diff(self, a, b) -> np.ndarray:
         """Componentwise a - b, reduced to the nearest representative on angles."""
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.periods is not None:
-            for i, P in enumerate(self.periods):
-                if P is not None:
-                    d[i] = (d[i] + P / 2.0) % P - P / 2.0
-        return d
+        return wrap_angles(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), self.periods)
 
     def contains(self, x) -> bool:
         return True if self.domain is None else bool(self.domain(np.asarray(x, dtype=float)))

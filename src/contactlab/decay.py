@@ -3,8 +3,10 @@
 Contents: the discrete three-interval lemma and its growth factor, the model
 linear evolution  d/dtau zeta + B zeta = L  on [0, R] x S^1 for a spectral
 operator B (eigen-expansion and Crank-Nicolson solvers), log-linear decay
-rate estimation, the center of mass of a loop near the Reeb locus, and the
-asymptotic action / charge / pi-energy functionals of cylinder maps.
+rate estimation, the center of mass of a loop near the Reeb locus (its
+Morse-Bott models take a stack of loop samples, so a residual is one array
+expression), and the asymptotic action / charge / pi-energy functionals of
+cylinder maps.  Angles wrap and lift through ``core``'s circle primitives.
 """
 
 import math
@@ -13,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, reeb_solve
+from .core import ContactChart, reeb_solve, unwrap_angles, wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -22,6 +24,7 @@ from .errors import (
     OutsideTube,
     ResolutionTooCoarse,
 )
+from .models import weighted_tube_flow
 from .spectral import SpectralOperator, _eigh
 
 # ---------------------------------------------------------------------------
@@ -396,14 +399,21 @@ def decay_rate(
 
 class FlatTorusQ:
     """Flat d-torus Morse-Bott locus: theta = first coordinate form, the Reeb
-    flow is unit translation in coordinate 0, and exp is affine."""
+    flow is unit translation in coordinate 0, and exp is affine.
 
-    def __init__(self, dim: int = 2, periods: Optional[Sequence[float]] = None):
+    ``periods`` follows the chart convention (None on a plain coordinate),
+    default all 1; the attribute is their float array, nan on a plain
+    coordinate.  ``flow(q, s)`` takes a point (dim,) with a scalar s or a
+    stack (N, dim) with s of shape (N,); ``inv_exp`` acts on the last axis.
+    """
+
+    def __init__(self, dim: int = 2, periods: Optional[Sequence[Optional[float]]] = None):
         self.dim = dim
-        self.periods = np.array(periods if periods is not None else [1.0] * dim, dtype=float)
+        self._angles = tuple(periods) if periods is not None else (1.0,) * dim
+        self.periods = np.array(self._angles, dtype=float)
 
     def wrap(self, v):
-        return (np.asarray(v, dtype=float) + self.periods / 2.0) % self.periods - self.periods / 2.0
+        return wrap_angles(v, self._angles)
 
     def flow(self, q, s):
         q = np.array(q, dtype=float)
@@ -418,46 +428,23 @@ class FlatTorusQ:
         return self.wrap(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
     def theta(self, m) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[0] = 1.0
-        return e
+        return np.eye(self.dim)[0]
 
 
-class RotatingTubeQ:
+class RotatingTubeQ(FlatTorusQ):
     """Morse-Bott locus of the weighted tube: circle direction plus a fiber
     plane that the flow differential rotates with angular speed w_fiber."""
 
     def __init__(self, w_theta: float, w_fiber: float):
-        self.dim = 3
+        super().__init__(3, (2 * np.pi / w_theta, None, None))
         self.w_fiber = float(w_fiber)
-        self.periods = np.array([2 * np.pi / w_theta, np.inf, np.inf])
-
-    def wrap(self, v):
-        v = np.asarray(v, dtype=float).copy()
-        P = self.periods[0]
-        v[..., 0] = (v[..., 0] + P / 2.0) % P - P / 2.0
-        return v
 
     def flow(self, q, s):
-        from .models import weighted_tube_flow
-
         return weighted_tube_flow(self.w_fiber, q, s)
 
     def flow_diff(self, s) -> np.ndarray:
         cs, sn = np.cos(self.w_fiber * s), np.sin(self.w_fiber * s)
-        M = np.eye(3)
-        M[1, 1] = cs
-        M[1, 2] = sn
-        M[2, 1] = -sn
-        M[2, 2] = cs
-        return M
-
-    def inv_exp(self, x, y) -> np.ndarray:
-        return self.wrap(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-
-    def theta(self, m) -> np.ndarray:
-        # lam at the zero fiber: d theta
-        return np.array([1.0, 0.0, 0.0])
+        return np.array([[1.0, 0.0, 0.0], [0.0, cs, sn], [0.0, -sn, cs]])
 
 
 @dataclass
@@ -516,15 +503,8 @@ def center_of_mass(
     m = gamma[0].copy()
     eta = np.zeros(N)
 
-    def tube_distance(m0):
-        worst = 0.0
-        for i in range(N):
-            E = model.inv_exp(m0, model.flow(gamma[i], -T * ts[i]))
-            worst = max(worst, float(np.linalg.norm(E)))
-        return worst
-
     anchor = gamma[0] if reference is None else np.asarray(reference, dtype=float)
-    dist = tube_distance(anchor)
+    dist = float(np.max(np.linalg.norm(model.inv_exp(anchor, model.flow(gamma, -T * ts)), axis=1)))
     if dist > delta_tube:
         raise OutsideTube(
             f"loop deviates {dist:.3g} from the reference orbit "
@@ -532,18 +512,12 @@ def center_of_mass(
         )
 
     def residuals(m, eta):
-        E = np.empty((N, d))
-        for i in range(N):
-            h_i = ts[i] + eta[i]
-            E[i] = model.inv_exp(m, model.flow(gamma[i], -T * h_i))
-        r_mean = E.mean(axis=0)
-        r_xi = np.array([float(model.theta(m) @ E[i]) for i in range(N)])
-        r_gauge = np.array([eta.mean()])
-        return np.concatenate([r_mean, r_xi, r_gauge]), E
+        E = model.inv_exp(m, model.flow(gamma, -T * (ts + eta)))
+        return np.concatenate([E.mean(axis=0), E @ model.theta(m), [eta.mean()]])
 
     history = []
     for it in range(max_iter):
-        r, E = residuals(m, eta)
+        r = residuals(m, eta)
         res = float(np.max(np.abs(r)))
         history.append(res)
         if res < tol:
@@ -562,12 +536,12 @@ def center_of_mass(
         for j in range(d):
             dm = m.copy()
             dm[j] += hstep
-            rj, _ = residuals(dm, eta)
+            rj = residuals(dm, eta)
             J[:, j] = (rj - r) / hstep
         for j in range(N):
             de = eta.copy()
             de[j] += hstep
-            rj, _ = residuals(m, de)
+            rj = residuals(m, de)
             J[:, d + j] = (rj - r) / hstep
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         m = m + step[:d]
@@ -604,27 +578,10 @@ class ActionCharge:
     decay_claim_applies: bool  # charge must vanish for any decay claim
 
 
-def _unwrap_grid(chart: ContactChart, w: np.ndarray) -> np.ndarray:
-    """Lift grid samples of a cylinder map to continuous representatives."""
-    w = np.array(w, dtype=float)
-    if chart.periods is None:
-        return w
-    for i, P in enumerate(chart.periods):
-        if P is None:
-            continue
-        for axis in (0, 1):
-            d = np.diff(w[..., i], axis=axis)
-            d = (d + P / 2.0) % P - P / 2.0
-            first = np.take(w[..., i], [0], axis=axis)
-            w[..., i] = np.concatenate([first, first + np.cumsum(d, axis=axis)], axis=axis)
-    return w
-
-
 def action_charge(
     w_samples: np.ndarray,
     chart: ContactChart,
     R: float,
-    J=None,
 ) -> ActionCharge:
     """Action, charge, and pi-energy of a cylinder map sampled on [0, R] x S^1.
 
@@ -633,26 +590,23 @@ def action_charge(
     pi_energy = 1/2 int |d^pi w|^2.
 
     Derivatives are centered finite differences (periodic in t of unit
-    period, one-sided at the tau ends); the pi-part is measured with the
-    triad metric when J is given, else with the coordinate norm.  Scenarios
-    with nonvanishing charge are reported but carry no decay claim.
+    period, one-sided second order at the tau ends, so at least three
+    tau-slices); the pi-part is measured with the coordinate norm.  The
+    samples are lifted to the universal cover along tau, then along t.
+    Scenarios with nonvanishing charge are reported but carry no decay claim.
     """
     w_samples = np.asarray(w_samples, dtype=float)
-    w = _unwrap_grid(chart, w_samples)
-    n_tau, n_t, d = w.shape
-    if n_tau < 2:
-        raise ModeMismatch("need at least two tau slices")
+    n_tau, n_t, d = w_samples.shape
+    if n_tau < 3:
+        raise ModeMismatch(f"need at least three tau slices, got {n_tau}")
+    w = unwrap_angles(unwrap_angles(w_samples, chart.periods, axis=0), chart.periods, axis=1)
     dtau = R / (n_tau - 1)
     dt = 1.0 / n_t
 
     dw_tau = np.gradient(w, dtau, axis=0, edge_order=2)
     # centered t-derivative from wrapped forward steps (the lift may wind in
     # t, so a plain roll difference would jump at the seam)
-    fwd = np.roll(w, -1, axis=1) - w
-    if chart.periods is not None:
-        for i, P in enumerate(chart.periods):
-            if P is not None:
-                fwd[..., i] = (fwd[..., i] + P / 2.0) % P - P / 2.0
+    fwd = wrap_angles(np.roll(w, -1, axis=1) - w, chart.periods)
     dw_t = (fwd + np.roll(fwd, 1, axis=1)) / (2 * dt)
 
     lam_tau = np.empty((n_tau, n_t))
@@ -668,14 +622,7 @@ def action_charge(
             lam_t[i, j] = float(L @ dw_t[i, j])
             pi_tau = dw_tau[i, j] - lam_tau[i, j] * X
             pi_t = dw_t[i, j] - lam_t[i, j] * X
-            if J is not None:
-                Jm = J(x) if callable(J) else np.asarray(J, dtype=float)
-                D = chart.dlambda_at(x)
-                G = D @ Jm
-                G = 0.5 * (G + G.T)
-                e_pi[i, j] = float(pi_tau @ G @ pi_tau + pi_t @ G @ pi_t)
-            else:
-                e_pi[i, j] = float(pi_tau @ pi_tau + pi_t @ pi_t)
+            e_pi[i, j] = float(pi_tau @ pi_tau + pi_t @ pi_t)
 
     # periodic mean in t, trapezoid in tau
     tmean = np.mean(e_pi, axis=1)

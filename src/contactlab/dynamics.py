@@ -6,7 +6,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import ContactChart, _gram_schmidt, reeb_solve, xi_frame, xi_projection_matrix
+from .core import ContactChart, _gram_schmidt, periodic_derivative, reeb_solve, unwrap_angles
+from .core import xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
@@ -151,33 +152,18 @@ class ReebOrbit:
             closure_residual=closure,
         )
 
-    def unwrapped_samples(self) -> np.ndarray:
-        """Samples lifted to the universal cover (continuous in each angle)."""
-        z = self.samples.copy()
-        if self.chart.periods is not None:
-            for i, P in enumerate(self.chart.periods):
-                if P is not None:
-                    steps = np.diff(z[:, i])
-                    steps = (steps + P / 2.0) % P - P / 2.0
-                    z[1:, i] = z[0, i] + np.cumsum(steps)
-        return z
-
     def action(self) -> float:
         """Integral of the contact form over the loop, by spectral differentiation.
 
         Independent of the integrator's right-hand side; for a Reeb
         parametrization this equals the period.
         """
-        z = self.unwrapped_samples()
+        z = unwrap_angles(self.samples, self.chart.periods)
         N = len(z)
-        closing = self.chart.wrap_diff(self.samples[0], z[-1] if N else self.samples[0])
-        delta = (z[-1] + closing) - z[0] if N else 0.0
+        delta = (z[-1] + self.chart.wrap_diff(self.samples[0], z[-1])) - z[0]
         # remove the winding so the remainder is a genuine loop
         ts = np.arange(N) / N
-        r = z - np.outer(ts, delta)
-        freqs = 2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)
-        dr = np.real(np.fft.ifft(freqs[:, None] * np.fft.fft(r, axis=0), axis=0))
-        dz = dr + delta[None, :]
+        dz = periodic_derivative(z - np.outer(ts, delta), 1.0) + delta[None, :]
         vals = [float(self.chart.lambda_at(zi) @ dzi) for zi, dzi in zip(self.samples, dz)]
         return float(np.mean(vals))
 
@@ -220,7 +206,8 @@ def find_closed_orbit(
     step stalls (see ``STALL_STEP``), or after ``max_iter`` steps.  Zero
     lattice offsets are not rejected: contractible orbits legitimately have
     them.  Raises OutOfRange for a non-positive ``T_guess`` and for a
-    ``winding`` the chart's periods cannot carry.
+    ``winding`` that is not one entry per coordinate or that the chart's
+    periods cannot carry.
     """
     if not T_guess > 0:
         raise OutOfRange(f"T_guess must be positive, got {T_guess!r}")
@@ -231,6 +218,8 @@ def find_closed_orbit(
     if winding is not None:
         if chart.periods is None:
             raise OutOfRange(f"{chart.name}: winding requires a chart with declared periods")
+        if len(winding) != d:
+            raise OutOfRange(f"{chart.name}: winding needs {d} entries, got {len(winding)}")
         offset = np.zeros(d)
         for i, (w, P) in enumerate(zip(winding, chart.periods)):
             if w:

@@ -115,13 +115,13 @@ def weighted_tube_chart(w_theta: float, w_fiber: float) -> ContactChart:
 
 def weighted_tube_flow(w_fiber: float, x0, t) -> np.ndarray:
     """Closed-form Reeb flow of weighted_tube_chart: theta advances at unit
-    speed, the fiber rotates by -w_fiber * t."""
+    speed, the fiber rotates by -w_fiber * t.  A point (3,) takes a scalar t,
+    a stack (N, 3) takes t of shape (N,)."""
     x0 = np.asarray(x0, dtype=float)
     c = float(w_fiber)
     ct, st = np.cos(c * t), np.sin(c * t)
-    return np.array(
-        [x0[0] + t, ct * x0[1] + st * x0[2], -st * x0[1] + ct * x0[2]]
-    )
+    th, x, y = x0[..., 0], x0[..., 1], x0[..., 2]
+    return np.stack([th + t, ct * x + st * y, -st * x + ct * y], axis=-1)
 
 
 def perturbed_tube_chart(w_theta: float, w_fiber: float, quartic: float) -> ContactChart:

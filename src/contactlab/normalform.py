@@ -194,12 +194,6 @@ class ThickeningChart:
         D[s:, s:] = self.Omega
         return D
 
-    def radial_vector(self, x) -> np.ndarray:
-        v = np.zeros(self.dim)
-        _, _, e = self.split_point(x)
-        v[self.dim_q + self.m :] = e
-        return v
-
 
 def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
     """lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 on (q, mu, e).

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .core import periodic_derivative
 from .errors import AsymmetricHessian, ModeMismatch
 
 KERNEL_TOL = 1e-8
@@ -311,10 +312,7 @@ class LinearizedOrbitOperator:
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         """Apply to sampled sections Y (n_t, dim) over the T-periodic loop."""
-        n_t = len(self.t_grid)
-        freqs = 2j * np.pi * np.fft.fftfreq(n_t, d=self.period / n_t)
-        dY = np.real(np.fft.ifft(freqs[:, None] * np.fft.fft(Y, axis=0), axis=0))
-        return dY - np.einsum("tij,tj->ti", self.jacobian_samples, Y)
+        return periodic_derivative(Y, self.period) - np.einsum("tij,tj->ti", self.jacobian_samples, Y)
 
 
 def linearized_orbit_operator(chart, pert, orbit, n_t: int = 64) -> LinearizedOrbitOperator:

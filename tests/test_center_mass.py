@@ -10,7 +10,7 @@ from contactlab.decay import (
     center_of_mass,
     mean_zero_check,
 )
-from contactlab.errors import OutsideTube
+from contactlab.errors import ModeMismatch, OutsideTube
 from contactlab.models import torus_chart, weighted_tube_chart
 
 
@@ -88,6 +88,59 @@ def test_outside_tube():
     assert np.max(np.abs(model.wrap(res.m - np.array([0.0, 0.1])))) < 1e-9
 
 
+def test_one_flow_call_per_residual(monkeypatch):
+    # each residual evaluation flows the whole loop as one (N, d) stack
+    model = FlatTorusQ(2)
+    n_t = 32
+    ts = np.arange(n_t) / n_t
+    pert = np.stack([0.03 * np.sin(2 * np.pi * ts), 0.02 * np.cos(2 * np.pi * ts)], axis=1)
+    gamma = np.mod(np.stack([model.flow([0.2, 0.5], t) for t in ts]) + pert, model.periods)
+    shapes = []
+    real = model.flow
+    monkeypatch.setattr(model, "flow", lambda q, s: shapes.append(np.shape(q)) or real(q, s))
+    res = center_of_mass(model, gamma, 1.0)
+    assert res.iterations >= 1
+    # the tube check, one residual per Newton step plus the converged one,
+    # and d + N forward differences per step
+    assert len(shapes) == 1 + (res.iterations + 1) + res.iterations * (2 + n_t)
+    assert set(shapes) == {(n_t, 2)}
+
+
+def test_rotating_tube_perturbed_off_centre_loop():
+    # closed form: with gamma(t) = phi^{Tt}(z0) + p(t), the xi-condition
+    # fixes eta = (p_theta - mean p_theta) / T, and m is the mean of
+    # phi^{-T(t + eta)} gamma(t): theta0 + mean p_theta along the circle,
+    # and the mean of the fiber points rotated back by w T (t + eta)
+    w, T, n_t = 0.7, 2 * np.pi, 64
+    model = RotatingTubeQ(1.0, w)
+    ts = np.arange(n_t) / n_t
+    z0 = np.array([0.4, 0.15, -0.1])
+    p = np.stack(
+        [
+            0.02 * np.sin(2 * np.pi * ts) + 0.01,
+            0.03 * np.cos(2 * np.pi * ts),
+            0.01 * np.sin(4 * np.pi * ts) + 0.02,
+        ],
+        axis=1,
+    )
+
+    def rotate(a, v):
+        return np.stack([np.cos(a) * v[:, 0] - np.sin(a) * v[:, 1], np.sin(a) * v[:, 0] + np.cos(a) * v[:, 1]], 1)
+
+    # the flow moves theta at unit speed and rotates the fiber by -w s
+    orbit = np.column_stack([z0[0] + T * ts, rotate(-w * T * ts, np.tile(z0[1:], (n_t, 1)))])
+    gamma = orbit + p
+    gamma[:, 0] = np.mod(gamma[:, 0], T)
+    res = center_of_mass(model, gamma, T)
+
+    eta = (p[:, 0] - p[:, 0].mean()) / T
+    back = rotate(w * T * (ts + eta), gamma[:, 1:])
+    expected = np.concatenate([[z0[0] + p[:, 0].mean()], back.mean(axis=0)])
+    assert np.max(np.abs(model.wrap(res.m - expected))) < 1e-8
+    assert np.max(np.abs(res.h - (ts + eta))) < 1e-8
+    assert np.linalg.norm(expected[1:]) > 0.1  # off the central circle
+
+
 def test_mean_zero_pushforward_is_generator():
     model = RotatingTubeQ(1.0, 1.3)
     T = 2 * np.pi
@@ -163,6 +216,11 @@ def test_action_charge_with_transverse_energy():
     # picks up (0.1)^2 / 2 per unit area
     assert abs(ac.charge) < 1e-10
     assert abs(ac.pi_energy - 0.5 * 0.01 * R) < 1e-6
+
+
+def test_action_charge_needs_three_tau_slices():
+    with pytest.raises(ModeMismatch):
+        action_charge(cylinder_over_orbit(0.0, 2.0, 1.0, 2, 16), torus_chart(), 1.0)
 
 
 def test_action_charge_on_tube_chart():

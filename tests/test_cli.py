@@ -229,6 +229,8 @@ def test_suite_with_thread_cap(tmp_path):
         pytest.param({"kind": "spectrum", "seed": -1}, "seed", id="seed_negative"),
         # grids too small for the cylinder march and the decay fit
         pytest.param({"kind": "cylinder_decay", "params": {"n_tau": 2}}, "n_tau", id="n_tau_two"),
+        # the second-order one-sided tau difference needs three slices
+        pytest.param({"kind": "action_charge", "params": {"n_tau": 2}}, "n_tau", id="action_charge_n_tau_two"),
         pytest.param(
             {"kind": "cylinder_decay", "params": {"n_modes": 4, "n_t": 9}}, "'n_t'",
             id="n_t_below_modes",

@@ -122,9 +122,10 @@ def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
 
 @pytest.mark.parametrize(
     "chart, winding",
-    # the Darboux chart declares no periods; the torus fiber coordinate p has none
-    [(darboux_chart(1), (0, 0, 1)), (torus_chart(), (1, 0, 1))],
-    ids=["chart_without_periods", "non_periodic_coordinate"],
+    # the Darboux chart declares no periods; the torus fiber coordinate p has
+    # none; a fourth entry on a three-dimensional chart would be dropped
+    [(darboux_chart(1), (0, 0, 1)), (torus_chart(), (1, 0, 1)), (torus_chart(), (1, 0, 0, 5))],
+    ids=["chart_without_periods", "non_periodic_coordinate", "wrong_length"],
 )
 def test_winding_misuse_is_out_of_range(chart, winding):
     with pytest.raises(OutOfRange):
