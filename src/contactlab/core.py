@@ -54,8 +54,7 @@ def _angle_columns(periods):
 
 
 def wrap_angles(d, periods) -> np.ndarray:
-    """A copy of d with each angle coordinate (last axis) reduced to [-P/2, P/2)
-    (rounding can give P/2 itself for an input a few ulps below -P/2).
+    """A copy of d with each angle coordinate (last axis) reduced to [-P/2, P/2).
 
     ``periods`` follows the chart convention: None for no angles at all, or
     one entry per coordinate, a period P or None for a plain coordinate.
@@ -63,7 +62,9 @@ def wrap_angles(d, periods) -> np.ndarray:
     d = np.array(d, dtype=float)
     cols, P = _angle_columns(periods)
     if cols:
-        d[..., cols] = (d[..., cols] + P / 2.0) % P - P / 2.0
+        w = (d[..., cols] + P / 2.0) % P - P / 2.0
+        # the float % rounds up to P itself for inputs a few ulps below -P/2
+        d[..., cols] = np.where(w == P / 2.0, -P / 2.0, w)
     return d
 
 

@@ -319,11 +319,11 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     Ik = np.eye(len(y))
 
     def B_red(s):
-        full = assemble_operator(
+        B = assemble_operator(
             S_of_tau(s), period=op.period, n_modes=op.n_modes, rank=op.rank,
             J0=op.J0, n_t=len(op.t_grid),
-        ).matrix
-        return P.T @ full @ P
+        )
+        return B.apply(P.T) @ P  # (B P)^T P = P^T B P, mode by mode for constant S
 
     for m in range(len(tau) - 1):
         Bm = B_red(tau[m])

@@ -9,13 +9,13 @@ Fourier basis (not collocation) so the assembled matrix is symmetric to
 machine precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import periodic_derivative
-from .errors import AsymmetricHessian, ModeMismatch
+from .errors import AsymmetricHessian, ModeMismatch, OutOfRange
 
 KERNEL_TOL = 1e-8
 DEFAULT_MODES = 128
@@ -54,7 +54,16 @@ def _is_constant(S_samples: np.ndarray) -> bool:
 
 @dataclass
 class SpectralOperator:
-    """Galerkin matrix of B = J0 d/dt - S(t) on loops of rank-2k sections."""
+    """Galerkin form of B = J0 d/dt - S(t) on loops of rank-2k sections.
+
+    In the real Fourier basis (constant, then (cos_k, sin_k) per mode, each
+    times R^rank) a constant S makes B block-diagonal: ``block0`` is the
+    rank x rank block of mode 0 and ``blocks[k - 1]`` the (2 rank)^2
+    (cos, sin) block of mode k.  Such an operator is kept as those blocks
+    alone; ``matrix``, the dense dim x dim Galerkin matrix, is built from them
+    on first use.  A time-dependent S(t) couples the modes: ``block0`` and
+    ``blocks`` are None and ``matrix`` is built at assembly.
+    """
 
     rank: int
     n_modes: int
@@ -62,11 +71,40 @@ class SpectralOperator:
     J0: np.ndarray
     S_samples: np.ndarray  # (n_t, rank, rank), symmetric in the last two axes
     t_grid: np.ndarray
-    matrix: np.ndarray
+    block0: Optional[np.ndarray]  # (rank, rank), constant S only
+    blocks: Optional[np.ndarray]  # (n_modes, 2 rank, 2 rank), constant S only
+    _matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _eigenvalues: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.rank * (2 * self.n_modes + 1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim Galerkin matrix (built once, on first use, for
+        a constant S; the same numbers as its blocks)."""
+        if self._matrix is None:
+            r, K = self.rank, self.n_modes
+            M = np.zeros((self.dim, self.dim))
+            M[:r, :r] = self.block0
+            ks = np.arange(K)
+            M[r:, r:].reshape(K, 2 * r, K, 2 * r)[ks, :, ks, :] = self.blocks
+            self._matrix = M
+        return self._matrix
+
+    def apply(self, x) -> np.ndarray:
+        """B x for coefficient vectors x (..., dim), mode by mode for a constant S."""
+        x = np.asarray(x, dtype=float)
+        if self.blocks is None:
+            return x @ self.matrix  # B is symmetric: x^T B = (B x)^T
+        r, K = self.rank, self.n_modes
+        rows = x.reshape(-1, self.dim)
+        out = np.empty_like(rows)
+        out[:, :r] = rows[:, :r] @ self.block0
+        by_mode = rows[:, r:].reshape(len(rows), K, 2 * r).transpose(1, 0, 2)
+        out[:, r:] = (by_mode @ self.blocks).transpose(1, 0, 2).reshape(len(rows), -1)
+        return out.reshape(x.shape)
 
     def coefficients_from_grid(self, samples: np.ndarray) -> np.ndarray:
         """Project loop samples (n_t, rank) onto the Galerkin basis."""
@@ -98,10 +136,12 @@ def assemble_operator(
     n_t: Optional[int] = None,
     sym_tol: float = 1e-10,
 ) -> SpectralOperator:
-    """Build the Galerkin matrix of J0 d/dt - S(t).
+    """Build the Galerkin form of J0 d/dt - S(t).
 
     ``S`` is a constant symmetric matrix, a callable t -> matrix, or an array
-    of samples (n_t, rank, rank) on the uniform grid.  Raises
+    of samples (n_t, rank, rank) on the uniform grid.  When every sample of S
+    is the same the operator is kept as its Fourier blocks and no dim x dim
+    array is allocated; otherwise the dense matrix is assembled.  Raises
     AsymmetricHessian when S fails pointwise symmetry.
     """
     if J0 is None:
@@ -129,41 +169,42 @@ def assemble_operator(
         raise AsymmetricHessian(f"S deviates from symmetry by {asym:.3e}")
     S_samples = 0.5 * (S_samples + np.transpose(S_samples, (0, 2, 1)))
 
-    n_scalar = 2 * n_modes + 1
-    dim = rank * n_scalar
-    M = np.zeros((dim, dim))
-    # (scalar row, fiber row, scalar column, fiber column) view of M
-    blocks = M.reshape(n_scalar, rank, n_scalar, rank)
-
     # First-order part: exact entries.  Within mode k the (cos, sin) block is
     # [[0, w J0], [-w J0, 0]], which is symmetric because J0 is antisymmetric.
     ks = np.arange(1, n_modes + 1)
     wJ = (2 * np.pi * ks / period)[:, None, None] * J0
-    constant_S = _is_constant(S_samples)
-    if constant_S:
-        # nothing else lands in these blocks: write the entries that
-        # symmetrizing M would give, bit for bit, and skip that dim^2 pass
+    if _is_constant(S_samples):
+        # S acts on each scalar mode alone: B is block-diagonal.  Write the
+        # entries that symmetrizing the dense matrix would give, bit for bit.
+        r = rank
         wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
-    blocks[2 * ks - 1, :, 2 * ks, :] += wJ
-    blocks[2 * ks, :, 2 * ks - 1, :] -= wJ
+        block0 = np.zeros((r, r))
+        block0 -= S_samples[0]
+        blocks = np.zeros((n_modes, 2 * r, 2 * r))
+        blocks[:, :r, r:] += wJ
+        blocks[:, r:, :r] -= wJ
+        blocks[:, :r, :r] -= S_samples[0]
+        blocks[:, r:, r:] -= S_samples[0]
+        return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, block0, blocks)
 
+    n_scalar = 2 * n_modes + 1
+    dim = rank * n_scalar
+    M = np.zeros((dim, dim))
+    # (scalar row, fiber row, scalar column, fiber column) view of M
+    view = M.reshape(n_scalar, rank, n_scalar, rank)
+    view[2 * ks - 1, :, 2 * ks, :] += wJ
+    view[2 * ks, :, 2 * ks - 1, :] -= wJ
     # Zeroth-order part by quadrature Galerkin: exact for trigonometric S up
-    # to the grid bandwidth.  A constant S acts on each scalar mode alone, so
-    # it fills only the diagonal blocks and M is exactly symmetric as built;
-    # otherwise the quadrature products are symmetrized.
-    if constant_S:
-        diag = np.arange(n_scalar)
-        blocks[diag, :, diag, :] -= S_samples[0]
-    else:
-        _, F = _scalar_basis_samples(n_modes, period, n_t)
-        wq = period / n_t
-        for i in range(rank):
-            for j in range(rank):
-                W = F * (wq * S_samples[:, i, j])[None, :]
-                M[i::rank, j::rank] -= W @ F.T
-        M += M.T
-        M *= 0.5
-    return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, M)
+    # to the grid bandwidth; the quadrature products are symmetrized.
+    _, F = _scalar_basis_samples(n_modes, period, n_t)
+    wq = period / n_t
+    for i in range(rank):
+        for j in range(rank):
+            W = F * (wq * S_samples[:, i, j])[None, :]
+            M[i::rank, j::rank] -= W @ F.T
+    M += M.T
+    M *= 0.5
+    return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, None, None, _matrix=M)
 
 
 @dataclass
@@ -215,31 +256,41 @@ class SpectrumResult:
     kernel_tol: float
 
 
-def _eigh(op: SpectralOperator, vectors: bool):
-    """``np.linalg.eigvalsh(op.matrix)``, or ``eigh`` with ``vectors``.
+def _eigh(op: SpectralOperator, vectors=False):
+    """Ascending eigenvalues of ``op.matrix``, and with ``vectors`` the
+    eigenvectors too: all dim columns for True, or the columns of the
+    eigenvalues a boolean mask over the ascending order selects.
 
-    With constant S the matrix is block-diagonal in the Fourier basis: one
-    rank x rank block for mode 0 and one (2 rank)^2 (cos, sin) block per mode
-    k >= 1.  The blocks are read out of ``op.matrix`` and solved in one
-    stacked call, O(n_modes rank^3) instead of O(dim^3); eigenvalues come
-    back ascending as from the dense call, and each eigenvector column is
-    supported on one block.  A time-dependent S takes the dense call.
+    A constant S is solved from its blocks in one stacked call, O(n_modes
+    rank^3) instead of O(dim^3); each eigenvector column is supported on one
+    block, and only the asked-for columns are written out.  A time-dependent
+    S takes ``np.linalg.eigvalsh(op.matrix)``, or ``eigh`` with ``vectors``.
+    The eigenvalues are kept on the operator, so a second call solves nothing.
     """
-    if not _is_constant(op.S_samples):
-        return np.linalg.eigh(op.matrix) if vectors else np.linalg.eigvalsh(op.matrix)
-    r, K = op.rank, op.n_modes
-    ks = np.arange(K)
-    shape = (K, 2 * r, K, 2 * r)  # (mode, row, mode, column) past mode 0
-    ev0, V0 = np.linalg.eigh(op.matrix[:r, :r])
-    evk, Vk = np.linalg.eigh(op.matrix[r:, r:].reshape(shape)[ks, :, ks, :])
+    if vectors is False and op._eigenvalues is not None:
+        return op._eigenvalues.copy()
+    if op.blocks is None:
+        if vectors is False:
+            op._eigenvalues = np.linalg.eigvalsh(op.matrix)
+            return op._eigenvalues.copy()
+        ev, V = np.linalg.eigh(op.matrix)
+        return (ev, V) if vectors is True else (ev[vectors], V[:, vectors])
+    r = op.rank
+    ev0, V0 = np.linalg.eigh(op.block0)
+    evk, Vk = np.linalg.eigh(op.blocks)
     ev = np.concatenate([ev0, evk.ravel()])
     order = np.argsort(ev)
-    if not vectors:
-        return ev[order]
-    evecs = np.zeros_like(op.matrix)
-    evecs[:r, :r] = V0
-    evecs[r:, r:].reshape(shape)[ks, :, ks, :] = Vk
-    return ev[order], evecs[:, order]
+    op._eigenvalues = ev[order]
+    if vectors is False:
+        return op._eigenvalues.copy()
+    cols = order if vectors is True else order[vectors]
+    V = np.zeros((op.dim, len(cols)))
+    at0 = np.flatnonzero(cols < r)
+    V[:r, at0] = V0[:, cols[at0]]
+    atk = np.flatnonzero(cols >= r)
+    k, c = np.divmod(cols[atk] - r, 2 * r)
+    V[r + 2 * r * k + np.arange(2 * r)[:, None], atk] = Vk[k, :, c].T
+    return ev[cols], V
 
 
 def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumResult:
@@ -250,7 +301,7 @@ def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumRe
     a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
     ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
     """
-    ev = _eigh(op, vectors=False)
+    ev = _eigh(op)
     nonzero = np.abs(ev) > kernel_tol
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
     return SpectrumResult(ev, gap, int(np.sum(~nonzero)), kernel_tol)
@@ -273,19 +324,29 @@ def gap_inequality_check(
 ) -> GapCheckReport:
     """Check ||B s||^2 >= gap^2 ||s||^2 on random sections projected off the kernel.
 
-    The eigenvalues come from one decomposition (mode by mode for constant S,
-    as in ``spectrum``, so the gap is the one ``spectrum`` reports); the
-    eigenvectors are solved for only when the kernel is nontrivial.  The
-    trial sections come from one Philox stream, drawn _TRIAL_BLOCK at a time:
-    the same numbers as n_trials draws of size dim.  The kernel projection
-    and B s are matrix products over each block, with B s taken through the
-    assembled ``op.matrix``, so the check holds O(_TRIAL_BLOCK dim) floats
-    beyond the operator instead of O(n_trials dim + dim^2).
+    The eigenvalues are the ones ``spectrum`` reports (kept on the operator,
+    so after ``spectrum`` none are solved for again); the kernel eigenvectors
+    are solved for only when the kernel is nontrivial, block by block for
+    constant S.  The trial sections come from one Philox stream, drawn
+    _TRIAL_BLOCK at a time: the same numbers as n_trials draws of size dim.
+    The kernel projection and B s are products over each block of trials,
+    with B s taken by ``op.apply`` (mode by mode for constant S), so the
+    check holds O(_TRIAL_BLOCK dim) floats beyond the operator.
+
+    Raises OutOfRange when there is nothing to check: no trials, or a kernel
+    that is the whole space.
     """
-    evals = _eigh(op, vectors=False)
+    if n_trials < 1:
+        raise OutOfRange(f"gap check needs at least one trial, got n_trials = {n_trials}")
+    evals = _eigh(op)
     nonzero = np.abs(evals) > kernel_tol
-    gap2 = float(np.min(evals[nonzero] ** 2)) if np.any(nonzero) else np.inf
-    kernel = None if np.all(nonzero) else _eigh(op, vectors=True)[1][:, ~nonzero]
+    if not np.any(nonzero):
+        raise OutOfRange(
+            f"every eigenvalue is within {kernel_tol:g} of 0: the kernel is the whole "
+            f"dim-{op.dim} space, so no section survives the projection"
+        )
+    gap2 = float(np.min(evals[nonzero] ** 2))
+    kernel = None if np.all(nonzero) else _eigh(op, vectors=~nonzero)[1]
     rng = np.random.Generator(np.random.Philox(seed))
     worst = np.inf
     for start in range(0, n_trials, _TRIAL_BLOCK):
@@ -293,7 +354,7 @@ def gap_inequality_check(
         if kernel is not None:
             X -= (X @ kernel) @ kernel.T
         ns2 = np.einsum("ij,ij->i", X, X)
-        BX = X @ op.matrix  # rows are (B s)^T since B is symmetric
+        BX = op.apply(X)
         bs2 = np.einsum("ij,ij->i", BX, BX)
         hit = ns2 > 0.0
         if np.any(hit):

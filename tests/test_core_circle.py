@@ -29,9 +29,25 @@ def test_wrap_angles_reduces_to_the_half_open_window(periods, seed):
         assert np.all((-P / 2 <= w[:, i]) & (w[:, i] < P / 2))
         k = (d[:, i] - w[:, i]) / P
         assert np.max(np.abs(k - np.round(k))) < 1e-9
-        # the formula each module used to write out by hand, bit for bit
-        assert np.array_equal(w[:, i], (d[:, i] + P / 2.0) % P - P / 2.0)
+        # the formula each module used to write out by hand, bit for bit,
+        # except at its rounded-up end P/2, which is -P/2
+        old = (d[:, i] + P / 2.0) % P - P / 2.0
+        assert np.array_equal(w[:, i], np.where(old == P / 2.0, -P / 2.0, old))
     assert np.array_equal(wrap_angles(d, None), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.1, max_value=10.0), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_wrap_angles_never_returns_the_open_end(P, turns, seed):
+    # inputs within a few ulps of a window edge -P/2 + turns P, where the
+    # float % can round a tiny negative remainder up to P itself
+    edge = -P / 2.0 + turns * P
+    d = edge + np.spacing(edge) * rng(seed).integers(-8, 9, 256)
+    w = wrap_angles(d[:, None], [P])[:, 0]
+    assert np.all((-P / 2.0 <= w) & (w < P / 2.0))
+    k = (d - w) / P
+    assert np.max(np.abs(k - np.round(k))) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,8 @@
 """Fourier-Galerkin asymptotic operators: spectra, gaps, consistency."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from contactlab import spectral
 from contactlab.core import PerturbationData
 from contactlab.dynamics import ReebOrbit, monodromy
-from contactlab.errors import AsymmetricHessian, HypothesisViolated
+from contactlab.errors import AsymmetricHessian, HypothesisViolated, OutOfRange
 from contactlab.models import torus_chart, weighted_tube_chart
 from contactlab.spectral import (
     HessianData,
@@ -403,3 +406,149 @@ def test_stacked_grid_synthesis_equals_per_vector_loop(S, n_t):
     loop = np.array([[op.grid_from_coefficients(c, n_t=n_t) for c in row] for row in coeffs])
     assert stacked.shape == (3, 4, n_t or len(op.t_grid), op.rank)
     assert np.array_equal(stacked, loop)
+
+
+# ---------------------------------------------------------------------------
+# constant S kept as Fourier blocks
+
+
+def dense_galerkin_reference(S, J0, period, n_modes):
+    """The constant-S Galerkin matrix written out mode by mode, then
+    symmetrized as the dense assembly symmetrizes its products."""
+    r = len(S)
+    M = np.zeros((r * (2 * n_modes + 1),) * 2)
+    for m in range(2 * n_modes + 1):
+        M[m * r:(m + 1) * r, m * r:(m + 1) * r] -= S
+    for k in range(1, n_modes + 1):
+        wJ = (2 * np.pi * k / period) * J0
+        c, s = slice((2 * k - 1) * r, 2 * k * r), slice(2 * k * r, (2 * k + 1) * r)
+        M[c, s] += wJ
+        M[s, c] -= wJ
+    M += M.T
+    M *= 0.5
+    return M
+
+
+@st.composite
+def constant_problems(draw):
+    rank = draw(st.sampled_from([2, 4, 6]))
+
+    def square(bound):
+        entries = st.lists(st.floats(-bound, bound), min_size=rank * rank, max_size=rank * rank)
+        return np.array(draw(entries)).reshape(rank, rank)
+
+    A, B = square(3.0), square(2.0)
+    # symmetric S, and an antisymmetric J0 that need not be a complex structure
+    return A + A.T, B - B.T, draw(st.floats(0.2, 5.0)), draw(st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_problems(), st.integers(0, 2**31 - 1))
+def test_blocks_are_the_dense_galerkin_matrix(problem, seed):
+    S, J0, period, n_modes = problem
+    op = assemble_operator(S, period=period, n_modes=n_modes, rank=len(S), J0=J0)
+    assert op.blocks.shape == (n_modes, 2 * op.rank, 2 * op.rank)
+    assert op._matrix is None  # nothing dense until asked for
+    M = op.matrix
+    assert np.array_equal(M, dense_galerkin_reference(S, J0, period, n_modes))
+    assert op.matrix is M  # built once
+
+    x = np.random.default_rng(seed).standard_normal((3, op.dim))
+    scale = max(1.0, float(np.max(np.abs(M)))) * float(np.max(np.abs(x)))
+    assert np.max(np.abs(op.apply(x) - (M @ x.T).T)) <= 1e-13 * scale
+    assert np.max(np.abs(op.apply(x[0]) - M @ x[0])) <= 1e-13 * scale
+
+    oracle = np.linalg.eigvalsh(M)
+    ev = spectrum(op).eigenvalues
+    assert np.max(np.abs(ev - oracle)) <= 1e-10 * max(1.0, float(np.max(np.abs(oracle))))
+    vals, V = spectral._eigh(op, vectors=True)
+    assert np.array_equal(vals, ev)
+    assert np.max(np.abs(M @ V - V * vals)) <= 1e-10 * max(1.0, float(np.max(np.abs(oracle))))
+    pick = np.arange(op.dim) % 3 == 1
+    some_vals, some_V = spectral._eigh(op, vectors=pick)
+    assert np.array_equal(some_vals, vals[pick]) and np.array_equal(some_V, V[:, pick])
+
+
+def as_dense(op):
+    """The same operator handed to the dense path: no blocks, only its matrix."""
+    return replace(op, block0=None, blocks=None, _matrix=op.matrix.copy(), _eigenvalues=None)
+
+
+@pytest.mark.parametrize("S", [np.zeros((2, 2)), np.diag([0.0, 0.7]), np.zeros((4, 4))],
+                         ids=["full_mode_0", "half_mode_0", "rank_4"])
+def test_kernel_gap_check_through_blocks_equals_dense_path(S):
+    op = assemble_operator(S, period=1.3, n_modes=9, rank=len(S))
+    dense = as_dense(op)
+    rep, ref = gap_inequality_check(op, n_trials=150, seed=3), gap_inequality_check(dense, n_trials=150, seed=3)
+    assert op.blocks is not None and dense.blocks is None
+    assert abs(rep.gap - ref.gap) <= 1e-12 * ref.gap
+    assert abs(rep.min_quotient - ref.min_quotient) <= 1e-10 * ref.min_quotient
+    assert rep.passed and ref.passed
+    # the same kernel projector, from block-supported and from dense eigenvectors
+    evals = spectrum(op).eigenvalues
+    kernel = np.abs(evals) <= spectral.KERNEL_TOL
+    Kb, Kd = spectral._eigh(op, vectors=kernel)[1], spectral._eigh(dense, vectors=kernel)[1]
+    assert np.max(np.abs(Kb @ Kb.T - Kd @ Kd.T)) < 1e-12
+
+
+def test_constant_S_allocates_no_dense_matrix():
+    # the dense matrix at this size is 8 dim^2 = 134 MB
+    tracemalloc.start()
+    try:
+        op = assemble_operator(np.zeros((2, 2)), period=1.0, n_modes=1024)
+        res = spectrum(op)
+        rep = gap_inequality_check(op, n_trials=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 4098 and res.kernel_dim == 2 and rep.passed
+    assert peak < 16e6
+
+
+def test_constant_S_spectrum_and_gap_check_at_4096_modes():
+    # the dense matrix here would be 2.1 GB
+    K, a = 4096, 0.3
+    op = assemble_operator(a * np.eye(2), period=1.0, n_modes=K)
+    res = spectrum(op)
+    expected = np.sort(np.repeat(2 * np.pi * np.arange(-K, K + 1) - a, 2))
+    assert np.max(np.abs(res.eigenvalues - expected)) < 1e-8
+    assert abs(res.gap - a) < 1e-12
+    rep = gap_inequality_check(op, n_trials=200, seed=2)
+    assert rep.passed and rep.gap == res.gap
+    assert op._matrix is None
+
+
+def test_gap_check_with_no_trials_raises():
+    op = assemble_operator(np.pi * np.eye(2), period=1.0, n_modes=4)
+    with pytest.raises(OutOfRange):
+        gap_inequality_check(op, n_trials=0)
+
+
+@pytest.mark.parametrize("path", [lambda op: op, as_dense], ids=["blocks", "dense"])
+def test_gap_check_on_an_all_kernel_operator_raises(path):
+    # n_modes = 0 with S = 0: B is the zero map, so no section survives the projection
+    op = path(assemble_operator(np.zeros((2, 2)), period=1.0, n_modes=0))
+    assert spectrum(op).kernel_dim == op.dim
+    with pytest.raises(OutOfRange):
+        gap_inequality_check(op, n_trials=10)
+
+
+def test_one_dense_eigen_solve_per_operator(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    op = assemble_operator(varying_S, period=1.0, n_modes=12)
+    res = spectrum(op)
+    rep = gap_inequality_check(op, n_trials=70, seed=4)
+    again = spectrum(op)
+    assert calls == [(op.dim, op.dim)]
+    assert rep.gap == res.gap and np.array_equal(again.eigenvalues, res.eigenvalues)
+    # the kept eigenvalues are the operator's own: a caller's edit does not reach them
+    res.eigenvalues[:] = 0.0
+    assert np.array_equal(spectrum(op).eigenvalues, again.eigenvalues)
+    assert "_eigenvalues" not in repr(op) and "_matrix" not in repr(op)
