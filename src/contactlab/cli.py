@@ -269,7 +269,7 @@ def _run_spectrum(p, seed, report):
     report.add_table("spectrum_match", ["expected", "error"], rows)
     report.results["gap"] = spec_res.gap
     report.results["kernel_dim"] = spec_res.kernel_dim
-    expected_gap = float(np.min(np.abs(expected[np.abs(expected) > 1e-12])))
+    expected_gap = float(np.min(np.abs(expected[np.abs(expected) > _KERNEL_EIGENVALUE])))
     report.add_verdict("eigenvalue_grid", worst, tol)
     report.add_verdict("gap_value", abs(spec_res.gap - expected_gap), tol)
     gap_rep = spectral.gap_inequality_check(op, n_trials=p["gap_trials"], seed=seed)
@@ -440,6 +440,17 @@ _CYLINDER = {"R": _Param("pos", 20.0), "n_tau": _Param("int", 512, 9),
              "n_t": _Param("int", 128, lambda p: 2 * p["n_modes"] + 2)}
 _FORCED_CYLINDER = {**_CYLINDER, "rate_rtol": _Param("num", 0.02), "a": _Param("num", -0.7)}
 _SEQUENCE_LENGTH = {"N": _Param("int", 50, 2)}
+# a spectrum grid value 2 pi k / T - a this small counts as kernel
+_KERNEL_EIGENVALUE = 1e-12
+
+
+def _spectrum_min_k_max(p) -> int:
+    """Least k_max whose grid 2 pi k / T - a, |k| <= k_max, holds a value off
+    the kernel, from which the expected gap is taken."""
+    if abs(p["a"]) > _KERNEL_EIGENVALUE:
+        return 0
+    return math.floor(_KERNEL_EIGENVALUE * p["T"] / (2 * np.pi)) + 1
+
 
 # kind -> (runner, None, {param: _Param}), or, for a kind with variants,
 # (runner, variant param, {variant: {param: _Param}}) with the first variant
@@ -463,7 +474,7 @@ _KINDS = {
                    {"circle_e2": _THICKENING, "torus_cotangent": _THICKENING}),
     "spectrum": (_run_spectrum, None, {
         "a": _Param("num", np.pi), "T": _Param("pos", 1.0), "n_modes": _Param("int", 256, 0),
-        "k_max": _Param("int", 20, 0), "tol": _Param("num", 1e-8),
+        "k_max": _Param("int", 20, _spectrum_min_k_max), "tol": _Param("num", 1e-8),
         "gap_trials": _Param("int", 1000, 1)}),
     "cylinder_decay": (_run_cylinder_decay, "regime", {
         "slow_mode": {**_FORCED_CYLINDER, "delta0": _Param("pos", 2.0)},

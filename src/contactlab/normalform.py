@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import ContactChart, contact_volume, fd_gradient, reeb_solve, xi_projection_matrix
 from .errors import BadBlocks, NotContact
@@ -353,6 +352,8 @@ def split_contact_distribution(tc: ThickeningChart, x):
     dq, m, k = tc.dim_q, tc.m, tc.k
     X_F = lifted_x_theta(tc, q)
     th = tc.setup.theta(q)
+    from scipy.linalg import null_space
+
     # deterministic basis of ker theta on the base
     kerb = null_space(th[None, :])
     V = []
@@ -558,6 +559,8 @@ def check_adapted(tc: ThickeningChart, J, q=None, tol: float = 1e-8):
     gj_dim = r_TQ + r_JTQ - r_sum
     # basis of the intersection for the direct-sum test
     if gj_dim > 0:
+        from scipy.linalg import null_space
+
         ns = null_space(np.column_stack([TQ, -JTQ]), rcond=None)
         inter = TQ @ ns[: TQ.shape[1], :]
         # orthonormalize and drop numerically null columns

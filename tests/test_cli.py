@@ -182,6 +182,14 @@ def test_numerical_failure_exit_code(tmp_path):
     assert "FAIL" in r.stdout
 
 
+def test_importing_the_cli_leaves_the_scipy_solvers_unloaded():
+    code = ("import sys, contactlab.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_shipped_scenarios_validate():
     paths = sorted(SCENARIOS.glob("*.json"))
     assert len(paths) >= 8
@@ -238,6 +246,11 @@ def test_suite_with_thread_cap(tmp_path):
         # a one-point loop and a one-dimensional locus make the center trivial
         pytest.param({"kind": "center_of_mass", "params": {"n_t": 1}}, "'n_t'", id="n_t_one"),
         pytest.param({"kind": "center_of_mass", "params": {"dim": 1}}, "'dim'", id="dim_one"),
+        # the gap check needs a nonzero value on the grid 2 pi k / T - a
+        pytest.param(
+            {"kind": "spectrum", "params": {"a": 0.0, "k_max": 0, "n_modes": 0}}, "k_max",
+            id="spectrum_grid_all_zero",
+        ),
     ],
 )
 def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):

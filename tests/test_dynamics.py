@@ -111,13 +111,30 @@ def test_monodromy_carries_only_the_requested_variations(name, x, T, k, seed):
         assert np.max(np.abs(end - flow(chart, x, T).end)) < 1e-12
 
 
-def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
-    real = core.reeb_batch
+def _count_calls(monkeypatch, module, name):
+    real = getattr(module, name)
     calls = []
-    monkeypatch.setattr(core, "reeb_batch", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
+    batches = _count_calls(monkeypatch, core, "reeb_batch")
+    solves = _count_calls(monkeypatch, dynamics, "reeb_solve")
     orb = find_closed_orbit(weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 6.2, fix_point=True)
     assert abs(orb.period - 2 * np.pi) < 1e-8
-    assert calls == []
+    assert batches == []
+    # the 8th-order pair takes about 1,070 solves here; a 5th-order one 4,460
+    assert len(solves) <= 1500
+
+
+def test_tube_orbit_takes_few_batched_right_hand_sides(monkeypatch):
+    # one batched solve per variational right-hand side: about 1,050 with the
+    # 8th-order pair, 4,830 with a 5th-order one at the same tolerances
+    batches = _count_calls(monkeypatch, core, "reeb_batch")
+    orb = find_closed_orbit(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2)
+    assert abs(orb.period - 2 * np.pi) < 1e-8
+    assert len(batches) <= 1500
 
 
 @pytest.mark.parametrize(
@@ -168,6 +185,18 @@ def test_orbit_action_equals_period():
     assert abs(orbt.action() - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "T, n_samples",
+    # T = 0 used to pass as an orbit with no samples and closure 0; with no
+    # samples the flow stopped at t = 0, so any period closed up
+    [(0.0, 256), (-1.0, 256), (np.nan, 256), (0.37, 0)],
+    ids=["zero_period", "negative_period", "nan_period", "no_samples"],
+)
+def test_degenerate_orbit_is_out_of_range(T, n_samples):
+    with pytest.raises(OutOfRange):
+        ReebOrbit.from_point(torus_chart(), [0.0, 0.3, 0.0], T, n_samples=n_samples)
+
+
 def test_period_collapse_is_not_an_orbit():
     # from T_guess = 0.3 the first Newton step lands on T ~ 5.6e-17, where
     # every point closes up with residual 0; that is no closed orbit
@@ -205,6 +234,13 @@ def test_return_map_symplectic():
     orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
     rm = return_map(ch, orb)
     assert rm.symplectic_error < 1e-6
+
+
+def test_irrational_return_map_is_symplectic_to_1e10():
+    # the shipped return_map_irrational scenario
+    ch = weighted_tube_chart(1.0, 1.41421356)
+    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi))
+    assert rm.symplectic_error < 1e-10
 
 
 def test_classify_orbit_contract():
