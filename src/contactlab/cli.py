@@ -380,9 +380,8 @@ def _run_action_charge(p, seed, report):
     taus = np.linspace(0, R, n_tau)
     ts = np.arange(n_t) / n_t
     w = np.zeros((n_tau, n_t, 3))
-    for i, tau in enumerate(taus):
-        for j, t in enumerate(ts):
-            w[i, j] = [np.mod(c * tau + T * t, 1.0), 0.3, 0.0]
+    w[..., 0] = np.mod(c * taus[:, None] + T * ts[None, :], 1.0)
+    w[..., 1] = 0.3
     ac = decay.action_charge(w, ch, R)
     report.results["action"] = ac.action
     report.results["charge"] = ac.charge

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IncompatibleJ, SingularChart
+from .errors import IncompatibleJ, ModeMismatch, OutOfRange, SingularChart
 
 # Step for 4th-order centered differences; balances truncation against
 # cancellation for the 1e-8 formula-vs-oracle targets.
@@ -173,9 +173,18 @@ class PerturbationData:
 
 @dataclass(frozen=True)
 class ReebSolve:
+    """Reeb field of one point or of a stack of points.
+
+    A point (d,) gives ``vector`` and ``lam`` of shape (d,), a stack (N, d)
+    gives shape (N, d); ``residual`` and ``cond`` are floats, the worst over
+    the stack.  ``lam`` holds the contact form the solve evaluated, so a
+    caller that needs lam at the same points evaluates the chart no more.
+    """
+
     vector: np.ndarray
     residual: float
     cond: float
+    lam: np.ndarray
 
 
 _RANK_TOL = 1e-12
@@ -198,6 +207,21 @@ def _dual_system(chart: ContactChart, x):
     return L, D, D.T + np.outer(L, L)
 
 
+def _dual_systems(chart: ContactChart, xs):
+    """(L, D, M) of shapes (N, d), (N, d, d), (N, d, d) over a stack xs (N, d).
+
+    The one per-point chart loop of this module: one ``lambda_at`` and one
+    ``dlambda_at`` per point.  M = dlam^T + lam lam^T is one array expression,
+    bit for bit the matrix ``_dual_system`` builds at each point.
+    """
+    L = np.empty((len(xs), chart.dim))
+    D = np.empty((len(xs), chart.dim, chart.dim))
+    for i, x in enumerate(xs):
+        L[i] = chart.lambda_at(x)
+        D[i] = chart.dlambda_at(x)
+    return L, D, D.swapaxes(1, 2) + L[:, :, None] * L[:, None, :]
+
+
 def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
     """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M.
 
@@ -212,30 +236,65 @@ def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
     return np.linalg.solve(M, rhs), float(s[0] / s[-1])
 
 
+def _dots(a, b):
+    """Dot products of a and b along the last axis, shape a.shape[:-1].
+
+    A matmul of each pair of rows rather than an einsum, so every entry is bit
+    for bit the ``a_i @ b_i`` of a point-by-point loop."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _reeb_solve_stack(chart: ContactChart, xs) -> ReebSolve:
+    """``reeb_solve`` over a stack (N, d): one stacked SVD rank test, one
+    stacked LU solve and one stacked residual."""
+    if xs.ndim != 2 or xs.shape[1] != chart.dim:
+        raise ModeMismatch(f"{chart.name}: need points of shape (N, {chart.dim}), got {xs.shape}")
+    if len(xs) == 0:
+        raise OutOfRange(f"{chart.name}: Reeb solve over an empty stack of points")
+    L, D, M = _dual_systems(chart, xs)
+    s = np.linalg.svd(M, compute_uv=False)
+    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
+    bad = np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0])
+    if bad.size:
+        i = bad[0]
+        raise SingularChart(
+            f"{chart.name}: Reeb system rank-deficient at point {i} of the stack, {xs[i]} "
+            f"(sigma_min = {s[i, -1]:.2e}, sigma_max = {s[i, 0]:.2e})"
+        )
+    v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
+    Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
+    residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
+    return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
+
+
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """Solve the stacked (2n+2)x(2n+1) system lam(X)=1, X . dlam = 0.
 
     The solve goes through the equivalent square dual system
     (dlam^T + lam lam^T) X = lam; the residual of the stacked system and the
     condition number are reported rather than silently accepted.
+
+    A point x of shape (d,) is solved on its own.  A stack (N, d) is solved
+    in one pass: one stacked SVD rank test, one stacked LU solve, and the
+    worst residual and condition number over the stack; SingularChart names
+    the first rank-deficient point, an empty stack raises OutOfRange and any
+    other shape ModeMismatch.  The vectors equal those of the point calls
+    bit for bit.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        return _reeb_solve_stack(chart, x)
     L, D, M = _dual_system(chart, x)
     v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
-    return ReebSolve(v, _stacked_residual(L, D, v), cond)
+    return ReebSolve(v, _stacked_residual(L, D, v), cond, L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     """Reeb field at a batch of points via one stacked solve (hot path for
     variational integration); raises SingularChart on any singular point."""
-    xs = np.asarray(xs, dtype=float)
-    npts, d = xs.shape
-    Ms = np.empty((npts, d, d))
-    Ls = np.empty((npts, d))
-    for i in range(npts):
-        Ls[i], _, Ms[i] = _dual_system(chart, xs[i])
+    L, _, M = _dual_systems(chart, np.asarray(xs, dtype=float))
     try:
-        return np.linalg.solve(Ms, Ls[..., None])[..., 0]
+        return np.linalg.solve(M, L[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as err:
         raise SingularChart(f"{chart.name}: singular Reeb system in batch") from err
 
@@ -248,15 +307,14 @@ def reeb_field(chart: ContactChart, x) -> np.ndarray:
 def project_xi(chart: ContactChart, Z, x) -> np.ndarray:
     """Projection of Z onto the contact distribution along the Reeb field."""
     Z = np.asarray(Z, dtype=float)
-    X = reeb_field(chart, x)
-    return Z - float(chart.lambda_at(x) @ Z) * X
+    sol = reeb_solve(chart, x)
+    return Z - float(sol.lam @ Z) * sol.vector
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     """Matrix of project_xi: I - X lam^T."""
-    X = reeb_field(chart, x)
-    L = chart.lambda_at(x)
-    return np.eye(chart.dim) - np.outer(X, L)
+    sol = reeb_solve(chart, x)
+    return np.eye(chart.dim) - np.outer(sol.vector, sol.lam)
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -431,16 +489,14 @@ def contact_volume(chart: ContactChart, x):
     """Signed density of lam ^ (dlam)^n against the coordinate volume form.
 
     A point of shape (d,) gives a float; a stack (N, d) gives shape (N,).
-    The chart is evaluated once per point, and one stacked ``_pfaffian``
-    call takes the bordered matrices [[0, lam^T], [-lam, dlam]], whose
-    Pfaffian times n! is the density.
+    The chart is evaluated once per point (``_dual_systems``), and one
+    stacked ``_pfaffian`` call takes the bordered matrices
+    [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    d = chart.dim
-    B = np.zeros((len(pts), d + 1, d + 1))
-    for Bi, p in zip(B, pts):
-        L = chart.lambda_at(p)
-        Bi[0, 1:], Bi[1:, 0], Bi[1:, 1:] = L, -L, chart.dlambda_at(p)
+    L, D, _ = _dual_systems(chart, pts)
+    B = np.zeros((len(pts), chart.dim + 1, chart.dim + 1))
+    B[:, 0, 1:], B[:, 1:, 0], B[:, 1:, 1:] = L, -L, D
     vol = math.factorial(chart.n) * _pfaffian(B)
     return float(vol[0]) if np.ndim(x) == 1 else vol
 
@@ -454,12 +510,17 @@ class ChartDiagnostics:
 
 
 def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
-    """Non-degeneracy report over sample points: volume, sign, conditioning."""
-    vols = contact_volume(chart, np.asarray(points, dtype=float))
-    sols = [reeb_solve(chart, x) for x in points]
+    """Non-degeneracy report over sample points: volume, sign, conditioning.
+
+    ``points`` is a stack (N, d), or one point (d,) taken as a one-row stack;
+    one stacked ``reeb_solve`` gives the worst condition number and residual.
+    An empty stack raises OutOfRange."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    sol = reeb_solve(chart, pts)
+    vols = contact_volume(chart, pts)
     return ChartDiagnostics(
         min_abs_volume=float(np.min(np.abs(vols))),
         sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),
-        max_cond=max(sol.cond for sol in sols),
-        max_reeb_residual=max(sol.residual for sol in sols),
+        max_cond=sol.cond,
+        max_reeb_residual=sol.residual,
     )

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, reeb_solve, unwrap_angles, wrap_angles
+from .core import ContactChart, _dots, reeb_solve, unwrap_angles, wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -593,9 +593,16 @@ def action_charge(
     period, one-sided second order at the tau ends, so at least three
     tau-slices); the pi-part is measured with the coordinate norm.  The
     samples are lifted to the universal cover along tau, then along t.
-    Scenarios with nonvanishing charge are reported but carry no decay claim.
+    ``w_samples`` has shape (n_tau, n_t, chart.dim), else ModeMismatch; lam
+    and the Reeb field come from one stacked ``reeb_solve`` over the whole
+    grid.  Scenarios with nonvanishing charge are reported but carry no
+    decay claim.
     """
     w_samples = np.asarray(w_samples, dtype=float)
+    if w_samples.ndim != 3 or w_samples.shape[2] != chart.dim:
+        raise ModeMismatch(
+            f"need samples of shape (n_tau, n_t, {chart.dim}), got {w_samples.shape}"
+        )
     n_tau, n_t, d = w_samples.shape
     if n_tau < 3:
         raise ModeMismatch(f"need at least three tau slices, got {n_tau}")
@@ -609,20 +616,14 @@ def action_charge(
     fwd = wrap_angles(np.roll(w, -1, axis=1) - w, chart.periods)
     dw_t = (fwd + np.roll(fwd, 1, axis=1)) / (2 * dt)
 
-    lam_tau = np.empty((n_tau, n_t))
-    lam_t = np.empty((n_tau, n_t))
-    e_pi = np.empty((n_tau, n_t))
-    for i in range(n_tau):
-        for j in range(n_t):
-            x = w_samples[i, j]
-            L = chart.lambda_at(x)
-            sol = reeb_solve(chart, x)
-            X = sol.vector
-            lam_tau[i, j] = float(L @ dw_tau[i, j])
-            lam_t[i, j] = float(L @ dw_t[i, j])
-            pi_tau = dw_tau[i, j] - lam_tau[i, j] * X
-            pi_t = dw_t[i, j] - lam_t[i, j] * X
-            e_pi[i, j] = float(pi_tau @ pi_tau + pi_t @ pi_t)
+    sol = reeb_solve(chart, w_samples.reshape(-1, d))
+    L = sol.lam.reshape(w_samples.shape)
+    X = sol.vector.reshape(w_samples.shape)
+    lam_tau = _dots(L, dw_tau)
+    lam_t = _dots(L, dw_t)
+    pi_tau = dw_tau - lam_tau[..., None] * X
+    pi_t = dw_t - lam_t[..., None] * X
+    e_pi = _dots(pi_tau, pi_tau) + _dots(pi_t, pi_t)
 
     # periodic mean in t, trapezoid in tau
     tmean = np.mean(e_pi, axis=1)

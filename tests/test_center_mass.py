@@ -1,8 +1,11 @@
 """Center of mass on the Morse-Bott locus; action and charge functionals."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from contactlab import cli, decay
 from contactlab.decay import (
     FlatTorusQ,
     RotatingTubeQ,
@@ -221,6 +224,25 @@ def test_action_charge_with_transverse_energy():
 def test_action_charge_needs_three_tau_slices():
     with pytest.raises(ModeMismatch):
         action_charge(cylinder_over_orbit(0.0, 2.0, 1.0, 2, 16), torus_chart(), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(33, 3), (5, 8, 2), (5, 8, 4), (5, 8, 3, 1)])
+def test_action_charge_rejects_samples_not_shaped_for_the_chart(shape):
+    # a 2-D grid, a last axis of 2 or 4 on the 3-dimensional torus chart, and
+    # a 4-D grid used to end in raw ValueError / IndexError tracebacks
+    with pytest.raises(ModeMismatch, match=r"\(n_tau, n_t, 3\)"):
+        action_charge(np.zeros(shape), torus_chart(), 1.0)
+
+
+def test_action_charge_makes_one_stacked_reeb_solve(monkeypatch):
+    # the shipped 33 x 64 grid took one point solve per grid point (2,112)
+    real = decay.reeb_solve
+    shapes = []
+    monkeypatch.setattr(decay, "reeb_solve", lambda ch, x: shapes.append(np.shape(x)) or real(ch, x))
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "action_charge_slanted.json"
+    report = cli.run_scenario(cli.load_scenario(scenario))
+    assert shapes == [(33 * 64, 3)]
+    assert report.all_passed
 
 
 def test_action_charge_on_tube_chart():

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlab import cli, core
-from contactlab.errors import SingularChart
-from contactlab.models import darboux_chart, darboux_flat_dual_formula, exp_factor_chart
+from contactlab.core import ContactChart
+from contactlab.errors import ModeMismatch, OutOfRange, SingularChart
+from contactlab.models import (
+    darboux_chart,
+    darboux_flat_dual_formula,
+    exp_factor_chart,
+    torus_chart,
+    weighted_tube_chart,
+)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -267,6 +274,80 @@ def test_contact_volume_sign_consistent():
     assert diag.sign_consistent
     assert diag.min_abs_volume > 0.5
     assert diag.max_reeb_residual < 1e-10
+
+
+def test_chart_diagnostics_takes_a_point_as_a_one_row_stack():
+    # a single point used to end in a raw IndexError
+    ch = darboux_chart(2)
+    x = rng(8).uniform(-1, 1, ch.dim)
+    assert core.chart_diagnostics(ch, x) == core.chart_diagnostics(ch, [x])
+
+
+def test_chart_diagnostics_of_no_points_is_out_of_range():
+    # an empty stack used to end in a raw ValueError from np.min
+    with pytest.raises(OutOfRange):
+        core.chart_diagnostics(darboux_chart(1), np.zeros((0, 3)))
+
+
+STACK_CHARTS = [torus_chart(), weighted_tube_chart(1.0, 2**0.5)] + [darboux_chart(n) for n in (1, 2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(STACK_CHARTS),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_reeb_solve_is_the_loop_of_point_solves(ch, n_points, seed):
+    xs = rng(seed).uniform(-1, 1, (n_points, ch.dim))
+    stacked = core.reeb_solve(ch, xs)
+    points = [core.reeb_solve(ch, x) for x in xs]
+    assert np.array_equal(stacked.vector, [p.vector for p in points])
+    assert np.array_equal(stacked.lam, [p.lam for p in points])
+    assert stacked.residual == max(p.residual for p in points)
+    assert stacked.cond == max(p.cond for p in points)
+    assert type(stacked.residual) is float and type(stacked.cond) is float
+
+
+def _vanishing_at_z0_chart():
+    """z * (dz - p dq): contact where z != 0, lam = 0 on the plane z = 0."""
+
+    def grad(x):
+        G = np.zeros((3, 3))
+        G[1, 0], G[2, 0], G[2, 2] = -x[2], -x[1], 1.0
+        return G
+
+    return ContactChart(1, lambda x: x[2] * np.array([-x[1], 0.0, 1.0]), grad, name="z*darboux")
+
+
+def test_stacked_reeb_solve_names_the_singular_point():
+    ch = _vanishing_at_z0_chart()
+    xs = np.array([[0.1, 0.2, 1.0], [0.3, -0.4, 2.0], [0.5, 0.25, 0.0], [0.1, 0.1, 0.0]])
+    assert core.reeb_solve(ch, xs[:2]).residual < 1e-12
+    with pytest.raises(SingularChart, match=r"z\*darboux: .* at point 2 of the stack, \[0\.5 +0\.25 +0\. *\]"):
+        core.reeb_solve(ch, xs)
+
+
+def test_stacked_reeb_solve_rejects_an_empty_or_misshapen_stack():
+    ch = darboux_chart(1)
+    with pytest.raises(OutOfRange):
+        core.reeb_solve(ch, np.zeros((0, 3)))
+    for shape in [(4, 2), (2, 4, 3), ()]:
+        with pytest.raises(ModeMismatch):
+            core.reeb_solve(ch, np.zeros(shape))
+
+
+def test_xi_projections_evaluate_lambda_once():
+    # lambda comes from the Reeb solve, not from a second chart evaluation
+    calls = []
+    base = exp_factor_chart(1)
+    ch = ContactChart(1, lambda x: calls.append(1) or base.lam(x), base.grad)
+    x, Z = np.array([0.2, -0.5, 0.3]), np.array([1.0, 2.0, -0.5])
+    P = core.xi_projection_matrix(ch, x)
+    assert len(calls) == 1
+    assert np.array_equal(core.project_xi(ch, Z, x), Z - float(base.lam(x) @ Z) * core.reeb_field(base, x))
+    assert len(calls) == 2
+    assert np.array_equal(P, np.eye(3) - np.outer(core.reeb_field(base, x), base.lam(x)))
 
 
 @settings(max_examples=30, deadline=None)
