@@ -1,9 +1,10 @@
 """contactlab: numerical experiments in contact Hamiltonian geometry.
 
 Chart-level contact algebra, Reeb dynamics and return maps, model-
-neighborhood (thickening) constructions, spectral gaps of asymptotic
-operators along orbits, and the three-interval exponential-decay machinery
-on model cylinders, tied together by a scenario-driven CLI.
+neighborhood (thickening) constructions, the asymptotic operator of a
+computed Reeb orbit and its spectral gap, and the three-interval
+exponential-decay machinery on model cylinders, tied together by a
+scenario-driven CLI.
 """
 
 from .core import (
@@ -63,12 +64,10 @@ from .normalform import (
     validate_setup,
 )
 from .spectral import (
-    HessianData,
     SpectralOperator,
     assemble_operator,
-    build_operator,
+    asymptotic_operator,
     gap_inequality_check,
-    linearized_orbit_operator,
     spectrum,
 )
 

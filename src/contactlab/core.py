@@ -121,12 +121,12 @@ class ContactChart:
 
     def __post_init__(self):
         if self.periods is not None and len(self.periods) != self.dim:
-            raise ValueError("one period entry per coordinate")
+            raise ModeMismatch(f"{self.name}: one period entry per coordinate, got {len(self.periods)}")
 
     def lambda_at(self, x) -> np.ndarray:
         L = np.asarray(self.lam(np.asarray(x, dtype=float)), dtype=float)
         if L.shape != (self.dim,):
-            raise ValueError(f"{self.name}: lambda needs {self.dim} components, got shape {L.shape}")
+            raise ModeMismatch(f"{self.name}: lambda needs {self.dim} components, got shape {L.shape}")
         return L
 
     def dlambda_at(self, x) -> np.ndarray:
@@ -134,7 +134,7 @@ class ContactChart:
         x = np.asarray(x, dtype=float)
         G = np.asarray(self.grad(x) if self.grad is not None else fd_gradient(self.lam, x), dtype=float)
         if G.shape != (self.dim, self.dim):
-            raise ValueError(
+            raise ModeMismatch(
                 f"{self.name}: the Jacobian of lambda needs shape ({self.dim}, {self.dim}), got {G.shape}"
             )
         return G - G.T
@@ -244,14 +244,17 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _reeb_solve_stack(chart: ContactChart, xs) -> ReebSolve:
-    """``reeb_solve`` over a stack (N, d): one stacked SVD rank test, one
-    stacked LU solve and one stacked residual."""
+def _check_stack(chart: ContactChart, xs) -> None:
+    """ModeMismatch unless xs is a stack (N, d) of chart points, OutOfRange if N = 0."""
     if xs.ndim != 2 or xs.shape[1] != chart.dim:
         raise ModeMismatch(f"{chart.name}: need points of shape (N, {chart.dim}), got {xs.shape}")
     if len(xs) == 0:
         raise OutOfRange(f"{chart.name}: Reeb solve over an empty stack of points")
-    L, D, M = _dual_systems(chart, xs)
+
+
+def _reeb_solve_stack(chart: ContactChart, xs, L, D, M) -> ReebSolve:
+    """``reeb_solve`` over a stack (N, d) with its ``_dual_systems`` (L, D, M):
+    one stacked SVD rank test, one stacked LU solve and one stacked residual."""
     s = np.linalg.svd(M, compute_uv=False)
     # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
     bad = np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0])
@@ -283,7 +286,8 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        return _reeb_solve_stack(chart, x)
+        _check_stack(chart, x)
+        return _reeb_solve_stack(chart, x, *_dual_systems(chart, x))
     L, D, M = _dual_system(chart, x)
     v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
     return ReebSolve(v, _stacked_residual(L, D, v), cond, L)
@@ -349,7 +353,7 @@ def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray
     """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f."""
     fx = pert.f_at(x)
     if fx <= 0:
-        raise ValueError(f"conformal factor must be positive, got {fx}")
+        raise OutOfRange(f"conformal factor must be positive, got {fx}")
     return (reeb_field(chart, x) + log_derivative_field(chart, pert, x)) / fx
 
 
@@ -494,11 +498,15 @@ def contact_volume(chart: ContactChart, x):
     [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    L, D, _ = _dual_systems(chart, pts)
-    B = np.zeros((len(pts), chart.dim + 1, chart.dim + 1))
-    B[:, 0, 1:], B[:, 1:, 0], B[:, 1:, 1:] = L, -L, D
-    vol = math.factorial(chart.n) * _pfaffian(B)
+    vol = _volume_density(chart.n, *_dual_systems(chart, pts)[:2])
     return float(vol[0]) if np.ndim(x) == 1 else vol
+
+
+def _volume_density(n: int, L, D) -> np.ndarray:
+    """n! Pf [[0, lam^T], [-lam, dlam]] over stacks L (N, d), D (N, d, d)."""
+    B = np.zeros((len(L), 2 * n + 2, 2 * n + 2))
+    B[:, 0, 1:], B[:, 1:, 0], B[:, 1:, 1:] = L, -L, D
+    return math.factorial(n) * _pfaffian(B)
 
 
 @dataclass
@@ -512,12 +520,15 @@ class ChartDiagnostics:
 def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
     """Non-degeneracy report over sample points: volume, sign, conditioning.
 
-    ``points`` is a stack (N, d), or one point (d,) taken as a one-row stack;
-    one stacked ``reeb_solve`` gives the worst condition number and residual.
-    An empty stack raises OutOfRange."""
+    ``points`` is a stack (N, d), or one point (d,) taken as a one-row stack.
+    The chart is evaluated once per point (``_dual_systems``); one stacked
+    Reeb solve gives the worst condition number and residual, and the volumes
+    are those of ``contact_volume``.  An empty stack raises OutOfRange."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sol = reeb_solve(chart, pts)
-    vols = contact_volume(chart, pts)
+    _check_stack(chart, pts)
+    L, D, M = _dual_systems(chart, pts)
+    sol = _reeb_solve_stack(chart, pts, L, D, M)
+    vols = _volume_density(chart.n, L, D)
     return ChartDiagnostics(
         min_abs_volume=float(np.min(np.abs(vols))),
         sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),

@@ -219,7 +219,7 @@ def solve_cylinder(
             f"n_t = {n_t} cannot carry {op.n_modes} Fourier modes"
         )
     if method not in ("eigen", "cn"):
-        raise ValueError(f"unknown method {method!r}")
+        raise OutOfRange(f"unknown method {method!r}, expected 'eigen' or 'cn'")
     tau = np.linspace(0.0, R, n_tau + 1)
     t = np.arange(n_t) * (op.period / n_t)
 

@@ -4,9 +4,10 @@ spectra, spectral gaps, and the gap inequality.
 The operator acts on loops u: R/TZ -> R^(2k) as  B u = J0 u' - S(t) u  with
 J0 a constant complex structure and S(t) symmetric; this is the composition
 of the first-order linearization along an orbit with J0, and it is
-self-adjoint on periodic loops.  The discretization is Galerkin in the real
-Fourier basis (not collocation) so the assembled matrix is symmetric to
-machine precision.
+self-adjoint on periodic loops.  ``asymptotic_operator`` builds it from a
+computed closed Reeb orbit, in a dlam-symplectic frame of the contact
+distribution.  The discretization is Galerkin in the real Fourier basis (not
+collocation) so the assembled matrix is symmetric to machine precision.
 """
 
 from dataclasses import dataclass, field
@@ -14,8 +15,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import periodic_derivative
-from .errors import AsymmetricHessian, ModeMismatch, OutOfRange
+from .core import fd_gradient, periodic_derivative, perturbed_reeb, reeb_solve, xi_frame
+from .dynamics import reeb_jacobian
+from .errors import AsymmetricHessian, HypothesisViolated, ModeMismatch, OutOfRange, ResolutionTooCoarse
 
 KERNEL_TOL = 1e-8
 DEFAULT_MODES = 128
@@ -207,45 +209,67 @@ def assemble_operator(
     return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, None, None, _matrix=M)
 
 
-@dataclass
-class HessianData:
-    """Vertical linearization of the contact Hamiltonian field along an orbit."""
+def _symplectic_frame(F: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The columns of a frame F of xi recombined so that F^T D F = -standard_J.
 
-    dvx: Union[np.ndarray, Callable[[float], np.ndarray]]  # D^v X (rank x rank)
-    J_E: np.ndarray
-
-    def symmetric_term(self, t) -> np.ndarray:
-        D = self.dvx(t) if callable(self.dvx) else np.asarray(self.dvx, dtype=float)
-        return self.J_E @ D
-
-    def symmetry_defect(self, ts) -> float:
-        worst = 0.0
-        for t in np.atleast_1d(ts):
-            H = self.symmetric_term(t)
-            worst = max(worst, float(np.max(np.abs(H - H.T))))
-        return worst
-
-
-def build_operator(orbit, hess: HessianData, n_modes: int = DEFAULT_MODES, n_t: Optional[int] = None) -> SpectralOperator:
-    """Asymptotic operator of an orbit in Galerkin form.
-
-    ``orbit`` may be a ReebOrbit or a bare period T.  Loops are parametrized
-    over [0, T] and the symmetric zeroth-order term is S(t) = J_E D^v X(t),
-    so the spectrum of the free part is {2 pi k / T}.  (The unit-loop
-    normalization that carries an explicit factor T in front of the vertical
-    Hessian is this operator conjugated by rescaling, i.e. T times it.)
+    Symplectic Gram-Schmidt for dlam(u, v) = u . D v over the columns in
+    order: each column is paired with the later column it pairs most
+    strongly with, the pair scaled so that dlam(e, f) = 1, and the remaining
+    columns made dlam-orthogonal to it.  Returns (e_1..e_n, f_1..f_n); for
+    n = 1 this is F scaled by |dlam(F1, F2)|^(-1/2), with the sign of that
+    value on the second column.
     """
-    T = float(getattr(orbit, "period", orbit))
-    rank = hess.J_E.shape[0]
-    probe = np.linspace(0.0, T, 9)
-    defect = hess.symmetry_defect(probe)
-    if defect > 1e-10:
-        raise AsymmetricHessian(f"J_E D^v X deviates from symmetry by {defect:.3e}")
-    if callable(hess.dvx):
-        S = lambda t: hess.symmetric_term(t)
+    cols, es, fs = list(F.T), [], []
+    while cols:
+        a = cols.pop(0)
+        w = np.array([a @ D @ c for c in cols])
+        j = int(np.argmax(np.abs(w)))
+        scale = 1.0 / np.sqrt(abs(w[j]))
+        e, f = scale * a, np.sign(w[j]) * scale * cols.pop(j)
+        es.append(e)
+        fs.append(f)
+        cols = [c + (f @ D @ c) * e - (e @ D @ c) * f for c in cols]
+    return np.column_stack(es + fs)
+
+
+def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperator:
+    """Asymptotic operator B = J0 d/dt - S(t) of a closed Reeb orbit.
+
+    At each point z(t) of ``orbit.samples`` the contact distribution gets the
+    frame F(t) = ``xi_frame``, made symplectic (F^T dlam F = -J0, J0 =
+    standard_J(2n)).  A section Y = F u of xi then has Y' - DX Y = F (u' - A u)
+    with A = F^+ Pi (DX F - F'): Pi = I - X lam^T projects onto xi along the
+    Reeb field X (one stacked ``reeb_solve``), DX is ``reeb_jacobian`` and F'
+    the spectral derivative of the frame.  The linearized Reeb flow keeps
+    dlam on xi, so S = J0 A is symmetric, and ``assemble_operator`` (on the
+    len(orbit.samples) grid) checks that, which also tests the frame.  The
+    frame fixes the complex structure (J0 in the frame): the kernel does not
+    depend on it, the other eigenvalues do.
+
+    With ``pert`` the form is f lam and DX the finite-difference Jacobian of
+    ``perturbed_reeb``.  f = 1 and df = 0 on the orbit are required
+    (HypothesisViolated otherwise), so the orbit, X, xi and dlam on xi are
+    those of lam.  Raises ResolutionTooCoarse for fewer than 2 n_modes + 2
+    samples.
+    """
+    z, T = orbit.samples, orbit.period
+    if len(z) < 2 * n_modes + 2:
+        raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
+    if pert is not None:
+        for p in z:
+            if abs(pert.f_at(p) - 1.0) > 1e-8:
+                raise HypothesisViolated(f"f != 1 on orbit: f({p}) = {pert.f_at(p)!r}")
+            if np.max(np.abs(pert.dg_at(p) * pert.f_at(p))) > 1e-8:
+                raise HypothesisViolated(f"df != 0 on orbit at {p}")
+        DX = np.array([fd_gradient(lambda y: perturbed_reeb(chart, pert, y), p).T for p in z])
     else:
-        S = hess.symmetric_term(0.0)
-    return assemble_operator(S, period=T, n_modes=n_modes, rank=rank, J0=hess.J_E, n_t=n_t)
+        DX = np.array([reeb_jacobian(chart, p) for p in z])
+    sol = reeb_solve(chart, z)
+    Pi = np.eye(chart.dim) - sol.vector[:, :, None] * sol.lam[:, None, :]
+    F = np.array([_symplectic_frame(xi_frame(chart, p), chart.dlambda_at(p)) for p in z])
+    A = np.linalg.pinv(F) @ Pi @ (DX @ F - periodic_derivative(F, T))
+    J0 = standard_J(2 * chart.n)
+    return assemble_operator(J0 @ A, period=T, n_modes=n_modes, rank=2 * chart.n, J0=J0, n_t=len(z))
 
 
 @dataclass
@@ -361,47 +385,3 @@ def gap_inequality_check(
             worst = min(worst, float(np.min(bs2[hit] / ns2[hit])))
     passed = worst >= gap2 - slack
     return GapCheckReport(float(np.sqrt(gap2)), worst, n_trials, bool(passed))
-
-
-@dataclass
-class LinearizedOrbitOperator:
-    """Samples of D Upsilon(z): Y -> Y' - (D X_{f lam})(z(t)) Y along an orbit."""
-
-    period: float
-    t_grid: np.ndarray
-    jacobian_samples: np.ndarray  # (n_t, dim, dim)
-
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        """Apply to sampled sections Y (n_t, dim) over the T-periodic loop."""
-        return periodic_derivative(Y, self.period) - np.einsum("tij,tj->ti", self.jacobian_samples, Y)
-
-
-def linearized_orbit_operator(chart, pert, orbit, n_t: int = 64) -> LinearizedOrbitOperator:
-    """First-order linearization of the orbit equation in a flat-connection chart.
-
-    Requires the normal-form hypothesis f = 1, df = 0 along the orbit; the
-    connection is the trivial one of the chart, which satisfies the triad
-    axioms in the flat model charts.
-    """
-    from .core import fd_gradient, perturbed_reeb
-    from .dynamics import reeb_jacobian
-    from .errors import HypothesisViolated
-
-    idx = np.linspace(0, len(orbit.samples), n_t, endpoint=False).astype(int)
-    pts = orbit.samples[idx]
-    t_grid = (idx / len(orbit.samples)) * orbit.period
-    if pert is not None:
-        for z in pts:
-            if abs(pert.f_at(z) - 1.0) > 1e-8:
-                raise HypothesisViolated(f"f != 1 on orbit: f({z}) = {pert.f_at(z)!r}")
-            df = pert.dg_at(z) * pert.f_at(z)
-            if np.max(np.abs(df)) > 1e-8:
-                raise HypothesisViolated(f"df != 0 on orbit at {z}")
-
-    jacs = []
-    for z in pts:
-        if pert is None:
-            jacs.append(reeb_jacobian(chart, z))
-        else:
-            jacs.append(fd_gradient(lambda y: perturbed_reeb(chart, pert, y), z).T)
-    return LinearizedOrbitOperator(orbit.period, t_grid, np.array(jacs))

@@ -79,6 +79,15 @@ def test_three_interval_random_mode_reports_sequence_indices(monkeypatch):
     assert report.verdicts[0].observed == 3.0 and not report.all_passed
 
 
+def test_orbit_scenario_computes_the_action_once(monkeypatch):
+    calls = []
+    real = cli.dynamics.ReebOrbit.action
+    monkeypatch.setattr(cli.dynamics.ReebOrbit, "action", lambda orb: calls.append(1) or real(orb))
+    report = cli.run_scenario({"kind": "orbit", "seed": 9, "params": {"model": "torus"}})
+    assert report.all_passed and len(calls) == 1
+    assert report.verdicts[-1].observed == abs(report.results["action"] - report.results["period"])
+
+
 def test_center_of_mass_scenario_runs_newton():
     # the loop must not start at its own center: Newton has to take a step
     report = cli.run_scenario({"kind": "center_of_mass", "seed": 7})

@@ -206,10 +206,15 @@ def test_wrong_length_lambda_names_the_dimension():
     from contactlab.core import ContactChart
 
     short = ContactChart(n=1, lam=lambda x: np.zeros(2))
-    with pytest.raises(ValueError, match="needs 3 components"):
+    with pytest.raises(ModeMismatch, match="needs 3 components"):
         short.lambda_at(np.zeros(3))
-    with pytest.raises(ValueError, match=r"needs shape \(3, 3\)"):
+    with pytest.raises(ModeMismatch, match=r"needs shape \(3, 3\)"):
         short.dlambda_at(np.zeros(3))
+
+
+def test_periods_need_one_entry_per_coordinate():
+    with pytest.raises(ModeMismatch, match="one period entry per coordinate"):
+        ContactChart(n=1, lam=lambda x: np.zeros(3), periods=(1.0, None))
 
 
 def test_shipped_dual_round_trip_error_is_at_roundoff():
@@ -281,6 +286,32 @@ def test_chart_diagnostics_takes_a_point_as_a_one_row_stack():
     ch = darboux_chart(2)
     x = rng(8).uniform(-1, 1, ch.dim)
     assert core.chart_diagnostics(ch, x) == core.chart_diagnostics(ch, [x])
+
+
+def test_chart_diagnostics_evaluates_the_chart_once_per_point():
+    # the stacked Reeb solve and the contact volume used to evaluate each
+    # point separately: 40 lam and 40 grad calls for 20 points
+    base = darboux_chart(2)
+    calls = {"lam": 0, "grad": 0}
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    ch = ContactChart(base.n, counted("lam", base.lam), counted("grad", base.grad), name=base.name)
+    pts = rng(6).uniform(-2, 2, (20, ch.dim))
+    diag = core.chart_diagnostics(ch, pts)
+    assert calls == {"lam": 20, "grad": 20}
+    sol, vols = core.reeb_solve(base, pts), core.contact_volume(base, pts)
+    assert diag == core.ChartDiagnostics(
+        min_abs_volume=float(np.min(np.abs(vols))),
+        sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),
+        max_cond=sol.cond,
+        max_reeb_residual=sol.residual,
+    )
 
 
 def test_chart_diagnostics_of_no_points_is_out_of_range():

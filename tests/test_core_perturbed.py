@@ -5,6 +5,7 @@ import pytest
 
 from contactlab import core
 from contactlab.core import PerturbationData, perturbed_chart
+from contactlab.errors import OutOfRange
 from contactlab.models import darboux_chart, exp_factor_chart
 
 
@@ -137,5 +138,5 @@ def test_perturbed_projection_vs_direct():
 def test_nonpositive_factor_rejected():
     ch = darboux_chart(1)
     bad = PerturbationData(lambda x: -1.0, lambda x: np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="must be positive"):
         core.perturbed_reeb(ch, bad, np.zeros(3))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactlab.decay import CylinderField, Forcing, decay_rate, solve_cylinder
-from contactlab.errors import InsufficientDecay, ModeMismatch, ResolutionTooCoarse
+from contactlab.errors import InsufficientDecay, ModeMismatch, OutOfRange, ResolutionTooCoarse
 from contactlab.spectral import assemble_operator, spectrum
 
 
@@ -150,6 +150,13 @@ def test_mode_mismatch_errors():
     # grid data lives on the operator's own grid, whatever the output grid
     with pytest.raises(ModeMismatch):
         solve_cylinder(op, None, constant_slice(16), 1.0, 10, n_t=16)
+
+
+
+def test_unknown_march_method_is_out_of_range():
+    op = shifted_op(-0.7, n_modes=4, n_t=32)
+    with pytest.raises(OutOfRange, match="unknown method 'rk4'"):
+        solve_cylinder(op, None, constant_slice(32), 1.0, 10, method="rk4")
 
 
 # ---------------------------------------------------------------------------

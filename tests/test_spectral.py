@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactlab import spectral
-from contactlab.core import PerturbationData
-from contactlab.dynamics import ReebOrbit, monodromy
-from contactlab.errors import AsymmetricHessian, HypothesisViolated, OutOfRange
+from contactlab.core import ContactChart, PerturbationData, xi_frame
+from contactlab.dynamics import ReebOrbit, monodromy, return_map
+from contactlab.errors import AsymmetricHessian, HypothesisViolated, OutOfRange, ResolutionTooCoarse
 from contactlab.models import torus_chart, weighted_tube_chart
 from contactlab.spectral import (
-    HessianData,
     assemble_operator,
-    build_operator,
+    asymptotic_operator,
     gap_inequality_check,
-    linearized_orbit_operator,
     spectrum,
     standard_J,
 )
@@ -137,24 +135,15 @@ def test_kernel_excluded_from_quotients():
     assert rep.min_quotient >= rep.gap**2 - 1e-8
 
 
-def test_build_operator_from_hessian():
-    # vertical Hamiltonian linearization of g = a r^2 / 2: D^v X = -a J0,
-    # so S = J_E D^v X = a I
-    a = 0.6
-    J0 = standard_J(2)
-    hess = HessianData(dvx=-a * J0, J_E=J0)
-    op = build_operator(1.0, hess, n_modes=12)
-    res = spectrum(op)
-    expected = expected_free_spectrum(1.0, range(-12, 13), shift=a)
-    assert np.max(np.abs(np.sort(res.eigenvalues) - expected)) < 1e-10
-
-
 def test_asymmetric_hessian_rejected():
-    # J_E D^v X must be symmetric; dvx = diag(1, 0) gives J0 dvx = [[0,0],[1,0]]
-    J0 = standard_J(2)
-    bad = HessianData(dvx=np.diag([1.0, 0.0]), J_E=J0)
+    # S = J0 diag(1, 0) = [[0, 0], [1, 0]] is not symmetric
+    bad = standard_J(2) @ np.diag([1.0, 0.0])
     with pytest.raises(AsymmetricHessian):
-        build_operator(1.0, bad, n_modes=4)
+        assemble_operator(bad, period=1.0, n_modes=4)
+
+
+# ---------------------------------------------------------------------------
+# the asymptotic operator of a computed orbit against closed-form spectra
 
 
 def quad_fiber_perturbation(a, dim=3):
@@ -168,69 +157,161 @@ def quad_fiber_perturbation(a, dim=3):
     return PerturbationData(f, grad_f)
 
 
-def test_linearized_operator_torus_reduces_to_derivative():
-    ch = torus_chart()
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0)
-    lin = linearized_orbit_operator(ch, None, orb, n_t=32)
-    assert np.max(np.abs(lin.jacobian_samples)) < 1e-9
-    ts = lin.t_grid
-    Y = np.stack([np.zeros_like(ts), np.zeros_like(ts), np.cos(2 * np.pi * ts)], axis=1)
-    out = lin.apply(Y)
-    expected = np.stack(
-        [np.zeros_like(ts), np.zeros_like(ts), -2 * np.pi * np.sin(2 * np.pi * ts)], axis=1
-    )
-    assert np.max(np.abs(out - expected)) < 1e-8
+def quadratic_tube(weights, c=lambda th: 0.0, dc=lambda th: 0.0):
+    """lam = (1 + sum_i (a_i x_i^2 + b_i y_i^2)/2 + c(theta) r^2/2) dtheta
+    + sum_i (x_i dy_i - y_i dx_i)/2 on (theta, x_1, y_1, ..., x_n, y_n),
+    weights = [(a_1, b_1), ...], with analytic derivatives.  The circle
+    r = 0 is a closed Reeb orbit of period 2 pi."""
+    n = len(weights)
+    a = np.array([w[0] for w in weights], dtype=float)
+    b = np.array([w[1] for w in weights], dtype=float)
+    xs, ys = 1 + 2 * np.arange(n), 2 + 2 * np.arange(n)
+
+    def lam(z):
+        x, y = z[xs], z[ys]
+        out = np.empty(2 * n + 1)
+        out[0] = 1.0 + 0.5 * (a @ x**2 + b @ y**2 + c(z[0]) * (x @ x + y @ y))
+        out[xs], out[ys] = -0.5 * y, 0.5 * x
+        return out
+
+    def grad(z):
+        x, y = z[xs], z[ys]
+        G = np.zeros((2 * n + 1, 2 * n + 1))
+        G[0, 0] = 0.5 * dc(z[0]) * (x @ x + y @ y)
+        G[xs, 0], G[ys, 0] = (a + c(z[0])) * x, (b + c(z[0])) * y
+        G[xs, ys], G[ys, xs] = 0.5, -0.5
+        return G
+
+    periods = (2 * np.pi,) + (None,) * (2 * n)
+    return ContactChart(n, lam, grad, name=f"quadratic_tube({weights})", periods=periods)
 
 
-def test_linearized_operator_kernel_is_flow_pushforward():
-    # Morse-Bott tube (resonant fiber rotation): dphi^t(v) is a periodic
-    # section and lies in the kernel of the linearized operator
-    ch = weighted_tube_chart(1.0, 1.0)
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    n_t = 32
-    lin = linearized_orbit_operator(ch, None, orb, n_t=n_t)
-    v = np.array([0.0, 0.3, -0.2])
-    Y = np.empty((n_t, 3))
-    for i, t in enumerate(lin.t_grid):
-        c, s = np.cos(t), np.sin(t)
-        M = np.array([[1.0, 0, 0], [0, c, s], [0, -s, c]])  # closed-form dphi^t
-        Y[i] = M @ v
+def central_orbit(chart, n_samples=64):
+    return ReebOrbit.from_point(chart, np.zeros(chart.dim), 2 * np.pi, n_samples=n_samples)
+
+
+def tube_orbit(w, n_samples=64):
+    ch = weighted_tube_chart(1.0, w)
+    return ch, central_orbit(ch, n_samples)
+
+
+def test_asymptotic_operator_of_the_weighted_tube():
+    ch, orb = tube_orbit(0.3)
+    res = spectrum(asymptotic_operator(ch, orb, 15))
+    assert np.max(np.abs(res.eigenvalues - expected_free_spectrum(2 * np.pi, range(-15, 16), 0.3))) <= 1e-10
+    assert res.kernel_dim == 0 and abs(res.gap - 0.3) <= 1e-10
+
+
+def test_asymptotic_operator_of_an_elliptic_tube_pins_the_sign():
+    # S = diag(a, b) in a symplectic frame: mode k gives the roots of
+    # (a + mu)(b + mu) = k^2, once for k = 0 and twice for k >= 1
+    a, b, K = 0.3, -0.45, 31
+    ch = quadratic_tube([(a, b)])
+    ev = spectrum(asymptotic_operator(ch, central_orbit(ch, 128), K)).eigenvalues
+    expected = []
+    for k in range(K + 1):
+        root = np.sqrt((a - b) ** 2 + 4 * k**2)
+        expected += [(-(a + b) + root) / 2, (-(a + b) - root) / 2] * (1 if k == 0 else 2)
+    assert np.max(np.abs(ev - np.sort(expected))) <= 1e-10
+
+
+def test_asymptotic_operator_of_a_modulated_tube():
+    # S(t) = c(t) I: the gauge change u = exp(J0 int (c - mean c)) v makes the
+    # spectrum {k - mean c}, each value twice.  Galerkin truncation moves only
+    # the eigenvalues near the edge |mu| ~ 15, so the window |mu| < 8 is exact.
+    ch = quadratic_tube([(0.0, 0.0)], lambda th: 0.3 + 0.2 * np.cos(th), lambda th: -0.2 * np.sin(th))
+    op = asymptotic_operator(ch, central_orbit(ch), 15)
+    assert op.blocks is None  # the dense time-dependent path
+    ev = spectrum(op).eigenvalues
+    expected = expected_free_spectrum(2 * np.pi, range(-15, 16), 0.3)
+    inner, inner_expected = ev[np.abs(ev) < 8], expected[np.abs(expected) < 8]
+    assert inner.shape == inner_expected.shape == (32,)
+    assert np.max(np.abs(inner - inner_expected)) <= 1e-10
+
+
+def test_asymptotic_operator_of_a_two_frequency_tube():
+    w1, w2 = 0.3, 0.45
+    ch = quadratic_tube([(w1, w1), (w2, w2)])
+    op = asymptotic_operator(ch, central_orbit(ch), 15)
+    assert op.rank == 4
+    expected = np.sort(np.concatenate([expected_free_spectrum(2 * np.pi, range(-15, 16), w)
+                                       for w in (w1, w2)]))
+    assert np.max(np.abs(spectrum(op).eigenvalues - expected)) <= 1e-10
+
+
+def test_asymptotic_operator_of_a_rescaled_tube():
+    # f = exp(a r^2 / 2) adds a to the rotation weight of the tube
+    w, a = 0.3, 0.35
+    ch, orb = tube_orbit(w)
+    op = asymptotic_operator(ch, orb, 15, pert=quad_fiber_perturbation(a))
+    assert np.max(np.abs(op.S_samples - (w + a) * np.eye(2))) <= 1e-10
+    expected = expected_free_spectrum(2 * np.pi, range(-15, 16), w + a)
+    assert np.max(np.abs(spectrum(op).eigenvalues - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("w", [0.3, 0.5, 1.0, 1.7, 2.0])
+def test_asymptotic_kernel_is_the_return_map_unit_multiplicity(w):
+    ch, orb = tube_orbit(w)
+    kernel = spectrum(asymptotic_operator(ch, orb, 15)).kernel_dim
+    assert kernel == return_map(ch, orb).unit_eigen_dim
+    assert kernel == (2 if w in (1.0, 2.0) else 0)
+
+
+def sheared_tube(w, amp):
+    """weighted_tube_chart(1, w) pulled back by (theta, x, y) -> (theta + x g(theta), x, y),
+    g = amp sin: the same central orbit, but xi turns along it in these
+    coordinates, so the frame F(t) is not constant and F' enters S."""
+    def lam(z):
+        th, x, y = z
+        h, g, dg = 1 + 0.5 * w * (x * x + y * y), amp * np.sin(th), amp * np.cos(th)
+        return np.array([h * (1 + x * dg), h * g - 0.5 * y, 0.5 * x])
+
+    def grad(z):
+        th, x, y = z
+        h, g, dg = 1 + 0.5 * w * (x * x + y * y), amp * np.sin(th), amp * np.cos(th)
+        return np.array([[-h * x * g, h * dg, 0.0],
+                         [w * x * (1 + x * dg) + h * dg, w * x * g, 0.5],
+                         [w * y * (1 + x * dg), w * y * g - 0.5, 0.0]])
+
+    return ContactChart(1, lam, grad, name=f"sheared_tube({w:g}, {amp:g})", periods=(2 * np.pi, None, None))
+
+
+def pushforward_in_operator_frame(ch, orb, amp=0.0):
+    """dphi^t v, v = (0, 0.3, -0.2), along the central orbit of the resonant
+    (sheared) tube, as loop samples in the frame asymptotic_operator uses."""
+    ts = orb.period * np.arange(len(orb.samples)) / len(orb.samples)
+    # the rotation of the tube, conjugated by the differential of the shear at theta = t
+    shear = np.array([[[1.0, -amp * np.sin(t), 0], [0, 1, 0], [0, 0, 1]] for t in ts])
+    rot = np.array([[[1.0, 0, 0], [0, np.cos(t), np.sin(t)], [0, -np.sin(t), np.cos(t)]] for t in ts])
+    dphi = shear @ rot
     # sanity: the closed form matches the variational integration at one t
-    _, Mnum = monodromy(ch, orb.base_point, lin.t_grid[5])
-    t5 = lin.t_grid[5]
-    Mref = np.array(
-        [[1.0, 0, 0], [0, np.cos(t5), np.sin(t5)], [0, -np.sin(t5), np.cos(t5)]]
-    )
-    assert np.max(np.abs(Mnum - Mref)) < 1e-8
-    out = lin.apply(Y)
-    assert np.max(np.abs(out)) < 1e-6
+    _, Mnum = monodromy(ch, orb.base_point, ts[5])
+    assert np.max(np.abs(Mnum - dphi[5])) < 1e-8
+    F = np.array([spectral._symplectic_frame(xi_frame(ch, z), ch.dlambda_at(z)) for z in orb.samples])
+    return np.einsum("tij,tjk,k->ti", np.linalg.pinv(F), dphi, [0.0, 0.3, -0.2])
 
 
-def test_linearized_operator_hypothesis_checked():
-    ch = weighted_tube_chart(1.0, 0.8)
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    bad = PerturbationData(lambda x: 2.0, lambda x: np.zeros(3))
-    with pytest.raises(HypothesisViolated):
-        linearized_orbit_operator(ch, bad, orb, n_t=8)
-    bad_df = PerturbationData(lambda x: float(np.exp(x[1])), None)
-    with pytest.raises(HypothesisViolated):
-        linearized_orbit_operator(ch, bad_df, orb, n_t=8)
+@pytest.mark.parametrize("w", [0.5, 1.0])
+def test_asymptotic_kernel_of_a_sheared_tube(w):
+    # a symplectic but not unitary change of frame moves the eigenvalues off
+    # {k - w}; the kernel, the pushed-forward sections dphi^t v, stays
+    ch = sheared_tube(w, 0.4)
+    orb = central_orbit(ch)
+    op = asymptotic_operator(ch, orb, 15)
+    assert op.blocks is None and spectrum(op).kernel_dim == return_map(ch, orb).unit_eigen_dim
+    if w == 1.0:
+        u = pushforward_in_operator_frame(ch, orb, 0.4)
+        assert np.max(np.abs(op.apply(op.coefficients_from_grid(u)))) < 1e-10
 
 
-def test_linearized_operator_matches_galerkin_vertical_block():
-    # quadratic fiber factor on the flat tube: the vertical Jacobian of the
-    # rescaled Reeb field at the orbit is D^v X_g plus the chart's own
-    # rotation; subtracting the unperturbed part isolates the Hessian term
-    a = 0.35
-    ch = weighted_tube_chart(1.0, 0.0)  # no intrinsic rotation
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    pert = quad_fiber_perturbation(a)
-    lin = linearized_orbit_operator(ch, pert, orb, n_t=16)
-    J0 = standard_J(2)
-    for A in lin.jacobian_samples:
-        vert = A[1:, 1:]
-        S_geom = J0 @ vert  # J_E D^v X: should equal a * I
-        assert np.max(np.abs(S_geom - a * np.eye(2))) < 1e-6
+def test_linearized_operator_torus_reduces_to_derivative():
+    # the torus chart has DX = 0 and a constant frame along the orbit: S = 0
+    ch = torus_chart()
+    orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0, n_samples=64)
+    op = asymptotic_operator(ch, orb, 15)
+    assert np.max(np.abs(op.S_samples)) < 1e-10
+    ev = spectrum(op).eigenvalues
+    assert np.max(np.abs(ev - expected_free_spectrum(1.0, range(-15, 16)))) <= 1e-10
 
 
 def test_torus_model_operator_kernel_dimension():
@@ -238,21 +319,53 @@ def test_torus_model_operator_kernel_dimension():
     # asymptotic operator kernel has dimension 2 (the transverse directions
     # of the orbit manifold, i.e. its dimension minus the orbit direction)
     ch = torus_chart()
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0)
-    hess = HessianData(dvx=np.zeros((2, 2)), J_E=standard_J(2))
-    op = build_operator(orb, hess, n_modes=16)
-    res = spectrum(op)
+    orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0, n_samples=64)
+    res = spectrum(asymptotic_operator(ch, orb, 15))
     assert res.kernel_dim == 2
     assert abs(res.gap - 2 * np.pi) < 1e-10
 
 
+def test_linearized_operator_kernel_is_flow_pushforward():
+    # Morse-Bott tube (resonant fiber rotation): dphi^t(v) is a periodic
+    # section, and in the operator's frame it lies in the kernel
+    ch, orb = tube_orbit(1.0)
+    op = asymptotic_operator(ch, orb, 15)
+    assert spectrum(op).kernel_dim == 2
+    u = pushforward_in_operator_frame(ch, orb)
+    assert np.max(np.abs(op.apply(op.coefficients_from_grid(u)))) < 1e-10
+
+
+def test_linearized_operator_hypothesis_checked():
+    ch, orb = tube_orbit(0.8)
+    bad = PerturbationData(lambda x: 2.0, lambda x: np.zeros(3))
+    with pytest.raises(HypothesisViolated):
+        asymptotic_operator(ch, orb, 15, pert=bad)
+    bad_df = PerturbationData(lambda x: float(np.exp(x[1])), None)
+    with pytest.raises(HypothesisViolated):
+        asymptotic_operator(ch, orb, 15, pert=bad_df)
+
+
+def test_linearized_operator_matches_galerkin_vertical_block():
+    # quadratic fiber factor on the flat tube: S is the Hessian term a I alone
+    a = 0.35
+    ch, orb = tube_orbit(0.0)
+    op = asymptotic_operator(ch, orb, 15, pert=quad_fiber_perturbation(a))
+    assert np.max(np.abs(op.S_samples - a * np.eye(2))) <= 1e-10
+
+
 def test_linearized_operator_constant_unit_factor_reduces():
-    ch = weighted_tube_chart(1.0, 0.6)
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
+    ch, orb = tube_orbit(0.6)
     one = PerturbationData(lambda x: 1.0, lambda x: np.zeros(3))
-    lin_pert = linearized_orbit_operator(ch, one, orb, n_t=16)
-    lin_plain = linearized_orbit_operator(ch, None, orb, n_t=16)
-    assert np.max(np.abs(lin_pert.jacobian_samples - lin_plain.jacobian_samples)) < 1e-8
+    with_one = asymptotic_operator(ch, orb, 15, pert=one)
+    plain = asymptotic_operator(ch, orb, 15)
+    assert np.max(np.abs(with_one.S_samples - plain.S_samples)) < 1e-8
+
+
+def test_asymptotic_operator_needs_two_samples_per_mode():
+    ch, orb = tube_orbit(0.3)
+    assert asymptotic_operator(ch, orb, 31).n_modes == 31  # 64 = 2 * 31 + 2 samples
+    with pytest.raises(ResolutionTooCoarse):
+        asymptotic_operator(ch, orb, 32)
 
 
 def test_time_dependent_S_rotating_frame_oracle():
