@@ -8,7 +8,9 @@ finite-difference stencil, ``fd_gradient``, applied to the whole vector.
 Everything here is a pure function of the point: Reeb fields, the projection
 to the contact distribution, the dual isomorphism between one-forms and
 vector fields, the closed-form identities for a conformally rescaled contact
-form, and gradients with respect to the triad metric.
+form, and gradients with respect to the triad metric.  Reeb fields,
+projections and duals take one point (d,) or a stack (N, d), and make one
+stacked solve of the chart's dual system per call.
 
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
@@ -249,25 +251,66 @@ def _check_stack(chart: ContactChart, xs) -> None:
     if xs.ndim != 2 or xs.shape[1] != chart.dim:
         raise ModeMismatch(f"{chart.name}: need points of shape (N, {chart.dim}), got {xs.shape}")
     if len(xs) == 0:
-        raise OutOfRange(f"{chart.name}: Reeb solve over an empty stack of points")
+        raise OutOfRange(f"{chart.name}: empty stack of points")
 
 
-def _reeb_solve_stack(chart: ContactChart, xs, L, D, M) -> ReebSolve:
-    """``reeb_solve`` over a stack (N, d) with its ``_dual_systems`` (L, D, M):
-    one stacked SVD rank test, one stacked LU solve and one stacked residual."""
+def _stacked(chart: ContactChart, x, **vectors):
+    """(point, xs, *stacks): x and each named vector as float stacks (N, d).
+
+    ``point`` is True when x is one point (d,), taken as the one-row stack.
+    Otherwise x must be a stack as in ``_check_stack``; each vector must have
+    the shape of x (ModeMismatch naming it)."""
+    x = np.asarray(x, dtype=float)
+    point = x.shape == (chart.dim,)
+    if not point:
+        _check_stack(chart, x)
+    out = []
+    for name, v in vectors.items():
+        v = np.asarray(v, dtype=float)
+        if v.shape != x.shape:
+            raise ModeMismatch(f"{chart.name}: {name} needs the shape of x, {x.shape}, got {v.shape}")
+        out.append(v[None] if point else v)
+    return (point, x[None] if point else x, *out)
+
+
+def _rank_test(chart: ContactChart, xs, M, system: str):
+    """Singular values (N, d) of the stack M; SingularChart naming the
+    ``system`` and the first point with sigma_min <= _RANK_TOL sigma_max."""
     s = np.linalg.svd(M, compute_uv=False)
     # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
     bad = np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0])
     if bad.size:
         i = bad[0]
         raise SingularChart(
-            f"{chart.name}: Reeb system rank-deficient at point {i} of the stack, {xs[i]} "
+            f"{chart.name}: {system} at point {i} of the stack, {xs[i]} "
             f"(sigma_min = {s[i, -1]:.2e}, sigma_max = {s[i, 0]:.2e})"
         )
+    return s
+
+
+def _reeb_solve_stack(chart: ContactChart, xs, L, D, M) -> ReebSolve:
+    """``reeb_solve`` over a stack (N, d) with its ``_dual_systems`` (L, D, M):
+    one stacked SVD rank test, one stacked LU solve and one stacked residual."""
+    s = _rank_test(chart, xs, M, "Reeb system rank-deficient")
     v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
     Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
     residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
     return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
+
+
+def _xi_dual_stack(chart: ContactChart, xs, alphas):
+    """(L, X_lam, Y_alpha) over a stack xs with one-forms alphas, both (N, d).
+
+    One ``_dual_systems`` evaluation, one rank test and one stacked LU solve
+    of 2N systems: the dual matrix M against alphas and against L.  Both
+    columns as right-hand sides of one system per point would take LAPACK's
+    multi-column triangular solve, which moves last bits against the
+    one-column solves of ``flat_dual`` and ``reeb_solve``."""
+    L, _, M = _dual_systems(chart, xs)
+    _rank_test(chart, xs, M, "dual system singular")
+    v = np.linalg.solve(np.concatenate([M, M]), np.concatenate([alphas, L])[:, :, None])[:, :, 0]
+    v, X = v[: len(xs)], v[len(xs) :]
+    return L, X, v - _dots(L, v)[:, None] * X
 
 
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
@@ -309,10 +352,14 @@ def reeb_field(chart: ContactChart, x) -> np.ndarray:
 
 
 def project_xi(chart: ContactChart, Z, x) -> np.ndarray:
-    """Projection of Z onto the contact distribution along the Reeb field."""
-    Z = np.asarray(Z, dtype=float)
-    sol = reeb_solve(chart, x)
-    return Z - float(sol.lam @ Z) * sol.vector
+    """Projection of Z onto the contact distribution along the Reeb field.
+
+    x is a point (d,) or a stack (N, d) with Z of the same shape; one
+    ``_dual_systems`` evaluation and one stacked Reeb solve per call."""
+    point, xs, Zs = _stacked(chart, x, Z=Z)
+    sol = _reeb_solve_stack(chart, xs, *_dual_systems(chart, xs))
+    P = Zs - _dots(sol.lam, Zs)[:, None] * sol.vector
+    return P[0] if point else P
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
@@ -326,35 +373,65 @@ def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
 
     Returns the unique X with alpha = X . dlam + lam(X) lam, equivalently
     Y_alpha + alpha(X_lam) X_lam with Y_alpha in the contact distribution.
+    x is a point (d,) or a stack (N, d) with alpha of the same shape; one
+    ``_dual_systems`` evaluation, one stacked SVD rank test and one stacked
+    LU solve per call.
     """
-    M = _dual_system(chart, x)[2]
-    return _checked_solve(M, np.asarray(alpha, dtype=float), chart, x, "dual system singular")[0]
+    point, xs, alphas = _stacked(chart, x, alpha=alpha)
+    M = _dual_systems(chart, xs)[2]
+    _rank_test(chart, xs, M, "dual system singular")
+    v = np.linalg.solve(M, alphas[:, :, None])[:, :, 0]
+    return v[0] if point else v
 
 
 def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
-    """The one-form dual to a vector field: X . dlam + lam(X) lam."""
-    X = np.asarray(X, dtype=float)
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
-    return D.T @ X + float(L @ X) * L
+    """The one-form dual to a vector field: X . dlam + lam(X) lam.
+
+    x is a point (d,) or a stack (N, d) with X of the same shape; one
+    ``_dual_systems`` evaluation per call."""
+    point, xs, Xs = _stacked(chart, x, X=X)
+    L, D, _ = _dual_systems(chart, xs)
+    # one gemv per point, as ``D.T @ X``
+    alpha = (D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L
+    return alpha[0] if point else alpha
 
 
 def xi_dual_part(chart: ContactChart, alpha, x) -> np.ndarray:
-    """The xi-component Y_alpha of the dual field of alpha."""
-    return project_xi(chart, flat_dual(chart, alpha, x), x)
+    """The xi-component Y_alpha of the dual field of alpha.
+
+    x is a point (d,) or a stack (N, d) with alpha of the same shape; one
+    ``_dual_systems`` evaluation per call, solved for both the dual field
+    and the Reeb field it is projected along."""
+    point, xs, alphas = _stacked(chart, x, alpha=alpha)
+    Y = _xi_dual_stack(chart, xs, alphas)[2]
+    return Y[0] if point else Y
+
+
+def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
+    """(f, lam, X_lam, Y_dg) at one point x: the pieces of every identity of
+    the rescaled form f*lam, from one evaluation of the chart's dual system.
+
+    Raises OutOfRange for a non-positive factor, before g = log f is taken."""
+    fx = pert.f_at(x)
+    if fx <= 0:
+        raise OutOfRange(f"conformal factor must be positive, got {fx}")
+    _, xs, dgs = _stacked(chart, x, dg=pert.dg_at(x))
+    L, X, Y = _xi_dual_stack(chart, xs, dgs)
+    return fx, L[0], X[0], Y[0]
 
 
 def log_derivative_field(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
-    """The xi-part of the dual field of dg, g = log f (drives all f-identities)."""
-    return xi_dual_part(chart, pert.dg_at(x), x)
+    """The xi-part of the dual field of dg, g = log f (drives all f-identities).
+
+    Like ``perturbed_reeb`` and ``perturbed_projection``: one point, one
+    evaluation of the chart's dual system, OutOfRange unless f > 0."""
+    return _rescaled_parts(chart, pert, x)[3]
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
     """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f."""
-    fx = pert.f_at(x)
-    if fx <= 0:
-        raise OutOfRange(f"conformal factor must be positive, got {fx}")
-    return (reeb_field(chart, x) + log_derivative_field(chart, pert, x)) / fx
+    fx, _, X, Y = _rescaled_parts(chart, pert, x)
+    return (X + Y) / fx
 
 
 def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> ContactChart:
@@ -376,8 +453,9 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> C
 def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> np.ndarray:
     """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg."""
     Z = np.asarray(Z, dtype=float)
-    lz = float(chart.lambda_at(x) @ Z)
-    return project_xi(chart, Z, x) - lz * log_derivative_field(chart, pert, x)
+    _, L, X, Y = _rescaled_parts(chart, pert, x)
+    lz = float(L @ Z)
+    return Z - lz * X - lz * Y
 
 
 def triad_metric(chart: ContactChart, J, x) -> np.ndarray:

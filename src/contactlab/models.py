@@ -13,7 +13,7 @@ Coordinate conventions:
 
 import numpy as np
 
-from .core import ContactChart
+from .core import ContactChart, _dots
 
 
 def darboux_chart(n: int = 1, scale: float = 1.0) -> ContactChart:
@@ -32,21 +32,23 @@ def darboux_chart(n: int = 1, scale: float = 1.0) -> ContactChart:
     return ContactChart(n, lam, lambda x: G, name=name)
 
 
-def darboux_flat_dual_formula(n: int, alpha0: float, a, b, x) -> np.ndarray:
+def darboux_flat_dual_formula(n: int, alpha0, a, b, x) -> np.ndarray:
     """Printed component formula for the dual field of a constant one-form.
 
     For alpha = alpha0 dz + sum a_i dq_i + sum b_j dp_j on the standard chart:
     z-component alpha0 + sum p_k b_k, q_i-component b_i, p_j-component
-    -a_j - p_j alpha0.
+    -a_j - p_j alpha0.  Takes one point, x (2n+1,), a and b (n,) and a float
+    alpha0, or a stack of them, x (..., 2n+1), a and b (..., n), alpha0 (...).
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    p = x[n : 2 * n]
-    v = np.zeros(2 * n + 1)
-    v[-1] = alpha0 + float(p @ b)
-    v[:n] = b
-    v[n : 2 * n] = -a - p * alpha0
+    alpha0 = np.asarray(alpha0, dtype=float)
+    p = x[..., n : 2 * n]
+    v = np.zeros(x.shape)
+    v[..., -1] = alpha0 + _dots(p, b)
+    v[..., :n] = b
+    v[..., n : 2 * n] = -a - p * alpha0[..., None]
     return v
 
 

@@ -288,20 +288,11 @@ def test_chart_diagnostics_takes_a_point_as_a_one_row_stack():
     assert core.chart_diagnostics(ch, x) == core.chart_diagnostics(ch, [x])
 
 
-def test_chart_diagnostics_evaluates_the_chart_once_per_point():
+def test_chart_diagnostics_evaluates_the_chart_once_per_point(counting_chart):
     # the stacked Reeb solve and the contact volume used to evaluate each
     # point separately: 40 lam and 40 grad calls for 20 points
     base = darboux_chart(2)
-    calls = {"lam": 0, "grad": 0}
-
-    def counted(name, fn):
-        def call(x):
-            calls[name] += 1
-            return fn(x)
-
-        return call
-
-    ch = ContactChart(base.n, counted("lam", base.lam), counted("grad", base.grad), name=base.name)
+    ch, calls = counting_chart(base)
     pts = rng(6).uniform(-2, 2, (20, ch.dim))
     diag = core.chart_diagnostics(ch, pts)
     assert calls == {"lam": 20, "grad": 20}
@@ -393,3 +384,100 @@ def test_duals_inverse_property(n, seed):
     a = g.uniform(-1, 1, ch.dim)
     v = core.flat_dual(ch, a, x)
     assert np.max(np.abs(core.sharp_dual(ch, v, x) - a)) < 1e-9
+
+
+DUAL_CHARTS = (
+    [darboux_chart(n) for n in (1, 2, 3)] + [exp_factor_chart(n) for n in (1, 2)] + [torus_chart()]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(DUAL_CHARTS),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_duals_are_the_loop_of_point_calls(ch, n_points, seed):
+    xs, A, Z = rng(seed).uniform(-1, 1, (3, n_points, ch.dim))
+    for fn, vectors in [(core.flat_dual, A), (core.sharp_dual, Z), (core.project_xi, Z), (core.xi_dual_part, A)]:
+        assert np.array_equal(fn(ch, vectors, xs), [fn(ch, v, x) for v, x in zip(vectors, xs)])
+    assert np.array_equal(core.reeb_field(ch, xs), [core.reeb_field(ch, x) for x in xs])
+    # a point call is the one-point formula, solved on its own
+    for x, a, z in zip(xs, A, Z):
+        L, D = ch.lambda_at(x), ch.dlambda_at(x)
+        M = D.T + np.outer(L, L)
+        X, v = np.linalg.solve(M, L), np.linalg.solve(M, a)
+        assert np.array_equal(core.reeb_field(ch, x), X)
+        assert np.array_equal(core.flat_dual(ch, a, x), v)
+        assert np.array_equal(core.sharp_dual(ch, z, x), D.T @ z + float(L @ z) * L)
+        assert np.array_equal(core.project_xi(ch, z, x), z - float(L @ z) * X)
+        assert np.array_equal(core.xi_dual_part(ch, a, x), v - float(L @ v) * X)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(DUAL_CHARTS),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_flat_undoes_stacked_sharp(ch, n_points, seed):
+    xs, X = rng(seed).uniform(-1, 1, (2, n_points, ch.dim))
+    assert np.max(np.abs(core.flat_dual(ch, core.sharp_dual(ch, X, xs), xs) - X)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_stacked_component_formula_is_the_loop(n, n_points, seed):
+    xs, A = rng(seed).uniform(-1, 1, (2, n_points, 2 * n + 1))
+    got = darboux_flat_dual_formula(n, A[:, -1], A[:, :n], A[:, n : 2 * n], xs)
+    assert np.array_equal(
+        got, [darboux_flat_dual_formula(n, a[-1], a[:n], a[n : 2 * n], x) for a, x in zip(A, xs)]
+    )
+
+
+@pytest.mark.parametrize("fn", [core.flat_dual, core.sharp_dual, core.project_xi, core.xi_dual_part])
+def test_dual_shape_errors_are_typed(fn):
+    # each used to end in a raw ValueError from the solve or the matmul
+    ch = darboux_chart(1)
+    for vector, x in [(np.ones(4), np.zeros(3)), (np.ones((2, 3)), np.zeros((3, 3))),
+                      (np.ones(3), np.zeros((1, 3))), (np.ones((2, 4)), np.zeros((2, 4)))]:
+        with pytest.raises(ModeMismatch):
+            fn(ch, vector, x)
+    with pytest.raises(OutOfRange):
+        fn(ch, np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+def test_stacked_dual_names_the_singular_point():
+    ch = _vanishing_at_z0_chart()
+    xs = np.array([[0.1, 0.2, 1.0], [0.5, 0.25, 0.0]])
+    with pytest.raises(SingularChart, match=r"dual system singular at point 1 of the stack"):
+        core.flat_dual(ch, np.ones((2, 3)), xs)
+
+
+def test_xi_dual_part_evaluates_the_chart_once_per_point(counting_chart):
+    # it used to solve the dual system and then the Reeb system: 2 lam and 2 grad calls
+    ch, calls = counting_chart(exp_factor_chart(1))
+    xs, A = rng(12).uniform(-1, 1, (2, 5, 3))
+    core.xi_dual_part(ch, A[0], xs[0])
+    assert calls == {"lam": 1, "grad": 1}
+    core.xi_dual_part(ch, A, xs)
+    assert calls == {"lam": 6, "grad": 6}
+
+
+def test_dual_checks_makes_a_few_stacked_calls_per_n(monkeypatch):
+    # each sample used to call flat_dual and sharp_dual twice: 666 calls each per n
+    calls = {"flat_dual": 0, "sharp_dual": 0}
+    for name, fn in [(name, getattr(core, name)) for name in calls]:
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    scenario = cli.load_scenario(SCENARIOS / "dual_round_trip.json")
+    report = cli.run_scenario(scenario)
+    assert report.verdicts and all(v.passed for v in report.verdicts)
+    assert 0 < max(calls.values()) <= 2 * len(scenario["params"]["n_values"])

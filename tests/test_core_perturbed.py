@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from contactlab import core
+from contactlab import cli, core
 from contactlab.core import PerturbationData, perturbed_chart
 from contactlab.errors import OutOfRange
 from contactlab.models import darboux_chart, exp_factor_chart
@@ -140,3 +140,42 @@ def test_nonpositive_factor_rejected():
     bad = PerturbationData(lambda x: -1.0, lambda x: np.zeros(3))
     with pytest.raises(OutOfRange, match="must be positive"):
         core.perturbed_reeb(ch, bad, np.zeros(3))
+    # perturbed_projection used to return [1, 1, 0] here, and log_derivative_field
+    # to end in a RuntimeWarning from the log of the finite-difference route
+    with pytest.raises(OutOfRange, match="must be positive"):
+        core.perturbed_projection(ch, bad, np.ones(3), np.zeros(3))
+    with pytest.raises(OutOfRange, match="must be positive"):
+        core.log_derivative_field(ch, PerturbationData(lambda y: -2.0), np.zeros(3))
+
+
+def test_rescaled_identities_evaluate_the_chart_once(counting_chart):
+    # perturbed_reeb used to make 3 lam and 3 grad calls, perturbed_projection 4 and 3
+    g = rng(7)
+    x, Z = g.uniform(-1, 1, (2, 5))
+    pert = random_positive_factor(g, 5)
+    for call in [lambda ch: core.perturbed_reeb(ch, pert, x),
+                 lambda ch: core.perturbed_projection(ch, pert, Z, x),
+                 lambda ch: core.log_derivative_field(ch, pert, x)]:
+        ch, calls = counting_chart(exp_factor_chart(2))
+        assert np.array_equal(call(ch), call(exp_factor_chart(2)))
+        assert calls == {"lam": 1, "grad": 1}
+
+
+def test_perturbed_reeb_scenario_solves_the_rescaled_chart_once_per_sample(monkeypatch, counting_chart):
+    # it used to solve the finite-difference chart twice per sample and read lam once more
+    lam_calls = []
+    real = core.perturbed_chart
+
+    def counted_chart(chart, pert, name=None):
+        chf, calls = counting_chart(real(chart, pert, name))
+        lam_calls.append(calls)
+        return chf
+
+    probe, probe_calls = counting_chart(real(darboux_chart(2), random_positive_factor(rng(1), 5)))
+    core.reeb_solve(probe, np.full(5, 0.1))
+    monkeypatch.setattr(core, "perturbed_chart", counted_chart)
+    n_samples = 6
+    report = cli.run_scenario(cli._resolve(
+        {"kind": "perturbed_reeb", "seed": 3, "params": {"n": 2, "n_samples": n_samples}}, "test"))
+    assert report.verdicts and all(v.passed for v in report.verdicts)
+    assert sum(c["lam"] for c in lam_calls) == n_samples * probe_calls["lam"]
