@@ -451,8 +451,12 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> C
 
 
 def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> np.ndarray:
-    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg."""
+    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg.
+
+    ModeMismatch unless Z is one vector (chart.dim,)."""
     Z = np.asarray(Z, dtype=float)
+    if Z.shape != (chart.dim,):
+        raise ModeMismatch(f"Z must have shape ({chart.dim},), got {Z.shape}")
     _, L, X, Y = _rescaled_parts(chart, pert, x)
     lz = float(L @ Z)
     return Z - lz * X - lz * Y

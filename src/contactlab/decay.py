@@ -212,7 +212,16 @@ def solve_cylinder(
     eigenmode amplitudes, for either method.  ``n_t`` (default: the operator
     grid) sets the output grid, on which every tau-slice is synthesized in
     one product.
+
+    The march covers [0, R] in ``n_tau`` equal steps: n_tau must be an
+    integer >= 1 and R finite and > 0, else OutOfRange.  ResolutionTooCoarse
+    when ``n_t`` cannot carry the operator's modes, or when a Crank-Nicolson
+    step R / n_tau is 2 / |lambda|_max or more.
     """
+    if isinstance(n_tau, bool) or not isinstance(n_tau, (int, np.integer)) or n_tau < 1:
+        raise OutOfRange(f"n_tau must be an integer >= 1, got {n_tau!r}")
+    if not 0.0 < R < np.inf:
+        raise OutOfRange(f"R must be finite and > 0, got {R!r}")
     n_t = n_t or len(op.t_grid)
     if n_t < 2 * op.n_modes + 2:
         raise ResolutionTooCoarse(
@@ -279,7 +288,19 @@ def _eigen_march(evals, a0, ell, delta0, tau):
 
 
 def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
-    """Crank-Nicolson eigen-amplitudes (n_tau + 1, dim)."""
+    """Crank-Nicolson eigen-amplitudes (n_tau + 1, dim).
+
+    Constant S: stable modes (lam >= 0) march forward from a0, unstable
+    modes backward from the zero condition at tau = R, mirroring the
+    eigen-expansion solver.  Both run in one loop over the rows of one
+    contiguous (n_tau + 1, dim) array, each row (num row + F_m) / den: the
+    unstable columns hold the backward march in reversed tau, with the sign
+    of their half-step and of their forcing flipped (exact in floating
+    point), so the loop indexes no mode mask.  num = 1 -/+ dtau lam / 2,
+    den = 1 +/- dtau lam / 2 and the forcing rows F_m = dtau ((e_m +
+    e_(m+1)) / 2 * ell) are built once, in place; every entry is the one the
+    per-step recurrence over each branch gives, bit for bit.
+    """
     from .spectral import assemble_operator
 
     dtau = tau[1] - tau[0]
@@ -289,24 +310,18 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     ells = np.exp(-delta0 * tau)
     pos = evals >= 0
     neg = ~pos
-    A = np.zeros((len(tau), len(evals)))
-    A[0, pos] = a0[pos]
 
     if S_of_tau is None:
-        # march stable modes forward and unstable modes backward from the
-        # zero condition at tau = R, mirroring the eigen-expansion solver
-        lp, gp = evals[pos], ell[pos]
+        half = np.where(pos, 1.0, -1.0) * (0.5 * dtau * evals)
+        num, den = 1 - half, 1 + half
+        A = np.empty((len(tau), len(evals)))
+        A[0] = np.where(pos, a0, 0.0)
+        F = A[1:]
+        np.multiply(dtau, np.multiply.outer(0.5 * (ells[:-1] + ells[1:]), ell), out=F)
+        F[:, neg] = -F[::-1, neg]
         for m in range(len(tau) - 1):
-            lbar = 0.5 * (ells[m] + ells[m + 1]) * gp
-            A[m + 1, pos] = ((1 - 0.5 * dtau * lp) * A[m, pos] + dtau * lbar) / (
-                1 + 0.5 * dtau * lp
-            )
-        ln, gn = evals[neg], ell[neg]
-        for m in range(len(tau) - 2, -1, -1):
-            lbar = 0.5 * (ells[m] + ells[m + 1]) * gn
-            A[m, neg] = ((1 + 0.5 * dtau * ln) * A[m + 1, neg] - dtau * lbar) / (
-                1 - 0.5 * dtau * ln
-            )
+            A[m + 1] = (num * A[m] + A[m + 1]) / den
+        A[:, neg] = A[::-1, neg]
         return A
 
     # tau-dependent coefficients: march restricted to the nonnegative
@@ -315,8 +330,10 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     # decaying-solution selection here drops that subspace throughout
     # (exact when the stable/unstable splitting is tau-invariant).
     P = evecs[:, pos]
-    y, gy = a0[pos], ell[pos]
-    Ik = np.eye(len(y))
+    gy = ell[pos]
+    Y = np.empty((len(tau), len(gy)))
+    Y[0] = a0[pos]
+    Ik = np.eye(len(gy))
 
     def B_red(s):
         B = assemble_operator(
@@ -328,9 +345,10 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     for m in range(len(tau) - 1):
         Bm = B_red(tau[m])
         Bp = B_red(tau[m + 1])
-        rhs = (Ik - 0.5 * dtau * Bm) @ y + 0.5 * dtau * (ells[m] + ells[m + 1]) * gy
-        y = np.linalg.solve(Ik + 0.5 * dtau * Bp, rhs)
-        A[m + 1, pos] = y
+        rhs = (Ik - 0.5 * dtau * Bm) @ Y[m] + 0.5 * dtau * (ells[m] + ells[m + 1]) * gy
+        Y[m + 1] = np.linalg.solve(Ik + 0.5 * dtau * Bp, rhs)
+    A = np.zeros((len(tau), len(evals)))
+    A[:, pos] = Y
     return A
 
 

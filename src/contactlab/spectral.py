@@ -144,8 +144,15 @@ def assemble_operator(
     of samples (n_t, rank, rank) on the uniform grid.  When every sample of S
     is the same the operator is kept as its Fourier blocks and no dim x dim
     array is allocated; otherwise the dense matrix is assembled.  Raises
-    AsymmetricHessian when S fails pointwise symmetry.
+    ModeMismatch unless every sample of S, in each form, is rank x rank
+    (and samples are given one per grid point), OutOfRange unless
+    ``period`` is finite and > 0 and ``n_modes`` >= 0, and AsymmetricHessian
+    when S fails pointwise symmetry.
     """
+    if not 0.0 < period < np.inf:
+        raise OutOfRange(f"period must be finite and > 0, got {period!r}")
+    if n_modes < 0:
+        raise OutOfRange(f"n_modes must be >= 0, got {n_modes!r}")
     if J0 is None:
         J0 = standard_J(rank)
     J0 = np.asarray(J0, dtype=float)
@@ -155,16 +162,15 @@ def assemble_operator(
     if callable(S):
         S_samples = np.array([np.asarray(S(t), dtype=float) for t in t_grid])
     else:
-        S = np.asarray(S, dtype=float)
-        if S.ndim == 2:
-            S_samples = np.broadcast_to(S, (n_t, rank, rank)).copy()
-        else:
-            if S.shape[1:] != (rank, rank):
-                raise ModeMismatch(f"S samples must be (n_t, {rank}, {rank})")
-            if S.shape[0] != n_t:
-                # resample by index interpolation is not meaningful here
-                raise ModeMismatch(f"S has {S.shape[0]} samples, grid has {n_t}")
-            S_samples = S.copy()
+        S_samples = np.asarray(S, dtype=float)
+        if S_samples.shape == (rank, rank):
+            S_samples = np.broadcast_to(S_samples, (n_t, rank, rank))
+    if S_samples.shape != (n_t, rank, rank):
+        # samples on another grid are not resampled: index interpolation is
+        # not meaningful here
+        got = "callable values stacked to shape" if callable(S) else "shape"
+        raise ModeMismatch(f"S must be a ({rank}, {rank}) matrix, a callable with ({rank}, {rank}) "
+                           f"values or ({n_t}, {rank}, {rank}) samples; got {got} {S_samples.shape}")
 
     asym = float(np.max(np.abs(S_samples - np.transpose(S_samples, (0, 2, 1)))))
     if asym > sym_tol:

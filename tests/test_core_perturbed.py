@@ -5,7 +5,7 @@ import pytest
 
 from contactlab import cli, core
 from contactlab.core import PerturbationData, perturbed_chart
-from contactlab.errors import OutOfRange
+from contactlab.errors import ModeMismatch, OutOfRange
 from contactlab.models import darboux_chart, exp_factor_chart
 
 
@@ -133,6 +133,13 @@ def test_perturbed_projection_vs_direct():
         lamZ = float(chf.lambda_at(x) @ Z)
         direct = Z - lamZ * core.reeb_field(chf, x)
         assert np.max(np.abs(got - direct)) < 1e-8
+
+
+@pytest.mark.parametrize("Z", [np.ones(4), np.ones((3, 3)), np.ones(2)], ids=["4", "3x3", "2"])
+def test_perturbed_projection_rejects_Z_not_shaped_for_the_chart(Z):
+    # used to end in a raw ValueError from matmul, or a TypeError for a stack
+    with pytest.raises(ModeMismatch, match=r"\(3,\)"):
+        core.perturbed_projection(darboux_chart(1), constant_factor(2.0), Z, np.zeros(3))
 
 
 def test_nonpositive_factor_rejected():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactlab.decay import CylinderField, Forcing, decay_rate, solve_cylinder
+from contactlab.decay import CylinderField, Forcing, _crank_nicolson_march, decay_rate, solve_cylinder
 from contactlab.errors import InsufficientDecay, ModeMismatch, OutOfRange, ResolutionTooCoarse
-from contactlab.spectral import assemble_operator, spectrum
+from contactlab.spectral import _eigh, assemble_operator, spectrum
 
 
 def shifted_op(a, n_modes=8, n_t=64):
@@ -157,6 +157,79 @@ def test_unknown_march_method_is_out_of_range():
     op = shifted_op(-0.7, n_modes=4, n_t=32)
     with pytest.raises(OutOfRange, match="unknown method 'rk4'"):
         solve_cylinder(op, None, constant_slice(32), 1.0, 10, method="rk4")
+
+
+def tau_dependent(s):
+    return -(0.7 + 0.1 * np.sin(s)) * np.eye(2)
+
+
+@pytest.mark.parametrize("march", [{}, {"method": "cn"}, {"S_of_tau": tau_dependent}],
+                         ids=["eigen", "cn", "tau_dependent"])
+@pytest.mark.parametrize("n_tau", [0, -3, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+def test_step_count_that_is_not_a_positive_integer_is_out_of_range(n_tau, march):
+    # n_tau = 0 used to end in an IndexError (tau[1]), -3 in a ValueError
+    # from linspace and 2.5 in a TypeError
+    op = shifted_op(-0.7, n_modes=4, n_t=32)
+    with pytest.raises(OutOfRange, match="n_tau must be an integer >= 1"):
+        solve_cylinder(op, None, constant_slice(32), 1.0, n_tau, **march)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, np.nan, np.inf])
+def test_length_that_is_not_finite_and_positive_is_out_of_range(R):
+    # R = -1 used to march backward and return a field, R = nan to return nan
+    op = shifted_op(-0.7, n_modes=4, n_t=32)
+    with pytest.raises(OutOfRange, match="R must be finite and > 0"):
+        solve_cylinder(op, None, constant_slice(32), R, 10)
+
+
+# ---------------------------------------------------------------------------
+# the constant-S Crank-Nicolson march against its per-step recurrence
+
+
+def per_step_cn(evals, a0, ell, delta0, tau):
+    """The Crank-Nicolson recurrence one tau-step at a time, each branch read
+    and written through its mode mask: stable modes forward from a0,
+    unstable modes backward from zero at tau = R."""
+    dtau = tau[1] - tau[0]
+    ells = np.exp(-delta0 * tau)
+    pos = evals >= 0
+    neg = ~pos
+    A = np.zeros((len(tau), len(evals)))
+    A[0, pos] = a0[pos]
+    lp, gp = evals[pos], ell[pos]
+    for m in range(len(tau) - 1):
+        lbar = 0.5 * (ells[m] + ells[m + 1]) * gp
+        A[m + 1, pos] = ((1 - 0.5 * dtau * lp) * A[m, pos] + dtau * lbar) / (1 + 0.5 * dtau * lp)
+    ln, gn = evals[neg], ell[neg]
+    for m in range(len(tau) - 2, -1, -1):
+        lbar = 0.5 * (ells[m] + ells[m + 1]) * gn
+        A[m, neg] = ((1 + 0.5 * dtau * ln) * A[m + 1, neg] - dtau * lbar) / (1 - 0.5 * dtau * ln)
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.sampled_from([2, 4]),
+    n_modes=st.integers(1, 4),
+    n_tau=st.integers(1, 60),
+    step=st.floats(0.01, 1.99),
+    delta0=st.floats(0.1, 3.0),
+    forced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constant_S_cn_march_is_the_per_step_recurrence(rank, n_modes, n_tau, step, delta0,
+                                                        forced, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rank, rank))
+    op = assemble_operator(M + M.T, period=1.0, n_modes=n_modes, rank=rank)
+    evals, evecs = _eigh(op, vectors=True)
+    assert np.any(evals >= 0) and np.any(evals < 0)  # both branches march
+    a0 = rng.standard_normal(op.dim)
+    ell = rng.standard_normal(op.dim) if forced else np.zeros(op.dim)
+    # dtau |lambda|_max = step < 2, the march's resolution bound
+    tau = np.linspace(0.0, n_tau * step / np.max(np.abs(evals)), n_tau + 1)
+    got = _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, None)
+    assert np.array_equal(got, per_step_cn(evals, a0, ell, delta0, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from contactlab import spectral
 from contactlab.core import ContactChart, PerturbationData, xi_frame
 from contactlab.dynamics import ReebOrbit, monodromy, return_map
-from contactlab.errors import AsymmetricHessian, HypothesisViolated, OutOfRange, ResolutionTooCoarse
+from contactlab.errors import (
+    AsymmetricHessian,
+    HypothesisViolated,
+    ModeMismatch,
+    OutOfRange,
+    ResolutionTooCoarse,
+)
 from contactlab.models import torus_chart, weighted_tube_chart
 from contactlab.spectral import (
     assemble_operator,
@@ -140,6 +146,33 @@ def test_asymmetric_hessian_rejected():
     bad = standard_J(2) @ np.diag([1.0, 0.0])
     with pytest.raises(AsymmetricHessian):
         assemble_operator(bad, period=1.0, n_modes=4)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        lambda t: (1 + np.cos(t)) * np.eye(3),  # used to be cut to its upper-left 2 x 2
+        lambda t: np.ones(2),
+        np.eye(3),
+        np.ones(2),
+        np.zeros((63, 2, 2)),
+        np.zeros((64, 3, 3)),
+    ],
+    ids=["callable_3x3", "callable_vector", "matrix_3x3", "vector", "63_samples", "samples_3x3"],
+)
+def test_S_that_is_not_rank_by_rank_per_sample_is_a_mode_mismatch(S):
+    with pytest.raises(ModeMismatch, match=r"\(2, 2\) matrix"):
+        assemble_operator(S, period=1.0, n_modes=4, rank=2, n_t=64)
+
+
+@pytest.mark.parametrize(
+    "period, n_modes",
+    [(0.0, 4), (np.nan, 4), (-1.0, 4), (np.inf, 4), (1.0, -1)],
+    ids=["period_zero", "period_nan", "period_negative", "period_inf", "n_modes_negative"],
+)
+def test_period_and_mode_count_outside_their_domain_are_out_of_range(period, n_modes):
+    with pytest.raises(OutOfRange):
+        assemble_operator(np.eye(2), period=period, n_modes=n_modes)
 
 
 # ---------------------------------------------------------------------------
