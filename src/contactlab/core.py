@@ -32,6 +32,12 @@ from .errors import IncompatibleJ, ModeMismatch, OutOfRange, SingularChart
 DEFAULT_FD_STEP = 1e-4
 
 
+def _require_int(name: str, value, lo: int) -> None:
+    """OutOfRange unless ``value`` is an integer (not a bool) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 def fd_gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """4th-order centered finite differences of f at x; row i is d f / d x_i.
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, _dots, reeb_solve, unwrap_angles, wrap_angles
+from .core import ContactChart, _dots, _require_int, reeb_solve, unwrap_angles, wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -170,15 +170,15 @@ class Forcing:
 
     The profile is either grid samples (n_t, rank) or a dict mapping Galerkin
     eigenmode indices to amplitudes (resolved against the operator's
-    eigenbasis at solve time).
+    eigenbasis at solve time).  OutOfRange unless delta0 is finite and > 0.
     """
 
     delta0: float
     profile: Union[np.ndarray, dict, None] = None
 
     def __post_init__(self):
-        if self.delta0 <= 0:
-            raise OutOfRange("forcing decay rate delta0 must be positive")
+        if not 0.0 < self.delta0 < math.inf:
+            raise OutOfRange(f"forcing decay rate delta0 must be finite and > 0, got {self.delta0!r}")
 
 
 _RESONANCE_TOL = 1e-9
@@ -213,16 +213,16 @@ def solve_cylinder(
     grid) sets the output grid, on which every tau-slice is synthesized in
     one product.
 
-    The march covers [0, R] in ``n_tau`` equal steps: n_tau must be an
-    integer >= 1 and R finite and > 0, else OutOfRange.  ResolutionTooCoarse
+    The march covers [0, R] in ``n_tau`` equal steps: n_tau and a given
+    n_t must be integers >= 1 and R finite and > 0, else OutOfRange.  ResolutionTooCoarse
     when ``n_t`` cannot carry the operator's modes, or when a Crank-Nicolson
     step R / n_tau is 2 / |lambda|_max or more.
     """
-    if isinstance(n_tau, bool) or not isinstance(n_tau, (int, np.integer)) or n_tau < 1:
-        raise OutOfRange(f"n_tau must be an integer >= 1, got {n_tau!r}")
+    _require_int("n_tau", n_tau, 1)
     if not 0.0 < R < np.inf:
         raise OutOfRange(f"R must be finite and > 0, got {R!r}")
-    n_t = n_t or len(op.t_grid)
+    n_t = len(op.t_grid) if n_t is None else n_t
+    _require_int("n_t", n_t, 1)
     if n_t < 2 * op.n_modes + 2:
         raise ResolutionTooCoarse(
             f"n_t = {n_t} cannot carry {op.n_modes} Fourier modes"

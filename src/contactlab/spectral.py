@@ -7,17 +7,28 @@ of the first-order linearization along an orbit with J0, and it is
 self-adjoint on periodic loops.  ``asymptotic_operator`` builds it from a
 computed closed Reeb orbit, in a dlam-symplectic frame of the contact
 distribution.  The discretization is Galerkin in the real Fourier basis (not
-collocation) so the assembled matrix is symmetric to machine precision.
+collocation), and the assembled matrix is exactly symmetric: a constant S
+gives one block per Fourier mode, a time-dependent S a dense matrix filled
+from one DFT of its samples (Toeplitz and Hankel gathers of the
+coefficients), which then takes one dense eigen-solve.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import fd_gradient, periodic_derivative, perturbed_reeb, reeb_solve, xi_frame
+from .core import _require_int, fd_gradient, periodic_derivative, perturbed_reeb, reeb_solve, xi_frame
 from .dynamics import reeb_jacobian
-from .errors import AsymmetricHessian, HypothesisViolated, ModeMismatch, OutOfRange, ResolutionTooCoarse
+from .errors import (
+    AsymmetricHessian,
+    HypothesisViolated,
+    IncompatibleJ,
+    ModeMismatch,
+    OutOfRange,
+    ResolutionTooCoarse,
+)
 
 KERNEL_TOL = 1e-8
 DEFAULT_MODES = 128
@@ -122,11 +133,60 @@ class SpectralOperator:
 
     def grid_from_coefficients(self, coeffs: np.ndarray, n_t: Optional[int] = None) -> np.ndarray:
         """Loop samples (n_t, rank) of a coefficient vector (dim,), or
-        (..., n_t, rank) of a stack (..., dim), on one basis evaluation."""
-        n_t = n_t or len(self.t_grid)
+        (..., n_t, rank) of a stack (..., dim), on one basis evaluation.
+        OutOfRange unless ``n_t`` (default: the operator grid) is an integer >= 1."""
+        n_t = len(self.t_grid) if n_t is None else n_t
+        _require_int("n_t", n_t, 1)
         _, F = _scalar_basis_samples(self.n_modes, self.period, n_t)
         coeffs = np.asarray(coeffs)
         return F.T @ coeffs.reshape(coeffs.shape[:-1] + (2 * self.n_modes + 1, self.rank))
+
+
+def _check_kernel_tol(kernel_tol: float) -> None:
+    """OutOfRange unless ``kernel_tol`` is finite and >= 0."""
+    if not 0.0 <= kernel_tol < np.inf:
+        raise OutOfRange(f"kernel_tol must be finite and >= 0, got {kernel_tol!r}")
+
+
+def _sample_callable(S: Callable[[float], np.ndarray], t_grid: np.ndarray) -> np.ndarray:
+    """S(t) stacked over the grid; ModeMismatch at the first t whose value
+    changes shape."""
+    values = [np.asarray(S(t), dtype=float) for t in t_grid]
+    for t, v in zip(t_grid.tolist(), values):
+        if v.shape != values[0].shape:
+            raise ModeMismatch(f"S(t) changes shape along the grid: {values[0].shape} at "
+                               f"t = {float(t_grid[0])!r}, {v.shape} at t = {t!r}")
+    return np.array(values)
+
+
+def _fourier_coefficients(S_samples: np.ndarray, n_modes: int) -> np.ndarray:
+    """s(m) = (1/n_t) sum_n S(t_n) exp(-2 pi i m n / n_t) for m = -2 n_modes
+    .. 2 n_modes, at index m + 2 n_modes: (4 n_modes + 1, rank, rank).
+
+    One rfft of the upper triangle of the samples.  An index m is read at
+    m mod n_t, from the conjugate half when that lies above n_t / 2, so
+    for n_t < 4 n_modes + 1 the coefficients alias exactly as the periodic
+    rectangle rule does.  s(-m) is the conjugate of s(m) and s(m) is
+    symmetric in its last two axes, both exactly.
+    """
+    n_t, r = S_samples.shape[:2]
+    iu, ju = np.triu_indices(r)
+    X = np.fft.rfft(S_samples[:, iu, ju], axis=0) / n_t
+    m = np.arange(2 * n_modes + 1) % n_t
+    flip = m > n_t // 2
+    half = X[np.where(flip, n_t - m, m)]
+    half.imag[flip] *= -1.0
+    half.imag[0] = 0.0  # s(0) is real
+    c = np.empty((4 * n_modes + 1, r, r), dtype=complex)
+    c[2 * n_modes:, iu, ju] = c[2 * n_modes:, ju, iu] = half
+    c[:2 * n_modes] = np.conj(c[:2 * n_modes:-1])
+    return c
+
+
+def _toeplitz_hankel(v: np.ndarray, K: int):
+    """The (K, K) views v[2K + k - l] and v[2K + k + l], k, l = 1..K, of a
+    vector v of length 4K + 1."""
+    return sliding_window_view(v[::-1], K)[2 * K:K:-1], sliding_window_view(v, K)[2 * K + 2:3 * K + 2]
 
 
 def assemble_operator(
@@ -141,26 +201,41 @@ def assemble_operator(
     """Build the Galerkin form of J0 d/dt - S(t).
 
     ``S`` is a constant symmetric matrix, a callable t -> matrix, or an array
-    of samples (n_t, rank, rank) on the uniform grid.  When every sample of S
-    is the same the operator is kept as its Fourier blocks and no dim x dim
-    array is allocated; otherwise the dense matrix is assembled.  Raises
-    ModeMismatch unless every sample of S, in each form, is rank x rank
-    (and samples are given one per grid point), OutOfRange unless
-    ``period`` is finite and > 0 and ``n_modes`` >= 0, and AsymmetricHessian
-    when S fails pointwise symmetry.
+    of samples (n_t, rank, rank) on the uniform grid (default n_t =
+    max(4 n_modes + 4, 64)).  When every sample of S is the same the
+    operator is kept as its Fourier blocks and no dim x dim array is
+    allocated.  Otherwise the dense matrix is filled from one DFT of the
+    samples: the entry of scalar modes (k, l) is a sum of the coefficients
+    s(k - l) (Toeplitz) and s(k + l) (Hankel), which is the periodic
+    rectangle-rule Galerkin integral, aliasing included, and the matrix is
+    exactly symmetric.
+
+    Raises OutOfRange unless ``rank`` is an even integer >= 2, ``period``
+    is finite and > 0, ``n_modes`` an integer >= 0 and ``n_t`` an integer
+    >= 1; ModeMismatch unless J0 is rank x rank and every sample of S, in
+    each form, is rank x rank (and samples are given one per grid point);
+    IncompatibleJ unless J0 is antisymmetric with J0^2 = -I to 1e-10; and
+    AsymmetricHessian when S fails pointwise symmetry.
     """
+    _require_int("rank", rank, 2)
+    if rank % 2:
+        raise OutOfRange(f"rank must be even, got {rank!r}")
     if not 0.0 < period < np.inf:
         raise OutOfRange(f"period must be finite and > 0, got {period!r}")
-    if n_modes < 0:
-        raise OutOfRange(f"n_modes must be >= 0, got {n_modes!r}")
-    if J0 is None:
-        J0 = standard_J(rank)
-    J0 = np.asarray(J0, dtype=float)
-    n_t = n_t or max(4 * n_modes + 4, 64)
+    _require_int("n_modes", n_modes, 0)
+    if n_t is None:
+        n_t = max(4 * n_modes + 4, 64)
+    _require_int("n_t", n_t, 1)
+    J0 = standard_J(rank) if J0 is None else np.asarray(J0, dtype=float)
+    if J0.shape != (rank, rank):
+        raise ModeMismatch(f"J0 must be a ({rank}, {rank}) matrix, got shape {J0.shape}")
+    defect = max(float(np.max(np.abs(J0 + J0.T))), float(np.max(np.abs(J0 @ J0 + np.eye(rank)))))
+    if not defect <= 1e-10:
+        raise IncompatibleJ(f"J0 is no complex structure: J0 + J0^T and J0^2 + I deviate by {defect:.3e}")
     t_grid = np.arange(n_t) * (period / n_t)
 
     if callable(S):
-        S_samples = np.array([np.asarray(S(t), dtype=float) for t in t_grid])
+        S_samples = _sample_callable(S, t_grid)
     else:
         S_samples = np.asarray(S, dtype=float)
         if S_samples.shape == (rank, rank):
@@ -178,41 +253,51 @@ def assemble_operator(
     S_samples = 0.5 * (S_samples + np.transpose(S_samples, (0, 2, 1)))
 
     # First-order part: exact entries.  Within mode k the (cos, sin) block is
-    # [[0, w J0], [-w J0, 0]], which is symmetric because J0 is antisymmetric.
-    ks = np.arange(1, n_modes + 1)
+    # [[0, w J0], [-w J0, 0]], which is symmetric because J0 is antisymmetric;
+    # antisymmetrizing w J0 makes that exact.
+    r, K = rank, n_modes
+    ks = np.arange(1, K + 1)
     wJ = (2 * np.pi * ks / period)[:, None, None] * J0
+    wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
     if _is_constant(S_samples):
-        # S acts on each scalar mode alone: B is block-diagonal.  Write the
-        # entries that symmetrizing the dense matrix would give, bit for bit.
-        r = rank
-        wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
+        # S acts on each scalar mode alone: B is block-diagonal
         block0 = np.zeros((r, r))
         block0 -= S_samples[0]
-        blocks = np.zeros((n_modes, 2 * r, 2 * r))
+        blocks = np.zeros((K, 2 * r, 2 * r))
         blocks[:, :r, r:] += wJ
         blocks[:, r:, :r] -= wJ
         blocks[:, :r, :r] -= S_samples[0]
         blocks[:, r:, r:] -= S_samples[0]
-        return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, block0, blocks)
+        return SpectralOperator(rank, K, float(period), J0, S_samples, t_grid, block0, blocks)
 
-    n_scalar = 2 * n_modes + 1
-    dim = rank * n_scalar
-    M = np.zeros((dim, dim))
+    # Zeroth-order part from the coefficients s(m) = P(m) + i Q(m) of -S.
+    # With c = cos, s = sin the scalar products of modes k, l >= 1 are
+    # cc = P(k-l) + P(k+l), ss = P(k-l) - P(k+l), cs = Q(k-l) - Q(k+l) and
+    # sc = -Q(k-l) - Q(k+l); mode 0 pairs with P(0), sqrt(2) P(l) and
+    # -sqrt(2) Q(l).  P(-m) = P(m), Q(-m) = -Q(m) and s(m) is symmetric in
+    # the fiber, all exactly, so entry (b, a) is computed as entry (a, b) is
+    # and M equals its transpose exactly.
+    c = -_fourier_coefficients(S_samples, K)
+    dim = r * (2 * K + 1)
+    M = np.empty((dim, dim))
+    for i in range(r):
+        for j in range(r):
+            P, Q = c.real[:, i, j].copy(), c.imag[:, i, j].copy()
+            B = M[i::r, j::r]  # the scalar-mode matrix of fiber entry (i, j)
+            B[0, 0] = P[2 * K]
+            B[0, 1::2] = B[1::2, 0] = np.sqrt(2.0) * P[2 * K + ks]
+            B[0, 2::2] = B[2::2, 0] = -np.sqrt(2.0) * Q[2 * K + ks]
+            TP, HP = _toeplitz_hankel(P, K)
+            TQ, HQ = _toeplitz_hankel(Q, K)
+            np.add(TP, HP, out=B[1::2, 1::2])
+            np.subtract(TP, HP, out=B[2::2, 2::2])
+            np.subtract(TQ, HQ, out=B[1::2, 2::2])
+            np.subtract(_toeplitz_hankel(-Q, K)[0], HQ, out=B[2::2, 1::2])
     # (scalar row, fiber row, scalar column, fiber column) view of M
-    view = M.reshape(n_scalar, rank, n_scalar, rank)
+    view = M.reshape(2 * K + 1, r, 2 * K + 1, r)
     view[2 * ks - 1, :, 2 * ks, :] += wJ
     view[2 * ks, :, 2 * ks - 1, :] -= wJ
-    # Zeroth-order part by quadrature Galerkin: exact for trigonometric S up
-    # to the grid bandwidth; the quadrature products are symmetrized.
-    _, F = _scalar_basis_samples(n_modes, period, n_t)
-    wq = period / n_t
-    for i in range(rank):
-        for j in range(rank):
-            W = F * (wq * S_samples[:, i, j])[None, :]
-            M[i::rank, j::rank] -= W @ F.T
-    M += M.T
-    M *= 0.5
-    return SpectralOperator(rank, n_modes, float(period), J0, S_samples, t_grid, None, None, _matrix=M)
+    return SpectralOperator(rank, K, float(period), J0, S_samples, t_grid, None, None, _matrix=M)
 
 
 def _symplectic_frame(F: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -330,7 +415,9 @@ def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumRe
     A constant S is solved mode by mode (one small block per Fourier mode);
     a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
     ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
+    Raises OutOfRange unless ``kernel_tol`` is finite and >= 0.
     """
+    _check_kernel_tol(kernel_tol)
     ev = _eigh(op)
     nonzero = np.abs(ev) > kernel_tol
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
@@ -363,11 +450,12 @@ def gap_inequality_check(
     with B s taken by ``op.apply`` (mode by mode for constant S), so the
     check holds O(_TRIAL_BLOCK dim) floats beyond the operator.
 
-    Raises OutOfRange when there is nothing to check: no trials, or a kernel
-    that is the whole space.
+    Raises OutOfRange unless ``n_trials`` is an integer >= 1 and
+    ``kernel_tol`` finite and >= 0, and when the kernel is the whole space,
+    so that there is nothing to check.
     """
-    if n_trials < 1:
-        raise OutOfRange(f"gap check needs at least one trial, got n_trials = {n_trials}")
+    _require_int("n_trials", n_trials, 1)
+    _check_kernel_tol(kernel_tol)
     evals = _eigh(op)
     nonzero = np.abs(evals) > kernel_tol
     if not np.any(nonzero):

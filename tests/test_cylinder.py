@@ -182,6 +182,23 @@ def test_length_that_is_not_finite_and_positive_is_out_of_range(R):
         solve_cylinder(op, None, constant_slice(32), R, 10)
 
 
+@pytest.mark.parametrize("delta0", [np.nan, np.inf, 0.0, -1.0])
+def test_forcing_rate_that_is_not_finite_and_positive_is_out_of_range(delta0):
+    # nan and inf used to pass; inf then marched after a RuntimeWarning from exp
+    with pytest.raises(OutOfRange, match="delta0 must be finite and > 0"):
+        Forcing(delta0, constant_slice(32))
+
+
+@pytest.mark.parametrize("n_t", [0, -3, 2.5], ids=["zero", "negative", "fraction"])
+def test_output_grid_that_is_not_a_positive_integer_is_out_of_range(n_t):
+    # n_t = 0 used to fall back to the operator grid, -3 to read as too coarse
+    op = shifted_op(-0.7, n_modes=4, n_t=32)
+    with pytest.raises(OutOfRange, match="n_t must be an integer >= 1"):
+        solve_cylinder(op, None, constant_slice(32), 1.0, 10, n_t=n_t)
+    with pytest.raises(OutOfRange, match="n_t must be an integer >= 1"):
+        op.grid_from_coefficients(np.zeros(op.dim), n_t=n_t)
+
+
 # ---------------------------------------------------------------------------
 # the constant-S Crank-Nicolson march against its per-step recurrence
 

@@ -14,6 +14,7 @@ from contactlab.dynamics import ReebOrbit, monodromy, return_map
 from contactlab.errors import (
     AsymmetricHessian,
     HypothesisViolated,
+    IncompatibleJ,
     ModeMismatch,
     OutOfRange,
     ResolutionTooCoarse,
@@ -32,6 +33,11 @@ def expected_free_spectrum(T, k_range, shift=0.0):
     return np.sort(np.concatenate([[2 * np.pi * k / T - shift] * 2 for k in k_range]))
 
 
+def varying_S(t):
+    return np.array([[0.3 + 0.2 * np.cos(2 * np.pi * t), 0.1 * np.sin(2 * np.pi * t)],
+                     [0.1 * np.sin(2 * np.pi * t), -0.25]])
+
+
 def test_assembled_matrix_exactly_symmetric():
     op = assemble_operator(np.zeros((2, 2)), period=1.0, n_modes=32)
     assert np.max(np.abs(op.matrix - op.matrix.T)) == 0.0
@@ -43,7 +49,8 @@ def test_assembled_matrix_exactly_symmetric():
         )
 
     op2 = assemble_operator(S, period=1.0, n_modes=24)
-    assert np.max(np.abs(op2.matrix - op2.matrix.T)) < 1e-15
+    assert op2.blocks is None
+    assert np.max(np.abs(op2.matrix - op2.matrix.T)) == 0.0
 
 
 def test_free_operator_spectrum():
@@ -167,12 +174,73 @@ def test_S_that_is_not_rank_by_rank_per_sample_is_a_mode_mismatch(S):
 
 @pytest.mark.parametrize(
     "period, n_modes",
-    [(0.0, 4), (np.nan, 4), (-1.0, 4), (np.inf, 4), (1.0, -1)],
-    ids=["period_zero", "period_nan", "period_negative", "period_inf", "n_modes_negative"],
+    [(0.0, 4), (np.nan, 4), (-1.0, 4), (np.inf, 4), (1.0, -1), (1.0, True), (1.0, 2.5), (1.0, 2.0)],
+    ids=["period_zero", "period_nan", "period_negative", "period_inf", "n_modes_negative",
+         "n_modes_bool", "n_modes_fraction", "n_modes_float"],
 )
 def test_period_and_mode_count_outside_their_domain_are_out_of_range(period, n_modes):
+    # n_modes = 2.5 used to end in a TypeError, True to count as one mode
     with pytest.raises(OutOfRange):
         assemble_operator(np.eye(2), period=period, n_modes=n_modes)
+
+
+@pytest.mark.parametrize("rank", [3, 1, 0, -2, 2.0], ids=["three", "one", "zero", "negative", "float"])
+def test_rank_that_is_not_even_and_positive_is_out_of_range(rank):
+    # rank = 3 used to return an operator whose standard_J(3) has a zero row
+    with pytest.raises(OutOfRange, match="rank must be"):
+        assemble_operator(np.eye(max(int(rank), 1)), period=1.0, n_modes=2, rank=rank)
+
+
+@pytest.mark.parametrize("n_t", [0, -3, 64.0, True], ids=["zero", "negative", "float", "bool"])
+def test_grid_size_that_is_not_a_positive_integer_is_out_of_range(n_t):
+    # n_t = 0 used to take the default grid, -3 to end in a ValueError
+    with pytest.raises(OutOfRange, match="n_t must be an integer >= 1"):
+        assemble_operator(varying_S, period=1.0, n_modes=4, n_t=n_t)
+
+
+@pytest.mark.parametrize("J0", [standard_J(4), np.ones(2), np.ones((2, 3))], ids=["rank_4", "vector", "2x3"])
+def test_J0_of_the_wrong_shape_is_a_mode_mismatch(J0):
+    with pytest.raises(ModeMismatch, match=r"J0 must be a \(2, 2\) matrix"):
+        assemble_operator(varying_S, period=1.0, n_modes=4, J0=J0)
+
+
+@pytest.mark.parametrize(
+    "J0",
+    [np.eye(2), 2.0 * standard_J(2), standard_J(2) + 1e-6 * np.eye(2), np.full((2, 2), np.nan)],
+    ids=["identity", "scaled", "not_antisymmetric", "nan"],
+)
+@pytest.mark.parametrize("S", [0.4 * np.eye(2), varying_S], ids=["constant", "time_dependent"])
+def test_J0_that_is_no_complex_structure_is_incompatible(J0, S):
+    # J0 = I used to be replaced by its zero antisymmetric part
+    with pytest.raises(IncompatibleJ):
+        assemble_operator(S, period=1.0, n_modes=4, J0=J0)
+
+
+def test_callable_that_changes_shape_names_the_first_such_t():
+    # used to end in numpy's "inhomogeneous shape" ValueError
+    def S(t):
+        return np.eye(2) if t < 0.5 else np.eye(3)
+
+    with pytest.raises(ModeMismatch, match=r"\(2, 2\) at t = 0\.0, \(3, 3\) at t = 0\.5$"):
+        assemble_operator(S, period=1.0, n_modes=4, n_t=64)
+
+
+@pytest.mark.parametrize("kernel_tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("check", [spectrum, lambda op, kernel_tol: gap_inequality_check(op, 10, kernel_tol=kernel_tol)],
+                         ids=["spectrum", "gap_check"])
+def test_kernel_tolerance_that_is_not_finite_and_nonnegative_is_out_of_range(check, kernel_tol):
+    # kernel_tol = nan used to give gap = inf with every eigenvalue in the kernel
+    op = assemble_operator(0.4 * np.eye(2), period=1.0, n_modes=4)
+    with pytest.raises(OutOfRange, match="kernel_tol must be finite and >= 0"):
+        check(op, kernel_tol=kernel_tol)
+
+
+@pytest.mark.parametrize("n_trials", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+def test_trial_count_that_is_not_an_integer_is_out_of_range(n_trials):
+    # 2.5 used to end in a TypeError from range, True to run one trial
+    op = assemble_operator(np.pi * np.eye(2), period=1.0, n_modes=4)
+    with pytest.raises(OutOfRange, match="n_trials must be an integer >= 1"):
+        gap_inequality_check(op, n_trials=n_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +510,23 @@ def dense_gap(ev, kernel_tol=spectral.KERNEL_TOL):
 
 
 @st.composite
+def complex_structures(draw, rank):
+    """J0 = Q^T standard_J Q with Q orthogonal (the Q factor of a drawn matrix)."""
+    X = draw(st.lists(st.floats(-1.0, 1.0), min_size=rank * rank, max_size=rank * rank))
+    Q = np.linalg.qr(np.reshape(X, (rank, rank)))[0]
+    return Q.T @ standard_J(rank) @ Q
+
+
+@st.composite
 def constant_operators(draw):
     rank = draw(st.sampled_from([2, 4]))
     ints = st.integers(-8, 8)
     A = np.array(draw(st.lists(ints, min_size=rank * rank, max_size=rank * rank)), dtype=float)
     A = A.reshape(rank, rank) / 4.0
-    B = np.array(draw(st.lists(st.integers(-3, 3), min_size=rank * rank, max_size=rank * rank)),
-                 dtype=float).reshape(rank, rank)
     period = draw(st.floats(0.2, 5.0))
     n_modes = draw(st.integers(0, 8))
-    # symmetric S, and an antisymmetric J0 that need not be a complex structure
-    return assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank, J0=B - B.T)
+    J0 = draw(complex_structures(rank))
+    return assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank, J0=J0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -486,11 +560,6 @@ def sequential_gap_check(op, n_trials, seed, slack=1e-8, kernel_tol=spectral.KER
         Bs = op.matrix @ s
         worst = min(worst, float(Bs @ Bs) / ns2)
     return worst, worst >= gap2 - slack
-
-
-def varying_S(t):
-    return np.array([[0.3 + 0.2 * np.cos(2 * np.pi * t), 0.1 * np.sin(2 * np.pi * t)],
-                     [0.1 * np.sin(2 * np.pi * t), -0.25]])
 
 
 @pytest.mark.parametrize(
@@ -583,9 +652,8 @@ def constant_problems(draw):
         entries = st.lists(st.floats(-bound, bound), min_size=rank * rank, max_size=rank * rank)
         return np.array(draw(entries)).reshape(rank, rank)
 
-    A, B = square(3.0), square(2.0)
-    # symmetric S, and an antisymmetric J0 that need not be a complex structure
-    return A + A.T, B - B.T, draw(st.floats(0.2, 5.0)), draw(st.integers(0, 12))
+    A = square(3.0)
+    return A + A.T, draw(complex_structures(rank)), draw(st.floats(0.2, 5.0)), draw(st.integers(0, 12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,3 +766,51 @@ def test_one_dense_eigen_solve_per_operator(monkeypatch):
     res.eigenvalues[:] = 0.0
     assert np.array_equal(spectrum(op).eigenvalues, again.eigenvalues)
     assert "_eigenvalues" not in repr(op) and "_matrix" not in repr(op)
+
+
+# ---------------------------------------------------------------------------
+# time-dependent S: the DFT fill against the quadrature Galerkin formula
+
+
+def quadrature_galerkin(S_samples, J0, period, n_modes):
+    """The time-dependent Galerkin matrix by periodic rectangle-rule
+    quadrature: M[i::rank, j::rank] -= (F * w S_ij) @ F^T fiber entry by
+    fiber entry, after the first-order part, then symmetrized."""
+    n_t, r = S_samples.shape[:2]
+    ks = np.arange(1, n_modes + 1)
+    M = np.zeros((r * (2 * n_modes + 1),) * 2)
+    view = M.reshape(2 * n_modes + 1, r, 2 * n_modes + 1, r)
+    wJ = (2 * np.pi * ks / period)[:, None, None] * J0
+    view[2 * ks - 1, :, 2 * ks, :] += wJ
+    view[2 * ks, :, 2 * ks - 1, :] -= wJ
+    _, F = spectral._scalar_basis_samples(n_modes, period, n_t)
+    for i in range(r):
+        for j in range(r):
+            W = F * (period / n_t * S_samples[:, i, j])[None, :]
+            M[i::r, j::r] -= W @ F.T
+    M += M.T
+    M *= 0.5
+    return M
+
+
+@st.composite
+def time_dependent_problems(draw):
+    rank = draw(st.sampled_from([2, 4, 6]))
+    n_modes = draw(st.integers(0, 40))
+    # even and odd grids, below 2 n_modes + 1 (aliased) and above 4 n_modes + 1
+    n_t = draw(st.integers(2, 4 * n_modes + 8))
+    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n_t, rank, rank))
+    return A + A.transpose(0, 2, 1), draw(complex_structures(rank)), draw(st.floats(0.2, 5.0)), n_modes
+
+
+@settings(max_examples=80, deadline=None)
+@given(time_dependent_problems())
+def test_dft_fill_is_the_quadrature_galerkin_matrix(problem):
+    S_samples, J0, period, n_modes = problem
+    rank, n_t = S_samples.shape[1], len(S_samples)
+    op = assemble_operator(S_samples, period=period, n_modes=n_modes, rank=rank, J0=J0, n_t=n_t)
+    assert op.blocks is None
+    M = op.matrix
+    assert np.array_equal(M, M.T)
+    oracle = quadrature_galerkin(S_samples, J0, period, n_modes)
+    assert np.max(np.abs(M - oracle)) <= 1e-12 * np.max(np.abs(M))
