@@ -20,6 +20,7 @@ lifts samples along a loop or grid axis to the universal cover, and
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,10 +33,49 @@ from .errors import IncompatibleJ, ModeMismatch, OutOfRange, SingularChart
 DEFAULT_FD_STEP = 1e-4
 
 
-def _require_int(name: str, value, lo: int) -> None:
+def _require_int(name: str, value, lo=-math.inf) -> None:
     """OutOfRange unless ``value`` is an integer (not a bool) >= lo."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        raise OutOfRange(f"{name} must be an integer >= {lo}, got {value!r}")
+        bound = "" if lo == -math.inf else f" >= {lo}"
+        raise OutOfRange(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _require_real(name: str, value, lo=-math.inf, strict: bool = True) -> float:
+    """``value`` as a float; OutOfRange unless it is a finite real number (not
+    a bool) above lo, or at least lo without ``strict``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (lo < value if strict else lo <= value) or not value < math.inf):
+        bound = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo:g}"
+        raise OutOfRange(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
+
+
+def _finite(a) -> bool:
+    """True when every entry of the float array a is finite.  On a few
+    entries (a point) a Python loop costs a fifth of the ufunc call."""
+    return all(map(math.isfinite, a.ravel().tolist())) if a.size <= 32 else bool(np.isfinite(a).all())
+
+
+def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", **vectors) -> list:
+    """[x, *vectors] as float arrays: x a point (d,) or a stack (N, d), as
+    ``point`` and ``stack`` allow, and each named vector of the shape of x,
+    else ModeMismatch; OutOfRange for N = 0 or a non-finite entry."""
+    x = np.asarray(x, dtype=float)
+    if not ((point and x.shape == (d,)) or (stack and x.ndim == 2 and x.shape[1] == d)):
+        forms = [f"({d},)"] * point + [f"(N, {d})"] * stack
+        raise ModeMismatch(f"{name} needs shape {' or '.join(forms)}, got {x.shape}")
+    if not len(x):
+        raise OutOfRange(f"{name} is an empty stack")
+    if not _finite(x):
+        raise OutOfRange(f"{name} must be finite")
+    out = [x]
+    for k, v in vectors.items():
+        out.append(np.asarray(v, dtype=float))
+        if out[-1].shape != x.shape:
+            raise ModeMismatch(f"{k} needs the shape of {name}, {x.shape}, got {out[-1].shape}")
+        if not _finite(out[-1]):
+            raise OutOfRange(f"{k} must be finite")
+    return out
 
 
 def fd_gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -128,8 +168,12 @@ class ContactChart:
         return 2 * self.n + 1
 
     def __post_init__(self):
+        _require_int("n", self.n, 0)
         if self.periods is not None and len(self.periods) != self.dim:
             raise ModeMismatch(f"{self.name}: one period entry per coordinate, got {len(self.periods)}")
+        for i, P in enumerate(self.periods or ()):
+            if P is not None:
+                _require_real(f"periods[{i}]", P, 0)
 
     def lambda_at(self, x) -> np.ndarray:
         L = np.asarray(self.lam(np.asarray(x, dtype=float)), dtype=float)
@@ -230,17 +274,28 @@ def _dual_systems(chart: ContactChart, xs):
     return L, D, D.swapaxes(1, 2) + L[:, :, None] * L[:, None, :]
 
 
+def _system_error(chart: ContactChart, system: str, s, x, i=None):
+    """The error of the dual matrix with singular values s at the point x, or
+    at row i of the stack x, in one message form: OutOfRange for a non-finite
+    matrix (NaN s), else SingularChart naming the ``system``."""
+    where = f"at {x}" if i is None else f"at point {i} of the stack, {x[i]}"
+    if not s[0] < np.inf:
+        return OutOfRange(f"{chart.name}: non-finite dual matrix {where}")
+    return SingularChart(f"{chart.name}: {system} {where} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})")
+
+
 def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
     """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M.
 
     The singular values give the rank check and the condition number; the
-    solve itself is one LU factorization.  Raises SingularChart naming the
-    chart, the ``system`` and x when sigma_min <= _RANK_TOL sigma_max."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= _RANK_TOL * s[0]:
-        raise SingularChart(
-            f"{chart.name}: {system} at {x} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})"
-        )
+    solve itself is one LU factorization.  Raises ``_system_error`` when M
+    is not finite or sigma_min <= _RANK_TOL sigma_max."""
+    try:
+        s = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError:  # NaN entries; inf ones give NaN singular values
+        s = np.full(len(M), np.nan)
+    if not s[-1] > _RANK_TOL * s[0]:
+        raise _system_error(chart, system, s, x)
     return np.linalg.solve(M, rhs), float(s[0] / s[-1])
 
 
@@ -252,70 +307,46 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _check_stack(chart: ContactChart, xs) -> None:
-    """ModeMismatch unless xs is a stack (N, d) of chart points, OutOfRange if N = 0."""
-    if xs.ndim != 2 or xs.shape[1] != chart.dim:
-        raise ModeMismatch(f"{chart.name}: need points of shape (N, {chart.dim}), got {xs.shape}")
-    if len(xs) == 0:
-        raise OutOfRange(f"{chart.name}: empty stack of points")
-
-
-def _stacked(chart: ContactChart, x, **vectors):
-    """(point, xs, *stacks): x and each named vector as float stacks (N, d).
-
-    ``point`` is True when x is one point (d,), taken as the one-row stack.
-    Otherwise x must be a stack as in ``_check_stack``; each vector must have
-    the shape of x (ModeMismatch naming it)."""
-    x = np.asarray(x, dtype=float)
-    point = x.shape == (chart.dim,)
-    if not point:
-        _check_stack(chart, x)
-    out = []
-    for name, v in vectors.items():
-        v = np.asarray(v, dtype=float)
-        if v.shape != x.shape:
-            raise ModeMismatch(f"{chart.name}: {name} needs the shape of x, {x.shape}, got {v.shape}")
-        out.append(v[None] if point else v)
-    return (point, x[None] if point else x, *out)
-
-
-def _rank_test(chart: ContactChart, xs, M, system: str):
-    """Singular values (N, d) of the stack M; SingularChart naming the
-    ``system`` and the first point with sigma_min <= _RANK_TOL sigma_max."""
-    s = np.linalg.svd(M, compute_uv=False)
-    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
-    bad = np.flatnonzero(s[:, -1] <= _RANK_TOL * s[:, 0])
+def _rank_test(chart: ContactChart, x, M, system: str):
+    """Singular values (N, d) of the stack M at x, a point (d,) (N = 1) or a
+    stack (N, d); ``_system_error`` for the first point with a non-finite M
+    or sigma_min <= _RANK_TOL sigma_max."""
+    try:
+        s = np.linalg.svd(M, compute_uv=False)  # NaN rows for inf entries
+    except np.linalg.LinAlgError:  # raised for NaN entries
+        if np.isfinite(M).all():
+            raise
+        s = np.where(np.isfinite(M).all(axis=(1, 2))[:, None], 1.0, np.nan)
+    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass; a
+    # NaN row (a non-finite M) fails the comparison too
+    bad = np.flatnonzero(~(s[:, -1] > _RANK_TOL * s[:, 0]))
     if bad.size:
         i = bad[0]
-        raise SingularChart(
-            f"{chart.name}: {system} at point {i} of the stack, {xs[i]} "
-            f"(sigma_min = {s[i, -1]:.2e}, sigma_max = {s[i, 0]:.2e})"
-        )
+        raise _system_error(chart, system, s[i], x, None if x.ndim == 1 else i)
     return s
 
 
-def _reeb_solve_stack(chart: ContactChart, xs, L, D, M) -> ReebSolve:
-    """``reeb_solve`` over a stack (N, d) with its ``_dual_systems`` (L, D, M):
-    one stacked SVD rank test, one stacked LU solve and one stacked residual."""
-    s = _rank_test(chart, xs, M, "Reeb system rank-deficient")
+def _reeb_solve_stack(chart: ContactChart, x, L, D, M) -> ReebSolve:
+    """``reeb_solve`` at x (as in ``_rank_test``) from its ``_dual_systems``
+    (L, D, M): one stacked SVD rank test, LU solve and residual."""
+    s = _rank_test(chart, x, M, "Reeb system rank-deficient")
     v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
     Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
     residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
     return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
 
 
-def _xi_dual_stack(chart: ContactChart, xs, alphas):
-    """(L, X_lam, Y_alpha) over a stack xs with one-forms alphas, both (N, d).
+def _xi_dual_stack(chart: ContactChart, x, alphas):
+    """(L, X_lam, Y_alpha) at x (as in ``_rank_test``) with one-forms alphas (N, d).
 
     One ``_dual_systems`` evaluation, one rank test and one stacked LU solve
-    of 2N systems: the dual matrix M against alphas and against L.  Both
-    columns as right-hand sides of one system per point would take LAPACK's
-    multi-column triangular solve, which moves last bits against the
-    one-column solves of ``flat_dual`` and ``reeb_solve``."""
-    L, _, M = _dual_systems(chart, xs)
-    _rank_test(chart, xs, M, "dual system singular")
+    of 2N systems, M against alphas and against L: two right-hand sides of
+    one system would take LAPACK's multi-column triangular solve, which
+    moves last bits against the one-column solves of ``flat_dual``."""
+    L, _, M = _dual_systems(chart, x.reshape(-1, chart.dim))
+    _rank_test(chart, x, M, "dual system singular")
     v = np.linalg.solve(np.concatenate([M, M]), np.concatenate([alphas, L])[:, :, None])[:, :, 0]
-    v, X = v[: len(xs)], v[len(xs) :]
+    v, X = v[: len(L)], v[len(L) :]
     return L, X, v - _dots(L, v)[:, None] * X
 
 
@@ -324,32 +355,33 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
 
     The solve goes through the equivalent square dual system
     (dlam^T + lam lam^T) X = lam; the residual of the stacked system and the
-    condition number are reported rather than silently accepted.
-
-    A point x of shape (d,) is solved on its own.  A stack (N, d) is solved
-    in one pass: one stacked SVD rank test, one stacked LU solve, and the
-    worst residual and condition number over the stack; SingularChart names
-    the first rank-deficient point, an empty stack raises OutOfRange and any
-    other shape ModeMismatch.  The vectors equal those of the point calls
-    bit for bit.
+    condition number are reported rather than silently accepted.  A point x
+    (d,) is solved on its own, a stack (N, d) in one pass (one stacked SVD
+    rank test and LU solve; the worst residual and condition number), with
+    the vectors of the point solves bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        _check_stack(chart, x)
-        return _reeb_solve_stack(chart, x, *_dual_systems(chart, x))
+    if x.shape != (chart.dim,) or not _finite(x):
+        xs = _points(chart.dim, x)[0]  # a stack, else it raises
+        return _reeb_solve_stack(chart, xs, *_dual_systems(chart, xs))
     L, D, M = _dual_system(chart, x)
     v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
     return ReebSolve(v, _stacked_residual(L, D, v), cond, L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
-    """Reeb field at a batch of points via one stacked solve (hot path for
-    variational integration); raises SingularChart on any singular point."""
-    L, _, M = _dual_systems(chart, np.asarray(xs, dtype=float))
+    """Reeb field at a stack of points (N, d) via one stacked LU solve (hot
+    path for variational integration); the rank test runs only when LU
+    fails, to name the first singular point."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != chart.dim or not len(xs) or not _finite(xs):
+        _points(chart.dim, xs, point=False, name="xs")  # raises the typed error
+    L, _, M = _dual_systems(chart, xs)
     try:
         return np.linalg.solve(M, L[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularChart(f"{chart.name}: singular Reeb system in batch") from err
+    except np.linalg.LinAlgError:  # LU is backward stable, so the rank test fails too
+        _rank_test(chart, xs, M, "Reeb system rank-deficient")
+        raise
 
 
 def reeb_field(chart: ContactChart, x) -> np.ndarray:
@@ -358,19 +390,16 @@ def reeb_field(chart: ContactChart, x) -> np.ndarray:
 
 
 def project_xi(chart: ContactChart, Z, x) -> np.ndarray:
-    """Projection of Z onto the contact distribution along the Reeb field.
-
-    x is a point (d,) or a stack (N, d) with Z of the same shape; one
-    ``_dual_systems`` evaluation and one stacked Reeb solve per call."""
-    point, xs, Zs = _stacked(chart, x, Z=Z)
-    sol = _reeb_solve_stack(chart, xs, *_dual_systems(chart, xs))
-    P = Zs - _dots(sol.lam, Zs)[:, None] * sol.vector
-    return P[0] if point else P
+    """Projection of Z (shaped as x) onto the contact distribution along the Reeb field."""
+    x, Z = _points(chart.dim, x, Z=Z)
+    Zs = Z.reshape(-1, chart.dim)
+    sol = _reeb_solve_stack(chart, x, *_dual_systems(chart, x.reshape(-1, chart.dim)))
+    return (Zs - _dots(sol.lam, Zs)[:, None] * sol.vector).reshape(x.shape)
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
-    """Matrix of project_xi: I - X lam^T."""
-    sol = reeb_solve(chart, x)
+    """Matrix of project_xi at a point (d,): I - X lam^T."""
+    sol = reeb_solve(chart, _points(chart.dim, x, stack=False)[0])
     return np.eye(chart.dim) - np.outer(sol.vector, sol.lam)
 
 
@@ -378,51 +407,43 @@ def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
     """The vector field dual to a one-form under the contact form.
 
     Returns the unique X with alpha = X . dlam + lam(X) lam, equivalently
-    Y_alpha + alpha(X_lam) X_lam with Y_alpha in the contact distribution.
-    x is a point (d,) or a stack (N, d) with alpha of the same shape; one
-    ``_dual_systems`` evaluation, one stacked SVD rank test and one stacked
-    LU solve per call.
+    Y_alpha + alpha(X_lam) X_lam with Y_alpha in the contact distribution;
+    alpha has the shape of x.
     """
-    point, xs, alphas = _stacked(chart, x, alpha=alpha)
-    M = _dual_systems(chart, xs)[2]
-    _rank_test(chart, xs, M, "dual system singular")
-    v = np.linalg.solve(M, alphas[:, :, None])[:, :, 0]
-    return v[0] if point else v
+    x, alpha = _points(chart.dim, x, alpha=alpha)
+    M = _dual_systems(chart, x.reshape(-1, chart.dim))[2]
+    _rank_test(chart, x, M, "dual system singular")
+    return np.linalg.solve(M, alpha.reshape(-1, chart.dim, 1)).reshape(x.shape)
 
 
 def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
-    """The one-form dual to a vector field: X . dlam + lam(X) lam.
-
-    x is a point (d,) or a stack (N, d) with X of the same shape; one
-    ``_dual_systems`` evaluation per call."""
-    point, xs, Xs = _stacked(chart, x, X=X)
-    L, D, _ = _dual_systems(chart, xs)
+    """The one-form dual to a vector field X (shaped as x): X . dlam + lam(X) lam."""
+    x, X = _points(chart.dim, x, X=X)
+    Xs = X.reshape(-1, chart.dim)
+    L, D, _ = _dual_systems(chart, x.reshape(-1, chart.dim))
     # one gemv per point, as ``D.T @ X``
-    alpha = (D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L
-    return alpha[0] if point else alpha
+    return ((D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L).reshape(x.shape)
 
 
 def xi_dual_part(chart: ContactChart, alpha, x) -> np.ndarray:
-    """The xi-component Y_alpha of the dual field of alpha.
-
-    x is a point (d,) or a stack (N, d) with alpha of the same shape; one
-    ``_dual_systems`` evaluation per call, solved for both the dual field
-    and the Reeb field it is projected along."""
-    point, xs, alphas = _stacked(chart, x, alpha=alpha)
-    Y = _xi_dual_stack(chart, xs, alphas)[2]
-    return Y[0] if point else Y
+    """The xi-component Y_alpha of the dual field of alpha (shaped as x): one
+    dual system per point, solved for both the dual field and the Reeb field
+    it is projected along."""
+    x, alpha = _points(chart.dim, x, alpha=alpha)
+    return _xi_dual_stack(chart, x, alpha.reshape(-1, chart.dim))[2].reshape(x.shape)
 
 
 def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     """(f, lam, X_lam, Y_dg) at one point x: the pieces of every identity of
     the rescaled form f*lam, from one evaluation of the chart's dual system.
 
-    Raises OutOfRange for a non-positive factor, before g = log f is taken."""
+    Raises OutOfRange unless 0 < f < inf, before g = log f is taken."""
+    x = _points(chart.dim, x, stack=False)[0]
     fx = pert.f_at(x)
-    if fx <= 0:
-        raise OutOfRange(f"conformal factor must be positive, got {fx}")
-    _, xs, dgs = _stacked(chart, x, dg=pert.dg_at(x))
-    L, X, Y = _xi_dual_stack(chart, xs, dgs)
+    if not 0 < fx < np.inf:
+        raise OutOfRange(f"conformal factor must be positive and finite, got {fx}")
+    dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
+    L, X, Y = _xi_dual_stack(chart, x, dg[None])
     return fx, L[0], X[0], Y[0]
 
 
@@ -460,9 +481,7 @@ def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> n
     """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg.
 
     ModeMismatch unless Z is one vector (chart.dim,)."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (chart.dim,):
-        raise ModeMismatch(f"Z must have shape ({chart.dim},), got {Z.shape}")
+    Z = _points(chart.dim, Z, stack=False, name="Z")[0]
     _, L, X, Y = _rescaled_parts(chart, pert, x)
     lz = float(L @ Z)
     return Z - lz * X - lz * Y
@@ -474,7 +493,7 @@ def triad_metric(chart: ContactChart, J, x) -> np.ndarray:
     J must satisfy J^2 = -Pi (projection onto the contact distribution)
     within 1e-8; raises IncompatibleJ otherwise.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(chart.dim, x, stack=False)[0]
     Jm = np.asarray(J(x) if callable(J) else J, dtype=float)
     Pi = xi_projection_matrix(chart, x)
     defect = float(np.max(np.abs(Jm @ Jm + Pi)))
@@ -486,16 +505,13 @@ def triad_metric(chart: ContactChart, J, x) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def triad_gradient(chart: ContactChart, J, h, x, grad_h=None) -> np.ndarray:
-    """Gradient of h with respect to the triad metric of (chart, J).
+def triad_gradient(chart: ContactChart, J, h, x) -> np.ndarray:
+    """Gradient of h with respect to the triad metric of (chart, J) at a point x.
 
-    Solves g(grad h, .) = dh; the Reeb component equals dh(X_lam) and the
-    xi-component is the rotated contact Hamiltonian direction.
-    """
-    x = np.asarray(x, dtype=float)
+    Solves g(grad h, .) = dh (dh by ``fd_gradient``); the Reeb component is
+    dh(X_lam), the xi-component the rotated contact Hamiltonian direction."""
     G = triad_metric(chart, J, x)
-    dh = np.asarray(grad_h(x), dtype=float) if grad_h is not None else fd_gradient(h, x)
-    return np.linalg.solve(G, dh)
+    return np.linalg.solve(G, fd_gradient(h, np.asarray(x, dtype=float)))
 
 
 def compatible_xi_structure(chart: ContactChart, x) -> np.ndarray:
@@ -522,7 +538,6 @@ def xi_frame(chart: ContactChart, x) -> np.ndarray:
     Gram-Schmidt over the projected chart basis in coordinate order, so the
     result is reproducible.
     """
-    x = np.asarray(x, dtype=float)
     F = _gram_schmidt(xi_projection_matrix(chart, x), 2 * chart.n, 1e-10)
     if F.shape[1] != 2 * chart.n:
         raise SingularChart(f"{chart.name}: could not frame xi at {x}")
@@ -585,9 +600,9 @@ def contact_volume(chart: ContactChart, x):
     stacked ``_pfaffian`` call takes the bordered matrices
     [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    vol = _volume_density(chart.n, *_dual_systems(chart, pts)[:2])
-    return float(vol[0]) if np.ndim(x) == 1 else vol
+    x = _points(chart.dim, x)[0]
+    vol = _volume_density(chart.n, *_dual_systems(chart, x.reshape(-1, chart.dim))[:2])
+    return float(vol[0]) if x.ndim == 1 else vol
 
 
 def _volume_density(n: int, L, D) -> np.ndarray:
@@ -611,11 +626,10 @@ def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
     ``points`` is a stack (N, d), or one point (d,) taken as a one-row stack.
     The chart is evaluated once per point (``_dual_systems``); one stacked
     Reeb solve gives the worst condition number and residual, and the volumes
-    are those of ``contact_volume``.  An empty stack raises OutOfRange."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_stack(chart, pts)
-    L, D, M = _dual_systems(chart, pts)
-    sol = _reeb_solve_stack(chart, pts, L, D, M)
+    are those of ``contact_volume``."""
+    x = _points(chart.dim, points)[0]
+    L, D, M = _dual_systems(chart, x.reshape(-1, chart.dim))
+    sol = _reeb_solve_stack(chart, x, L, D, M)
     vols = _volume_density(chart.n, L, D)
     return ChartDiagnostics(
         min_abs_volume=float(np.min(np.abs(vols))),

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, _dots, _require_int, reeb_solve, unwrap_angles, wrap_angles
+from .core import ContactChart, _dots, _points, _require_int, _require_real, reeb_solve, unwrap_angles, wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -26,6 +26,13 @@ from .errors import (
 )
 from .models import weighted_tube_flow
 from .spectral import SpectralOperator, _eigh
+
+# decay_rate fits >= FIT_MIN_SLICES slices with norm in (FIT_FLOOR, FIT_UPPER_FRAC * initial)
+FIT_FLOOR = 1e-12
+FIT_UPPER_FRAC = 0.1
+FIT_MIN_SLICES = 10
+# Newton steps of center_of_mass before it gives up.
+CENTER_OF_MASS_MAX_ITER = 30
 
 # ---------------------------------------------------------------------------
 # three-interval lemma
@@ -44,9 +51,8 @@ def growth_factor(gamma: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def gamma_of_c(c: float) -> float:
-    """gamma(c) = 1/(e^c + e^-c); growth_factor(gamma(c)) = e^c."""
-    if c <= 0:
-        raise OutOfRange(f"c must be positive, got {c}")
+    """gamma(c) = 1/(e^c + e^-c), c > 0; growth_factor(gamma(c)) = e^c."""
+    c = _require_real("c", c, 0)
     return 1.0 / (math.exp(c) + math.exp(-c))
 
 
@@ -93,6 +99,7 @@ def three_interval_bound(seq: IntervalSeq, slack: float = 1e-12) -> ThreeInterva
     (sequence, index) violations; each row is what the single-sequence call
     on it returns.
     """
+    slack = _require_real("slack", slack, 0, strict=False)
     x = seq.x
     N = x.shape[-1] - 1
     gamma = np.asarray(seq.gamma, dtype=float)[..., None]
@@ -125,6 +132,8 @@ def random_hypothesis_sequences(
     log r_k, x = exp(L - max L)): the products r_0 ... r_{k-1} overflow for
     long sequences, as xi ~ 20 at gamma = 0.05.
     """
+    _require_int("n_seq", n_seq, 1)
+    _require_int("N", N, 1)
     gamma = rng.uniform(0.05, 0.49, n_seq)
     xi = growth_factor(gamma)
     two_sided = rng.uniform(size=n_seq) < 0.5
@@ -170,15 +179,14 @@ class Forcing:
 
     The profile is either grid samples (n_t, rank) or a dict mapping Galerkin
     eigenmode indices to amplitudes (resolved against the operator's
-    eigenbasis at solve time).  OutOfRange unless delta0 is finite and > 0.
+    eigenbasis at solve time).  delta0 is finite and > 0.
     """
 
     delta0: float
     profile: Union[np.ndarray, dict, None] = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta0 < math.inf:
-            raise OutOfRange(f"forcing decay rate delta0 must be finite and > 0, got {self.delta0!r}")
+        _require_real("delta0", self.delta0, 0)
 
 
 _RESONANCE_TOL = 1e-9
@@ -213,32 +221,24 @@ def solve_cylinder(
     grid) sets the output grid, on which every tau-slice is synthesized in
     one product.
 
-    The march covers [0, R] in ``n_tau`` equal steps: n_tau and a given
-    n_t must be integers >= 1 and R finite and > 0, else OutOfRange.  ResolutionTooCoarse
+    The march covers [0, R] in ``n_tau`` equal steps.  ResolutionTooCoarse
     when ``n_t`` cannot carry the operator's modes, or when a Crank-Nicolson
     step R / n_tau is 2 / |lambda|_max or more.
     """
     _require_int("n_tau", n_tau, 1)
-    if not 0.0 < R < np.inf:
-        raise OutOfRange(f"R must be finite and > 0, got {R!r}")
+    R = _require_real("R", R, 0)
     n_t = len(op.t_grid) if n_t is None else n_t
     _require_int("n_t", n_t, 1)
     if n_t < 2 * op.n_modes + 2:
-        raise ResolutionTooCoarse(
-            f"n_t = {n_t} cannot carry {op.n_modes} Fourier modes"
-        )
+        raise ResolutionTooCoarse(f"n_t = {n_t} cannot carry {op.n_modes} Fourier modes")
     if method not in ("eigen", "cn"):
         raise OutOfRange(f"unknown method {method!r}, expected 'eigen' or 'cn'")
     tau = np.linspace(0.0, R, n_tau + 1)
     t = np.arange(n_t) * (op.period / n_t)
 
     zeta0 = np.asarray(zeta0, dtype=float)
-    if zeta0.ndim == 2:
-        c0 = op.coefficients_from_grid(zeta0)
-    elif zeta0.shape == (op.dim,):
-        c0 = zeta0
-    else:
-        raise ModeMismatch(f"zeta0 coefficients must have length {op.dim}")
+    grid = zeta0.ndim == 2
+    c0 = op.coefficients_from_grid(zeta0) if grid else _points(op.dim, zeta0, stack=False, name="zeta0")[0]
     evals, evecs = _eigh(op, vectors=True)
     a0 = evecs.T @ c0
     # forcing amplitudes in eigen-coordinates (ascending-eigenvalue order)
@@ -248,7 +248,7 @@ def solve_cylinder(
         for idx, amp in profile.items():
             if not 0 <= int(idx) < op.dim:
                 raise ModeMismatch(f"eigenmode index {idx} out of range")
-            ell[int(idx)] = float(amp)
+            ell[int(idx)] = _require_real(f"profile[{idx}]", amp)
     elif profile is not None:
         ell = evecs.T @ op.coefficients_from_grid(profile)
 
@@ -366,33 +366,26 @@ class DecayFit:
     window_kind: str  # "decay" or "full"
 
 
-def decay_rate(
-    field: CylinderField,
-    floor: float = 1e-12,
-    upper_frac: float = 0.1,
-    min_slices: int = 10,
-) -> DecayFit:
+def decay_rate(field: CylinderField) -> DecayFit:
     """Least-squares slope of log slice-norms.
 
-    The fit window keeps slices with norm in (floor, upper_frac * initial),
-    skipping the initial transient.  If the norms never drop below the
-    transient threshold (the no-decay regime) the fit falls back to every
-    slice above the floor; a window that is genuinely too short raises
-    InsufficientDecay.
+    The fit window keeps slices with norm in (FIT_FLOOR, FIT_UPPER_FRAC *
+    initial), skipping the initial transient.  If the norms never drop below
+    the transient threshold (the no-decay regime) the fit falls back to every
+    slice above the floor; a window of fewer than FIT_MIN_SLICES slices
+    raises InsufficientDecay.
     """
     norms = field.slice_norms
-    if norms[0] <= floor:
+    if norms[0] <= FIT_FLOOR:
         raise InsufficientDecay("initial slice already below the floor")
-    mask = (norms > floor) & (norms < upper_frac * norms[0])
+    mask = (norms > FIT_FLOOR) & (norms < FIT_UPPER_FRAC * norms[0])
     kind = "decay"
-    if np.sum(mask) < min_slices:
-        if np.all(norms > upper_frac * norms[0]):
-            mask = norms > floor
+    if np.sum(mask) < FIT_MIN_SLICES:
+        if np.all(norms > FIT_UPPER_FRAC * norms[0]):
+            mask = norms > FIT_FLOOR
             kind = "full"
-        if np.sum(mask) < min_slices:
-            raise InsufficientDecay(
-                f"only {int(np.sum(mask))} usable slices (need {min_slices})"
-            )
+        if np.sum(mask) < FIT_MIN_SLICES:
+            raise InsufficientDecay(f"only {int(np.sum(mask))} usable slices (need {FIT_MIN_SLICES})")
     taus = field.tau[mask]
     ys = np.log(norms[mask])
     A = np.column_stack([taus, np.ones_like(taus)])
@@ -426,6 +419,7 @@ class FlatTorusQ:
     """
 
     def __init__(self, dim: int = 2, periods: Optional[Sequence[Optional[float]]] = None):
+        _require_int("dim", dim, 1)
         self.dim = dim
         self._angles = tuple(periods) if periods is not None else (1.0,) * dim
         self.periods = np.array(self._angles, dtype=float)
@@ -454,8 +448,8 @@ class RotatingTubeQ(FlatTorusQ):
     plane that the flow differential rotates with angular speed w_fiber."""
 
     def __init__(self, w_theta: float, w_fiber: float):
-        super().__init__(3, (2 * np.pi / w_theta, None, None))
-        self.w_fiber = float(w_fiber)
+        super().__init__(3, (2 * np.pi / _require_real("w_theta", w_theta, 0), None, None))
+        self.w_fiber = _require_real("w_fiber", w_fiber)
 
     def flow(self, q, s):
         return weighted_tube_flow(self.w_fiber, q, s)
@@ -498,7 +492,6 @@ def center_of_mass(
     T: float,
     delta_tube: float = 0.25,
     tol: float = 1e-9,
-    max_iter: int = 30,
     reference=None,
 ) -> CenterOfMassResult:
     """Center of mass m and reparametrization h of a loop near the Reeb locus.
@@ -510,18 +503,20 @@ def center_of_mass(
 
     The tube precondition measures the C^0 distance between the loop and the
     period-T orbit through ``reference`` (default: the loop's own base
-    point); beyond ``delta_tube`` the solve refuses with OutsideTube.
+    point); beyond ``delta_tube`` the solve refuses with OutsideTube, and
+    after CENTER_OF_MASS_MAX_ITER Newton steps with NoConvergence.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    T = _require_real("T", T, 0)
+    delta_tube = _require_real("delta_tube", delta_tube, 0)
+    tol = _require_real("tol", tol, 0)
+    gamma = _points(model.dim, gamma, point=False, name="gamma")[0]
     N, d = gamma.shape
-    if d != model.dim:
-        raise ModeMismatch(f"loop lives in R^{d}, model has dim {model.dim}")
     ts = np.arange(N) / N
 
     m = gamma[0].copy()
     eta = np.zeros(N)
 
-    anchor = gamma[0] if reference is None else np.asarray(reference, dtype=float)
+    anchor = gamma[0] if reference is None else _points(d, reference, stack=False, name="reference")[0]
     dist = float(np.max(np.linalg.norm(model.inv_exp(anchor, model.flow(gamma, -T * ts)), axis=1)))
     if dist > delta_tube:
         raise OutsideTube(
@@ -534,7 +529,7 @@ def center_of_mass(
         return np.concatenate([E.mean(axis=0), E @ model.theta(m), [eta.mean()]])
 
     history = []
-    for it in range(max_iter):
+    for it in range(CENTER_OF_MASS_MAX_ITER):
         r = residuals(m, eta)
         res = float(np.max(np.abs(r)))
         history.append(res)
@@ -547,24 +542,17 @@ def center_of_mass(
                 iterations=it,
                 history=history,
             )
-        # forward-difference Jacobian in (m, eta)
-        n_unk = d + N
-        J = np.empty((d + N + 1, n_unk))
+        # forward-difference Jacobian in the unknowns u = (m, eta)
+        J = np.empty((d + N + 1, d + N))
         hstep = 1e-7
-        for j in range(d):
-            dm = m.copy()
-            dm[j] += hstep
-            rj = residuals(dm, eta)
-            J[:, j] = (rj - r) / hstep
-        for j in range(N):
-            de = eta.copy()
-            de[j] += hstep
-            rj = residuals(m, de)
-            J[:, d + j] = (rj - r) / hstep
+        for j in range(d + N):
+            u = np.concatenate([m, eta])
+            u[j] += hstep
+            J[:, j] = (residuals(u[:d], u[d:]) - r) / hstep
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         m = m + step[:d]
         eta = _monotone_projection(eta + step[d:])
-    raise NoConvergence(max_iter, history[-1], history)
+    raise NoConvergence(CENTER_OF_MASS_MAX_ITER, history[-1], history)
 
 
 def mean_zero_check(model, zeta_samples: np.ndarray, T: float) -> np.ndarray:
@@ -574,7 +562,8 @@ def mean_zero_check(model, zeta_samples: np.ndarray, T: float) -> np.ndarray:
     flow-pushforward section this returns the generating vector, and the
     kernel-exclusion argument needs the value to vanish.
     """
-    zeta_samples = np.asarray(zeta_samples, dtype=float)
+    T = _require_real("T", T)
+    zeta_samples = _points(model.dim, zeta_samples, point=False, name="zeta_samples")[0]
     N = zeta_samples.shape[0]
     ts = np.arange(N) / N
     acc = np.zeros(zeta_samples.shape[1])
@@ -616,6 +605,7 @@ def action_charge(
     grid.  Scenarios with nonvanishing charge are reported but carry no
     decay claim.
     """
+    R = _require_real("R", R, 0)
     w_samples = np.asarray(w_samples, dtype=float)
     if w_samples.ndim != 3 or w_samples.shape[2] != chart.dim:
         raise ModeMismatch(
@@ -624,6 +614,7 @@ def action_charge(
     n_tau, n_t, d = w_samples.shape
     if n_tau < 3:
         raise ModeMismatch(f"need at least three tau slices, got {n_tau}")
+    sol = reeb_solve(chart, w_samples.reshape(-1, d))
     w = unwrap_angles(unwrap_angles(w_samples, chart.periods, axis=0), chart.periods, axis=1)
     dtau = R / (n_tau - 1)
     dt = 1.0 / n_t
@@ -633,8 +624,6 @@ def action_charge(
     # t, so a plain roll difference would jump at the seam)
     fwd = wrap_angles(np.roll(w, -1, axis=1) - w, chart.periods)
     dw_t = (fwd + np.roll(fwd, 1, axis=1)) / (2 * dt)
-
-    sol = reeb_solve(chart, w_samples.reshape(-1, d))
     L = sol.lam.reshape(w_samples.shape)
     X = sol.vector.reshape(w_samples.shape)
     lam_tau = _dots(L, dw_tau)

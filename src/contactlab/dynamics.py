@@ -5,8 +5,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _gram_schmidt, periodic_derivative, reeb_solve, unwrap_angles
-from .core import xi_frame, xi_projection_matrix
+from .core import ContactChart, _angle_columns, _gram_schmidt, _points, _require_int, _require_real
+from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
 ORBIT_CLOSURE_TOL = 1e-8
@@ -28,6 +28,10 @@ MIN_PERIOD_FRACTION = 1e-3
 # unknowns (section coordinates and the period) changes the shot by less than
 # the 1e-10 integrator tolerance resolves, so it cannot reduce F.
 STALL_STEP = 1e-12
+# Newton steps of ``find_closed_orbit`` before it gives up.
+MAX_NEWTON_STEPS = 25
+# A return-map eigenvalue within this distance of 1 counts as a unit eigenvalue.
+UNIT_TOL = 1e-6
 
 
 @dataclass
@@ -103,9 +107,9 @@ def flow(chart: ContactChart, x0, T: float, steps: int = 200) -> Trajectory:
     Raises LeftChartDomain when the trajectory leaves the chart domain and
     OutOfRange for steps < 1, which would stop the samples at t = 0.
     """
-    if steps < 1:
-        raise OutOfRange(f"flow needs at least one step, got {steps!r}")
-    x0 = np.asarray(x0, dtype=float)
+    _require_int("steps", steps, 1)
+    T = _require_real("T", T)
+    x0 = _points(chart.dim, x0, stack=False, name="x0")[0]
     if T == 0:
         return Trajectory(np.array([0.0]), x0[None, :], 0.0)
     times, states, max_residual = _integrate(
@@ -123,9 +127,12 @@ def monodromy(chart: ContactChart, x0, T, V=None):
     k = 0 the run is the flow alone.  Raises LeftChartDomain when the
     trajectory leaves the chart domain.
     """
-    x0 = np.asarray(x0, dtype=float)
+    T = _require_real("T", T)
+    x0 = _points(chart.dim, x0, stack=False, name="x0")[0]
     d = chart.dim
     V = np.eye(d) if V is None else np.asarray(V, dtype=float)
+    if V.shape != (d, 0):  # the k tangent vectors, one row each
+        V = _points(d, V.T, point=False, name="V.T")[0].T
     _, states, _ = _integrate(chart, x0, T, V)
     return states[-1, :d], states[-1, d:].reshape(V.shape)
 
@@ -152,8 +159,8 @@ class ReebOrbit:
         Raises OutOfRange unless T > 0 (every point closes up at T = 0) and
         NoConvergence when the flow misses p at time T by more than tol.
         """
-        if not T > 0:
-            raise OutOfRange(f"orbit period must be positive, got {T!r}")
+        T = _require_real("T", T, 0)
+        tol = _require_real("tol", tol, 0)
         traj = flow(chart, p, T, steps=n_samples)
         closure = float(np.max(np.abs(chart.wrap_diff(traj.end, p))))
         if closure > tol:
@@ -196,7 +203,6 @@ def find_closed_orbit(
     T_guess: float,
     winding: Optional[Sequence] = None,
     tol: float = ORBIT_CLOSURE_TOL,
-    max_iter: int = 25,
     n_samples: int = 256,
     fix_point: bool = False,
 ) -> ReebOrbit:
@@ -218,15 +224,16 @@ def find_closed_orbit(
 
     Raises NoConvergence, with the Newton residual history, when the period
     collapses below ``MIN_PERIOD_FRACTION * T_guess``, when the Gauss-Newton
-    step stalls (see ``STALL_STEP``), or after ``max_iter`` steps.  Zero
-    lattice offsets are not rejected: contractible orbits legitimately have
-    them.  Raises OutOfRange for a non-positive ``T_guess`` and for a
-    ``winding`` that is not one entry per coordinate or that the chart's
+    step stalls (see ``STALL_STEP``), or after ``MAX_NEWTON_STEPS`` steps.
+    Zero lattice offsets are not rejected: contractible orbits legitimately
+    have them.  Raises OutOfRange for a non-positive ``T_guess`` and for a
+    ``winding`` that is not one integer per coordinate or that the chart's
     periods cannot carry.
     """
-    if not T_guess > 0:
-        raise OutOfRange(f"T_guess must be positive, got {T_guess!r}")
-    x0 = np.asarray(guess, dtype=float)
+    T_guess = _require_real("T_guess", T_guess, 0)
+    tol = _require_real("tol", tol, 0)
+    _require_int("n_samples", n_samples, 1)
+    x0 = _points(chart.dim, guess, stack=False, name="guess")[0]
     d = chart.dim
     S = np.zeros((d, 0)) if fix_point else _section_basis(chart, x0)
     offset = None
@@ -237,33 +244,31 @@ def find_closed_orbit(
             raise OutOfRange(f"{chart.name}: winding needs {d} entries, got {len(winding)}")
         offset = np.zeros(d)
         for i, (w, P) in enumerate(zip(winding, chart.periods)):
+            _require_int(f"winding[{i}]", w)
             if w:
                 if P is None:
                     raise OutOfRange(f"{chart.name}: winding {w} on coordinate {i}, which is not periodic")
                 offset[i] = w * P
 
     c = np.zeros(S.shape[1])
-    T = float(T_guess)
+    T = T_guess
     history = []
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_STEPS):
         x = x0 + S @ c
         try:
             end, MS = monodromy(chart, x, T, S)
         except LeftChartDomain:
             raise NoConvergence(it, np.inf, history)
         raw = end - x
-        if offset is None:
+        if offset is None:  # the lattice offset of the first shot
+            cols, P = _angle_columns(chart.periods)
             offset = np.zeros(d)
-            if chart.periods is not None:
-                for i, P in enumerate(chart.periods):
-                    if P is not None:
-                        offset[i] = round(raw[i] / P) * P
+            offset[cols] = np.round(raw[cols] / P) * P
         F = raw - offset
         res = float(np.max(np.abs(F)))
         history.append(res)
         if res < tol:
-            orbit_T = T
-            return ReebOrbit.from_point(chart, x, orbit_T, n_samples=n_samples, tol=10 * tol)
+            return ReebOrbit.from_point(chart, x, T, n_samples=n_samples, tol=10 * tol)
         Xend = reeb_solve(chart, end).vector
         Jac = np.column_stack([MS - S, Xend])
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
@@ -273,7 +278,7 @@ def find_closed_orbit(
         T = T + step[-1]
         if T <= MIN_PERIOD_FRACTION * T_guess:
             raise NoConvergence(it + 1, res, history)
-    raise NoConvergence(max_iter, history[-1], history)
+    raise NoConvergence(MAX_NEWTON_STEPS, history[-1], history)
 
 
 @dataclass
@@ -287,8 +292,9 @@ class ReturnMap:
     symplectic_error: float
 
 
-def return_map(chart: ContactChart, orbit: ReebOrbit, unit_tol: float = 1e-6) -> ReturnMap:
-    """Monodromy of the variational flow projected to the xi-frame at the base."""
+def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
+    """Monodromy of the variational flow projected to the xi-frame at the base;
+    ``unit_eigen_dim`` counts the eigenvalues within ``UNIT_TOL`` of 1."""
     p = orbit.base_point
     S = orbit.frame
     _, MS = monodromy(chart, p, orbit.period, S)
@@ -297,7 +303,7 @@ def return_map(chart: ContactChart, orbit: ReebOrbit, unit_tol: float = 1e-6) ->
     Omega0 = S.T @ D @ S
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)
-    unit_dim = int(np.sum(np.abs(eig - 1.0) <= unit_tol))
+    unit_dim = int(np.sum(np.abs(eig - 1.0) <= UNIT_TOL))
     return ReturnMap(Psi, eig, unit_dim, Omega0, sperr)
 
 
@@ -313,6 +319,7 @@ class MorseBottCandidate:
 
 def classify_orbit(rm: ReturnMap, tol: float = 1e-6):
     """Nondegenerate iff no return-map eigenvalue lies within tol of 1."""
+    tol = _require_real("tol", tol, 0, strict=False)
     dist = np.abs(rm.eigenvalues - 1.0)
     k = int(np.sum(dist <= tol))
     if k == 0:
@@ -348,14 +355,17 @@ def orbit_family_scan(
 ) -> FamilyScan:
     """Continue the seed orbit in transverse directions and track periods.
 
-    Failures at individual samples (no convergence, a singular chart, a
-    trajectory leaving the chart) are recorded per sample, not raised; the
-    spread max|T_i - T_seed| is taken over the converged samples.
+    ``directions`` is one vector (d,) or a stack (N, d) of them.  Failures
+    at individual samples (no convergence, a singular chart, a trajectory
+    leaving the chart) are recorded per sample, not raised; the spread
+    max|T_i - T_seed| is taken over the converged samples.
     """
+    _require_int("n_samples", n_samples, 1)
+    step = _require_real("step", step, 0)
+    directions = _points(chart.dim, directions, name="directions")[0].reshape(-1, chart.dim)
     rows = []
     periods = []
     for di, direc in enumerate(directions):
-        direc = np.asarray(direc, dtype=float)
         for i in range(1, n_samples + 1):
             s = step * i
             guess = seed.base_point + s * direc

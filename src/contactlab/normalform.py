@@ -24,8 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ContactChart, contact_volume, fd_gradient, reeb_solve, xi_projection_matrix
-from .errors import BadBlocks, NotContact
+from .core import ContactChart, _points, _require_int, _require_real, contact_volume, fd_gradient
+from .core import reeb_solve, xi_projection_matrix
+from .errors import BadBlocks, NotContact, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class MorseBottSetup:
 
     def splitting_matrix(self, q=None) -> np.ndarray:
         """Columns [X_theta | N | G] in base coordinates."""
-        q0 = np.zeros(self.dim_q) if q is None else np.asarray(q, dtype=float)
+        q0 = np.zeros(self.dim_q) if q is None else _points(self.dim_q, q, stack=False, name="q")[0]
         cols = [np.asarray(self.x_theta(q0), dtype=float)]
         cols += [np.asarray(v, dtype=float) for v in self.n_basis]
         cols += [np.asarray(v, dtype=float) for v in self.g_basis]
@@ -87,11 +88,11 @@ class SetupDiagnostics:
 
 def validate_setup(setup: MorseBottSetup, points) -> SetupDiagnostics:
     """Check theta(X_theta) = 1, rank d theta = 2g, and ker d theta = RX + H."""
+    points = _points(setup.dim_q, points, name="points")[0].reshape(-1, setup.dim_q)
     worst_theta = 0.0
     worst_kernel = 0.0
     rank_ok = True
     for q in points:
-        q = np.asarray(q, dtype=float)
         th = setup.theta(q)
         X = setup.x_theta(q)
         worst_theta = max(worst_theta, abs(float(th @ X) - 1.0))
@@ -183,7 +184,7 @@ class ThickeningChart:
 
     def zero_section_point(self, q) -> np.ndarray:
         x = np.zeros(self.dim)
-        x[: self.dim_q] = np.asarray(q, dtype=float)
+        x[: self.dim_q] = _points(self.dim_q, q, stack=False, name="q")[0]
         return x
 
     def omega_tilde(self, x) -> np.ndarray:
@@ -245,7 +246,15 @@ def contact_tube_radius(
     raises NotContact carrying it.  Each radius costs one stacked
     contact_volume call over the whole base x fiber grid; the zero-section
     volumes ride along with the first one.
+
+    The fiber grid must have a point inside the tube (else OutOfRange): a
+    grid without one checks nothing.
     """
+    radius = _require_real("radius", radius, 0)
+    _require_int("dim_q", dim_q, 0)
+    _require_int("fiber dimension chart.dim - dim_q", chart.dim - dim_q, 0)
+    _require_int("fiber_pts", fiber_pts, 1)
+    _require_int("base_pts", base_pts, 1)
     fdim = chart.dim - dim_q
     base_axes = []
     for i in range(dim_q):
@@ -264,7 +273,10 @@ def contact_tube_radius(
         return np.hstack([np.repeat(base_grid, len(fgrid), axis=0), np.tile(fgrid, (nb, 1))])
 
     zero_section = np.hstack([base_grid, np.zeros((nb, fdim))])
-    vols = contact_volume(chart, np.vstack([zero_section, tube(radius)]))
+    grid = tube(radius)
+    if not len(grid):
+        raise OutOfRange(f"fiber_pts = {fiber_pts} puts no fiber point inside the tube")
+    vols = contact_volume(chart, np.vstack([zero_section, grid]))
     v0 = vols[:nb, None]
 
     def holds(v: np.ndarray) -> bool:
@@ -273,7 +285,7 @@ def contact_tube_radius(
         return bool(np.all(np.abs(v0) >= 1e-12) and np.all(same_sign & (np.abs(v) >= 0.5 * np.abs(v0))))
 
     if holds(vols[nb:]):
-        return float(radius)
+        return radius
     lo, hi = 0.0, radius
     for _ in range(20):
         mid = 0.5 * (lo + hi)
@@ -304,16 +316,17 @@ def build_thickening(
     volume drops below half its zero-section value somewhere on the sample
     grid; the largest verified radius is found by bisection and stored.
     """
-    Omega = np.asarray(Omega, dtype=float).reshape(
-        Omega.shape if np.ndim(Omega) == 2 else (0, 0)
-    )
+    if k is not None:
+        _require_int("k", k, 0)
+    Omega = np.asarray(Omega, dtype=float)
+    Omega = Omega.reshape(0, 0) if Omega.size == 0 else np.atleast_2d(Omega)
     k = k if k is not None else Omega.shape[0] // 2
     if Omega.shape != (2 * k, 2 * k):
         raise BadBlocks("Omega", "fiber symplectic matrix must be 2k x 2k")
     if k:
-        if np.max(np.abs(Omega + Omega.T)) > 1e-12:
+        if not np.max(np.abs(Omega + Omega.T)) <= 1e-12:  # NaN fails too
             raise BadBlocks("Omega", "fiber symplectic matrix must be antisymmetric")
-        if abs(np.linalg.det(Omega)) < 1e-12:
+        if not abs(np.linalg.det(Omega)) >= 1e-12:
             raise BadBlocks("Omega", "fiber symplectic matrix is degenerate")
     lam, grad, N_co = _assemble_lambda_F(setup, Omega, k)
     dq, m = setup.dim_q, setup.m
@@ -347,7 +360,7 @@ def split_contact_distribution(tc: ThickeningChart, x):
     Both corrections are exactly the lambda_F values, so lambda_F annihilates
     every column.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(tc.dim, x, stack=False)[0]
     q, mu, e = tc.split_point(x)
     dq, m, k = tc.dim_q, tc.m, tc.k
     X_F = lifted_x_theta(tc, q)
@@ -387,6 +400,8 @@ def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
     tangent arguments; the exterior derivative side goes through 4th-order
     finite differences of the contraction one-form.
     """
+    c = _require_real("c", c)
+    points = _points(tc.dim, points, name="points")[0].reshape(-1, tc.dim)
     dq, m, k = tc.dim_q, tc.m, tc.k
     dim = tc.dim
     rng = np.random.Generator(np.random.Philox(7))
@@ -402,7 +417,6 @@ def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
     worst_scale = 0.0
     worst_cartan = 0.0
     for x in points:
-        x = np.asarray(x, dtype=float)
         Om = tc.omega_tilde(x)
         xs = x.copy()
         xs[dq + m :] *= c
@@ -475,6 +489,7 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B, tol: float = 1e-12) -> Adap
     the constraint forces B = 0 up to the tolerance; the coupling slot is
     kept so that violating inputs are caught rather than ignored.
     """
+    tol = _require_real("tol", tol, 0, strict=False)
     J_G = np.asarray(J_G, dtype=float).reshape(2 * tc.setup.g, 2 * tc.setup.g)
     J_E = np.asarray(J_E, dtype=float).reshape(2 * tc.k, 2 * tc.k)
     B = np.asarray(B, dtype=float).reshape(2 * tc.k, 2 * tc.setup.g)
@@ -533,6 +548,7 @@ def check_adapted(tc: ThickeningChart, J, q=None, tol: float = 1e-8):
     J TQ and the characteristic directions RX + N.  Both are computed and
     must agree.
     """
+    tol = _require_real("tol", tol, 0, strict=False)
     J = np.asarray(J, dtype=float)
     X, N, G, MU, E = _structure_frames(tc, q)
     TQ = np.column_stack([X, N, G])

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _require_int, fd_gradient, periodic_derivative, perturbed_reeb, reeb_solve, xi_frame
+from .core import _points, _require_int, _require_real, fd_gradient, periodic_derivative, perturbed_reeb
+from .core import reeb_solve, xi_frame
 from .dynamics import reeb_jacobian
 from .errors import (
     AsymmetricHessian,
@@ -33,6 +34,7 @@ from .errors import (
 KERNEL_TOL = 1e-8
 DEFAULT_MODES = 128
 _TRIAL_BLOCK = 64  # gap-check trial sections per matrix product
+SYM_TOL = 1e-10  # largest asymmetry of S that assemble_operator accepts
 
 
 def standard_J(rank: int) -> np.ndarray:
@@ -121,12 +123,10 @@ class SpectralOperator:
 
     def coefficients_from_grid(self, samples: np.ndarray) -> np.ndarray:
         """Project loop samples (n_t, rank) onto the Galerkin basis."""
-        samples = np.asarray(samples, dtype=float)
         n_t = len(self.t_grid)
-        if samples.shape != (n_t, self.rank):
-            raise ModeMismatch(
-                f"expected grid shape {(n_t, self.rank)}, got {samples.shape}"
-            )
+        samples = _points(self.rank, samples, point=False, name="samples")[0]
+        if len(samples) != n_t:
+            raise ModeMismatch(f"expected grid shape {(n_t, self.rank)}, got {samples.shape}")
         _, F = _scalar_basis_samples(self.n_modes, self.period, n_t)
         w = self.period / n_t
         return (F @ samples * w).reshape(-1)
@@ -140,12 +140,6 @@ class SpectralOperator:
         _, F = _scalar_basis_samples(self.n_modes, self.period, n_t)
         coeffs = np.asarray(coeffs)
         return F.T @ coeffs.reshape(coeffs.shape[:-1] + (2 * self.n_modes + 1, self.rank))
-
-
-def _check_kernel_tol(kernel_tol: float) -> None:
-    """OutOfRange unless ``kernel_tol`` is finite and >= 0."""
-    if not 0.0 <= kernel_tol < np.inf:
-        raise OutOfRange(f"kernel_tol must be finite and >= 0, got {kernel_tol!r}")
 
 
 def _sample_callable(S: Callable[[float], np.ndarray], t_grid: np.ndarray) -> np.ndarray:
@@ -196,7 +190,6 @@ def assemble_operator(
     rank: int = 2,
     J0: Optional[np.ndarray] = None,
     n_t: Optional[int] = None,
-    sym_tol: float = 1e-10,
 ) -> SpectralOperator:
     """Build the Galerkin form of J0 d/dt - S(t).
 
@@ -210,18 +203,15 @@ def assemble_operator(
     rectangle-rule Galerkin integral, aliasing included, and the matrix is
     exactly symmetric.
 
-    Raises OutOfRange unless ``rank`` is an even integer >= 2, ``period``
-    is finite and > 0, ``n_modes`` an integer >= 0 and ``n_t`` an integer
-    >= 1; ModeMismatch unless J0 is rank x rank and every sample of S, in
-    each form, is rank x rank (and samples are given one per grid point);
-    IncompatibleJ unless J0 is antisymmetric with J0^2 = -I to 1e-10; and
-    AsymmetricHessian when S fails pointwise symmetry.
+    Inputs follow the input contract (README; ``rank`` even, J0 and each
+    sample of S rank x rank); IncompatibleJ unless J0 is antisymmetric with
+    J0^2 = -I to 1e-10, AsymmetricHessian when S deviates from symmetry by
+    more than SYM_TOL.
     """
     _require_int("rank", rank, 2)
     if rank % 2:
         raise OutOfRange(f"rank must be even, got {rank!r}")
-    if not 0.0 < period < np.inf:
-        raise OutOfRange(f"period must be finite and > 0, got {period!r}")
+    period = _require_real("period", period, 0)
     _require_int("n_modes", n_modes, 0)
     if n_t is None:
         n_t = max(4 * n_modes + 4, 64)
@@ -246,9 +236,10 @@ def assemble_operator(
         got = "callable values stacked to shape" if callable(S) else "shape"
         raise ModeMismatch(f"S must be a ({rank}, {rank}) matrix, a callable with ({rank}, {rank}) "
                            f"values or ({n_t}, {rank}, {rank}) samples; got {got} {S_samples.shape}")
+    _points(rank, S_samples.reshape(-1, rank), point=False, name="S")  # finite
 
     asym = float(np.max(np.abs(S_samples - np.transpose(S_samples, (0, 2, 1)))))
-    if asym > sym_tol:
+    if asym > SYM_TOL:
         raise AsymmetricHessian(f"S deviates from symmetry by {asym:.3e}")
     S_samples = 0.5 * (S_samples + np.transpose(S_samples, (0, 2, 1)))
 
@@ -343,6 +334,7 @@ def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperat
     those of lam.  Raises ResolutionTooCoarse for fewer than 2 n_modes + 2
     samples.
     """
+    _require_int("n_modes", n_modes, 0)
     z, T = orbit.samples, orbit.period
     if len(z) < 2 * n_modes + 2:
         raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
@@ -415,9 +407,8 @@ def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumRe
     A constant S is solved mode by mode (one small block per Fourier mode);
     a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
     ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
-    Raises OutOfRange unless ``kernel_tol`` is finite and >= 0.
     """
-    _check_kernel_tol(kernel_tol)
+    kernel_tol = _require_real("kernel_tol", kernel_tol, 0, strict=False)
     ev = _eigh(op)
     nonzero = np.abs(ev) > kernel_tol
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
@@ -450,12 +441,13 @@ def gap_inequality_check(
     with B s taken by ``op.apply`` (mode by mode for constant S), so the
     check holds O(_TRIAL_BLOCK dim) floats beyond the operator.
 
-    Raises OutOfRange unless ``n_trials`` is an integer >= 1 and
-    ``kernel_tol`` finite and >= 0, and when the kernel is the whole space,
-    so that there is nothing to check.
+    Raises OutOfRange when the kernel is the whole space, so that there is
+    nothing to check.
     """
     _require_int("n_trials", n_trials, 1)
-    _check_kernel_tol(kernel_tol)
+    _require_int("seed", seed, 0)
+    slack = _require_real("slack", slack, 0, strict=False)
+    kernel_tol = _require_real("kernel_tol", kernel_tol, 0, strict=False)
     evals = _eigh(op)
     nonzero = np.abs(evals) > kernel_tol
     if not np.any(nonzero):
