@@ -372,16 +372,19 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     """Reeb field at a stack of points (N, d) via one stacked LU solve (hot
     path for variational integration); the rank test runs only when LU
-    fails, to name the first singular point."""
+    fails or gives a non-finite field, to name the first bad point."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != chart.dim or not len(xs) or not _finite(xs):
         _points(chart.dim, xs, point=False, name="xs")  # raises the typed error
     L, _, M = _dual_systems(chart, xs)
     try:
-        return np.linalg.solve(M, L[:, :, None])[:, :, 0]
+        v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
+        if _finite(v):
+            return v
     except np.linalg.LinAlgError:  # LU is backward stable, so the rank test fails too
-        _rank_test(chart, xs, M, "Reeb system rank-deficient")
-        raise
+        pass
+    _rank_test(chart, xs, M, "Reeb system rank-deficient")
+    raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 
 def reeb_field(chart: ContactChart, x) -> np.ndarray:

@@ -50,9 +50,16 @@ def growth_factor(gamma: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return float(xi) if xi.ndim == 0 else xi
 
 
+# Above this c, gamma(c) < e^-c is below the smallest normal float, so
+# growth_factor(gamma(c)) = e^c cannot hold; e^c overflows from c = 709.78.
+_MAX_C = -math.log(np.finfo(float).tiny)
+
+
 def gamma_of_c(c: float) -> float:
-    """gamma(c) = 1/(e^c + e^-c), c > 0; growth_factor(gamma(c)) = e^c."""
+    """gamma(c) = 1/(e^c + e^-c), 0 < c <= 708.39; growth_factor(gamma(c)) = e^c."""
     c = _require_real("c", c, 0)
+    if c > _MAX_C:
+        raise OutOfRange(f"c must be at most {_MAX_C:.6g}, where gamma(c) leaves the normal floats; got {c!r}")
     return 1.0 / (math.exp(c) + math.exp(-c))
 
 
@@ -178,8 +185,8 @@ class Forcing:
     """Separable forcing L(tau, t) = e^(-delta0 tau) * profile(t).
 
     The profile is either grid samples (n_t, rank) or a dict mapping Galerkin
-    eigenmode indices to amplitudes (resolved against the operator's
-    eigenbasis at solve time).  delta0 is finite and > 0.
+    eigenmode indices (integers, not bools) to amplitudes (resolved against
+    the operator's eigenbasis at solve time).  delta0 is finite and > 0.
     """
 
     delta0: float
@@ -187,6 +194,9 @@ class Forcing:
 
     def __post_init__(self):
         _require_real("delta0", self.delta0, 0)
+        if isinstance(self.profile, dict):
+            for idx in self.profile:
+                _require_int("eigenmode index", idx)
 
 
 _RESONANCE_TOL = 1e-9
@@ -246,9 +256,9 @@ def solve_cylinder(
     ell = np.zeros(op.dim)
     if isinstance(profile, dict):
         for idx, amp in profile.items():
-            if not 0 <= int(idx) < op.dim:
+            if not 0 <= idx < op.dim:
                 raise ModeMismatch(f"eigenmode index {idx} out of range")
-            ell[int(idx)] = _require_real(f"profile[{idx}]", amp)
+            ell[idx] = _require_real(f"profile[{idx}]", amp)
     elif profile is not None:
         ell = evecs.T @ op.coefficients_from_grid(profile)
 

@@ -1,5 +1,6 @@
 """Reeb flow integration, closed orbits, and linearized return maps."""
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,19 +46,26 @@ class Trajectory:
         return self.states[-1]
 
 
+@functools.cache
+def _stencil_offsets(d: int) -> np.ndarray:
+    """Offsets (2d + 1, d) of x and its centred-difference stencil: row 0 is x,
+    rows 1 + 2j and 2 + 2j are x_j + h and x_j - h.  The other entries are
+    -0.0, so x + offsets keeps every x_k bit for bit, signed zeros too."""
+    offsets = np.full((2 * d + 1, d), -0.0)
+    j = np.arange(d)
+    offsets[1 + 2 * j, j] = REEB_JACOBIAN_STEP
+    offsets[2 + 2 * j, j] = -REEB_JACOBIAN_STEP
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _reeb_and_jacobian(chart: ContactChart, x):
     """Reeb field at x and its Jacobian by centred differences, both from one
     batched solve over x and its 2d stencil points."""
     from .core import reeb_batch
 
-    d = chart.dim
-    h = REEB_JACOBIAN_STEP
-    j = np.arange(d)
-    pts = np.tile(x, (2 * d + 1, 1))
-    pts[1 + 2 * j, j] += h
-    pts[2 + 2 * j, j] -= h
-    vals = reeb_batch(chart, pts)
-    return vals[0], ((vals[1::2] - vals[2::2]) / (2 * h)).T
+    vals = reeb_batch(chart, x + _stencil_offsets(chart.dim))
+    return vals[0], ((vals[1::2] - vals[2::2]) / (2 * REEB_JACOBIAN_STEP)).T
 
 
 def reeb_jacobian(chart: ContactChart, x) -> np.ndarray:
@@ -161,7 +169,12 @@ class ReebOrbit:
         """
         T = _require_real("T", T, 0)
         tol = _require_real("tol", tol, 0)
-        traj = flow(chart, p, T, steps=n_samples)
+        return cls._closed(chart, p, T, flow(chart, p, T, steps=n_samples), tol)
+
+    @classmethod
+    def _closed(cls, chart, p, T, traj: Trajectory, tol: float):
+        """The orbit sampled by ``traj``, the flow of p for time T, after its
+        closure check (NoConvergence when the end misses p by more than tol)."""
         closure = float(np.max(np.abs(chart.wrap_diff(traj.end, p))))
         if closure > tol:
             raise NoConvergence(0, closure)
@@ -218,9 +231,12 @@ def find_closed_orbit(
 
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
-    (the continuation question for family scans).  Each Newton step makes
-    one ``monodromy`` call that carries only the section basis, so this path
-    (no section columns) integrates the flow alone.
+    (the continuation question for family scans).  Each Newton step of the
+    free point makes one ``monodromy`` call that carries only the section
+    basis, and the converged orbit is sampled by one more ``flow``.  With
+    ``fix_point`` there are no section columns, so each step is one
+    ``flow`` sampled at ``n_samples`` points, and the shot that closes is
+    the returned orbit: a fixed-point orbit is integrated once per step.
 
     Raises NoConvergence, with the Newton residual history, when the period
     collapses below ``MIN_PERIOD_FRACTION * T_guess``, when the Gauss-Newton
@@ -256,7 +272,11 @@ def find_closed_orbit(
     for it in range(MAX_NEWTON_STEPS):
         x = x0 + S @ c
         try:
-            end, MS = monodromy(chart, x, T, S)
+            if fix_point:
+                traj = flow(chart, x, T, steps=n_samples)
+                end, MS = traj.end, S
+            else:
+                end, MS = monodromy(chart, x, T, S)
         except LeftChartDomain:
             raise NoConvergence(it, np.inf, history)
         raw = end - x
@@ -268,7 +288,9 @@ def find_closed_orbit(
         res = float(np.max(np.abs(F)))
         history.append(res)
         if res < tol:
-            return ReebOrbit.from_point(chart, x, T, n_samples=n_samples, tol=10 * tol)
+            if not fix_point:  # the monodromy shot kept no samples
+                traj = flow(chart, x, T, steps=n_samples)
+            return ReebOrbit._closed(chart, x, T, traj, 10 * tol)
         Xend = reeb_solve(chart, end).vector
         Jac = np.column_stack([MS - S, Xend])
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)

@@ -189,7 +189,9 @@ CONTRACT = {
     "FlatTorusQ": Entry(decay.FlatTorusQ, lambda: dict(dim=2), {"dim": bad_count(1)}),
     "RotatingTubeQ": Entry(decay.RotatingTubeQ, lambda: dict(w_theta=1.0, w_fiber=0.5),
                            {"w_theta": bad_real(0), "w_fiber": bad_real()}),
-    "Forcing": Entry(decay.Forcing, lambda: dict(delta0=0.5), {"delta0": bad_real(0)}),
+    "Forcing": Entry(decay.Forcing, lambda: dict(delta0=0.5, profile={1: 1.0}), {
+        "delta0": bad_real(0),
+        "profile": st.one_of(bad_real(), st.floats(-1e3, 1e3), st.booleans()).map(lambda k: {k: 1.0})}),
     "IntervalSeq": Entry(decay.IntervalSeq, lambda: dict(x=[1.0, 0.5, 0.3], gamma=0.4), {
         "x": st.one_of(bad_array([1.0, 0.5, 0.3], [(2, 2, 3)]), st.just([1.0, -0.5, 0.3])),
         "gamma": st.one_of(bad_real(0), st.just(0.5))}),
@@ -200,7 +202,7 @@ CONTRACT = {
         "reference": bad_points(2, stack=False)}),
     "decay_rate": Entry(decay.decay_rate, lambda: dict(field=decay.solve_cylinder(
         operator(), None, np.ones((32, 2)), R=20.0, n_tau=100))),
-    "gamma_of_c": Entry(decay.gamma_of_c, lambda: dict(c=0.5), {"c": bad_real(0)}),
+    "gamma_of_c": Entry(decay.gamma_of_c, lambda: dict(c=0.5), {"c": st.one_of(bad_real(0), st.floats(709.0, 1e308))}),
     "growth_factor": Entry(decay.growth_factor, lambda: dict(gamma=0.3),
                            {"gamma": st.one_of(bad_real(0), st.just(0.5), st.just([0.3, np.nan]))}),
     "mean_zero_check": Entry(decay.mean_zero_check, lambda: dict(
@@ -273,6 +275,7 @@ def warped_tube():
 
 
 NAN3 = np.array([np.nan, 0.2, 0.3])
+NAN_CHART = core.ContactChart(1, lambda x: np.full(3, np.nan))
 
 DEGENERATE = {
     # used to return 1.1 as verified: a grid with no fiber point inside the
@@ -294,6 +297,9 @@ DEGENERATE = {
     "solve_cylinder_nan_zeta0": lambda: decay.solve_cylinder(  # used to return a NaN field
         operator(), None, np.full((32, 2), np.nan), 1.0, 10),
     "reeb_batch_nan_point": lambda: core.reeb_batch(TORUS, NAN3[None]),  # used to return NaN vectors
+    # used to return NaN vectors: the chart is NaN at a finite point
+    "reeb_batch_nan_chart": lambda: core.reeb_batch(NAN_CHART, STACK3),
+    "forcing_fractional_index": lambda: decay.Forcing(0.5, {1.5: 1.0}),  # used to force eigenmode 1
     "contact_volume_nan_point": lambda: core.contact_volume(TORUS, NAN3),  # used to return nan
     # used to accept the NaN
     "three_interval_slack_nan": lambda: decay.three_interval_bound(decay.IntervalSeq([1.0, 0.5, 0.3], 0.4),
@@ -322,8 +328,7 @@ RAW = {
     # used to end in an IndexError
     "reeb_batch_single_point": (ModeMismatch, lambda: core.reeb_batch(TORUS, P3)),
     # used to end in LinAlgError: SVD did not converge
-    "reeb_solve_nan_lambda": (OutOfRange, lambda: core.reeb_solve(
-        core.ContactChart(1, lambda x: np.full(3, np.nan)), P3)),
+    "reeb_solve_nan_lambda": (OutOfRange, lambda: core.reeb_solve(NAN_CHART, P3)),
     # used to end in a LinAlgError and a RuntimeWarning
     "flow_T_nan": (OutOfRange, lambda: dynamics.flow(TORUS, P3, np.nan)),
     "flow_T_inf": (OutOfRange, lambda: dynamics.flow(TORUS, P3, np.inf)),
@@ -342,6 +347,8 @@ RAW = {
         decay.FlatTorusQ(2), np.zeros(4), 1.0)),
     # used to end in a RuntimeWarning (division by zero)
     "action_charge_R_zero": (OutOfRange, lambda: decay.action_charge(torus_cylinder(), TORUS, 0.0)),
+    # used to end in an OverflowError from math.exp
+    "gamma_of_c_large": (OutOfRange, lambda: decay.gamma_of_c(1000.0)),
     # used to end in a ValueError from solve_ivp
     "family_scan_step_nan": (OutOfRange, lambda: dynamics.orbit_family_scan(
         TORUS, torus_orbit(), [[0.0, 1.0, 0.0]], step=np.nan)),

@@ -114,18 +114,62 @@ def test_monodromy_carries_only_the_requested_variations(name, x, T, k, seed):
 def _count_calls(monkeypatch, module, name):
     real = getattr(module, name)
     calls = []
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(1) or real(*args, **kw))
     return calls
 
 
 def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
     batches = _count_calls(monkeypatch, core, "reeb_batch")
     solves = _count_calls(monkeypatch, dynamics, "reeb_solve")
-    orb = find_closed_orbit(weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 6.2, fix_point=True)
+    runs = _count_calls(monkeypatch, dynamics, "_integrate")
+    chart = weighted_tube_chart(1.0, 1.0)
+    x = np.array([0.1, 0.25, -0.1])
+    orb = find_closed_orbit(chart, x, 6.2, fix_point=True)
     assert abs(orb.period - 2 * np.pi) < 1e-8
     assert batches == []
-    # the 8th-order pair takes about 1,070 solves here; a 5th-order one 4,460
+    # the 8th-order pair takes about 940 solves here (1,070 when the orbit
+    # was integrated a second time); a 5th-order one took 4,460
     assert len(solves) <= 1500
+    # three shots; the shot that closes is the orbit, where a fourth
+    # integration used to sample it again
+    assert len(runs) == 3
+    again = ReebOrbit.from_point(chart, x, orb.period)
+    assert np.array_equal(orb.samples, again.samples)
+    assert orb.closure_residual == again.closure_residual
+
+
+def test_a_fixed_point_orbit_closing_at_once_is_one_integration(monkeypatch):
+    runs = _count_calls(monkeypatch, dynamics, "_integrate")
+    orb = find_closed_orbit(weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 2 * np.pi, fix_point=True)
+    assert orb.period == 2 * np.pi
+    assert len(runs) == 1
+
+
+def _tiled_stencil(x):
+    """The stencil as it was built on every call: x tiled, then +-h added."""
+    d = len(x)
+    j = np.arange(d)
+    pts = np.tile(x, (2 * d + 1, 1))
+    pts[1 + 2 * j, j] += dynamics.REEB_JACOBIAN_STEP
+    pts[2 + 2 * j, j] -= dynamics.REEB_JACOBIAN_STEP
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["tube", "perturbed_tube", "torus"]),
+    st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+)
+def test_reeb_jacobian_stencil_is_the_tiled_one_bit_for_bit(name, x):
+    chart = CHARTS[name]
+    x = np.array(x)
+    pts = _tiled_stencil(x)
+    # the same bytes, so a signed zero in x stays signed
+    assert (x + dynamics._stencil_offsets(3)).tobytes() == pts.tobytes()
+    vals = core.reeb_batch(chart, pts)
+    X, A = dynamics._reeb_and_jacobian(chart, x)
+    assert np.array_equal(X, vals[0])
+    assert np.array_equal(A, ((vals[1::2] - vals[2::2]) / (2 * dynamics.REEB_JACOBIAN_STEP)).T)
 
 
 def test_tube_orbit_takes_few_batched_right_hand_sides(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactlab import decay
 from contactlab.decay import (
     IntervalSeq,
     gamma_of_c,
@@ -39,6 +40,9 @@ def test_exponential_identity():
     assert abs(gamma_of_c(1.0) - 1.0 / (np.e + 1.0 / np.e)) < 1e-15
     for c in np.linspace(0.01, 5.0, 100):
         assert abs(growth_factor(gamma_of_c(c)) - np.exp(c)) < 1e-12
+    # up to the largest c whose gamma(c) is a normal float, relative to e^c
+    for c in (300.0, 700.0, decay._MAX_C):
+        assert abs(growth_factor(gamma_of_c(c)) / np.exp(c) - 1.0) < 1e-15
 
 
 def test_exponential_sequence_is_extremal():
