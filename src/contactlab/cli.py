@@ -610,13 +610,10 @@ def emit_report(report: Report, out_dir, fmt: str = "json"):
     return paths
 
 
-def _print_verdicts(report: Report, stream=sys.stdout):
+def _print_verdicts(report: Report):
     for v in report.verdicts:
         status = "pass" if v.passed else "FAIL"
-        print(
-            f"  [{status}] {v.name}: observed {v.observed:.6g} (tolerance {v.tolerance:.6g})",
-            file=stream,
-        )
+        print(f"  [{status}] {v.name}: observed {v.observed:.6g} (tolerance {v.tolerance:.6g})")
 
 
 def _cmd_run(args) -> int:
@@ -688,18 +685,14 @@ def main(argv=None) -> int:
         prog="contactlab", description="Scenario runner for contact-geometry experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run a single scenario file")
-    p_run.add_argument("scenario", type=Path)
-    p_run.add_argument("--out", type=Path, default=Path("reports"))
-    p_run.add_argument("--format", choices=["json", "csv"], default="json")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.set_defaults(func=_cmd_run)
-    p_suite = sub.add_parser("suite", help="run every scenario in a directory")
-    p_suite.add_argument("scenario_dir", type=Path)
-    p_suite.add_argument("--out", type=Path, default=Path("reports"))
-    p_suite.add_argument("--format", choices=["json", "csv"], default="json")
-    p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.set_defaults(func=_cmd_suite)
+    for command, target, what, func in [("run", "scenario", "run a single scenario file", _cmd_run),
+                                        ("suite", "scenario_dir", "run every scenario in a directory", _cmd_suite)]:
+        p = sub.add_parser(command, help=what)
+        p.add_argument(target, type=Path)
+        p.add_argument("--out", type=Path, default=Path("reports"))
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=func)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -40,14 +40,28 @@ def _require_int(name: str, value, lo=-math.inf) -> None:
         raise OutOfRange(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _require_real(name: str, value, lo=-math.inf, strict: bool = True) -> float:
+def _require_real(name: str, value, lo=-math.inf) -> float:
     """``value`` as a float; OutOfRange unless it is a finite real number (not
-    a bool) above lo, or at least lo without ``strict``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (lo < value if strict else lo <= value) or not value < math.inf):
-        bound = "" if lo == -math.inf else f" and {'>' if strict else '>='} {lo:g}"
+    a bool) above lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < math.inf:
+        bound = "" if lo == -math.inf else f" and > {lo:g}"
         raise OutOfRange(f"{name} must be finite{bound}, got {value!r}")
     return float(value)
+
+
+def _array(what: str, value, shape=None) -> np.ndarray:
+    """value as a float array; OutOfRange when it is not numbers (a string,
+    None in a list), and with a ``shape`` ModeMismatch for another shape and
+    OutOfRange for a non-finite entry."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"{what} must be numbers, got {value!r:.80}") from None
+    if shape is not None and a.shape != shape:
+        raise ModeMismatch(f"{what} needs shape {shape}, got {a.shape}")
+    if shape is not None and not _finite(a):
+        raise OutOfRange(f"{what} must be finite")
+    return a
 
 
 def _finite(a) -> bool:
@@ -78,13 +92,15 @@ def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", 
     return out
 
 
-def fd_gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """4th-order centered finite differences of f at x; row i is d f / d x_i.
+def fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
+    """4th-order centered finite differences of f at x, step DEFAULT_FD_STEP;
+    row i is d f / d x_i.
 
     A scalar f gives its gradient, shape (d,); a vector-valued f with m
     components gives the (d, m) matrix G[i, j] = d f_j / d x_i.
     """
     x = np.asarray(x, dtype=float)
+    h = DEFAULT_FD_STEP
     rows = []
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -175,8 +191,13 @@ class ContactChart:
             if P is not None:
                 _require_real(f"periods[{i}]", P, 0)
 
+    # the hot path of every solve: ``_array``'s number check inline
     def lambda_at(self, x) -> np.ndarray:
-        L = np.asarray(self.lam(np.asarray(x, dtype=float)), dtype=float)
+        L = self.lam(np.asarray(x, dtype=float))
+        try:
+            L = np.asarray(L, dtype=float)
+        except (TypeError, ValueError):
+            raise OutOfRange(f"{self.name}: lambda must be numbers, got {L!r:.80}") from None
         if L.shape != (self.dim,):
             raise ModeMismatch(f"{self.name}: lambda needs {self.dim} components, got shape {L.shape}")
         return L
@@ -184,7 +205,11 @@ class ContactChart:
     def dlambda_at(self, x) -> np.ndarray:
         """Antisymmetric matrix D with dlam(u, v) = u . D v."""
         x = np.asarray(x, dtype=float)
-        G = np.asarray(self.grad(x) if self.grad is not None else fd_gradient(self.lam, x), dtype=float)
+        G = self.grad(x) if self.grad is not None else fd_gradient(self.lam, x)
+        try:
+            G = np.asarray(G, dtype=float)
+        except (TypeError, ValueError):
+            raise OutOfRange(f"{self.name}: the Jacobian of lambda must be numbers, got {G!r:.80}") from None
         if G.shape != (self.dim, self.dim):
             raise ModeMismatch(
                 f"{self.name}: the Jacobian of lambda needs shape ({self.dim}, {self.dim}), got {G.shape}"
@@ -207,7 +232,13 @@ class PerturbationData:
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def f_at(self, x) -> float:
-        return float(self.f(np.asarray(x, dtype=float)))
+        """f(x), one finite number > 0, so g = log f exists (else ModeMismatch
+        or OutOfRange)."""
+        fx = self.f(np.asarray(x, dtype=float))
+        fx = fx if isinstance(fx, float) else float(_array("f", fx, ()))  # a Python float needs no array
+        if not 0 < fx < math.inf:
+            raise OutOfRange(f"conformal factor must be positive and finite, got {fx}")
+        return fx
 
     def g_at(self, x) -> float:
         return float(np.log(self.f_at(x)))
@@ -259,18 +290,21 @@ def _dual_system(chart: ContactChart, x):
     return L, D, D.T + np.outer(L, L)
 
 
-def _dual_systems(chart: ContactChart, xs):
-    """(L, D, M) of shapes (N, d), (N, d, d), (N, d, d) over a stack xs (N, d).
-
-    The one per-point chart loop of this module: one ``lambda_at`` and one
-    ``dlambda_at`` per point.  M = dlam^T + lam lam^T is one array expression,
-    bit for bit the matrix ``_dual_system`` builds at each point.
-    """
+def _chart_forms(chart: ContactChart, xs):
+    """(L, D) of shapes (N, d), (N, d, d) over a stack xs (N, d): the one
+    per-point chart loop of this module."""
     L = np.empty((len(xs), chart.dim))
     D = np.empty((len(xs), chart.dim, chart.dim))
     for i, x in enumerate(xs):
         L[i] = chart.lambda_at(x)
         D[i] = chart.dlambda_at(x)
+    return L, D
+
+
+def _dual_systems(chart: ContactChart, xs):
+    """(L, D, M) over a stack xs (N, d): ``_chart_forms`` and M = dlam^T +
+    lam lam^T (N, d, d), bit for bit the matrix ``_dual_system`` builds."""
+    L, D = _chart_forms(chart, xs)
     return L, D, D.swapaxes(1, 2) + L[:, :, None] * L[:, None, :]
 
 
@@ -440,11 +474,9 @@ def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     """(f, lam, X_lam, Y_dg) at one point x: the pieces of every identity of
     the rescaled form f*lam, from one evaluation of the chart's dual system.
 
-    Raises OutOfRange unless 0 < f < inf, before g = log f is taken."""
+    ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken."""
     x = _points(chart.dim, x, stack=False)[0]
     fx = pert.f_at(x)
-    if not 0 < fx < np.inf:
-        raise OutOfRange(f"conformal factor must be positive and finite, got {fx}")
     dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
     L, X, Y = _xi_dual_stack(chart, x, dg[None])
     return fx, L[0], X[0], Y[0]
@@ -464,8 +496,9 @@ def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray
     return (X + Y) / fx
 
 
-def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> ContactChart:
-    """The chart carrying f*lam directly (oracle route for the closed forms).
+def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart:
+    """The chart ``f"{chart.name}*f"`` carrying f*lam directly (oracle route
+    for the closed forms).
 
     The rescaled form gets no analytic derivatives; its dlam goes through the
     finite-difference path on purpose so the closed-form identities are
@@ -474,7 +507,7 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData, name=None) -> C
     return ContactChart(
         n=chart.n,
         lam=lambda y: pert.f_at(y) * chart.lam(y),
-        name=name or f"{chart.name}*f",
+        name=f"{chart.name}*f",
         periods=chart.periods,
         domain=chart.domain,
     )
@@ -493,14 +526,15 @@ def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> n
 def triad_metric(chart: ContactChart, J, x) -> np.ndarray:
     """Matrix of the triad metric dlam(., J.) + lam (x) lam.
 
-    J must satisfy J^2 = -Pi (projection onto the contact distribution)
-    within 1e-8; raises IncompatibleJ otherwise.
+    J, a finite (d, d) matrix or a callable of the point returning one, must
+    satisfy J^2 = -Pi (projection onto the contact distribution) within
+    1e-8; raises IncompatibleJ otherwise.
     """
     x = _points(chart.dim, x, stack=False)[0]
-    Jm = np.asarray(J(x) if callable(J) else J, dtype=float)
+    Jm = _array("J", J(x) if callable(J) else J, (chart.dim, chart.dim))
     Pi = xi_projection_matrix(chart, x)
     defect = float(np.max(np.abs(Jm @ Jm + Pi)))
-    if defect > 1e-8:
+    if not defect <= 1e-8:  # NaN fails too
         raise IncompatibleJ(f"J^2 + Pi deviates by {defect:.3e} at {x}")
     L = chart.lambda_at(x)
     D = chart.dlambda_at(x)
@@ -599,12 +633,18 @@ def contact_volume(chart: ContactChart, x):
     """Signed density of lam ^ (dlam)^n against the coordinate volume form.
 
     A point of shape (d,) gives a float; a stack (N, d) gives shape (N,).
-    The chart is evaluated once per point (``_dual_systems``), and one
+    The chart is evaluated once per point (``_chart_forms``), and one
     stacked ``_pfaffian`` call takes the bordered matrices
     [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
+    OutOfRange, naming the first such point, where lam or dlam is not finite.
     """
     x = _points(chart.dim, x)[0]
-    vol = _volume_density(chart.n, *_dual_systems(chart, x.reshape(-1, chart.dim))[:2])
+    L, D = _chart_forms(chart, x.reshape(-1, chart.dim))
+    bad = np.flatnonzero(~(np.isfinite(L).all(axis=1) & np.isfinite(D).all(axis=(1, 2))))
+    if bad.size:  # in the message form of ``_system_error``
+        where = f"at {x}" if x.ndim == 1 else f"at point {bad[0]} of the stack, {x[bad[0]]}"
+        raise OutOfRange(f"{chart.name}: non-finite contact form {where}")
+    vol = _volume_density(chart.n, L, D)
     return float(vol[0]) if x.ndim == 1 else vol
 
 

@@ -23,6 +23,7 @@ from .errors import (
     OutOfRange,
     OutsideTube,
     ResolutionTooCoarse,
+    SingularChart,
 )
 from .models import weighted_tube_flow
 from .spectral import SpectralOperator, _eigh
@@ -31,7 +32,10 @@ from .spectral import SpectralOperator, _eigh
 FIT_FLOOR = 1e-12
 FIT_UPPER_FRAC = 0.1
 FIT_MIN_SLICES = 10
-# Newton steps of center_of_mass before it gives up.
+THREE_INTERVAL_SLACK = 1e-12  # three_interval_bound's slack, relative to max(1, max x)
+# center_of_mass: tube radius about the reference orbit, residual, Newton steps
+CENTER_OF_MASS_TUBE = 0.25
+CENTER_OF_MASS_TOL = 1e-9
 CENTER_OF_MASS_MAX_ITER = 30
 
 # ---------------------------------------------------------------------------
@@ -95,9 +99,10 @@ class ThreeIntervalReport:
     xi: Union[float, np.ndarray]
 
 
-def three_interval_bound(seq: IntervalSeq, slack: float = 1e-12) -> ThreeIntervalReport:
+def three_interval_bound(seq: IntervalSeq) -> ThreeIntervalReport:
     """Check the hypothesis x_k <= gamma (x_{k-1} + x_{k+1}) and, where it
-    holds, assert the geometric bound x_k <= x_0 xi^-k + x_N xi^-(N-k).
+    holds, assert the geometric bound x_k <= x_0 xi^-k + x_N xi^-(N-k), both
+    up to THREE_INTERVAL_SLACK max(1, max x).
 
     The hypothesis is checked, not assumed; violating interior indices are
     returned as a diagnostic (the clusters of intervals that fail).  A stack
@@ -106,12 +111,11 @@ def three_interval_bound(seq: IntervalSeq, slack: float = 1e-12) -> ThreeInterva
     (sequence, index) violations; each row is what the single-sequence call
     on it returns.
     """
-    slack = _require_real("slack", slack, 0, strict=False)
     x = seq.x
     N = x.shape[-1] - 1
     gamma = np.asarray(seq.gamma, dtype=float)[..., None]
     xi = growth_factor(gamma)
-    tol = slack * np.maximum(1.0, np.max(x, axis=-1, keepdims=True))
+    tol = THREE_INTERVAL_SLACK * np.maximum(1.0, np.max(x, axis=-1, keepdims=True))
     bad = x[..., 1:-1] > gamma * (x[..., :-2] + x[..., 2:]) + tol
     violations = np.argwhere(bad)
     violations[:, -1] += 1  # interior column k-1 is sequence index k
@@ -500,8 +504,6 @@ def center_of_mass(
     model,
     gamma: np.ndarray,
     T: float,
-    delta_tube: float = 0.25,
-    tol: float = 1e-9,
     reference=None,
 ) -> CenterOfMassResult:
     """Center of mass m and reparametrization h of a loop near the Reeb locus.
@@ -513,12 +515,11 @@ def center_of_mass(
 
     The tube precondition measures the C^0 distance between the loop and the
     period-T orbit through ``reference`` (default: the loop's own base
-    point); beyond ``delta_tube`` the solve refuses with OutsideTube, and
-    after CENTER_OF_MASS_MAX_ITER Newton steps with NoConvergence.
+    point); beyond CENTER_OF_MASS_TUBE the solve refuses with OutsideTube.
+    Newton stops below the residual CENTER_OF_MASS_TOL, or raises
+    NoConvergence after CENTER_OF_MASS_MAX_ITER steps.
     """
     T = _require_real("T", T, 0)
-    delta_tube = _require_real("delta_tube", delta_tube, 0)
-    tol = _require_real("tol", tol, 0)
     gamma = _points(model.dim, gamma, point=False, name="gamma")[0]
     N, d = gamma.shape
     ts = np.arange(N) / N
@@ -528,10 +529,10 @@ def center_of_mass(
 
     anchor = gamma[0] if reference is None else _points(d, reference, stack=False, name="reference")[0]
     dist = float(np.max(np.linalg.norm(model.inv_exp(anchor, model.flow(gamma, -T * ts)), axis=1)))
-    if dist > delta_tube:
+    if dist > CENTER_OF_MASS_TUBE:
         raise OutsideTube(
             f"loop deviates {dist:.3g} from the reference orbit "
-            f"(tube radius {delta_tube:g})"
+            f"(tube radius {CENTER_OF_MASS_TUBE:g})"
         )
 
     def residuals(m, eta):
@@ -543,7 +544,7 @@ def center_of_mass(
         r = residuals(m, eta)
         res = float(np.max(np.abs(r)))
         history.append(res)
-        if res < tol:
+        if res < CENTER_OF_MASS_TOL:
             return CenterOfMassResult(
                 m=m,
                 h=ts + eta,
@@ -570,16 +571,18 @@ def mean_zero_check(model, zeta_samples: np.ndarray, T: float) -> np.ndarray:
 
     Computes the mean over t of (d phi^{T t})^{-1} zeta(t); for a
     flow-pushforward section this returns the generating vector, and the
-    kernel-exclusion argument needs the value to vanish.
+    kernel-exclusion argument needs the value to vanish.  SingularChart when
+    a flow differential is singular.
     """
     T = _require_real("T", T)
     zeta_samples = _points(model.dim, zeta_samples, point=False, name="zeta_samples")[0]
     N = zeta_samples.shape[0]
-    ts = np.arange(N) / N
     acc = np.zeros(zeta_samples.shape[1])
-    for i in range(N):
-        Minv = np.linalg.inv(model.flow_diff(T * ts[i]))
-        acc += Minv @ zeta_samples[i]
+    for t, z in zip(T * (np.arange(N) / N), zeta_samples):
+        try:
+            acc += np.linalg.solve(model.flow_diff(t), z)
+        except np.linalg.LinAlgError:
+            raise SingularChart(f"the flow differential is singular at t = {t:g}") from None
     return acc / N
 
 

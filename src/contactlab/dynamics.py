@@ -10,7 +10,10 @@ from .core import ContactChart, _angle_columns, _gram_schmidt, _points, _require
 from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
+# An orbit closes when the flow returns within this distance of its start.
 ORBIT_CLOSURE_TOL = 1e-8
+# Samples per period of a computed orbit.
+ORBIT_SAMPLES = 256
 # Relative and absolute tolerances of the adaptive integrator, the 8th-order
 # Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, "Solving Ordinary
 # Differential Equations I", sec. II.10): at these tolerances it takes about a
@@ -161,15 +164,15 @@ class ReebOrbit:
     closure_residual: float
 
     @classmethod
-    def from_point(cls, chart, p, T, n_samples: int = 256, tol: float = ORBIT_CLOSURE_TOL):
+    def from_point(cls, chart, p, T, n_samples: int = ORBIT_SAMPLES):
         """The orbit through p of period T, sampled at n_samples points.
 
         Raises OutOfRange unless T > 0 (every point closes up at T = 0) and
-        NoConvergence when the flow misses p at time T by more than tol.
+        NoConvergence when the flow misses p at time T by more than
+        ``ORBIT_CLOSURE_TOL``.
         """
         T = _require_real("T", T, 0)
-        tol = _require_real("tol", tol, 0)
-        return cls._closed(chart, p, T, flow(chart, p, T, steps=n_samples), tol)
+        return cls._closed(chart, p, T, flow(chart, p, T, steps=n_samples), ORBIT_CLOSURE_TOL)
 
     @classmethod
     def _closed(cls, chart, p, T, traj: Trajectory, tol: float):
@@ -215,8 +218,6 @@ def find_closed_orbit(
     guess,
     T_guess: float,
     winding: Optional[Sequence] = None,
-    tol: float = ORBIT_CLOSURE_TOL,
-    n_samples: int = 256,
     fix_point: bool = False,
 ) -> ReebOrbit:
     """Shooting Newton for a closed Reeb orbit near (guess, T_guess).
@@ -227,7 +228,9 @@ def find_closed_orbit(
     angular coordinate; when omitted, the lattice offset is locked in from
     the first shot.  Newton steps are minimum-norm, so Morse-Bott families
     (rank-deficient transverse Jacobians) converge to some orbit of the
-    family.
+    family.  A shot closes when it misses its start by less than
+    ``ORBIT_CLOSURE_TOL``, and the orbit is sampled at ``ORBIT_SAMPLES``
+    points.
 
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
@@ -235,7 +238,7 @@ def find_closed_orbit(
     free point makes one ``monodromy`` call that carries only the section
     basis, and the converged orbit is sampled by one more ``flow``.  With
     ``fix_point`` there are no section columns, so each step is one
-    ``flow`` sampled at ``n_samples`` points, and the shot that closes is
+    ``flow`` sampled at ``ORBIT_SAMPLES`` points, and the shot that closes is
     the returned orbit: a fixed-point orbit is integrated once per step.
 
     Raises NoConvergence, with the Newton residual history, when the period
@@ -247,8 +250,6 @@ def find_closed_orbit(
     periods cannot carry.
     """
     T_guess = _require_real("T_guess", T_guess, 0)
-    tol = _require_real("tol", tol, 0)
-    _require_int("n_samples", n_samples, 1)
     x0 = _points(chart.dim, guess, stack=False, name="guess")[0]
     d = chart.dim
     S = np.zeros((d, 0)) if fix_point else _section_basis(chart, x0)
@@ -273,7 +274,7 @@ def find_closed_orbit(
         x = x0 + S @ c
         try:
             if fix_point:
-                traj = flow(chart, x, T, steps=n_samples)
+                traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
                 end, MS = traj.end, S
             else:
                 end, MS = monodromy(chart, x, T, S)
@@ -287,10 +288,10 @@ def find_closed_orbit(
         F = raw - offset
         res = float(np.max(np.abs(F)))
         history.append(res)
-        if res < tol:
+        if res < ORBIT_CLOSURE_TOL:
             if not fix_point:  # the monodromy shot kept no samples
-                traj = flow(chart, x, T, steps=n_samples)
-            return ReebOrbit._closed(chart, x, T, traj, 10 * tol)
+                traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
+            return ReebOrbit._closed(chart, x, T, traj, 10 * ORBIT_CLOSURE_TOL)
         Xend = reeb_solve(chart, end).vector
         Jac = np.column_stack([MS - S, Xend])
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
@@ -339,14 +340,12 @@ class MorseBottCandidate:
     multiplicity: int
 
 
-def classify_orbit(rm: ReturnMap, tol: float = 1e-6):
-    """Nondegenerate iff no return-map eigenvalue lies within tol of 1."""
-    tol = _require_real("tol", tol, 0, strict=False)
-    dist = np.abs(rm.eigenvalues - 1.0)
-    k = int(np.sum(dist <= tol))
-    if k == 0:
-        return Nondegenerate(float(np.min(dist)))
-    return MorseBottCandidate(k)
+def classify_orbit(rm: ReturnMap):
+    """Nondegenerate iff ``return_map`` counted no unit eigenvalue (within
+    ``UNIT_TOL`` of 1), else a Morse-Bott candidate of that multiplicity."""
+    if rm.unit_eigen_dim:
+        return MorseBottCandidate(rm.unit_eigen_dim)
+    return Nondegenerate(float(np.min(np.abs(rm.eigenvalues - 1.0))))
 
 
 @dataclass

@@ -24,9 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ContactChart, _points, _require_int, _require_real, contact_volume, fd_gradient
-from .core import reeb_solve, xi_projection_matrix
-from .errors import BadBlocks, NotContact, OutOfRange
+from .core import _RANK_TOL, ContactChart, _array, _points, _require_int, _require_real, contact_volume
+from .core import fd_gradient, reeb_solve, xi_projection_matrix
+from .errors import BadBlocks, NotContact, OutOfRange, SingularChart
+
+# make_adapted_J accepts a coupling block B with |B J_G| up to this.
+COUPLING_TOL = 1e-12
+# check_adapted counts singular values above this times max(1, sigma_max).
+ADAPTED_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,19 @@ class MorseBottSetup:
         return G - G.T
 
     def splitting_matrix(self, q=None) -> np.ndarray:
-        """Columns [X_theta | N | G] in base coordinates."""
+        """Columns [X_theta | N | G] in base coordinates, each a finite (dim_q,)."""
         q0 = np.zeros(self.dim_q) if q is None else _points(self.dim_q, q, stack=False, name="q")[0]
-        cols = [np.asarray(self.x_theta(q0), dtype=float)]
-        cols += [np.asarray(v, dtype=float) for v in self.n_basis]
-        cols += [np.asarray(v, dtype=float) for v in self.g_basis]
-        return np.column_stack(cols)
+        cols = [self.x_theta(q0), *self.n_basis, *self.g_basis]
+        return np.column_stack([_array(f"{self.name}: column {j} of [X_theta | N | G]", v, (self.dim_q,))
+                                for j, v in enumerate(cols)])
+
+    def base_data(self, q):
+        """(theta, X_theta, d theta) at q, each finite and (dim_q,) or
+        (dim_q, dim_q), else OutOfRange or ModeMismatch."""
+        shape = (self.dim_q,)
+        G = _array(f"{self.name}: the Jacobian of theta", self.theta_jacobian(q), shape * 2)
+        return (_array(f"{self.name}: theta", self.theta(q), shape),
+                _array(f"{self.name}: x_theta", self.x_theta(q), shape), G - G.T)
 
 
 @dataclass
@@ -93,14 +105,11 @@ def validate_setup(setup: MorseBottSetup, points) -> SetupDiagnostics:
     worst_kernel = 0.0
     rank_ok = True
     for q in points:
-        th = setup.theta(q)
-        X = setup.x_theta(q)
+        th, X, D = setup.base_data(q)
         worst_theta = max(worst_theta, abs(float(th @ X) - 1.0))
-        D = setup.dtheta_at(q)
         s = np.linalg.svd(D, compute_uv=False)
-        big = np.sum(s > 1e-6)
-        small_ok = np.all(s[int(big):] < 1e-10) if big < len(s) else True
-        if big != 2 * setup.g or not small_ok:
+        big = int(np.sum(s > 1e-6))
+        if big != 2 * setup.g or not np.all(s[big:] < 1e-10):
             rank_ok = False
         for v in (X, *setup.n_basis):
             worst_kernel = max(worst_kernel, float(np.max(np.abs(D @ np.asarray(v, float)))))
@@ -199,11 +208,15 @@ def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
     """lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 on (q, mu, e).
 
     Returns the coefficient callable, its Jacobian callable and the m x dim_q
-    N-coframe.
+    N-coframe; SingularChart unless the splitting at q = 0 is a basis.
     """
     dq, m = setup.dim_q, setup.m
     s = dq + m  # first E-fiber coordinate
-    N_co = np.linalg.inv(setup.splitting_matrix())[1 : 1 + m, :]
+    B = setup.splitting_matrix()
+    sv = np.linalg.svd(B, compute_uv=False)
+    if not sv[-1] > _RANK_TOL * sv[0]:
+        raise SingularChart(f"{setup.name}: [X_theta | N | G] is no basis (singular values {sv})")
+    N_co = np.linalg.inv(B)[1 : 1 + m, :]
     G_fibers = np.zeros((s + 2 * k, s + 2 * k))
     G_fibers[dq:s, :dq] = N_co
     G_fibers[s:, s:] = 0.5 * Omega
@@ -219,11 +232,13 @@ def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
     return lam, grad, N_co
 
 
-def _fiber_grid(r: float, fdim: int, pts_per_dim: int, cap: int = 4096) -> np.ndarray:
+def _fiber_grid(r: float, fdim: int, pts_per_dim: int) -> np.ndarray:
+    """Grid points of the fiber ball of radius r; fewer points per axis (not
+    below 3) while the full grid would exceed 4096 points."""
     if fdim == 0:
         return np.zeros((1, 0))
     per = pts_per_dim
-    while per**fdim > cap and per > 3:
+    while per**fdim > 4096 and per > 3:
         per -= 1
     axes = [np.linspace(-r, r, per) for _ in range(fdim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fdim)
@@ -256,11 +271,8 @@ def contact_tube_radius(
     _require_int("fiber_pts", fiber_pts, 1)
     _require_int("base_pts", base_pts, 1)
     fdim = chart.dim - dim_q
-    base_axes = []
-    for i in range(dim_q):
-        P = chart.periods[i] if chart.periods is not None else None
-        hi = P if P is not None else 1.0
-        base_axes.append(np.linspace(0.0, hi, base_pts, endpoint=False))
+    periods = chart.periods or (None,) * chart.dim  # a base angle spans its period, else [0, 1)
+    base_axes = [np.linspace(0.0, 1.0 if P is None else P, base_pts, endpoint=False) for P in periods[:dim_q]]
     base_grid = (
         np.stack(np.meshgrid(*base_axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
         if dim_q
@@ -302,7 +314,6 @@ def contact_tube_radius(
 def build_thickening(
     setup: MorseBottSetup,
     Omega,
-    k: Optional[int] = None,
     radius: float = 0.5,
     fiber_pts: int = 16,
     base_pts: int = 8,
@@ -315,12 +326,12 @@ def build_thickening(
     fiberwise symplectic form.  Raises NotContact(radius) when the contact
     volume drops below half its zero-section value somewhere on the sample
     grid; the largest verified radius is found by bisection and stored.
+    Omega is 2k x 2k with k = Omega.shape[0] // 2 (else BadBlocks), and the
+    set-up's ``base_data`` at q = 0 is checked and its splitting a basis.
     """
-    if k is not None:
-        _require_int("k", k, 0)
     Omega = np.asarray(Omega, dtype=float)
     Omega = Omega.reshape(0, 0) if Omega.size == 0 else np.atleast_2d(Omega)
-    k = k if k is not None else Omega.shape[0] // 2
+    k = Omega.shape[0] // 2
     if Omega.shape != (2 * k, 2 * k):
         raise BadBlocks("Omega", "fiber symplectic matrix must be 2k x 2k")
     if k:
@@ -328,6 +339,7 @@ def build_thickening(
             raise BadBlocks("Omega", "fiber symplectic matrix must be antisymmetric")
         if not abs(np.linalg.det(Omega)) >= 1e-12:
             raise BadBlocks("Omega", "fiber symplectic matrix is degenerate")
+    setup.base_data(np.zeros(setup.dim_q))
     lam, grad, N_co = _assemble_lambda_F(setup, Omega, k)
     dq, m = setup.dim_q, setup.m
     n = (dq + m + 2 * k - 1) // 2  # total dim = dq + m + 2k = 2n + 1
@@ -362,29 +374,17 @@ def split_contact_distribution(tc: ThickeningChart, x):
     """
     x = _points(tc.dim, x, stack=False)[0]
     q, mu, e = tc.split_point(x)
-    dq, m, k = tc.dim_q, tc.m, tc.k
+    dq = tc.dim_q
     X_F = lifted_x_theta(tc, q)
     th = tc.setup.theta(q)
     from scipy.linalg import null_space
 
     # deterministic basis of ker theta on the base
     kerb = null_space(th[None, :])
-    V = []
-    for i in range(kerb.shape[1]):
-        eta = kerb[:, i]
-        lift = np.zeros(tc.dim)
-        lift[:dq] = eta
-        corr = float(mu @ (tc.n_coframe @ eta))
-        V.append(lift - corr * X_F)
-    W = []
-    lamx = tc.chart.lambda_at(x)
-    for j in range(m + 2 * k):
-        v = np.zeros(tc.dim)
-        v[dq + j] = 1.0
-        W.append(v - float(lamx @ v) * X_F)
+    V = [np.concatenate([eta, np.zeros(tc.dim - dq)]) - float(mu @ (tc.n_coframe @ eta)) * X_F for eta in kerb.T]
     V = np.column_stack(V) if V else np.zeros((tc.dim, 0))
-    W = np.column_stack(W) if W else np.zeros((tc.dim, 0))
-    return V, W
+    # the vertical coordinate vectors e_j less lambda_F(e_j) X_F
+    return V, np.eye(tc.dim)[:, dq:] - np.outer(X_F, tc.chart.lambda_at(x)[dq:])
 
 
 @dataclass
@@ -402,29 +402,22 @@ def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
     """
     c = _require_real("c", c)
     points = _points(tc.dim, points, name="points")[0].reshape(-1, tc.dim)
-    dq, m, k = tc.dim_q, tc.m, tc.k
-    dim = tc.dim
+    s, dim = tc.dim_q + tc.m, tc.dim  # s: the first E-fiber coordinate
     rng = np.random.Generator(np.random.Philox(7))
     scale = np.ones(dim)
-    scale[dq + m :] = c
+    scale[s:] = c
 
-    def rho(x):
-        # (R . Omega~)_j = Omega(e, .) on the E block
-        out = np.zeros(dim)
-        out[dq + m :] = np.asarray(x[dq + m :], dtype=float) @ tc.Omega
-        return out
+    def rho(x):  # (R . Omega~)_j = Omega(e, .) on the E block
+        return np.concatenate([np.zeros(s), x[s:] @ tc.Omega])
 
     worst_scale = 0.0
     worst_cartan = 0.0
     for x in points:
-        Om = tc.omega_tilde(x)
-        xs = x.copy()
-        xs[dq + m :] *= c
-        Om_scaled = tc.omega_tilde(xs)
+        Om = tc.omega_tilde(x)  # the flat model's Omega~ is the same at x and at R_c x
         for _ in range(4):
             v = rng.standard_normal(dim)
             w = rng.standard_normal(dim)
-            lhs = float((scale * v) @ Om_scaled @ (scale * w))
+            lhs = float((scale * v) @ Om @ (scale * w))
             rhs = c * c * float(v @ Om @ w)
             worst_scale = max(worst_scale, abs(lhs - rhs))
         G = fd_gradient(rho, x)
@@ -447,10 +440,10 @@ class AdaptedJ:
     adapted: bool
 
 
-def _check_tamed(J_blk: np.ndarray, omega: np.ndarray, label: str, tol: float = 1e-10):
+def _check_tamed(J_blk: np.ndarray, omega: np.ndarray, label: str):
     if J_blk.size == 0:
         return
-    if np.max(np.abs(J_blk @ J_blk + np.eye(J_blk.shape[0]))) > tol:
+    if np.max(np.abs(J_blk @ J_blk + np.eye(J_blk.shape[0]))) > 1e-10:
         raise BadBlocks(label, f"{label}^2 != -I")
     M = omega @ J_blk
     if np.max(np.abs(M - M.T)) > 1e-8:
@@ -459,70 +452,53 @@ def _check_tamed(J_blk: np.ndarray, omega: np.ndarray, label: str, tol: float = 
         raise BadBlocks(label, f"{label} not omega-tamed (positivity)")
 
 
-def _structure_frames(tc: ThickeningChart, q=None):
-    """Coordinate columns of the splitting RX + N + G + T*N + E."""
-    dq, m, k = tc.dim_q, tc.m, tc.k
-    dim = tc.dim
-
-    def emb(vs, offset, width):
-        cols = np.zeros((dim, len(vs))) if len(vs) else np.zeros((dim, 0))
-        for i, v in enumerate(vs):
-            cols[offset : offset + width, i] = v
-        return cols
-
-    B = tc.setup.splitting_matrix(q)
-    X = emb([B[:, 0]], 0, dq)
-    N = emb([B[:, 1 + a] for a in range(m)], 0, dq)
-    G = emb([B[:, 1 + m + b] for b in range(2 * tc.setup.g)], 0, dq)
-    MU = emb(list(np.eye(m)), dq, m)
-    E = emb(list(np.eye(2 * k)), dq + m, 2 * k)
-    return X, N, G, MU, E
+def _structure_matrix(tc: ThickeningChart, q=None) -> np.ndarray:
+    """Coordinate columns [X | N | G | MU | E] of the splitting RX + N + G +
+    T*N + E: the base splitting matrix and the fiber identity, block diagonal."""
+    P = np.zeros((tc.dim, tc.dim))
+    P[: tc.dim_q, : tc.dim_q] = tc.setup.splitting_matrix(q)
+    P[tc.dim_q :, tc.dim_q :] = np.eye(tc.dim - tc.dim_q)
+    return P
 
 
-def make_adapted_J(tc: ThickeningChart, J_G, J_E, B, tol: float = 1e-12) -> AdaptedJ:
+def make_adapted_J(tc: ThickeningChart, J_G, J_E, B) -> AdaptedJ:
     """Assemble an endomorphism adapted to the zero section from block data.
 
     Blocks: J_G on the symplectic complement inside TQ (compatible with
     d theta there), J_E on the symplectic fiber (compatible with Omega), the
     canonical pairing rotation on N + T*N, and a coupling block B from G to E
     constrained by B J_G = 0.  Since J_G squares to -I it is invertible, so
-    the constraint forces B = 0 up to the tolerance; the coupling slot is
-    kept so that violating inputs are caught rather than ignored.
+    the constraint forces B = 0 up to COUPLING_TOL; the coupling slot is
+    kept so that violating inputs are caught rather than ignored.  The
+    blocks are finite arrays (2g, 2g), (2k, 2k) and (2k, 2g) (OutOfRange,
+    ModeMismatch).
     """
-    tol = _require_real("tol", tol, 0, strict=False)
-    J_G = np.asarray(J_G, dtype=float).reshape(2 * tc.setup.g, 2 * tc.setup.g)
-    J_E = np.asarray(J_E, dtype=float).reshape(2 * tc.k, 2 * tc.k)
-    B = np.asarray(B, dtype=float).reshape(2 * tc.k, 2 * tc.setup.g)
+    g2, k2 = 2 * tc.setup.g, 2 * tc.k
+    J_G = _array("J_G", J_G, (g2, g2))
+    J_E = _array("J_E", J_E, (k2, k2))
+    B = _array("B", B, (k2, g2))
 
     q0 = np.zeros(tc.dim_q)
-    Dth = tc.setup.dtheta_at(q0)
-    Gcols = tc.setup.splitting_matrix(q0)[:, 1 + tc.m :]
-    omega_G = Gcols.T @ Dth @ Gcols
+    P = _structure_matrix(tc, q0)
+    m, dq = tc.m, tc.dim_q
+    Gcols = P[:dq, 1 + m : dq]
+    omega_G = Gcols.T @ tc.setup.dtheta_at(q0) @ Gcols
     _check_tamed(J_G, omega_G, "J_G")
     _check_tamed(J_E, tc.Omega, "J_E")
-    if B.size and np.max(np.abs(B @ J_G)) > tol:
+    if B.size and np.max(np.abs(B @ J_G)) > COUPLING_TOL:
         raise BadBlocks("B", f"B J_G = 0 violated by {np.max(np.abs(B @ J_G)):.3e}")
 
-    X, N, G, MU, E = _structure_frames(tc, q0)
-    m, g, k = tc.m, tc.setup.g, tc.k
-    dim = tc.dim
-    P = np.column_stack([X, N, G, MU, E])
-    Pinv = np.linalg.inv(P)
-    Jb = np.zeros((dim, dim))
-    # block order in P: [X | N(m) | G(2g) | MU(m) | E(2k)]
-    iN = 1
-    iG = 1 + m
-    iMU = 1 + m + 2 * g
-    iE = 1 + 2 * m + 2 * g
+    Jb = np.zeros((tc.dim, tc.dim))
+    # block order in P: [X | N(m) | G(2g) | MU(m) | E(2k)], G from 1 + m to dq
     # canonical pairing: J(N_a) = -MU_a, J(MU_a) = +N_a (positivity against
     # the d Theta_G pairing, which couples N and MU with a minus sign)
     for a in range(m):
-        Jb[iMU + a, iN + a] = -1.0
-        Jb[iN + a, iMU + a] = 1.0
-    Jb[iG : iG + 2 * g, iG : iG + 2 * g] = J_G
-    Jb[iE :, iG : iG + 2 * g] = B
-    Jb[iE :, iE :] = J_E
-    Jmat = P @ Jb @ Pinv
+        Jb[dq + a, 1 + a] = -1.0
+        Jb[1 + a, dq + a] = 1.0
+    Jb[1 + m : dq, 1 + m : dq] = J_G
+    Jb[dq + m :, 1 + m : dq] = B
+    Jb[dq + m :, dq + m :] = J_E
+    Jmat = P @ Jb @ np.linalg.inv(P)
 
     Pi = xi_projection_matrix(tc.chart, tc.zero_section_point(q0))
     square_defect = float(np.max(np.abs(Jmat @ Jmat + Pi)))
@@ -540,27 +516,25 @@ class AdaptedDiagnostics:
     gj_dim: int
 
 
-def check_adapted(tc: ThickeningChart, J, q=None, tol: float = 1e-8):
+def check_adapted(tc: ThickeningChart, J, q=None):
     """Two equivalent adaptedness tests for an endomorphism at the zero section.
 
     Containment: J TQ lies inside TQ + J N (rank of the stacked spans does
     not exceed dim TQ + m).  Splitting: TQ is the direct sum of TQ intersect
-    J TQ and the characteristic directions RX + N.  Both are computed and
-    must agree.
+    J TQ and the characteristic directions RX + N.  Both are computed, with
+    ranks at the relative cutoff ADAPTED_RANK_TOL, and must agree.
     """
-    tol = _require_real("tol", tol, 0, strict=False)
     J = np.asarray(J, dtype=float)
-    X, N, G, MU, E = _structure_frames(tc, q)
-    TQ = np.column_stack([X, N, G])
-    TF = np.column_stack([X, N])
-    JN = J @ N if N.size else np.zeros((tc.dim, 0))
+    P = _structure_matrix(tc, q)
+    TQ, TF, N = P[:, : tc.dim_q], P[:, : 1 + tc.m], P[:, 1 : 1 + tc.m]
+    JN = J @ N
     JTQ = J @ TQ
 
     def rank(A):
         if A.size == 0:
             return 0
         s = np.linalg.svd(A, compute_uv=False)
-        return int(np.sum(s > tol * max(1.0, s[0])))
+        return int(np.sum(s > ADAPTED_RANK_TOL * max(1.0, s[0])))
 
     base = np.column_stack([TQ, JN])
     r_base = rank(base)
@@ -581,7 +555,7 @@ def check_adapted(tc: ThickeningChart, J, q=None, tol: float = 1e-8):
         inter = TQ @ ns[: TQ.shape[1], :]
         # orthonormalize and drop numerically null columns
         Qm, Rm = np.linalg.qr(inter)
-        keep = np.abs(np.diag(Rm)) > tol * max(1.0, np.abs(Rm).max())
+        keep = np.abs(np.diag(Rm)) > ADAPTED_RANK_TOL * max(1.0, np.abs(Rm).max())
         inter = Qm[:, : len(keep)][:, keep]
     else:
         inter = np.zeros((tc.dim, 0))
@@ -589,14 +563,8 @@ def check_adapted(tc: ThickeningChart, J, q=None, tol: float = 1e-8):
     splitting_ok = (gj_dim == 2 * tc.setup.g) and (r_direct == TQ.shape[1]) and (
         rank(inter) + rank(TF) == r_direct
     )
-    diag = AdaptedDiagnostics(
-        bool(containment_ok),
-        bool(splitting_ok),
-        bool(containment_ok == splitting_ok),
-        r_all,
-        expected,
-        int(gj_dim),
-    )
+    diag = AdaptedDiagnostics(bool(containment_ok), bool(splitting_ok), bool(containment_ok == splitting_ok),
+                              r_all, expected, int(gj_dim))
     return bool(containment_ok), diag
 
 

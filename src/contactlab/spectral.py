@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _points, _require_int, _require_real, fd_gradient, periodic_derivative, perturbed_reeb
+from .core import _array, _points, _require_int, _require_real, fd_gradient, periodic_derivative, perturbed_reeb
 from .core import reeb_solve, xi_frame
 from .dynamics import reeb_jacobian
 from .errors import (
@@ -31,7 +31,8 @@ from .errors import (
     ResolutionTooCoarse,
 )
 
-KERNEL_TOL = 1e-8
+KERNEL_TOL = 1e-8  # an eigenvalue of modulus at most this counts as kernel
+GAP_SLACK = 1e-8  # gap_inequality_check passes when min ||B s||^2/||s||^2 >= gap^2 - GAP_SLACK
 DEFAULT_MODES = 128
 _TRIAL_BLOCK = 64  # gap-check trial sections per matrix product
 SYM_TOL = 1e-10  # largest asymmetry of S that assemble_operator accepts
@@ -60,11 +61,6 @@ def _scalar_basis_samples(n_modes: int, period: float, n_t: int):
     rows[1::2] = np.sqrt(2.0 / period) * np.cos(wt)
     rows[2::2] = np.sqrt(2.0 / period) * np.sin(wt)
     return t, rows
-
-
-def _is_constant(S_samples: np.ndarray) -> bool:
-    """True when every sample of S(t) equals the first one exactly."""
-    return bool(np.all(S_samples == S_samples[0]))
 
 
 @dataclass
@@ -143,9 +139,9 @@ class SpectralOperator:
 
 
 def _sample_callable(S: Callable[[float], np.ndarray], t_grid: np.ndarray) -> np.ndarray:
-    """S(t) stacked over the grid; ModeMismatch at the first t whose value
-    changes shape."""
-    values = [np.asarray(S(t), dtype=float) for t in t_grid]
+    """S(t) stacked over the grid; OutOfRange for a value that is not numbers,
+    ModeMismatch at the first t whose value changes shape."""
+    values = [_array("S(t)", S(t)) for t in t_grid]
     for t, v in zip(t_grid.tolist(), values):
         if v.shape != values[0].shape:
             raise ModeMismatch(f"S(t) changes shape along the grid: {values[0].shape} at "
@@ -227,7 +223,7 @@ def assemble_operator(
     if callable(S):
         S_samples = _sample_callable(S, t_grid)
     else:
-        S_samples = np.asarray(S, dtype=float)
+        S_samples = _array("S", S)
         if S_samples.shape == (rank, rank):
             S_samples = np.broadcast_to(S_samples, (n_t, rank, rank))
     if S_samples.shape != (n_t, rank, rank):
@@ -250,7 +246,7 @@ def assemble_operator(
     ks = np.arange(1, K + 1)
     wJ = (2 * np.pi * ks / period)[:, None, None] * J0
     wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
-    if _is_constant(S_samples):
+    if np.all(S_samples == S_samples[0]):
         # S acts on each scalar mode alone: B is block-diagonal
         block0 = np.zeros((r, r))
         block0 -= S_samples[0]
@@ -360,7 +356,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     gap: float
     kernel_dim: int
-    kernel_tol: float
 
 
 def _eigh(op: SpectralOperator, vectors=False):
@@ -400,19 +395,18 @@ def _eigh(op: SpectralOperator, vectors=False):
     return ev[cols], V
 
 
-def spectrum(op: SpectralOperator, kernel_tol: float = KERNEL_TOL) -> SpectrumResult:
+def spectrum(op: SpectralOperator) -> SpectrumResult:
     """Sorted eigenvalues, kernel dimension, and the gap to the first
-    eigenvalue of modulus above kernel_tol.
+    eigenvalue of modulus above KERNEL_TOL.
 
     A constant S is solved mode by mode (one small block per Fourier mode);
     a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
     ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
     """
-    kernel_tol = _require_real("kernel_tol", kernel_tol, 0, strict=False)
     ev = _eigh(op)
-    nonzero = np.abs(ev) > kernel_tol
+    nonzero = np.abs(ev) > KERNEL_TOL
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
-    return SpectrumResult(ev, gap, int(np.sum(~nonzero)), kernel_tol)
+    return SpectrumResult(ev, gap, int(np.sum(~nonzero)))
 
 
 @dataclass
@@ -427,10 +421,9 @@ def gap_inequality_check(
     op: SpectralOperator,
     n_trials: int = 1000,
     seed: int = 0,
-    slack: float = 1e-8,
-    kernel_tol: float = KERNEL_TOL,
 ) -> GapCheckReport:
-    """Check ||B s||^2 >= gap^2 ||s||^2 on random sections projected off the kernel.
+    """Check ||B s||^2 >= gap^2 ||s||^2 - GAP_SLACK ||s||^2 on random sections
+    projected off the kernel (eigenvalues within KERNEL_TOL of 0).
 
     The eigenvalues are the ones ``spectrum`` reports (kept on the operator,
     so after ``spectrum`` none are solved for again); the kernel eigenvectors
@@ -446,13 +439,11 @@ def gap_inequality_check(
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
-    slack = _require_real("slack", slack, 0, strict=False)
-    kernel_tol = _require_real("kernel_tol", kernel_tol, 0, strict=False)
     evals = _eigh(op)
-    nonzero = np.abs(evals) > kernel_tol
+    nonzero = np.abs(evals) > KERNEL_TOL
     if not np.any(nonzero):
         raise OutOfRange(
-            f"every eigenvalue is within {kernel_tol:g} of 0: the kernel is the whole "
+            f"every eigenvalue is within {KERNEL_TOL:g} of 0: the kernel is the whole "
             f"dim-{op.dim} space, so no section survives the projection"
         )
     gap2 = float(np.min(evals[nonzero] ** 2))
@@ -469,5 +460,5 @@ def gap_inequality_check(
         hit = ns2 > 0.0
         if np.any(hit):
             worst = min(worst, float(np.min(bs2[hit] / ns2[hit])))
-    passed = worst >= gap2 - slack
+    passed = worst >= gap2 - GAP_SLACK
     return GapCheckReport(float(np.sqrt(gap2)), worst, n_trials, bool(passed))

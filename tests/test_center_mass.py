@@ -79,15 +79,15 @@ def test_h_is_monotone_winding_one():
 def test_outside_tube():
     # distance measured against the declared reference orbit: on the torus
     # the offset loop is itself an orbit, so an anchor is required for the
-    # tube precondition to bite
+    # tube precondition to bite (radius CENTER_OF_MASS_TUBE = 0.25)
     model = FlatTorusQ(2)
     gamma, _ = torus_orbit_samples(model, [0.0, 0.0], 1.0, 32)
     far = np.mod(gamma + np.array([0.0, 0.4]), model.periods)
     with pytest.raises(OutsideTube):
-        center_of_mass(model, far, 1.0, delta_tube=0.25, reference=[0.0, 0.0])
+        center_of_mass(model, far, 1.0, reference=[0.0, 0.0])
     # within the tube the same call succeeds
     near = np.mod(gamma + np.array([0.0, 0.1]), model.periods)
-    res = center_of_mass(model, near, 1.0, delta_tube=0.25, reference=[0.0, 0.0])
+    res = center_of_mass(model, near, 1.0, reference=[0.0, 0.0])
     assert np.max(np.abs(model.wrap(res.m - np.array([0.0, 0.1])))) < 1e-9
 
 

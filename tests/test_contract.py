@@ -3,18 +3,28 @@ raises a typed error.
 
 Each callable in ``contactlab.__all__``, and ``core.reeb_batch``, has one
 valid call here and strategies that break one argument at a time: wrong
-shapes, NaN and +-inf, zero and negative sizes, and bools or floats where a
-count belongs.  A broken argument must raise a ``ContactLabError`` (pyproject
-makes a ``RuntimeWarning`` an error, so a warning fails too), and a valid
-call must return finite arrays.  The record types the library returns are
-listed apart; any other public callable without an entry fails the
-meta-check, so a new public function cannot skip the contract.
+shapes, NaN and +-inf, zero and negative sizes, bools or floats where a
+count belongs, and callable arguments (a chart's ``lam`` and ``grad``, a
+factor ``f``, a set-up's ``theta``, ``S`` and ``S_of_tau``, ``J``) that
+return a wrong shape, a NaN or no numbers.  A broken argument must raise a
+``ContactLabError`` (pyproject makes a ``RuntimeWarning`` an error, so a
+warning fails too), and a valid call must return finite arrays.  The record
+types the library returns are listed apart; any other public callable without
+an entry fails the meta-check, so a new public function cannot skip the
+contract.
+
+``KEYWORDS`` lists the keyword parameters (those with a default) of every
+public callable of the package, so adding or dropping one shows up as a
+change of that table.
 
 The regression cases below name what each one did before it raised.
 """
 
 import dataclasses
 import functools
+import importlib
+import inspect
+import pkgutil
 import re
 from typing import Callable, NamedTuple
 
@@ -30,11 +40,11 @@ from contactlab.errors import ContactLabError, ModeMismatch, OutOfRange, Singula
 NONFINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
-def bad_real(lo=None, strict=True):
-    """Reals that break a finite scalar > lo (>= lo unless ``strict``)."""
+def bad_real(lo=None):
+    """Reals that break a finite scalar > lo."""
     if lo is None:
         return NONFINITE
-    below = st.floats(max_value=lo, exclude_max=not strict, allow_nan=False, allow_infinity=False)
+    below = st.floats(max_value=lo, allow_nan=False, allow_infinity=False)
     return st.one_of(NONFINITE, below, st.booleans())
 
 
@@ -66,6 +76,30 @@ def bad_points(d, point=True, stack=True):
     return bad_array(good, shapes)
 
 
+def bad_callables(good):
+    """Callables that break ``good``: its value with one entry NaN, with one
+    entry more (a wrong shape), or a value that is not numbers."""
+
+    def nan_entry(i):
+        def f(*args):
+            out = np.array(good(*args), dtype=float)
+            out.flat[i % out.size] = np.nan
+            return out
+        return f
+
+    def longer(*args):
+        return np.append(good(*args), 0.1)
+
+    no_numbers = [lambda *args: "x", lambda *args: [None, "x"], lambda *args: {"x": 1.0}]
+    return st.one_of(st.integers(0, 10**6).map(nan_entry), st.sampled_from([longer, *no_numbers]))
+
+
+def bad_charts(chart):
+    """Copies of chart whose ``lam`` or ``grad`` is one of ``bad_callables``."""
+    return st.one_of(bad_callables(chart.lam).map(lambda f: dataclasses.replace(chart, lam=f)),
+                     bad_callables(chart.grad).map(lambda f: dataclasses.replace(chart, grad=f)))
+
+
 class Entry(NamedTuple):
     call: Callable
     valid: Callable[[], dict]  # keyword arguments of one valid call
@@ -80,6 +114,18 @@ STACK3 = np.array([[0.1, 0.2, 0.3], [-0.2, 0.4, 0.1]])
 PERT = core.PerturbationData(lambda x: 2.0 + np.sin(x[0]))
 STD = np.array([[0.0, 1.0], [-1.0, 0.0]])
 JSTD = np.array([[0.0, -1.0], [1.0, 0.0]])
+CIRCLE = normalform.circle_setup()
+TORUS_SETUP = normalform.torus_setup()
+# one n_basis vector makes the circle's base 2-d, so a (1,) vector has the
+# wrong length; a torus n_basis vector parallel to X_theta makes a splitting
+# that is no basis
+SHORT_N = dataclasses.replace(CIRCLE, n_basis=(np.array([1.0]),))
+PARALLEL_N = dataclasses.replace(TORUS_SETUP, n_basis=(np.array([1.0, 0.0]),))
+BAD_SETUPS = st.one_of(bad_callables(CIRCLE.theta).map(lambda f: dataclasses.replace(CIRCLE, theta=f)),
+                       st.sampled_from([SHORT_N, PARALLEL_N]))
+DARBOUX_J = models.standard_darboux_J(DARBOUX)
+BAD_J = st.one_of(bad_callables(DARBOUX_J), bad_array(DARBOUX_J(P3), [(2, 2), (3,)]),
+                  st.sampled_from(["x", [[None] * 3] * 3]))
 
 
 @functools.cache
@@ -115,8 +161,9 @@ CONTRACT = {
         "periods": st.one_of(bad_real(0).map(lambda P: (P, None, None)), st.just((1.0, None)))}),
     "PerturbationData": Entry(core.PerturbationData, lambda: dict(f=lambda x: 2.0)),
     "chart_diagnostics": Entry(core.chart_diagnostics, lambda: dict(chart=DARBOUX, points=STACK3),
-                               {"points": bad_points(3)}),
-    "contact_volume": Entry(core.contact_volume, lambda: dict(chart=DARBOUX, x=STACK3), {"x": bad_points(3)}),
+                               {"points": bad_points(3), "chart": bad_charts(DARBOUX)}),
+    "contact_volume": Entry(core.contact_volume, lambda: dict(chart=DARBOUX, x=STACK3),
+                            {"x": bad_points(3), "chart": bad_charts(DARBOUX)}),
     "flat_dual": Entry(core.flat_dual, lambda: dict(chart=DARBOUX, alpha=P3[::-1], x=P3),
                        {"alpha": bad_array(P3, [(2,), (2, 3)]), "x": bad_points(3)}),
     "sharp_dual": Entry(core.sharp_dual, lambda: dict(chart=DARBOUX, X=STACK3[::-1], x=STACK3),
@@ -125,15 +172,16 @@ CONTRACT = {
                         {"Z": bad_array(P3, [(4,), (2, 3)]), "x": bad_points(3)}),
     "perturbed_projection": Entry(core.perturbed_projection, lambda: dict(chart=DARBOUX, pert=PERT, Z=P3, x=P3),
                                   {"Z": bad_points(3, stack=False), "x": bad_points(3, stack=False)}),
-    "perturbed_reeb": Entry(core.perturbed_reeb, lambda: dict(chart=DARBOUX, pert=PERT, x=P3),
-                            {"x": bad_points(3, stack=False)}),
+    "perturbed_reeb": Entry(core.perturbed_reeb, lambda: dict(chart=DARBOUX, pert=PERT, x=P3), {
+        "x": bad_points(3, stack=False), "pert": bad_callables(PERT.f).map(core.PerturbationData)}),
     "reeb_field": Entry(core.reeb_field, lambda: dict(chart=DARBOUX, x=P3), {"x": bad_points(3)}),
-    "reeb_solve": Entry(core.reeb_solve, lambda: dict(chart=TORUS, x=STACK3), {"x": bad_points(3)}),
+    "reeb_solve": Entry(core.reeb_solve, lambda: dict(chart=TORUS, x=STACK3),
+                        {"x": bad_points(3), "chart": bad_charts(TORUS)}),
     "reeb_batch": Entry(core.reeb_batch, lambda: dict(chart=TORUS, xs=STACK3),
                         {"xs": bad_points(3, point=False)}),
     "triad_gradient": Entry(core.triad_gradient, lambda: dict(
-        chart=DARBOUX, J=models.standard_darboux_J(DARBOUX), h=lambda x: x[0] ** 2 + x[2], x=P3),
-        {"x": bad_points(3, stack=False)}),
+        chart=DARBOUX, J=DARBOUX_J, h=lambda x: x[0] ** 2 + x[2], x=P3),
+        {"x": bad_points(3, stack=False), "J": BAD_J}),
     "xi_frame": Entry(core.xi_frame, lambda: dict(chart=DARBOUX, x=P3), {"x": bad_points(3, stack=False)}),
     # dynamics
     "flow": Entry(dynamics.flow, lambda: dict(chart=TORUS, x0=P3, T=0.5, steps=4), {
@@ -142,49 +190,51 @@ CONTRACT = {
         "x0": bad_points(3, stack=False), "T": bad_real(),
         "V": bad_array(np.eye(3)[:, :2], [(3,), (2, 3), (3, 2, 1)])}),
     "ReebOrbit": Entry(dynamics.ReebOrbit.from_point, lambda: dict(chart=TORUS, p=P3, T=1.0, n_samples=8), {
-        "p": bad_points(3, stack=False), "T": bad_real(0), "n_samples": bad_count(1), "tol": bad_real(0)}),
+        "p": bad_points(3, stack=False), "T": bad_real(0), "n_samples": bad_count(1)}),
     "find_closed_orbit": Entry(dynamics.find_closed_orbit, lambda: dict(
-        chart=TORUS, guess=[0.3, 0.6, 0.0], T_guess=1.2, n_samples=8), {
-        "guess": bad_points(3, stack=False), "T_guess": bad_real(0), "tol": bad_real(0),
-        "n_samples": bad_count(1),
+        chart=TORUS, guess=[0.3, 0.6, 0.0], T_guess=1.2), {
+        "guess": bad_points(3, stack=False), "T_guess": bad_real(0),
         "winding": st.one_of(st.sampled_from([(1, 0), (1, 0, 0, 0)]),
                              st.one_of(NONFINITE, st.just(0.5), st.just(True)).map(lambda w: (w, 0, 0)))}),
     "orbit_family_scan": Entry(dynamics.orbit_family_scan, lambda: dict(
         chart=TORUS, seed=torus_orbit(), directions=[[0.0, 1.0, 0.0]], n_samples=1), {
         "directions": bad_points(3), "n_samples": bad_count(1), "step": bad_real(0)}),
     "return_map": Entry(dynamics.return_map, lambda: dict(chart=TORUS, orbit=torus_orbit())),
-    "classify_orbit": Entry(dynamics.classify_orbit, lambda: dict(rm=dynamics.return_map(TORUS, torus_orbit())),
-                            {"tol": bad_real(0, strict=False)}),
+    "classify_orbit": Entry(dynamics.classify_orbit, lambda: dict(rm=dynamics.return_map(TORUS, torus_orbit()))),
     # normalform
     "MorseBottSetup": Entry(normalform.MorseBottSetup, lambda: dataclasses.asdict(normalform.circle_setup())),
     "build_thickening": Entry(normalform.build_thickening, lambda: dict(
-        setup=normalform.circle_setup(), Omega=STD, radius=0.5, fiber_pts=5, base_pts=2), {
-        "Omega": bad_array(STD, [(3, 3), (4,), ()]), "k": bad_count(0), "radius": bad_real(0),
+        setup=CIRCLE, Omega=STD, radius=0.5, fiber_pts=5, base_pts=2), {
+        "setup": BAD_SETUPS, "Omega": bad_array(STD, [(3, 3), (4,), ()]), "radius": bad_real(0),
         "fiber_pts": st.one_of(bad_count(1), st.sampled_from([1, 2])), "base_pts": bad_count(1)}),
     "check_adapted": Entry(normalform.check_adapted, lambda: dict(
         tc=thickening(), J=normalform.make_adapted_J(thickening(), np.zeros((0, 0)), JSTD, np.zeros((2, 0))).matrix),
-        {"q": bad_points(1, stack=False), "tol": bad_real(0, strict=False)}),
+        {"q": bad_points(1, stack=False)}),
     "make_adapted_J": Entry(normalform.make_adapted_J, lambda: dict(
-        tc=thickening(), J_G=np.zeros((0, 0)), J_E=JSTD, B=np.zeros((2, 0))), {"tol": bad_real(0, strict=False)}),
+        tc=thickening(), J_G=np.zeros((0, 0)), J_E=JSTD, B=np.zeros((2, 0))), {
+        "J_G": st.sampled_from([np.zeros(0), np.eye(2), "x"]), "J_E": bad_array(JSTD, [(4,), (1, 2), ()]),
+        "B": st.sampled_from([np.zeros((2, 1)), np.zeros(2), "x"])}),
     "radial_identities": Entry(normalform.radial_identities, lambda: dict(tc=thickening(), c=2.0, points=STACK3),
                                {"c": bad_real(), "points": bad_points(3)}),
     "reeb_of_thickening": Entry(normalform.reeb_of_thickening, lambda: dict(tc=thickening(), q=[0.3]),
                                 {"q": bad_points(1, stack=False)}),
     "split_contact_distribution": Entry(normalform.split_contact_distribution, lambda: dict(
         tc=thickening(), x=P3), {"x": bad_points(3, stack=False)}),
-    "validate_setup": Entry(normalform.validate_setup, lambda: dict(
-        setup=normalform.circle_setup(), points=[[0.1], [0.7]]), {"points": bad_points(1)}),
+    "validate_setup": Entry(normalform.validate_setup, lambda: dict(setup=CIRCLE, points=[[0.1], [0.7]]), {
+        "points": bad_points(1),
+        "setup": bad_callables(CIRCLE.theta).map(lambda f: dataclasses.replace(CIRCLE, theta=f))}),
     # spectral
     "assemble_operator": Entry(spectral.assemble_operator, lambda: dict(S=0.7 * np.eye(2), period=1.0, n_modes=4), {
-        "S": bad_array(0.7 * np.eye(2), [(3, 3), (2,)]), "period": bad_real(0), "n_modes": bad_count(0),
+        "S": st.one_of(bad_array(0.7 * np.eye(2), [(3, 3), (2,)]), bad_callables(lambda t: 0.7 * np.eye(2)),
+                       st.just([["x", 0.0], [0.0, 1.0]])),
+        "period": bad_real(0), "n_modes": bad_count(0),
         "rank": st.one_of(bad_count(2), st.just(3)), "n_t": bad_count(1),
         "J0": st.sampled_from([np.eye(3), np.eye(2), np.full((2, 2), np.nan)])}),
     "asymptotic_operator": Entry(spectral.asymptotic_operator, lambda: dict(
         chart=TORUS, orbit=torus_orbit(), n_modes=2), {"n_modes": bad_count(0)}),
-    "spectrum": Entry(spectral.spectrum, lambda: dict(op=operator()), {"kernel_tol": bad_real(0, strict=False)}),
+    "spectrum": Entry(spectral.spectrum, lambda: dict(op=operator())),
     "gap_inequality_check": Entry(spectral.gap_inequality_check, lambda: dict(op=operator(), n_trials=8), {
-        "n_trials": bad_count(1), "seed": bad_count(0), "slack": bad_real(0, strict=False),
-        "kernel_tol": bad_real(0, strict=False)}),
+        "n_trials": bad_count(1), "seed": bad_count(0)}),
     # decay
     "FlatTorusQ": Entry(decay.FlatTorusQ, lambda: dict(dim=2), {"dim": bad_count(1)}),
     "RotatingTubeQ": Entry(decay.RotatingTubeQ, lambda: dict(w_theta=1.0, w_fiber=0.5),
@@ -198,8 +248,7 @@ CONTRACT = {
     "action_charge": Entry(decay.action_charge, lambda: dict(w_samples=torus_cylinder(), chart=TORUS, R=1.0), {
         "w_samples": bad_array(torus_cylinder(), [(5, 8), (5, 8, 2), (2, 8, 3), (5, 0, 3)]), "R": bad_real(0)}),
     "center_of_mass": Entry(decay.center_of_mass, lambda: dict(model=decay.FlatTorusQ(2), gamma=torus_loop(), T=1.0), {
-        "gamma": bad_points(2, point=False), "T": bad_real(0), "delta_tube": bad_real(0), "tol": bad_real(0),
-        "reference": bad_points(2, stack=False)}),
+        "gamma": bad_points(2, point=False), "T": bad_real(0), "reference": bad_points(2, stack=False)}),
     "decay_rate": Entry(decay.decay_rate, lambda: dict(field=decay.solve_cylinder(
         operator(), None, np.ones((32, 2)), R=20.0, n_tau=100))),
     "gamma_of_c": Entry(decay.gamma_of_c, lambda: dict(c=0.5), {"c": st.one_of(bad_real(0), st.floats(709.0, 1e308))}),
@@ -210,12 +259,13 @@ CONTRACT = {
         {"zeta_samples": bad_points(2, point=False), "T": bad_real()}),
     "random_hypothesis_sequences": Entry(decay.random_hypothesis_sequences, lambda: dict(
         rng=np.random.default_rng(0), n_seq=3, N=5), {"n_seq": bad_count(1), "N": bad_count(1)}),
+    # 20 steps, fine enough for the Crank-Nicolson march a broken S_of_tau starts
     "solve_cylinder": Entry(decay.solve_cylinder, lambda: dict(
-        op=operator(), forcing=None, zeta0=np.ones((32, 2)), R=1.0, n_tau=10), {
+        op=operator(), forcing=None, zeta0=np.ones((32, 2)), R=1.0, n_tau=20), {
         "zeta0": bad_array(np.ones((32, 2)), [(31, 2), (32, 3), (7,)]), "R": bad_real(0),
-        "n_tau": bad_count(1), "n_t": bad_count(1)}),
+        "n_tau": bad_count(1), "n_t": bad_count(1), "S_of_tau": bad_callables(lambda s: -0.7 * np.eye(2))}),
     "three_interval_bound": Entry(decay.three_interval_bound, lambda: dict(
-        seq=decay.IntervalSeq([1.0, 0.5, 0.3], 0.4)), {"slack": bad_real(0, strict=False)}),
+        seq=decay.IntervalSeq([1.0, 0.5, 0.3], 0.4))),
 }
 
 # record types the library builds and returns; constructing one by hand is
@@ -229,6 +279,77 @@ def test_every_public_callable_has_a_contract_entry():
     assert public - RECORDS - set(CONTRACT) == set()
     assert set(CONTRACT) - public == {"reeb_batch"}
     assert RECORDS <= public
+
+
+# keyword parameters (with a default) of every public callable of the package
+# that has any: module.function, module.Class (its constructor) or
+# module.Class.method.  Tolerances, steps and counts that no caller sets are
+# module constants, not keywords.
+KEYWORDS = {
+    "cli.Report": ("results", "tables", "verdicts", "wall_time"),
+    "cli.Report.add_verdict": ("passed",),
+    "cli.emit_report": ("fmt",),
+    "cli.main": ("argv",),
+    "cli.run_scenario": ("seed_override",),
+    "core.ContactChart": ("grad", "name", "periods", "domain"),
+    "core.PerturbationData": ("grad_f",),
+    "core.unwrap_angles": ("axis",),
+    "decay.FlatTorusQ": ("dim", "periods"),
+    "decay.Forcing": ("profile",),
+    "decay.center_of_mass": ("reference",),
+    "decay.solve_cylinder": ("n_t", "method", "S_of_tau"),
+    "dynamics.FamilySample": ("history",),
+    "dynamics.ReebOrbit.from_point": ("n_samples",),
+    "dynamics.find_closed_orbit": ("winding", "fix_point"),
+    "dynamics.flow": ("steps",),
+    "dynamics.monodromy": ("V",),
+    "dynamics.orbit_family_scan": ("n_samples", "step", "winding"),
+    "errors.BadBlocks": ("message",),
+    "errors.NoConvergence": ("history",),
+    "errors.NotContact": ("message",),
+    "models.darboux_chart": ("n", "scale"),
+    "models.exp_factor_chart": ("n",),
+    "normalform.MorseBottSetup": ("theta_grad", "periods", "name"),
+    "normalform.MorseBottSetup.splitting_matrix": ("q",),
+    "normalform.build_thickening": ("radius", "fiber_pts", "base_pts"),
+    "normalform.check_adapted": ("q",),
+    "normalform.contact_tube_radius": ("fiber_pts", "base_pts"),
+    "spectral.SpectralOperator": ("_matrix", "_eigenvalues"),
+    "spectral.SpectralOperator.grid_from_coefficients": ("n_t",),
+    "spectral.assemble_operator": ("n_modes", "rank", "J0", "n_t"),
+    "spectral.asymptotic_operator": ("pert",),
+    "spectral.gap_inequality_check": ("n_trials", "seed"),
+}
+
+
+def public_keywords() -> dict:
+    """{qualified name: keyword parameters} over the public functions,
+    classes and class methods defined in each module of the package."""
+    found = {}
+    for info in pkgutil.iter_modules(contactlab.__path__):
+        mod = importlib.import_module(f"contactlab.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__ or not callable(obj):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", getattr(obj, m)) for m, v in vars(obj).items() if not m.startswith("_")
+                            and (isinstance(v, (classmethod, staticmethod)) or inspect.isfunction(v))]
+            for qual, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters.values()
+                except ValueError:  # an exception class without an __init__ of its own
+                    continue
+                keywords = tuple(p.name for p in params if p.default is not p.empty)
+                if keywords:
+                    found[f"{info.name}.{qual}"] = keywords
+    return found
+
+
+def test_the_keyword_table_is_the_signatures():
+    # a keyword added to or dropped from a public signature fails here until
+    # KEYWORDS says so
+    assert public_keywords() == KEYWORDS
 
 
 def all_finite(value) -> bool:
@@ -276,6 +397,15 @@ def warped_tube():
 
 NAN3 = np.array([np.nan, 0.2, 0.3])
 NAN_CHART = core.ContactChart(1, lambda x: np.full(3, np.nan))
+INF_CHART = core.ContactChart(1, lambda x: np.array([np.inf, 0.0, 1.0]), lambda x: np.zeros((3, 3)))
+
+
+class SingularFlowQ(decay.FlatTorusQ):
+    """A flat torus whose flow differential is singular."""
+
+    def flow_diff(self, s):
+        return np.zeros((self.dim, self.dim))
+
 
 DEGENERATE = {
     # used to return 1.1 as verified: a grid with no fiber point inside the
@@ -301,10 +431,10 @@ DEGENERATE = {
     "reeb_batch_nan_chart": lambda: core.reeb_batch(NAN_CHART, STACK3),
     "forcing_fractional_index": lambda: decay.Forcing(0.5, {1.5: 1.0}),  # used to force eigenmode 1
     "contact_volume_nan_point": lambda: core.contact_volume(TORUS, NAN3),  # used to return nan
-    # used to accept the NaN
-    "three_interval_slack_nan": lambda: decay.three_interval_bound(decay.IntervalSeq([1.0, 0.5, 0.3], 0.4),
-                                                                   slack=np.nan),
-    "gap_check_slack_nan": lambda: spectral.gap_inequality_check(operator(), 8, slack=np.nan),
+    # used to return nan: lam is NaN at a finite point
+    "contact_volume_nan_chart": lambda: core.contact_volume(NAN_CHART, P3),
+    # used to return a NaN metric: the NaN defect passed the > 1e-8 comparison
+    "triad_gradient_nan_J": lambda: core.triad_gradient(DARBOUX, np.full((3, 3), np.nan), lambda x: x[0], P3),
 }
 
 
@@ -354,6 +484,29 @@ RAW = {
         TORUS, torus_orbit(), [[0.0, 1.0, 0.0]], step=np.nan)),
     # used to end in a ValueError
     "tube_base_pts_0": (OutOfRange, lambda: normalform.contact_tube_radius(warped_tube(), 1, 0.4, base_pts=0)),
+    # used to end in a RuntimeWarning (inf * 0 in the dual matrix)
+    "contact_volume_inf_chart": (OutOfRange, lambda: core.contact_volume(INF_CHART, P3)),
+    # used to end in a broadcasting ValueError
+    "triad_gradient_2x2_J": (ModeMismatch, lambda: core.triad_gradient(DARBOUX, JSTD, lambda x: x[0], P3)),
+    # used to end in a ValueError from splitting_matrix
+    "thickening_short_n_basis": (ModeMismatch, lambda: normalform.build_thickening(SHORT_N, STD)),
+    # used to end in a LinAlgError from np.linalg.inv
+    "thickening_parallel_n_basis": (SingularChart, lambda: normalform.build_thickening(PARALLEL_N, np.zeros((0, 0)))),
+    # used to end in a ValueError from th @ X
+    "validate_setup_long_theta": (ModeMismatch, lambda: normalform.validate_setup(
+        dataclasses.replace(CIRCLE, theta=lambda q: np.array([1.0, 0.0])), [[0.1]])),
+    # used to end in a TypeError from float()
+    "perturbed_reeb_vector_f": (ModeMismatch, lambda: core.perturbed_reeb(
+        DARBOUX, core.PerturbationData(lambda x: np.array([2.0, 1.0])), P3)),
+    # used to end in a RuntimeWarning from np.log
+    "dg_check_negative_f": (OutOfRange, lambda: core.PerturbationData(lambda x: -1.0).dg_check(P3)),
+    # used to end in a LinAlgError from np.linalg.inv
+    "mean_zero_check_singular_flow": (SingularChart, lambda: decay.mean_zero_check(
+        SingularFlowQ(2), torus_loop(), 1.0)),
+    # used to end in a ValueError from np.asarray
+    "reeb_solve_string_lambda": (OutOfRange, lambda: core.reeb_solve(core.ContactChart(1, lambda x: "abc"), P3)),
+    "assemble_operator_string_S": (OutOfRange, lambda: spectral.assemble_operator(
+        lambda t: [["a", 0.0], [0.0, 1.0]], period=1.0, n_modes=2)),
 }
 
 

@@ -173,8 +173,8 @@ def test_perturbed_reeb_scenario_solves_the_rescaled_chart_once_per_sample(monke
     lam_calls = []
     real = core.perturbed_chart
 
-    def counted_chart(chart, pert, name=None):
-        chf, calls = counting_chart(real(chart, pert, name))
+    def counted_chart(chart, pert):
+        chf, calls = counting_chart(real(chart, pert))
         lam_calls.append(calls)
         return chf
 

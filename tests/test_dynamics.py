@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from contactlab import core, dynamics
 from contactlab.core import ContactChart
 from contactlab.dynamics import (
+    UNIT_TOL,
     MorseBottCandidate,
     Nondegenerate,
     ReebOrbit,
@@ -295,12 +296,17 @@ def test_classify_orbit_contract():
     rm_id = ReturnMap(np.eye(2), np.ones(2, dtype=complex), 2, Om, 0.0)
     cls = classify_orbit(rm_id)
     assert isinstance(cls, MorseBottCandidate) and cls.multiplicity == 2
-    # an eigenvalue within half a tolerance of 1 counts as unit
-    tol = 1e-6
-    m = np.diag([1.0 + 0.5 * tol, 0.37])
-    rm_close = ReturnMap(m, np.linalg.eigvals(m), 1, Om, 0.0)
-    cls2 = classify_orbit(rm_close, tol=tol)
+    # an eigenvalue within half of UNIT_TOL of 1 is one that return_map
+    # counts, and classify_orbit reads that count
+    m = np.diag([1.0 + 0.5 * UNIT_TOL, 0.37])
+    eig = np.linalg.eigvals(m)
+    rm_close = ReturnMap(m, eig, int(np.sum(np.abs(eig - 1.0) <= UNIT_TOL)), Om, 0.0)
+    cls2 = classify_orbit(rm_close)
     assert isinstance(cls2, MorseBottCandidate) and cls2.multiplicity == 1
+    # on a computed orbit the two agree: the torus return map is the identity
+    ch = torus_chart()
+    rm_torus = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 1.0))
+    assert classify_orbit(rm_torus) == MorseBottCandidate(rm_torus.unit_eigen_dim)
 
 
 def test_family_scan_torus_constant_period():
