@@ -279,55 +279,74 @@ def _stacked_residual(L, D, v) -> float:
     )
 
 
-def _dual_system(chart: ContactChart, x):
-    """(lam, dlam, M) at x with the dual matrix M = dlam^T + lam lam^T.
+def _at(x, i=None) -> str:
+    """Where a check failed: "at x" for a point x, "at point i of the stack,
+    x[i]" for row i of a stack x."""
+    return f"at {x}" if i is None else f"at point {i} of the stack, {x[i]}"
+
+
+def _read_forms(chart: ContactChart, x):
+    """``_chart_forms`` before its check."""
+    if x.ndim == 1:
+        return chart.lambda_at(x), chart.dlambda_at(x)
+    L = np.empty((len(x), chart.dim))
+    D = np.empty((len(x), chart.dim, chart.dim))
+    for i, xi in enumerate(x):
+        L[i] = chart.lambda_at(xi)
+        D[i] = chart.dlambda_at(xi)
+    return L, D
+
+
+def _chart_forms(chart: ContactChart, x):
+    """(L, D) at a point x (d,), of shapes (d,) and (d, d), or over a stack x
+    (N, d), of shapes (N, d) and (N, d, d): the one per-point chart loop of
+    this module and its one check, OutOfRange at the first point where lam or
+    dlam is not finite.  Where a warnings filter raises the RuntimeWarning of
+    such a value (the inf - inf of G - G^T for an inf on the diagonal of the
+    Jacobian G), the chart is read again with the warnings off: np.errstate
+    on every call would cost 3 us, a twentieth of a point Reeb solve."""
+    try:
+        L, D = _read_forms(chart, x)
+    except RuntimeWarning:
+        with np.errstate(all="ignore"):
+            L, D = _read_forms(chart, x)
+    if not (_finite(L) and _finite(D)):
+        bad = None if x.ndim == 1 else np.flatnonzero(~(np.isfinite(L).all(1) & np.isfinite(D).all((1, 2))))[0]
+        raise OutOfRange(f"{chart.name}: non-finite contact form {_at(x, bad)}")
+    return L, D
+
+
+def _dual_systems(chart: ContactChart, x):
+    """(L, D, M) at a point x (d,) or over a stack x (N, d): ``_chart_forms``
+    and the dual matrix M = dlam^T + lam lam^T, of the shape of D.
 
     M X = X . dlam + lam(X) lam is the one-form dual to X, and the Reeb field
     is the solution of M X = lam.
     """
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
-    return L, D, D.T + np.outer(L, L)
+    L, D = _chart_forms(chart, x)
+    return L, D, D.swapaxes(-1, -2) + L[..., :, None] * L[..., None, :]
 
 
-def _chart_forms(chart: ContactChart, xs):
-    """(L, D) of shapes (N, d), (N, d, d) over a stack xs (N, d): the one
-    per-point chart loop of this module."""
-    L = np.empty((len(xs), chart.dim))
-    D = np.empty((len(xs), chart.dim, chart.dim))
-    for i, x in enumerate(xs):
-        L[i] = chart.lambda_at(x)
-        D[i] = chart.dlambda_at(x)
-    return L, D
-
-
-def _dual_systems(chart: ContactChart, xs):
-    """(L, D, M) over a stack xs (N, d): ``_chart_forms`` and M = dlam^T +
-    lam lam^T (N, d, d), bit for bit the matrix ``_dual_system`` builds."""
-    L, D = _chart_forms(chart, xs)
-    return L, D, D.swapaxes(1, 2) + L[:, :, None] * L[:, None, :]
+def _stacked_systems(chart: ContactChart, x):
+    """``_dual_systems`` at x with a point as the one-row stack."""
+    forms = _dual_systems(chart, x)
+    return forms if x.ndim == 2 else [a[None] for a in forms]
 
 
 def _system_error(chart: ContactChart, system: str, s, x, i=None):
-    """The error of the dual matrix with singular values s at the point x, or
-    at row i of the stack x, in one message form: OutOfRange for a non-finite
-    matrix (NaN s), else SingularChart naming the ``system``."""
-    where = f"at {x}" if i is None else f"at point {i} of the stack, {x[i]}"
-    if not s[0] < np.inf:
-        return OutOfRange(f"{chart.name}: non-finite dual matrix {where}")
-    return SingularChart(f"{chart.name}: {system} {where} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})")
+    """SingularChart naming the ``system`` and the singular values s of its
+    dual matrix at the point x, or at row i of the stack x (see ``_at``)."""
+    return SingularChart(f"{chart.name}: {system} {_at(x, i)} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})")
 
 
 def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
-    """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M.
+    """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M, from
+    ``_dual_systems`` and so finite.
 
     The singular values give the rank check and the condition number; the
-    solve itself is one LU factorization.  Raises ``_system_error`` when M
-    is not finite or sigma_min <= _RANK_TOL sigma_max."""
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError:  # NaN entries; inf ones give NaN singular values
-        s = np.full(len(M), np.nan)
+    solve itself is one LU factorization.  Raises ``_system_error`` when
+    sigma_min <= _RANK_TOL sigma_max."""
+    s = np.linalg.svd(M, compute_uv=False)
     if not s[-1] > _RANK_TOL * s[0]:
         raise _system_error(chart, system, s, x)
     return np.linalg.solve(M, rhs), float(s[0] / s[-1])
@@ -342,17 +361,11 @@ def _dots(a, b):
 
 
 def _rank_test(chart: ContactChart, x, M, system: str):
-    """Singular values (N, d) of the stack M at x, a point (d,) (N = 1) or a
-    stack (N, d); ``_system_error`` for the first point with a non-finite M
-    or sigma_min <= _RANK_TOL sigma_max."""
-    try:
-        s = np.linalg.svd(M, compute_uv=False)  # NaN rows for inf entries
-    except np.linalg.LinAlgError:  # raised for NaN entries
-        if np.isfinite(M).all():
-            raise
-        s = np.where(np.isfinite(M).all(axis=(1, 2))[:, None], 1.0, np.nan)
-    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass; a
-    # NaN row (a non-finite M) fails the comparison too
+    """Singular values (N, d) of the finite stack M of ``_dual_systems`` at x,
+    a point (d,) (N = 1) or a stack (N, d); ``_system_error`` for the first
+    point with sigma_min <= _RANK_TOL sigma_max."""
+    s = np.linalg.svd(M, compute_uv=False)
+    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
     bad = np.flatnonzero(~(s[:, -1] > _RANK_TOL * s[:, 0]))
     if bad.size:
         i = bad[0]
@@ -377,7 +390,7 @@ def _xi_dual_stack(chart: ContactChart, x, alphas):
     of 2N systems, M against alphas and against L: two right-hand sides of
     one system would take LAPACK's multi-column triangular solve, which
     moves last bits against the one-column solves of ``flat_dual``."""
-    L, _, M = _dual_systems(chart, x.reshape(-1, chart.dim))
+    L, _, M = _stacked_systems(chart, x)
     _rank_test(chart, x, M, "dual system singular")
     v = np.linalg.solve(np.concatenate([M, M]), np.concatenate([alphas, L])[:, :, None])[:, :, 0]
     v, X = v[: len(L)], v[len(L) :]
@@ -398,7 +411,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     if x.shape != (chart.dim,) or not _finite(x):
         xs = _points(chart.dim, x)[0]  # a stack, else it raises
         return _reeb_solve_stack(chart, xs, *_dual_systems(chart, xs))
-    L, D, M = _dual_system(chart, x)
+    L, D, M = _dual_systems(chart, x)
     v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
     return ReebSolve(v, _stacked_residual(L, D, v), cond, L)
 
@@ -430,14 +443,22 @@ def project_xi(chart: ContactChart, Z, x) -> np.ndarray:
     """Projection of Z (shaped as x) onto the contact distribution along the Reeb field."""
     x, Z = _points(chart.dim, x, Z=Z)
     Zs = Z.reshape(-1, chart.dim)
-    sol = _reeb_solve_stack(chart, x, *_dual_systems(chart, x.reshape(-1, chart.dim)))
+    sol = _reeb_solve_stack(chart, x, *_stacked_systems(chart, x))
     return (Zs - _dots(sol.lam, Zs)[:, None] * sol.vector).reshape(x.shape)
+
+
+def _reeb_parts(chart: ContactChart, x):
+    """(lam, dlam, X, Pi) at a point x from one chart evaluation: the Reeb
+    field X of the point solve and Pi = I - X lam^T, the projection onto xi
+    along it."""
+    L, D, M = _dual_systems(chart, x)
+    X = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")[0]
+    return L, D, X, np.eye(chart.dim) - np.outer(X, L)
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     """Matrix of project_xi at a point (d,): I - X lam^T."""
-    sol = reeb_solve(chart, _points(chart.dim, x, stack=False)[0])
-    return np.eye(chart.dim) - np.outer(sol.vector, sol.lam)
+    return _reeb_parts(chart, _points(chart.dim, x, stack=False)[0])[3]
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -448,7 +469,7 @@ def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
     alpha has the shape of x.
     """
     x, alpha = _points(chart.dim, x, alpha=alpha)
-    M = _dual_systems(chart, x.reshape(-1, chart.dim))[2]
+    M = _stacked_systems(chart, x)[2]
     _rank_test(chart, x, M, "dual system singular")
     return np.linalg.solve(M, alpha.reshape(-1, chart.dim, 1)).reshape(x.shape)
 
@@ -457,7 +478,7 @@ def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
     """The one-form dual to a vector field X (shaped as x): X . dlam + lam(X) lam."""
     x, X = _points(chart.dim, x, X=X)
     Xs = X.reshape(-1, chart.dim)
-    L, D, _ = _dual_systems(chart, x.reshape(-1, chart.dim))
+    L, D, _ = _stacked_systems(chart, x)
     # one gemv per point, as ``D.T @ X``
     return ((D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L).reshape(x.shape)
 
@@ -528,16 +549,14 @@ def triad_metric(chart: ContactChart, J, x) -> np.ndarray:
 
     J, a finite (d, d) matrix or a callable of the point returning one, must
     satisfy J^2 = -Pi (projection onto the contact distribution) within
-    1e-8; raises IncompatibleJ otherwise.
+    1e-8; raises IncompatibleJ otherwise.  The chart is evaluated once.
     """
     x = _points(chart.dim, x, stack=False)[0]
     Jm = _array("J", J(x) if callable(J) else J, (chart.dim, chart.dim))
-    Pi = xi_projection_matrix(chart, x)
+    L, D, _, Pi = _reeb_parts(chart, x)
     defect = float(np.max(np.abs(Jm @ Jm + Pi)))
     if not defect <= 1e-8:  # NaN fails too
         raise IncompatibleJ(f"J^2 + Pi deviates by {defect:.3e} at {x}")
-    L = chart.lambda_at(x)
-    D = chart.dlambda_at(x)
     G = D @ Jm + np.outer(L, L)
     return 0.5 * (G + G.T)
 
@@ -554,16 +573,16 @@ def triad_gradient(chart: ContactChart, J, h, x) -> np.ndarray:
 def compatible_xi_structure(chart: ContactChart, x) -> np.ndarray:
     """A deterministic dlam-compatible complex structure on xi, zero on the Reeb direction.
 
-    Built from the polar factor of dlam restricted to a Gram-Schmidt frame of
-    the contact distribution.
+    Built from the polar factor of dlam restricted to the ``xi_frame`` of the
+    contact distribution, from one chart evaluation.
     """
     from scipy.linalg import sqrtm
 
-    S = xi_frame(chart, x)
-    D = chart.dlambda_at(x)
+    x = _points(chart.dim, x, stack=False)[0]
+    _, D, X, Pi = _reeb_parts(chart, x)
+    S = _xi_basis(chart, Pi, x)
     A = S.T @ D @ S
     J_blk = -A @ np.linalg.inv(np.real(sqrtm(A.T @ A)))
-    X = reeb_field(chart, x)
     B = np.column_stack([S, X])
     Binv = np.linalg.inv(B)
     return S @ J_blk @ Binv[: S.shape[1], :]
@@ -575,30 +594,26 @@ def xi_frame(chart: ContactChart, x) -> np.ndarray:
     Gram-Schmidt over the projected chart basis in coordinate order, so the
     result is reproducible.
     """
-    F = _gram_schmidt(xi_projection_matrix(chart, x), 2 * chart.n, 1e-10)
-    if F.shape[1] != 2 * chart.n:
-        raise SingularChart(f"{chart.name}: could not frame xi at {x}")
-    return F
+    return _xi_basis(chart, xi_projection_matrix(chart, x), x)
 
 
-def _gram_schmidt(A: np.ndarray, rank: int, tol: float) -> np.ndarray:
-    """Orthonormal columns from the columns of A taken in order.
-
-    A column whose remainder after removing the earlier ones has norm at most
-    ``tol`` is skipped; the loop stops after ``rank`` columns, and returns
-    fewer when A has lower rank.
-    """
+def _xi_basis(chart: ContactChart, Pi, x) -> np.ndarray:
+    """``xi_frame`` at x from its projection matrix Pi: Gram-Schmidt over the
+    columns of Pi in order, skipping a column whose remainder has norm at
+    most 1e-10, until 2n are found (else SingularChart)."""
     cols = []
-    for i in range(A.shape[1]):
-        v = A[:, i].copy()
+    for v in Pi.T:
+        if len(cols) == 2 * chart.n:
+            break
+        v = v.copy()
         for u in cols:
             v -= (u @ v) * u
         nv = np.linalg.norm(v)
-        if nv > tol:
+        if nv > 1e-10:
             cols.append(v / nv)
-        if len(cols) == rank:
-            break
-    return np.column_stack(cols) if cols else np.zeros((A.shape[0], 0))
+    if len(cols) != 2 * chart.n:
+        raise SingularChart(f"{chart.name}: could not frame xi at {x}")
+    return np.column_stack(cols) if cols else np.zeros((chart.dim, 0))
 
 
 def _pfaffian(A: np.ndarray):
@@ -639,19 +654,14 @@ def contact_volume(chart: ContactChart, x):
     OutOfRange, naming the first such point, where lam or dlam is not finite.
     """
     x = _points(chart.dim, x)[0]
-    L, D = _chart_forms(chart, x.reshape(-1, chart.dim))
-    bad = np.flatnonzero(~(np.isfinite(L).all(axis=1) & np.isfinite(D).all(axis=(1, 2))))
-    if bad.size:  # in the message form of ``_system_error``
-        where = f"at {x}" if x.ndim == 1 else f"at point {bad[0]} of the stack, {x[bad[0]]}"
-        raise OutOfRange(f"{chart.name}: non-finite contact form {where}")
-    vol = _volume_density(chart.n, L, D)
-    return float(vol[0]) if x.ndim == 1 else vol
+    return _volume_density(chart.n, *_chart_forms(chart, x))
 
 
-def _volume_density(n: int, L, D) -> np.ndarray:
-    """n! Pf [[0, lam^T], [-lam, dlam]] over stacks L (N, d), D (N, d, d)."""
-    B = np.zeros((len(L), 2 * n + 2, 2 * n + 2))
-    B[:, 0, 1:], B[:, 1:, 0], B[:, 1:, 1:] = L, -L, D
+def _volume_density(n: int, L, D):
+    """n! Pf [[0, lam^T], [-lam, dlam]] at a point, L (d,) and D (d, d), a
+    float, or over stacks L (N, d) and D (N, d, d)."""
+    B = np.zeros(L.shape[:-1] + (2 * n + 2, 2 * n + 2))
+    B[..., 0, 1:], B[..., 1:, 0], B[..., 1:, 1:] = L, -L, D
     return math.factorial(n) * _pfaffian(B)
 
 
@@ -671,7 +681,7 @@ def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
     Reeb solve gives the worst condition number and residual, and the volumes
     are those of ``contact_volume``."""
     x = _points(chart.dim, points)[0]
-    L, D, M = _dual_systems(chart, x.reshape(-1, chart.dim))
+    L, D, M = _stacked_systems(chart, x)
     sol = _reeb_solve_stack(chart, x, L, D, M)
     vols = _volume_density(chart.n, L, D)
     return ChartDiagnostics(

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _angle_columns, _gram_schmidt, _points, _require_int, _require_real
+from .core import ContactChart, _angle_columns, _points, _require_int, _require_real
 from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
@@ -206,13 +206,6 @@ class ReebOrbit:
         return float(np.mean(vals))
 
 
-def _section_basis(chart, x0) -> np.ndarray:
-    """Orthonormal basis of the hyperplane through x0 orthogonal to X_lam(x0)."""
-    X = reeb_solve(chart, x0).vector
-    X = X / np.linalg.norm(X)
-    return _gram_schmidt(np.eye(chart.dim) - np.outer(X, X), chart.dim - 1, 1e-8)
-
-
 def find_closed_orbit(
     chart: ContactChart,
     guess,
@@ -222,8 +215,9 @@ def find_closed_orbit(
 ) -> ReebOrbit:
     """Shooting Newton for a closed Reeb orbit near (guess, T_guess).
 
-    The point unknown lives on the hyperplane through the guess transverse to
-    the Reeb direction; the period is the remaining unknown.  ``winding``
+    The point unknown lives on the contact plane xi through the guess,
+    spanned by its ``xi_frame`` and transverse to the Reeb direction because
+    lam(X) = 1; the period is the remaining unknown.  ``winding``
     optionally prescribes how many period cells the orbit must traverse per
     angular coordinate; when omitted, the lattice offset is locked in from
     the first shot.  Newton steps are minimum-norm, so Morse-Bott families
@@ -235,8 +229,8 @@ def find_closed_orbit(
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
     (the continuation question for family scans).  Each Newton step of the
-    free point makes one ``monodromy`` call that carries only the section
-    basis, and the converged orbit is sampled by one more ``flow``.  With
+    free point makes one ``monodromy`` call that carries only the xi-frame,
+    and the converged orbit is sampled by one more ``flow``.  With
     ``fix_point`` there are no section columns, so each step is one
     ``flow`` sampled at ``ORBIT_SAMPLES`` points, and the shot that closes is
     the returned orbit: a fixed-point orbit is integrated once per step.
@@ -252,7 +246,7 @@ def find_closed_orbit(
     T_guess = _require_real("T_guess", T_guess, 0)
     x0 = _points(chart.dim, guess, stack=False, name="guess")[0]
     d = chart.dim
-    S = np.zeros((d, 0)) if fix_point else _section_basis(chart, x0)
+    S = np.zeros((d, 0)) if fix_point else xi_frame(chart, x0)
     offset = None
     if winding is not None:
         if chart.periods is None:

@@ -260,6 +260,14 @@ def test_suite_with_thread_cap(tmp_path):
             {"kind": "spectrum", "params": {"a": 0.0, "k_max": 0, "n_modes": 0}}, "k_max",
             id="spectrum_grid_all_zero",
         ),
+        # a scenario sets no pass mark: the period-1 torus passed as a
+        # period-2 orbit with exit 0
+        pytest.param({"kind": "orbit", "params": {"model": "torus", "expect_period": 2.0, "tol": 2.0}}, "'tol'",
+                     id="orbit_tol"),
+        pytest.param({"kind": "dual_checks", "params": {"n_values": [1], "n_samples": 10, "formula_tol": 1.0}},
+                     "formula_tol", id="dual_checks_formula_tol"),
+        pytest.param({"kind": "cylinder_decay", "params": {"regime": "slow_mode", "rate_rtol": 10.0}}, "rate_rtol",
+                     id="cylinder_decay_rate_rtol"),
     ],
 )
 def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):
@@ -286,6 +294,20 @@ def test_bad_param_type_is_config_error_exit_2(tmp_path, payload, param):
         ("cylinder_decay", {"regime": "kernel_control", "a": 5, "delta0": -1}),
         ("three_interval", {"mode": "exp", "n_sequences": 3}),
         ("orbit", {"model": "torus", "w": [2.0, 1.0]}),
+        # the former tolerance settings, each at its old default
+        ("dual_checks", {"tol": 1e-9}),
+        ("dual_checks", {"formula_tol": 1e-10}),
+        ("perturbed_reeb", {"tol": 1e-8}),
+        ("orbit", {"model": "torus", "tol": 1e-8}),
+        ("orbit", {"model": "tube", "tol": 1e-8}),
+        ("return_map", {"model": "tube", "tol": 1e-6}),
+        ("return_map", {"model": "torus", "tol": 1e-8}),
+        ("thickening", {"model": "circle_e2", "tol": 1e-6}),
+        ("thickening", {"model": "torus_cotangent", "tol": 1e-6}),
+        ("spectrum", {"tol": 1e-8}),
+        ("center_of_mass", {"tol": 1e-8}),
+        ("cylinder_decay", {"regime": "slow_mode", "rate_rtol": 0.02}),
+        ("cylinder_decay", {"regime": "forcing_limited", "rate_rtol": 0.02}),
     ],
 )
 def test_params_no_runner_reads_are_rejected(tmp_path, kind, params):
@@ -343,3 +365,70 @@ def test_echoed_scenario_reruns_to_identical_report(tmp_path, scen):
     echoed = json.loads(first.read_text())["scenario"]
     second = cli.emit_report(cli.run_scenario(echoed), tmp_path / "b", "json")[0]
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# a scenario sets its experiment, not its pass mark
+
+# the params of every kind, and of each variant of a kind with variants (the
+# variant key itself not listed), as cli._KINDS declares them.  A param added
+# to or dropped from a scenario schema fails test_the_param_table_is_the_schema
+# until this table says so.
+PARAMS = {
+    "dual_checks": ("n_values", "n_samples"),
+    "perturbed_reeb": ("n", "n_samples"),
+    "orbit/torus": ("guess", "T_guess", "expect_period"),
+    "orbit/tube": ("w", "guess", "T_guess", "expect_period"),
+    "return_map/tube": ("w",),
+    "return_map/torus": (),
+    "thickening/circle_e2": ("radius", "c", "n_points"),
+    "thickening/torus_cotangent": ("radius", "c", "n_points"),
+    "spectrum": ("a", "T", "n_modes", "k_max", "gap_trials"),
+    "cylinder_decay/slow_mode": ("R", "n_tau", "n_modes", "n_t", "a", "delta0"),
+    "cylinder_decay/forcing_limited": ("R", "n_tau", "n_modes", "n_t", "a", "delta0"),
+    "cylinder_decay/kernel_control": ("R", "n_tau", "n_modes", "n_t"),
+    "three_interval/exp": ("c", "N"),
+    "three_interval/random": ("n_sequences", "N"),
+    "center_of_mass": ("dim", "T", "n_t", "offset"),
+    "action_charge": ("c", "T", "R", "n_tau", "n_t"),
+}
+
+
+def test_the_param_table_is_the_schema():
+    schema = {}
+    for kind, (_, key, table) in cli._KINDS.items():
+        for variant, params in (table.items() if key is not None else [(None, table)]):
+            schema[kind if variant is None else f"{kind}/{variant}"] = tuple(params)
+    assert schema == PARAMS
+
+
+# the verdicts whose tolerance a scenario could set, each at the value that
+# was its default: a run that set one of them passed with any bound it chose
+FIXED_BOUNDS = {
+    "dual_checks": ("dual_checks", {"n_values": [1], "n_samples": 20},
+                    {"dual_round_trip": 1e-9, "darboux_component_formula": 1e-10}),
+    "perturbed_reeb": ("perturbed_reeb", {"n_samples": 5},
+                       {"perturbed_reeb_formula": 1e-8, "perturbed_projection_formula": 1e-8}),
+    "orbit/torus": ("orbit", {"model": "torus"}, {"period": 1e-8, "closure": 1e-8}),
+    "orbit/tube": ("orbit", {"model": "tube"}, {"period": 1e-8, "closure": 1e-8}),
+    "return_map/tube": ("return_map", {"model": "tube"}, {"eigenvalue_error": 1e-6}),
+    "return_map/torus": ("return_map", {"model": "torus"}, {"identity_return_map": 1e-8}),
+    "thickening/circle_e2": ("thickening", {"model": "circle_e2", "n_points": 5},
+                             {"radial_scaling": 1e-6, "cartan_formula": 1e-6}),
+    "thickening/torus_cotangent": ("thickening", {"model": "torus_cotangent", "n_points": 5},
+                                   {"radial_scaling": 1e-6, "cartan_formula": 1e-6}),
+    "spectrum": ("spectrum", {"n_modes": 8, "k_max": 3, "gap_trials": 5}, {"eigenvalue_grid": 1e-8, "gap_value": 1e-8}),
+    "cylinder_decay/slow_mode": ("cylinder_decay", {"regime": "slow_mode", "n_tau": 64, "n_modes": 4, "n_t": 16},
+                                 {"decay_rate_relative_error": 0.02}),
+    "cylinder_decay/forcing_limited": ("cylinder_decay",
+                                       {"regime": "forcing_limited", "n_tau": 64, "n_modes": 4, "n_t": 16},
+                                       {"decay_rate_relative_error": 0.02}),
+    "center_of_mass": ("center_of_mass", {"n_t": 16}, {"center_matches_closed_form": 1e-8}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_BOUNDS))
+def test_a_verdict_tolerance_is_fixed(case):
+    kind, params, bounds = FIXED_BOUNDS[case]
+    report = cli.run_scenario({"kind": kind, "params": params})
+    assert {v.name: v.tolerance for v in report.verdicts if v.name in bounds} == bounds

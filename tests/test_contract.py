@@ -1,13 +1,14 @@
 """The input contract: every public entry point returns a verified answer or
 raises a typed error.
 
-Each callable in ``contactlab.__all__``, and ``core.reeb_batch``, has one
-valid call here and strategies that break one argument at a time: wrong
-shapes, NaN and +-inf, zero and negative sizes, bools or floats where a
-count belongs, and callable arguments (a chart's ``lam`` and ``grad``, a
-factor ``f``, a set-up's ``theta``, ``S`` and ``S_of_tau``, ``J``) that
-return a wrong shape, a NaN or no numbers.  A broken argument must raise a
-``ContactLabError`` (pyproject makes a ``RuntimeWarning`` an error, so a
+Each callable in ``contactlab.__all__``, and ``core.reeb_batch`` and
+``core.xi_dual_part``, has one valid call here and strategies that break one
+argument at a time: wrong shapes, NaN and +-inf, zero and negative sizes,
+bools or floats where a count belongs, and callable arguments (a chart's
+``lam`` and ``grad``, a factor ``f``, a set-up's ``theta``, ``S`` and
+``S_of_tau``, ``J``) that return a wrong shape, a NaN or +-inf entry or no
+numbers; every entry that takes a chart breaks it.  A broken argument must
+raise a ``ContactLabError`` (pyproject makes a ``RuntimeWarning`` an error, so a
 warning fails too), and a valid call must return finite arrays.  The record
 types the library returns are listed apart; any other public callable without
 an entry fails the meta-check, so a new public function cannot skip the
@@ -77,13 +78,15 @@ def bad_points(d, point=True, stack=True):
 
 
 def bad_callables(good):
-    """Callables that break ``good``: its value with one entry NaN, with one
-    entry more (a wrong shape), or a value that is not numbers."""
+    """Callables that break ``good``: its value with one entry NaN or +-inf,
+    with one entry more (a wrong shape), or a value that is not numbers."""
 
-    def nan_entry(i):
+    def spoiled(args):
+        i, value = args
+
         def f(*args):
             out = np.array(good(*args), dtype=float)
-            out.flat[i % out.size] = np.nan
+            out.flat[i % out.size] = value
             return out
         return f
 
@@ -91,7 +94,8 @@ def bad_callables(good):
         return np.append(good(*args), 0.1)
 
     no_numbers = [lambda *args: "x", lambda *args: [None, "x"], lambda *args: {"x": 1.0}]
-    return st.one_of(st.integers(0, 10**6).map(nan_entry), st.sampled_from([longer, *no_numbers]))
+    return st.one_of(st.tuples(st.integers(0, 10**6), NONFINITE).map(spoiled),
+                     st.sampled_from([longer, *no_numbers]))
 
 
 def bad_charts(chart):
@@ -164,42 +168,48 @@ CONTRACT = {
                                {"points": bad_points(3), "chart": bad_charts(DARBOUX)}),
     "contact_volume": Entry(core.contact_volume, lambda: dict(chart=DARBOUX, x=STACK3),
                             {"x": bad_points(3), "chart": bad_charts(DARBOUX)}),
-    "flat_dual": Entry(core.flat_dual, lambda: dict(chart=DARBOUX, alpha=P3[::-1], x=P3),
-                       {"alpha": bad_array(P3, [(2,), (2, 3)]), "x": bad_points(3)}),
-    "sharp_dual": Entry(core.sharp_dual, lambda: dict(chart=DARBOUX, X=STACK3[::-1], x=STACK3),
-                        {"X": bad_array(STACK3, [(3,), (1, 3)]), "x": bad_points(3, point=False)}),
+    "flat_dual": Entry(core.flat_dual, lambda: dict(chart=DARBOUX, alpha=P3[::-1], x=P3), {
+        "alpha": bad_array(P3, [(2,), (2, 3)]), "x": bad_points(3), "chart": bad_charts(DARBOUX)}),
+    "sharp_dual": Entry(core.sharp_dual, lambda: dict(chart=DARBOUX, X=STACK3[::-1], x=STACK3), {
+        "X": bad_array(STACK3, [(3,), (1, 3)]), "x": bad_points(3, point=False), "chart": bad_charts(DARBOUX)}),
     "project_xi": Entry(core.project_xi, lambda: dict(chart=DARBOUX, Z=P3[::-1], x=P3),
-                        {"Z": bad_array(P3, [(4,), (2, 3)]), "x": bad_points(3)}),
-    "perturbed_projection": Entry(core.perturbed_projection, lambda: dict(chart=DARBOUX, pert=PERT, Z=P3, x=P3),
-                                  {"Z": bad_points(3, stack=False), "x": bad_points(3, stack=False)}),
+                        {"Z": bad_array(P3, [(4,), (2, 3)]), "x": bad_points(3), "chart": bad_charts(DARBOUX)}),
+    "xi_dual_part": Entry(core.xi_dual_part, lambda: dict(chart=DARBOUX, alpha=STACK3[::-1], x=STACK3), {
+        "alpha": bad_array(STACK3, [(3,), (1, 3)]), "x": bad_points(3), "chart": bad_charts(DARBOUX)}),
+    "perturbed_projection": Entry(core.perturbed_projection, lambda: dict(chart=DARBOUX, pert=PERT, Z=P3, x=P3), {
+        "Z": bad_points(3, stack=False), "x": bad_points(3, stack=False), "chart": bad_charts(DARBOUX)}),
     "perturbed_reeb": Entry(core.perturbed_reeb, lambda: dict(chart=DARBOUX, pert=PERT, x=P3), {
-        "x": bad_points(3, stack=False), "pert": bad_callables(PERT.f).map(core.PerturbationData)}),
-    "reeb_field": Entry(core.reeb_field, lambda: dict(chart=DARBOUX, x=P3), {"x": bad_points(3)}),
+        "x": bad_points(3, stack=False), "pert": bad_callables(PERT.f).map(core.PerturbationData),
+        "chart": bad_charts(DARBOUX)}),
+    "reeb_field": Entry(core.reeb_field, lambda: dict(chart=DARBOUX, x=P3),
+                        {"x": bad_points(3), "chart": bad_charts(DARBOUX)}),
     "reeb_solve": Entry(core.reeb_solve, lambda: dict(chart=TORUS, x=STACK3),
                         {"x": bad_points(3), "chart": bad_charts(TORUS)}),
     "reeb_batch": Entry(core.reeb_batch, lambda: dict(chart=TORUS, xs=STACK3),
-                        {"xs": bad_points(3, point=False)}),
+                        {"xs": bad_points(3, point=False), "chart": bad_charts(TORUS)}),
     "triad_gradient": Entry(core.triad_gradient, lambda: dict(
         chart=DARBOUX, J=DARBOUX_J, h=lambda x: x[0] ** 2 + x[2], x=P3),
-        {"x": bad_points(3, stack=False), "J": BAD_J}),
-    "xi_frame": Entry(core.xi_frame, lambda: dict(chart=DARBOUX, x=P3), {"x": bad_points(3, stack=False)}),
+        {"x": bad_points(3, stack=False), "J": BAD_J, "chart": bad_charts(DARBOUX)}),
+    "xi_frame": Entry(core.xi_frame, lambda: dict(chart=DARBOUX, x=P3),
+                      {"x": bad_points(3, stack=False), "chart": bad_charts(DARBOUX)}),
     # dynamics
     "flow": Entry(dynamics.flow, lambda: dict(chart=TORUS, x0=P3, T=0.5, steps=4), {
-        "x0": bad_points(3, stack=False), "T": bad_real(), "steps": bad_count(1)}),
+        "x0": bad_points(3, stack=False), "T": bad_real(), "steps": bad_count(1), "chart": bad_charts(TORUS)}),
     "monodromy": Entry(dynamics.monodromy, lambda: dict(chart=TORUS, x0=P3, T=0.5, V=np.eye(3)[:, :2]), {
         "x0": bad_points(3, stack=False), "T": bad_real(),
-        "V": bad_array(np.eye(3)[:, :2], [(3,), (2, 3), (3, 2, 1)])}),
+        "V": bad_array(np.eye(3)[:, :2], [(3,), (2, 3), (3, 2, 1)]), "chart": bad_charts(TORUS)}),
     "ReebOrbit": Entry(dynamics.ReebOrbit.from_point, lambda: dict(chart=TORUS, p=P3, T=1.0, n_samples=8), {
-        "p": bad_points(3, stack=False), "T": bad_real(0), "n_samples": bad_count(1)}),
+        "p": bad_points(3, stack=False), "T": bad_real(0), "n_samples": bad_count(1), "chart": bad_charts(TORUS)}),
     "find_closed_orbit": Entry(dynamics.find_closed_orbit, lambda: dict(
         chart=TORUS, guess=[0.3, 0.6, 0.0], T_guess=1.2), {
-        "guess": bad_points(3, stack=False), "T_guess": bad_real(0),
+        "guess": bad_points(3, stack=False), "T_guess": bad_real(0), "chart": bad_charts(TORUS),
         "winding": st.one_of(st.sampled_from([(1, 0), (1, 0, 0, 0)]),
                              st.one_of(NONFINITE, st.just(0.5), st.just(True)).map(lambda w: (w, 0, 0)))}),
     "orbit_family_scan": Entry(dynamics.orbit_family_scan, lambda: dict(
         chart=TORUS, seed=torus_orbit(), directions=[[0.0, 1.0, 0.0]], n_samples=1), {
-        "directions": bad_points(3), "n_samples": bad_count(1), "step": bad_real(0)}),
-    "return_map": Entry(dynamics.return_map, lambda: dict(chart=TORUS, orbit=torus_orbit())),
+        "directions": bad_points(3), "n_samples": bad_count(1), "step": bad_real(0), "chart": bad_charts(TORUS)}),
+    "return_map": Entry(dynamics.return_map, lambda: dict(chart=TORUS, orbit=torus_orbit()),
+                        {"chart": bad_charts(TORUS)}),
     "classify_orbit": Entry(dynamics.classify_orbit, lambda: dict(rm=dynamics.return_map(TORUS, torus_orbit()))),
     # normalform
     "MorseBottSetup": Entry(normalform.MorseBottSetup, lambda: dataclasses.asdict(normalform.circle_setup())),
@@ -231,7 +241,7 @@ CONTRACT = {
         "rank": st.one_of(bad_count(2), st.just(3)), "n_t": bad_count(1),
         "J0": st.sampled_from([np.eye(3), np.eye(2), np.full((2, 2), np.nan)])}),
     "asymptotic_operator": Entry(spectral.asymptotic_operator, lambda: dict(
-        chart=TORUS, orbit=torus_orbit(), n_modes=2), {"n_modes": bad_count(0)}),
+        chart=TORUS, orbit=torus_orbit(), n_modes=2), {"n_modes": bad_count(0), "chart": bad_charts(TORUS)}),
     "spectrum": Entry(spectral.spectrum, lambda: dict(op=operator())),
     "gap_inequality_check": Entry(spectral.gap_inequality_check, lambda: dict(op=operator(), n_trials=8), {
         "n_trials": bad_count(1), "seed": bad_count(0)}),
@@ -246,7 +256,8 @@ CONTRACT = {
         "x": st.one_of(bad_array([1.0, 0.5, 0.3], [(2, 2, 3)]), st.just([1.0, -0.5, 0.3])),
         "gamma": st.one_of(bad_real(0), st.just(0.5))}),
     "action_charge": Entry(decay.action_charge, lambda: dict(w_samples=torus_cylinder(), chart=TORUS, R=1.0), {
-        "w_samples": bad_array(torus_cylinder(), [(5, 8), (5, 8, 2), (2, 8, 3), (5, 0, 3)]), "R": bad_real(0)}),
+        "w_samples": bad_array(torus_cylinder(), [(5, 8), (5, 8, 2), (2, 8, 3), (5, 0, 3)]), "R": bad_real(0),
+        "chart": bad_charts(TORUS)}),
     "center_of_mass": Entry(decay.center_of_mass, lambda: dict(model=decay.FlatTorusQ(2), gamma=torus_loop(), T=1.0), {
         "gamma": bad_points(2, point=False), "T": bad_real(0), "reference": bad_points(2, stack=False)}),
     "decay_rate": Entry(decay.decay_rate, lambda: dict(field=decay.solve_cylinder(
@@ -277,7 +288,7 @@ RECORDS = {"ActionCharge", "CylinderField", "MorseBottCandidate", "Nondegenerate
 def test_every_public_callable_has_a_contract_entry():
     public = {name for name in contactlab.__all__ if callable(getattr(contactlab, name))}
     assert public - RECORDS - set(CONTRACT) == set()
-    assert set(CONTRACT) - public == {"reeb_batch"}
+    assert set(CONTRACT) - public == {"reeb_batch", "xi_dual_part"}
     assert RECORDS <= public
 
 
@@ -365,6 +376,11 @@ def all_finite(value) -> bool:
     return True
 
 
+def test_every_entry_that_takes_a_chart_breaks_it():
+    takes = {name for name, entry in CONTRACT.items() if "chart" in entry.valid()}
+    assert takes and takes == {name for name, entry in CONTRACT.items() if "chart" in entry.breaks}
+
+
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_the_valid_call_returns_finite_arrays(name):
     entry = CONTRACT[name]
@@ -398,6 +414,10 @@ def warped_tube():
 NAN3 = np.array([np.nan, 0.2, 0.3])
 NAN_CHART = core.ContactChart(1, lambda x: np.full(3, np.nan))
 INF_CHART = core.ContactChart(1, lambda x: np.array([np.inf, 0.0, 1.0]), lambda x: np.zeros((3, 3)))
+# the Darboux form with a NaN entry of dlam
+NAN_GRAD_CHART = dataclasses.replace(DARBOUX, grad=lambda x: np.diag([0.0, 0.0, np.nan]))
+# an inf on the diagonal of the Jacobian G makes the inf - inf of G - G^T
+INF_GRAD_CHART = dataclasses.replace(DARBOUX, grad=lambda x: np.diag([np.inf, 0.0, 0.0]))
 
 
 class SingularFlowQ(decay.FlatTorusQ):
@@ -535,3 +555,34 @@ AT_ROW = r"at point 0 of the stack, \[0\.1 0\.2 0\.3\] \(sigma_min"
 def test_a_singular_point_reads_the_same_from_every_entry_point(call, where):
     with pytest.raises(SingularChart, match=rf"{re.escape(SINGULAR.name)}: \w+ system (rank-deficient|singular) {where}"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# one message for a non-finite chart value, from one check in core.  Before
+# it, an inf in lam ended in a RuntimeWarning (inf * 0 in lam lam^T) from
+# every entry point that builds the dual matrix, an inf on the diagonal of the
+# Jacobian in one from G - G^T, and sharp_dual returned NaN for a NaN dlam
+
+AT_POINT_FORM = r"non-finite contact form at \[0\.1 0\.2 0\.3\]$"
+AT_ROW_FORM = r"non-finite contact form at point 0 of the stack, \[0\.1 0\.2 0\.3\]$"
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda ch: core.reeb_solve(ch, P3), AT_POINT_FORM),
+    (lambda ch: core.reeb_solve(ch, STACK3), AT_ROW_FORM),
+    (lambda ch: core.reeb_batch(ch, STACK3), AT_ROW_FORM),
+    (lambda ch: core.flat_dual(ch, P3, P3), AT_POINT_FORM),
+    (lambda ch: core.sharp_dual(ch, STACK3, STACK3), AT_ROW_FORM),
+    (lambda ch: core.project_xi(ch, P3, P3), AT_POINT_FORM),
+    (lambda ch: core.xi_dual_part(ch, P3, P3), AT_POINT_FORM),
+    (lambda ch: core.xi_frame(ch, P3), AT_POINT_FORM),
+    (lambda ch: core.triad_gradient(ch, DARBOUX_J, lambda x: x[0], P3), AT_POINT_FORM),
+    (lambda ch: core.contact_volume(ch, P3), AT_POINT_FORM),
+    (lambda ch: core.contact_volume(ch, STACK3), AT_ROW_FORM),
+    (lambda ch: core.chart_diagnostics(ch, STACK3), AT_ROW_FORM),
+], ids=["reeb_solve", "reeb_solve_stack", "reeb_batch", "flat_dual", "sharp_dual", "project_xi", "xi_dual_part",
+        "xi_frame", "triad_gradient", "contact_volume", "contact_volume_stack", "chart_diagnostics"])
+@pytest.mark.parametrize("chart", [INF_CHART, NAN_GRAD_CHART, INF_GRAD_CHART], ids=["inf_lam", "nan_dlam", "inf_dlam"])
+def test_a_non_finite_chart_reads_the_same_from_every_entry_point(call, where, chart):
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(chart.name)}: {where}"):
+        call(chart)

@@ -80,3 +80,28 @@ def test_incompatible_J_rejected():
     ch = darboux_chart(1)
     with pytest.raises(IncompatibleJ):
         core.triad_gradient(ch, lambda x: np.eye(3), lambda x: x[0], np.zeros(3))
+
+
+def test_triad_metric_evaluates_the_chart_once(counting_chart):
+    # it used to solve for Pi and then evaluate lam and dlam again: 2 of each
+    ch, calls = counting_chart(darboux_chart(1))
+    J = standard_darboux_J(ch)
+    x = np.array([0.1, 0.2, 0.3])
+    G = core.triad_metric(ch, J, x)
+    assert calls == {"lam": 1, "grad": 1}
+    core.triad_gradient(ch, J, lambda y: y[0] ** 2 + y[2], x)
+    assert calls == {"lam": 2, "grad": 2}
+    L, D = ch.lambda_at(x), ch.dlambda_at(x)
+    G0 = D @ J(x) + np.outer(L, L)
+    assert np.array_equal(G, 0.5 * (G0 + G0.T))
+
+
+def test_compatible_xi_structure_evaluates_the_chart_once(counting_chart):
+    # it used to make 2 lam and 3 grad calls: xi_frame, dlambda_at, reeb_field
+    ch, calls = counting_chart(darboux_chart(2))
+    x = rng(3).uniform(-1, 1, 5)
+    J = core.compatible_xi_structure(ch, x)
+    assert calls == {"lam": 1, "grad": 1}
+    S, X = core.xi_frame(ch, x), core.reeb_field(ch, x)
+    assert np.max(np.abs(J @ S - S @ (S.T @ J @ S))) < 1e-12  # J preserves xi
+    assert np.max(np.abs(J @ X)) < 1e-12  # and vanishes on the Reeb direction

@@ -183,6 +183,23 @@ def test_tube_orbit_takes_few_batched_right_hand_sides(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "chart, guess, T_guess, shots",
+    [(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2, 3),
+     (torus_chart(), [0.1, 0.2, 0.0], 1.1, 2),
+     (weighted_tube_chart(2.0, 1.0), [0.0, 0.1, 0.05], 3.0, 3)],
+    ids=["tube_1_sqrt2", "torus", "tube_2_1"],
+)
+def test_free_point_shots_carry_the_xi_frame(monkeypatch, chart, guess, T_guess, shots):
+    # the Newton section is the contact plane at the guess, spanned by its xi-frame
+    frames = []
+    real = dynamics.monodromy
+    monkeypatch.setattr(dynamics, "monodromy", lambda ch, x, T, V=None: frames.append(V) or real(ch, x, T, V))
+    find_closed_orbit(chart, guess, T_guess)
+    assert len(frames) == shots
+    assert all(np.array_equal(V, core.xi_frame(chart, guess)) for V in frames)
+
+
+@pytest.mark.parametrize(
     "chart, winding",
     # the Darboux chart declares no periods; the torus fiber coordinate p has
     # none; a fourth entry on a three-dimensional chart would be dropped
