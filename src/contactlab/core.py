@@ -8,9 +8,8 @@ finite-difference stencil, ``fd_gradient``, applied to the whole vector.
 Everything here is a pure function of the point: Reeb fields, the projection
 to the contact distribution, the dual isomorphism between one-forms and
 vector fields, the closed-form identities for a conformally rescaled contact
-form, and gradients with respect to the triad metric.  Reeb fields,
-projections and duals take one point (d,) or a stack (N, d), and make one
-stacked solve of the chart's dual system per call.
+form.  Reeb fields and duals take one point (d,) or a stack (N, d), and make
+one stacked solve of the chart's dual system per call.
 
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
@@ -26,11 +25,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IncompatibleJ, ModeMismatch, OutOfRange, SingularChart
+from .errors import ModeMismatch, OutOfRange, SingularChart
 
 # Step for 4th-order centered differences; balances truncation against
 # cancellation for the 1e-8 formula-vs-oracle targets.
 DEFAULT_FD_STEP = 1e-4
+# A chart value (lam or the Jacobian G of lam) must be below this in modulus:
+# then G - G^T and the dual matrix dlam^T + lam lam^T cannot overflow, as
+# |G - G^T| <= 2^512 and 2^512 + 2^1022 < 2^1024.
+_FORM_BOUND = 2.0**511
 
 
 def _require_int(name: str, value, lo=-math.inf) -> None:
@@ -64,10 +67,47 @@ def _array(what: str, value, shape=None) -> np.ndarray:
     return a
 
 
+def _record(name: str, value, cls):
+    """value, ModeMismatch unless it is a ``cls``: a record the library
+    builds and an entry point reads by attribute."""
+    if not isinstance(value, cls):
+        raise ModeMismatch(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _finite(a) -> bool:
     """True when every entry of the float array a is finite.  On a few
     entries (a point) a Python loop costs a fifth of the ufunc call."""
     return all(map(math.isfinite, a.ravel().tolist())) if a.size <= 32 else bool(np.isfinite(a).all())
+
+
+def _bounded(a) -> bool:
+    """True when every entry of the float array a is below _FORM_BOUND in
+    modulus, so finite.  On a few entries (a point) a Euclidean norm below
+    the bound settles it in less time than ``_finite`` (``math.hypot`` does
+    not overflow, and a NaN fails the comparison); else the entries are
+    compared."""
+    if a.size <= 64 and math.hypot(*a.ravel().tolist()) < _FORM_BOUND:
+        return True
+    return bool(np.abs(a).max() < _FORM_BOUND)
+
+
+class _FormOutOfRange(OutOfRange):
+    """OutOfRange for a chart value that is not ``_bounded`` at a point; it
+    keeps ``what`` failed apart from where (``_at``), so a read over a stack
+    can raise it again naming the row."""
+
+    @classmethod
+    def at(cls, what: str, where: str) -> "_FormOutOfRange":
+        err = cls(f"{what} {where}")
+        err.what = what
+        return err
+
+
+def _form_error(name: str, a, where: str) -> _FormOutOfRange:
+    """``_FormOutOfRange`` for the value a of the chart ``name`` at ``where``."""
+    kind = "non-finite contact form" if not _finite(a) else "contact form with an entry of modulus 2^511 or more"
+    return _FormOutOfRange.at(f"{name}: {kind}", where)
 
 
 def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", **vectors) -> list:
@@ -203,7 +243,9 @@ class ContactChart:
         return L
 
     def dlambda_at(self, x) -> np.ndarray:
-        """Antisymmetric matrix D with dlam(u, v) = u . D v."""
+        """Antisymmetric matrix D with dlam(u, v) = u . D v, from the Jacobian G
+        of lam, which is ``_bounded`` or else OutOfRange before D = G - G^T is
+        formed (an inf on its diagonal would warn of inf - inf)."""
         x = np.asarray(x, dtype=float)
         G = self.grad(x) if self.grad is not None else fd_gradient(self.lam, x)
         try:
@@ -214,6 +256,8 @@ class ContactChart:
             raise ModeMismatch(
                 f"{self.name}: the Jacobian of lambda needs shape ({self.dim}, {self.dim}), got {G.shape}"
             )
+        if not _bounded(G):
+            raise _form_error(self.name, G, _at(x))
         return G - G.T
 
     def wrap_diff(self, a, b) -> np.ndarray:
@@ -273,12 +317,6 @@ class ReebSolve:
 _RANK_TOL = 1e-12
 
 
-def _stacked_residual(L, D, v) -> float:
-    return float(
-        np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))
-    )
-
-
 def _at(x, i=None) -> str:
     """Where a check failed: "at x" for a point x, "at point i of the stack,
     x[i]" for row i of a stack x."""
@@ -286,33 +324,38 @@ def _at(x, i=None) -> str:
 
 
 def _read_forms(chart: ContactChart, x):
-    """``_chart_forms`` before its check."""
+    """``_chart_forms`` without its retry and its check of lam."""
     if x.ndim == 1:
         return chart.lambda_at(x), chart.dlambda_at(x)
     L = np.empty((len(x), chart.dim))
     D = np.empty((len(x), chart.dim, chart.dim))
     for i, xi in enumerate(x):
         L[i] = chart.lambda_at(xi)
-        D[i] = chart.dlambda_at(xi)
+        try:
+            D[i] = chart.dlambda_at(xi)
+        except _FormOutOfRange as err:
+            raise _FormOutOfRange.at(err.what, _at(x, i)) from None
     return L, D
 
 
 def _chart_forms(chart: ContactChart, x):
     """(L, D) at a point x (d,), of shapes (d,) and (d, d), or over a stack x
     (N, d), of shapes (N, d) and (N, d, d): the one per-point chart loop of
-    this module and its one check, OutOfRange at the first point where lam or
-    dlam is not finite.  Where a warnings filter raises the RuntimeWarning of
-    such a value (the inf - inf of G - G^T for an inf on the diagonal of the
-    Jacobian G), the chart is read again with the warnings off: np.errstate
-    on every call would cost 3 us, a twentieth of a point Reeb solve."""
+    this module.  OutOfRange at the first point whose Jacobian of lam is not
+    ``_bounded`` (the check of ``dlambda_at``), else at the first whose lam
+    is not, so the dual matrix dlam^T + lam lam^T cannot overflow.  Where a
+    warnings filter raises a RuntimeWarning while the chart is read (the
+    finite-difference Jacobian of an inf lam), the chart is read again with
+    the warnings off: np.errstate on every call would cost 3 us, a twentieth
+    of a point Reeb solve."""
     try:
         L, D = _read_forms(chart, x)
     except RuntimeWarning:
         with np.errstate(all="ignore"):
             L, D = _read_forms(chart, x)
-    if not (_finite(L) and _finite(D)):
-        bad = None if x.ndim == 1 else np.flatnonzero(~(np.isfinite(L).all(1) & np.isfinite(D).all((1, 2))))[0]
-        raise OutOfRange(f"{chart.name}: non-finite contact form {_at(x, bad)}")
+    if not _bounded(L):
+        i = None if x.ndim == 1 else np.flatnonzero(~(np.abs(L) < _FORM_BOUND).all(1))[0]
+        raise _form_error(chart.name, L if i is None else L[i], _at(x, i))
     return L, D
 
 
@@ -373,30 +416,6 @@ def _rank_test(chart: ContactChart, x, M, system: str):
     return s
 
 
-def _reeb_solve_stack(chart: ContactChart, x, L, D, M) -> ReebSolve:
-    """``reeb_solve`` at x (as in ``_rank_test``) from its ``_dual_systems``
-    (L, D, M): one stacked SVD rank test, LU solve and residual."""
-    s = _rank_test(chart, x, M, "Reeb system rank-deficient")
-    v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
-    Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
-    residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
-    return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
-
-
-def _xi_dual_stack(chart: ContactChart, x, alphas):
-    """(L, X_lam, Y_alpha) at x (as in ``_rank_test``) with one-forms alphas (N, d).
-
-    One ``_dual_systems`` evaluation, one rank test and one stacked LU solve
-    of 2N systems, M against alphas and against L: two right-hand sides of
-    one system would take LAPACK's multi-column triangular solve, which
-    moves last bits against the one-column solves of ``flat_dual``."""
-    L, _, M = _stacked_systems(chart, x)
-    _rank_test(chart, x, M, "dual system singular")
-    v = np.linalg.solve(np.concatenate([M, M]), np.concatenate([alphas, L])[:, :, None])[:, :, 0]
-    v, X = v[: len(L)], v[len(L) :]
-    return L, X, v - _dots(L, v)[:, None] * X
-
-
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """Solve the stacked (2n+2)x(2n+1) system lam(X)=1, X . dlam = 0.
 
@@ -409,11 +428,16 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.dim,) or not _finite(x):
-        xs = _points(chart.dim, x)[0]  # a stack, else it raises
-        return _reeb_solve_stack(chart, xs, *_dual_systems(chart, xs))
+        x = _points(chart.dim, x)[0]  # a stack, else it raises
+        L, D, M = _dual_systems(chart, x)
+        s = _rank_test(chart, x, M, "Reeb system rank-deficient")
+        v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
+        Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
+        residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
+        return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
     L, D, M = _dual_systems(chart, x)
     v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
-    return ReebSolve(v, _stacked_residual(L, D, v), cond, L)
+    return ReebSolve(v, float(np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))), cond, L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
@@ -434,31 +458,13 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 
-def reeb_field(chart: ContactChart, x) -> np.ndarray:
-    """The Reeb vector field: the unique X with lam(X)=1 and X in ker dlam."""
-    return reeb_solve(chart, x).vector
-
-
-def project_xi(chart: ContactChart, Z, x) -> np.ndarray:
-    """Projection of Z (shaped as x) onto the contact distribution along the Reeb field."""
-    x, Z = _points(chart.dim, x, Z=Z)
-    Zs = Z.reshape(-1, chart.dim)
-    sol = _reeb_solve_stack(chart, x, *_stacked_systems(chart, x))
-    return (Zs - _dots(sol.lam, Zs)[:, None] * sol.vector).reshape(x.shape)
-
-
-def _reeb_parts(chart: ContactChart, x):
-    """(lam, dlam, X, Pi) at a point x from one chart evaluation: the Reeb
-    field X of the point solve and Pi = I - X lam^T, the projection onto xi
-    along it."""
-    L, D, M = _dual_systems(chart, x)
-    X = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")[0]
-    return L, D, X, np.eye(chart.dim) - np.outer(X, L)
-
-
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
-    """Matrix of project_xi at a point (d,): I - X lam^T."""
-    return _reeb_parts(chart, _points(chart.dim, x, stack=False)[0])[3]
+    """Matrix I - X lam^T at a point (d,) of the projection onto the contact
+    distribution along the Reeb field X, from one chart evaluation."""
+    x = _points(chart.dim, x, stack=False)[0]
+    L, _, M = _dual_systems(chart, x)
+    X = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")[0]
+    return np.eye(chart.dim) - np.outer(X, L)
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -483,32 +489,23 @@ def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
     return ((D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L).reshape(x.shape)
 
 
-def xi_dual_part(chart: ContactChart, alpha, x) -> np.ndarray:
-    """The xi-component Y_alpha of the dual field of alpha (shaped as x): one
-    dual system per point, solved for both the dual field and the Reeb field
-    it is projected along."""
-    x, alpha = _points(chart.dim, x, alpha=alpha)
-    return _xi_dual_stack(chart, x, alpha.reshape(-1, chart.dim))[2].reshape(x.shape)
-
-
 def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     """(f, lam, X_lam, Y_dg) at one point x: the pieces of every identity of
-    the rescaled form f*lam, from one evaluation of the chart's dual system.
+    the rescaled form f*lam, with Y_dg the xi-part of the dual field of dg,
+    g = log f.
 
-    ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken."""
+    ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken.
+    One evaluation of the chart's dual system M, one rank test and one stacked
+    LU solve of M against dg and against lam: two right-hand sides of one
+    system would take LAPACK's multi-column triangular solve, which moves last
+    bits against the one-column solves of ``flat_dual``."""
     x = _points(chart.dim, x, stack=False)[0]
     fx = pert.f_at(x)
     dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
-    L, X, Y = _xi_dual_stack(chart, x, dg[None])
-    return fx, L[0], X[0], Y[0]
-
-
-def log_derivative_field(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
-    """The xi-part of the dual field of dg, g = log f (drives all f-identities).
-
-    Like ``perturbed_reeb`` and ``perturbed_projection``: one point, one
-    evaluation of the chart's dual system, OutOfRange unless f > 0."""
-    return _rescaled_parts(chart, pert, x)[3]
+    L, _, M = _stacked_systems(chart, x)
+    _rank_test(chart, x, M, "dual system singular")
+    v, X = np.linalg.solve(np.concatenate([M, M]), np.concatenate([dg[None], L])[:, :, None])[:, :, 0]
+    return fx, L[0], X, v - _dots(L[0], v) * X
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
@@ -544,65 +541,15 @@ def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> n
     return Z - lz * X - lz * Y
 
 
-def triad_metric(chart: ContactChart, J, x) -> np.ndarray:
-    """Matrix of the triad metric dlam(., J.) + lam (x) lam.
-
-    J, a finite (d, d) matrix or a callable of the point returning one, must
-    satisfy J^2 = -Pi (projection onto the contact distribution) within
-    1e-8; raises IncompatibleJ otherwise.  The chart is evaluated once.
-    """
-    x = _points(chart.dim, x, stack=False)[0]
-    Jm = _array("J", J(x) if callable(J) else J, (chart.dim, chart.dim))
-    L, D, _, Pi = _reeb_parts(chart, x)
-    defect = float(np.max(np.abs(Jm @ Jm + Pi)))
-    if not defect <= 1e-8:  # NaN fails too
-        raise IncompatibleJ(f"J^2 + Pi deviates by {defect:.3e} at {x}")
-    G = D @ Jm + np.outer(L, L)
-    return 0.5 * (G + G.T)
-
-
-def triad_gradient(chart: ContactChart, J, h, x) -> np.ndarray:
-    """Gradient of h with respect to the triad metric of (chart, J) at a point x.
-
-    Solves g(grad h, .) = dh (dh by ``fd_gradient``); the Reeb component is
-    dh(X_lam), the xi-component the rotated contact Hamiltonian direction."""
-    G = triad_metric(chart, J, x)
-    return np.linalg.solve(G, fd_gradient(h, np.asarray(x, dtype=float)))
-
-
-def compatible_xi_structure(chart: ContactChart, x) -> np.ndarray:
-    """A deterministic dlam-compatible complex structure on xi, zero on the Reeb direction.
-
-    Built from the polar factor of dlam restricted to the ``xi_frame`` of the
-    contact distribution, from one chart evaluation.
-    """
-    from scipy.linalg import sqrtm
-
-    x = _points(chart.dim, x, stack=False)[0]
-    _, D, X, Pi = _reeb_parts(chart, x)
-    S = _xi_basis(chart, Pi, x)
-    A = S.T @ D @ S
-    J_blk = -A @ np.linalg.inv(np.real(sqrtm(A.T @ A)))
-    B = np.column_stack([S, X])
-    Binv = np.linalg.inv(B)
-    return S @ J_blk @ Binv[: S.shape[1], :]
-
-
 def xi_frame(chart: ContactChart, x) -> np.ndarray:
     """Orthonormal 2n-frame of the contact distribution at x.
 
-    Gram-Schmidt over the projected chart basis in coordinate order, so the
-    result is reproducible.
+    Gram-Schmidt over the columns of ``xi_projection_matrix`` in coordinate
+    order, so the result is reproducible, skipping a column whose remainder
+    has norm at most 1e-10, until 2n are found (else SingularChart).
     """
-    return _xi_basis(chart, xi_projection_matrix(chart, x), x)
-
-
-def _xi_basis(chart: ContactChart, Pi, x) -> np.ndarray:
-    """``xi_frame`` at x from its projection matrix Pi: Gram-Schmidt over the
-    columns of Pi in order, skipping a column whose remainder has norm at
-    most 1e-10, until 2n are found (else SingularChart)."""
     cols = []
-    for v in Pi.T:
+    for v in xi_projection_matrix(chart, x).T:
         if len(cols) == 2 * chart.n:
             break
         v = v.copy()
@@ -651,42 +598,9 @@ def contact_volume(chart: ContactChart, x):
     The chart is evaluated once per point (``_chart_forms``), and one
     stacked ``_pfaffian`` call takes the bordered matrices
     [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
-    OutOfRange, naming the first such point, where lam or dlam is not finite.
     """
     x = _points(chart.dim, x)[0]
-    return _volume_density(chart.n, *_chart_forms(chart, x))
-
-
-def _volume_density(n: int, L, D):
-    """n! Pf [[0, lam^T], [-lam, dlam]] at a point, L (d,) and D (d, d), a
-    float, or over stacks L (N, d) and D (N, d, d)."""
-    B = np.zeros(L.shape[:-1] + (2 * n + 2, 2 * n + 2))
+    L, D = _chart_forms(chart, x)
+    B = np.zeros(L.shape[:-1] + (chart.dim + 1, chart.dim + 1))
     B[..., 0, 1:], B[..., 1:, 0], B[..., 1:, 1:] = L, -L, D
-    return math.factorial(n) * _pfaffian(B)
-
-
-@dataclass
-class ChartDiagnostics:
-    min_abs_volume: float
-    sign_consistent: bool
-    max_cond: float
-    max_reeb_residual: float
-
-
-def chart_diagnostics(chart: ContactChart, points) -> ChartDiagnostics:
-    """Non-degeneracy report over sample points: volume, sign, conditioning.
-
-    ``points`` is a stack (N, d), or one point (d,) taken as a one-row stack.
-    The chart is evaluated once per point (``_dual_systems``); one stacked
-    Reeb solve gives the worst condition number and residual, and the volumes
-    are those of ``contact_volume``."""
-    x = _points(chart.dim, points)[0]
-    L, D, M = _stacked_systems(chart, x)
-    sol = _reeb_solve_stack(chart, x, L, D, M)
-    vols = _volume_density(chart.n, L, D)
-    return ChartDiagnostics(
-        min_abs_volume=float(np.min(np.abs(vols))),
-        sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),
-        max_cond=sol.cond,
-        max_reeb_residual=sol.residual,
-    )
+    return math.factorial(chart.n) * _pfaffian(B)

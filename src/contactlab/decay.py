@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, _dots, _points, _require_int, _require_real, reeb_solve, unwrap_angles, wrap_angles
+from .core import ContactChart, _dots, _points, _record, _require_int, _require_real, reeb_solve, unwrap_angles
+from .core import wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -23,9 +24,7 @@ from .errors import (
     OutOfRange,
     OutsideTube,
     ResolutionTooCoarse,
-    SingularChart,
 )
-from .models import weighted_tube_flow
 from .spectral import SpectralOperator, _eigh
 
 # decay_rate fits >= FIT_MIN_SLICES slices with norm in (FIT_FLOOR, FIT_UPPER_FRAC * initial)
@@ -239,6 +238,9 @@ def solve_cylinder(
     when ``n_t`` cannot carry the operator's modes, or when a Crank-Nicolson
     step R / n_tau is 2 / |lambda|_max or more.
     """
+    _record("op", op, SpectralOperator)
+    if forcing is not None:
+        _record("forcing", forcing, Forcing)
     _require_int("n_tau", n_tau, 1)
     R = _require_real("R", R, 0)
     n_t = len(op.t_grid) if n_t is None else n_t
@@ -389,7 +391,7 @@ def decay_rate(field: CylinderField) -> DecayFit:
     slice above the floor; a window of fewer than FIT_MIN_SLICES slices
     raises InsufficientDecay.
     """
-    norms = field.slice_norms
+    norms = _record("field", field, CylinderField).slice_norms
     if norms[0] <= FIT_FLOOR:
         raise InsufficientDecay("initial slice already below the floor")
     mask = (norms > FIT_FLOOR) & (norms < FIT_UPPER_FRAC * norms[0])
@@ -446,31 +448,12 @@ class FlatTorusQ:
         q[..., 0] += s
         return q
 
-    def flow_diff(self, s) -> np.ndarray:
-        return np.eye(self.dim)
-
     def inv_exp(self, x, y) -> np.ndarray:
         """E(x, y) = exp_x^{-1}(y): the wrapped difference on a flat torus."""
         return self.wrap(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
 
     def theta(self, m) -> np.ndarray:
         return np.eye(self.dim)[0]
-
-
-class RotatingTubeQ(FlatTorusQ):
-    """Morse-Bott locus of the weighted tube: circle direction plus a fiber
-    plane that the flow differential rotates with angular speed w_fiber."""
-
-    def __init__(self, w_theta: float, w_fiber: float):
-        super().__init__(3, (2 * np.pi / _require_real("w_theta", w_theta, 0), None, None))
-        self.w_fiber = _require_real("w_fiber", w_fiber)
-
-    def flow(self, q, s):
-        return weighted_tube_flow(self.w_fiber, q, s)
-
-    def flow_diff(self, s) -> np.ndarray:
-        cs, sn = np.cos(self.w_fiber * s), np.sin(self.w_fiber * s)
-        return np.array([[1.0, 0.0, 0.0], [0.0, cs, sn], [0.0, -sn, cs]])
 
 
 @dataclass
@@ -564,26 +547,6 @@ def center_of_mass(
         m = m + step[:d]
         eta = _monotone_projection(eta + step[d:])
     raise NoConvergence(CENTER_OF_MASS_MAX_ITER, history[-1], history)
-
-
-def mean_zero_check(model, zeta_samples: np.ndarray, T: float) -> np.ndarray:
-    """Quadrature of the flow-pullback average of a section along the orbit.
-
-    Computes the mean over t of (d phi^{T t})^{-1} zeta(t); for a
-    flow-pushforward section this returns the generating vector, and the
-    kernel-exclusion argument needs the value to vanish.  SingularChart when
-    a flow differential is singular.
-    """
-    T = _require_real("T", T)
-    zeta_samples = _points(model.dim, zeta_samples, point=False, name="zeta_samples")[0]
-    N = zeta_samples.shape[0]
-    acc = np.zeros(zeta_samples.shape[1])
-    for t, z in zip(T * (np.arange(N) / N), zeta_samples):
-        try:
-            acc += np.linalg.solve(model.flow_diff(t), z)
-        except np.linalg.LinAlgError:
-            raise SingularChart(f"the flow differential is singular at t = {t:g}") from None
-    return acc / N
 
 
 # ---------------------------------------------------------------------------

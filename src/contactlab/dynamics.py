@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _angle_columns, _points, _require_int, _require_real
+from .core import ContactChart, _angle_columns, _points, _record, _require_int, _require_real
 from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
 from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 
@@ -312,7 +312,7 @@ class ReturnMap:
 def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
     """Monodromy of the variational flow projected to the xi-frame at the base;
     ``unit_eigen_dim`` counts the eigenvalues within ``UNIT_TOL`` of 1."""
-    p = orbit.base_point
+    p = _record("orbit", orbit, ReebOrbit).base_point
     S = orbit.frame
     _, MS = monodromy(chart, p, orbit.period, S)
     Psi = S.T @ (xi_projection_matrix(chart, p) @ MS)
@@ -337,7 +337,7 @@ class MorseBottCandidate:
 def classify_orbit(rm: ReturnMap):
     """Nondegenerate iff ``return_map`` counted no unit eigenvalue (within
     ``UNIT_TOL`` of 1), else a Morse-Bott candidate of that multiplicity."""
-    if rm.unit_eigen_dim:
+    if _record("rm", rm, ReturnMap).unit_eigen_dim:
         return MorseBottCandidate(rm.unit_eigen_dim)
     return Nondegenerate(float(np.min(np.abs(rm.eigenvalues - 1.0))))
 

@@ -52,29 +52,6 @@ def darboux_flat_dual_formula(n: int, alpha0, a, b, x) -> np.ndarray:
     return v
 
 
-def exp_factor_chart(n: int = 1) -> ContactChart:
-    """Chart carrying e^z * lam0 with analytic derivatives."""
-    dim = 2 * n + 1
-    q = np.arange(n)
-
-    def lam(x):
-        ez = np.exp(x[-1])
-        out = np.zeros(dim)
-        out[:n] = -ez * x[n : 2 * n]
-        out[-1] = ez
-        return out
-
-    def grad(x):
-        ez = np.exp(x[-1])
-        G = np.zeros((dim, dim))
-        G[n + q, q] = -ez
-        G[-1, :n] = -ez * x[n : 2 * n]
-        G[-1, -1] = ez
-        return G
-
-    return ContactChart(n, lam, grad, name=f"exp_z*darboux(n={n})")
-
-
 def torus_chart() -> ContactChart:
     """lam = dt1 + p dt2 on (t1, t2, p); t1 and t2 are unit-period angles."""
     G = np.zeros((3, 3))
@@ -134,27 +111,3 @@ def perturbed_tube_chart(w_theta: float, w_fiber: float, quartic: float) -> Cont
     central circle.
     """
     return _solid_torus_chart(w_theta, w_fiber, quartic, f"tube(w={w_theta:g},{w_fiber:g})+r4")
-
-
-def standard_darboux_J(chart: ContactChart):
-    """Coordinate complex structure on xi for the standard Darboux chart.
-
-    Sends E_i = d/dq_i + p_i d/dz to d/dp_i and d/dp_i to -E_i, and kills
-    the Reeb direction.
-    """
-    n = chart.n
-
-    def J(x):
-        x = np.asarray(x, dtype=float)
-        p = x[n : 2 * n]
-        M = np.zeros((chart.dim, chart.dim))
-        for i in range(n):
-            # J(E_i) = d/dp_i  with E_i = d/dq_i + p_i d/dz
-            M[n + i, i] = 1.0
-            M[-1, i] = 0.0
-            # J(d/dp_i) = -E_i
-            M[i, n + i] = -1.0
-            M[-1, n + i] = -p[i]
-        return M
-
-    return J

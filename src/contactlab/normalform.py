@@ -91,31 +91,6 @@ class MorseBottSetup:
                 _array(f"{self.name}: x_theta", self.x_theta(q), shape), G - G.T)
 
 
-@dataclass
-class SetupDiagnostics:
-    max_theta_defect: float  # |theta(X_theta) - 1|
-    dtheta_rank_ok: bool
-    max_kernel_residual: float  # |dtheta . v| for v in {X_theta} + H
-
-
-def validate_setup(setup: MorseBottSetup, points) -> SetupDiagnostics:
-    """Check theta(X_theta) = 1, rank d theta = 2g, and ker d theta = RX + H."""
-    points = _points(setup.dim_q, points, name="points")[0].reshape(-1, setup.dim_q)
-    worst_theta = 0.0
-    worst_kernel = 0.0
-    rank_ok = True
-    for q in points:
-        th, X, D = setup.base_data(q)
-        worst_theta = max(worst_theta, abs(float(th @ X) - 1.0))
-        s = np.linalg.svd(D, compute_uv=False)
-        big = int(np.sum(s > 1e-6))
-        if big != 2 * setup.g or not np.all(s[big:] < 1e-10):
-            rank_ok = False
-        for v in (X, *setup.n_basis):
-            worst_kernel = max(worst_kernel, float(np.max(np.abs(D @ np.asarray(v, float)))))
-    return SetupDiagnostics(worst_theta, bool(rank_ok), worst_kernel)
-
-
 def circle_setup() -> MorseBottSetup:
     """Q = S^1 with theta = d t: m = 0, g = 0 (prequantization-type base)."""
     return MorseBottSetup(
@@ -578,14 +553,3 @@ def zero_section_pullback_defect(tc: ThickeningChart, points) -> float:
         worst = max(worst, float(np.max(np.abs(lam[: tc.dim_q] - th))))
         worst = max(worst, float(np.max(np.abs(lam[tc.dim_q :]))) if tc.dim > tc.dim_q else 0.0)
     return worst
-
-
-def vertical_dlambda_block(tc: ThickeningChart, q) -> np.ndarray:
-    """Vertical-vertical block of d lambda_F at a zero-section point.
-
-    Should equal 0 on the cotangent factor plus Omega on the symplectic
-    factor."""
-    x = tc.zero_section_point(q)
-    D = tc.chart.dlambda_at(x)
-    s = tc.dim_q
-    return D[s:, s:]

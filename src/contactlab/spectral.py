@@ -19,9 +19,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _array, _points, _require_int, _require_real, fd_gradient, periodic_derivative, perturbed_reeb
-from .core import reeb_solve, xi_frame
-from .dynamics import reeb_jacobian
+from .core import _array, _points, _record, _require_int, _require_real, fd_gradient, periodic_derivative
+from .core import perturbed_reeb, reeb_solve, xi_frame
+from .dynamics import ReebOrbit, reeb_jacobian
 from .errors import (
     AsymmetricHessian,
     HypothesisViolated,
@@ -331,7 +331,7 @@ def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperat
     samples.
     """
     _require_int("n_modes", n_modes, 0)
-    z, T = orbit.samples, orbit.period
+    z, T = _record("orbit", orbit, ReebOrbit).samples, orbit.period
     if len(z) < 2 * n_modes + 2:
         raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
     if pert is not None:
@@ -403,7 +403,7 @@ def spectrum(op: SpectralOperator) -> SpectrumResult:
     a time-dependent S(t) by one dense symmetric eigen-solve.  Either way
     ``eigenvalues`` is the full ascending spectrum of ``op.matrix``.
     """
-    ev = _eigh(op)
+    ev = _eigh(_record("op", op, SpectralOperator))
     nonzero = np.abs(ev) > KERNEL_TOL
     gap = float(np.min(np.abs(ev[nonzero]))) if np.any(nonzero) else np.inf
     return SpectrumResult(ev, gap, int(np.sum(~nonzero)))
@@ -439,7 +439,7 @@ def gap_inequality_check(
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
-    evals = _eigh(op)
+    evals = _eigh(_record("op", op, SpectralOperator))
     nonzero = np.abs(evals) > KERNEL_TOL
     if not np.any(nonzero):
         raise OutOfRange(

@@ -70,7 +70,7 @@ def test_criterion_2_perturbed_reeb_identity():
             lambda y, c0=c0, lin=lin: 2.0 * (c0 + float(lin @ y)) * lin,
         )
         closed = core.perturbed_reeb(ch, pert, x)
-        direct = core.reeb_field(core.perturbed_chart(ch, pert), x)
+        direct = core.reeb_solve(core.perturbed_chart(ch, pert), x).vector
         worst = max(worst, float(np.max(np.abs(closed - direct))))
     elapsed = time.perf_counter() - start
     report(

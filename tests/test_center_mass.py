@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from contactlab import cli, decay
-from contactlab.decay import (
-    FlatTorusQ,
-    RotatingTubeQ,
-    action_charge,
-    center_of_mass,
-    mean_zero_check,
-)
+from contactlab.decay import FlatTorusQ, action_charge, center_of_mass
 from contactlab.errors import ModeMismatch, OutsideTube
 from contactlab.models import torus_chart, weighted_tube_chart
+from oracle_models import RotatingTubeQ
 
 
 def torus_orbit_samples(model, z0, T, n_t):
@@ -142,34 +137,6 @@ def test_rotating_tube_perturbed_off_centre_loop():
     assert np.max(np.abs(model.wrap(res.m - expected))) < 1e-8
     assert np.max(np.abs(res.h - (ts + eta))) < 1e-8
     assert np.linalg.norm(expected[1:]) > 0.1  # off the central circle
-
-
-def test_mean_zero_pushforward_is_generator():
-    model = RotatingTubeQ(1.0, 1.3)
-    T = 2 * np.pi
-    n_t = 64
-    ts = np.arange(n_t) / n_t
-    v = np.array([0.0, 0.2, -0.1])
-    zeta = np.stack([model.flow_diff(T * t) @ v for t in ts])
-    got = mean_zero_check(model, zeta, T)
-    assert np.max(np.abs(got - v)) < 1e-12
-
-
-def test_mean_zero_pointwise_zero():
-    model = FlatTorusQ(2)
-    assert np.max(np.abs(mean_zero_check(model, np.zeros((16, 2)), 1.0))) == 0.0
-
-
-def test_mean_zero_after_average_subtraction():
-    model = RotatingTubeQ(1.0, 0.7)
-    T = 2 * np.pi
-    n_t = 128
-    ts = np.arange(n_t) / n_t
-    g = np.random.Generator(np.random.Philox(5))
-    zeta = g.normal(size=(n_t, 3))
-    avg = mean_zero_check(model, zeta, T)
-    corrected = zeta - np.stack([model.flow_diff(T * t) @ avg for t in ts])
-    assert np.max(np.abs(mean_zero_check(model, corrected, T))) < 1e-10
 
 
 def cylinder_over_orbit(c, T, R, n_tau, n_t):

@@ -14,10 +14,10 @@ from contactlab.errors import ModeMismatch, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
     darboux_flat_dual_formula,
-    exp_factor_chart,
     torus_chart,
     weighted_tube_chart,
 )
+from oracle_models import exp_factor_chart
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -49,14 +49,14 @@ def cofactor_pfaffian(A):
 def test_reeb_field_standard_chart():
     ch = darboux_chart(1)
     for x in ([0.0, 0.0, 0.0], [0.4, -1.2, 3.0]):
-        X = core.reeb_field(ch, x)
+        X = core.reeb_solve(ch, x).vector
         assert np.allclose(X, [0, 0, 1], atol=1e-12)
 
 
 def test_reeb_field_scaled_chart():
     c = 2.5
     ch = darboux_chart(1, scale=c)
-    X = core.reeb_field(ch, [0.3, 0.7, -0.2])
+    X = core.reeb_solve(ch, [0.3, 0.7, -0.2]).vector
     assert np.allclose(X, [0, 0, 1 / c], atol=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_reeb_field_exp_factor_chart():
     # oracle: the defining equations themselves, checked by substitution
     ch = exp_factor_chart(1)
     x = np.array([0.2, -0.5, 0.3])
-    X = core.reeb_field(ch, x)
+    X = core.reeb_solve(ch, x).vector
     expected = np.exp(-x[2]) * np.array([0.0, 0.5, 1.0])  # e^-z (dz - p dp)
     assert np.allclose(X, expected, atol=1e-9)
     L = ch.lambda_at(x)
@@ -83,16 +83,17 @@ def test_reeb_residual_reported():
 def test_project_xi_examples():
     ch = darboux_chart(1)
     x = np.array([0.1, 2.0, 0.0])  # p = 2
-    X = core.reeb_field(ch, x)
+    X = core.reeb_solve(ch, x).vector
+    P = core.xi_projection_matrix(ch, x)
     # kernel of the projection
-    assert np.allclose(core.project_xi(ch, X, x), 0, atol=1e-12)
+    assert np.allclose(P @ X, 0, atol=1e-12)
     # xi is fixed
     Z = np.array([1.0, 0.3, 2.0])  # lam(Z) = 1*(-p) + 2 = 0 at p = 2
     assert abs(ch.lambda_at(x) @ Z) < 1e-14
-    assert np.allclose(core.project_xi(ch, Z, x), Z, atol=1e-12)
+    assert np.allclose(P @ Z, Z, atol=1e-12)
     # worked example: d/dz + d/dq at p = 2 -> d/dq + 2 d/dz
     Z2 = np.array([1.0, 0.0, 1.0])
-    assert np.allclose(core.project_xi(ch, Z2, x), [1.0, 0.0, 2.0], atol=1e-12)
+    assert np.allclose(P @ Z2, [1.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_project_xi_idempotent():
@@ -101,8 +102,9 @@ def test_project_xi_idempotent():
     for _ in range(20):
         x = g.uniform(-1, 1, 5)
         Z = g.uniform(-1, 1, 5)
-        once = core.project_xi(ch, Z, x)
-        twice = core.project_xi(ch, once, x)
+        P = core.xi_projection_matrix(ch, x)
+        once = P @ Z
+        twice = P @ once
         assert np.max(np.abs(twice - once)) < 1e-12
 
 
@@ -124,7 +126,7 @@ def test_sharp_dual_follows_defining_equation():
     x = np.array([-0.2, 0.9, 0.5])
     assert np.allclose(core.sharp_dual(ch, [0, -1.0, 0], x), [1.0, 0, 0], atol=1e-12)
     # sharp(Reeb) = lam
-    X = core.reeb_field(ch, x)
+    X = core.reeb_solve(ch, x).vector
     assert np.allclose(core.sharp_dual(ch, X, x), ch.lambda_at(x), atol=1e-11)
 
 
@@ -151,7 +153,7 @@ def test_lambda_of_flat_equals_alpha_of_reeb():
         x = g.uniform(-1, 1, 5)
         a = g.uniform(-1, 1, 5)
         lhs = ch.lambda_at(x) @ core.flat_dual(ch, a, x)
-        rhs = a @ core.reeb_field(ch, x)
+        rhs = a @ core.reeb_solve(ch, x).vector
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -190,7 +192,7 @@ def test_singular_chart_raises():
         n=1, lam=lambda x: np.array([0.0, 0.0, 1.0]), grad=lambda x: np.zeros((3, 3))
     )
     with pytest.raises(SingularChart):
-        core.reeb_field(degenerate, np.zeros(3))
+        core.reeb_solve(degenerate, np.zeros(3))
 
 
 def test_vanishing_form_raises_singular_chart():
@@ -199,7 +201,7 @@ def test_vanishing_form_raises_singular_chart():
 
     zero = ContactChart(n=1, lam=lambda x: np.zeros(3), grad=lambda x: np.zeros((3, 3)))
     with pytest.raises(SingularChart, match="sigma_max = 0.00e"):
-        core.reeb_field(zero, np.zeros(3))
+        core.reeb_solve(zero, np.zeros(3))
 
 
 def test_wrong_length_lambda_names_the_dimension():
@@ -275,40 +277,10 @@ def test_contact_volume_sign_consistent():
     ch = darboux_chart(2)
     g = rng(6)
     pts = [g.uniform(-2, 2, 5) for _ in range(20)]
-    diag = core.chart_diagnostics(ch, pts)
-    assert diag.sign_consistent
-    assert diag.min_abs_volume > 0.5
-    assert diag.max_reeb_residual < 1e-10
-
-
-def test_chart_diagnostics_takes_a_point_as_a_one_row_stack():
-    # a single point used to end in a raw IndexError
-    ch = darboux_chart(2)
-    x = rng(8).uniform(-1, 1, ch.dim)
-    assert core.chart_diagnostics(ch, x) == core.chart_diagnostics(ch, [x])
-
-
-def test_chart_diagnostics_evaluates_the_chart_once_per_point(counting_chart):
-    # the stacked Reeb solve and the contact volume used to evaluate each
-    # point separately: 40 lam and 40 grad calls for 20 points
-    base = darboux_chart(2)
-    ch, calls = counting_chart(base)
-    pts = rng(6).uniform(-2, 2, (20, ch.dim))
-    diag = core.chart_diagnostics(ch, pts)
-    assert calls == {"lam": 20, "grad": 20}
-    sol, vols = core.reeb_solve(base, pts), core.contact_volume(base, pts)
-    assert diag == core.ChartDiagnostics(
-        min_abs_volume=float(np.min(np.abs(vols))),
-        sign_consistent=bool(np.all(vols > 0) or np.all(vols < 0)),
-        max_cond=sol.cond,
-        max_reeb_residual=sol.residual,
-    )
-
-
-def test_chart_diagnostics_of_no_points_is_out_of_range():
-    # an empty stack used to end in a raw ValueError from np.min
-    with pytest.raises(OutOfRange):
-        core.chart_diagnostics(darboux_chart(1), np.zeros((0, 3)))
+    vols = core.contact_volume(ch, pts)
+    assert np.all(vols > 0) or np.all(vols < 0)
+    assert np.min(np.abs(vols)) > 0.5
+    assert core.reeb_solve(ch, pts).residual < 1e-10
 
 
 STACK_CHARTS = [torus_chart(), weighted_tube_chart(1.0, 2**0.5)] + [darboux_chart(n) for n in (1, 2, 3)]
@@ -364,12 +336,10 @@ def test_xi_projections_evaluate_lambda_once():
     calls = []
     base = exp_factor_chart(1)
     ch = ContactChart(1, lambda x: calls.append(1) or base.lam(x), base.grad)
-    x, Z = np.array([0.2, -0.5, 0.3]), np.array([1.0, 2.0, -0.5])
+    x = np.array([0.2, -0.5, 0.3])
     P = core.xi_projection_matrix(ch, x)
     assert len(calls) == 1
-    assert np.array_equal(core.project_xi(ch, Z, x), Z - float(base.lam(x) @ Z) * core.reeb_field(base, x))
-    assert len(calls) == 2
-    assert np.array_equal(P, np.eye(3) - np.outer(core.reeb_field(base, x), base.lam(x)))
+    assert np.array_equal(P, np.eye(3) - np.outer(core.reeb_solve(base, x).vector, base.lam(x)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,19 +369,17 @@ DUAL_CHARTS = (
 )
 def test_stacked_duals_are_the_loop_of_point_calls(ch, n_points, seed):
     xs, A, Z = rng(seed).uniform(-1, 1, (3, n_points, ch.dim))
-    for fn, vectors in [(core.flat_dual, A), (core.sharp_dual, Z), (core.project_xi, Z), (core.xi_dual_part, A)]:
+    for fn, vectors in [(core.flat_dual, A), (core.sharp_dual, Z)]:
         assert np.array_equal(fn(ch, vectors, xs), [fn(ch, v, x) for v, x in zip(vectors, xs)])
-    assert np.array_equal(core.reeb_field(ch, xs), [core.reeb_field(ch, x) for x in xs])
+    assert np.array_equal(core.reeb_solve(ch, xs).vector, [core.reeb_solve(ch, x).vector for x in xs])
     # a point call is the one-point formula, solved on its own
     for x, a, z in zip(xs, A, Z):
         L, D = ch.lambda_at(x), ch.dlambda_at(x)
         M = D.T + np.outer(L, L)
         X, v = np.linalg.solve(M, L), np.linalg.solve(M, a)
-        assert np.array_equal(core.reeb_field(ch, x), X)
+        assert np.array_equal(core.reeb_solve(ch, x).vector, X)
         assert np.array_equal(core.flat_dual(ch, a, x), v)
         assert np.array_equal(core.sharp_dual(ch, z, x), D.T @ z + float(L @ z) * L)
-        assert np.array_equal(core.project_xi(ch, z, x), z - float(L @ z) * X)
-        assert np.array_equal(core.xi_dual_part(ch, a, x), v - float(L @ v) * X)
 
 
 @settings(max_examples=30, deadline=None)
@@ -439,7 +407,7 @@ def test_stacked_component_formula_is_the_loop(n, n_points, seed):
     )
 
 
-@pytest.mark.parametrize("fn", [core.flat_dual, core.sharp_dual, core.project_xi, core.xi_dual_part])
+@pytest.mark.parametrize("fn", [core.flat_dual, core.sharp_dual])
 def test_dual_shape_errors_are_typed(fn):
     # each used to end in a raw ValueError from the solve or the matmul
     ch = darboux_chart(1)
@@ -456,16 +424,6 @@ def test_stacked_dual_names_the_singular_point():
     xs = np.array([[0.1, 0.2, 1.0], [0.5, 0.25, 0.0]])
     with pytest.raises(SingularChart, match=r"dual system singular at point 1 of the stack"):
         core.flat_dual(ch, np.ones((2, 3)), xs)
-
-
-def test_xi_dual_part_evaluates_the_chart_once_per_point(counting_chart):
-    # it used to solve the dual system and then the Reeb system: 2 lam and 2 grad calls
-    ch, calls = counting_chart(exp_factor_chart(1))
-    xs, A = rng(12).uniform(-1, 1, (2, 5, 3))
-    core.xi_dual_part(ch, A[0], xs[0])
-    assert calls == {"lam": 1, "grad": 1}
-    core.xi_dual_part(ch, A, xs)
-    assert calls == {"lam": 6, "grad": 6}
 
 
 def test_dual_checks_makes_a_few_stacked_calls_per_n(monkeypatch):

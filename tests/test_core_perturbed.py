@@ -6,7 +6,8 @@ import pytest
 from contactlab import cli, core
 from contactlab.core import PerturbationData, perturbed_chart
 from contactlab.errors import ModeMismatch, OutOfRange
-from contactlab.models import darboux_chart, exp_factor_chart
+from contactlab.models import darboux_chart
+from oracle_models import exp_factor_chart
 
 
 def rng(seed=0):
@@ -60,7 +61,7 @@ def test_exp_factor_closed_form():
     expected = np.exp(-x[2]) * np.array([0.0, -x[1], 1.0])
     assert np.max(np.abs(got - expected)) < 1e-9
     # and it agrees with the direct Reeb solve of the rescaled chart
-    direct = core.reeb_field(exp_factor_chart(1), x)
+    direct = core.reeb_solve(exp_factor_chart(1), x).vector
     assert np.max(np.abs(got - direct)) < 1e-8
 
 
@@ -80,7 +81,7 @@ def test_formula_vs_direct_solve_random_factors():
         x = g.uniform(-1, 1, 3)
         pert = random_positive_factor(g, 3)
         closed = core.perturbed_reeb(ch, pert, x)
-        direct = core.reeb_field(perturbed_chart(ch, pert), x)
+        direct = core.reeb_solve(perturbed_chart(ch, pert), x).vector
         worst = max(worst, float(np.max(np.abs(closed - direct))))
     assert worst < 1e-8
 
@@ -105,9 +106,9 @@ def test_perturbed_projection_trivial_cases():
     Z = np.array([0.3, -0.7, 1.1])
     # f = 1: reduces to the plain projection
     got = core.perturbed_projection(ch, constant_factor(1.0), Z, x)
-    assert np.allclose(got, core.project_xi(ch, Z, x), atol=1e-12)
+    Zxi = core.xi_projection_matrix(ch, x) @ Z
+    assert np.allclose(got, Zxi, atol=1e-12)
     # lam(Z) = 0: correction term vanishes for any factor
-    Zxi = core.project_xi(ch, Z, x)
     pert = exp_z_factor(3)
     got2 = core.perturbed_projection(ch, pert, Zxi, x)
     assert np.allclose(got2, Zxi, atol=1e-10)
@@ -131,7 +132,7 @@ def test_perturbed_projection_vs_direct():
         got = core.perturbed_projection(ch, pert, Z, x)
         chf = perturbed_chart(ch, pert)
         lamZ = float(chf.lambda_at(x) @ Z)
-        direct = Z - lamZ * core.reeb_field(chf, x)
+        direct = Z - lamZ * core.reeb_solve(chf, x).vector
         assert np.max(np.abs(got - direct)) < 1e-8
 
 
@@ -147,12 +148,13 @@ def test_nonpositive_factor_rejected():
     bad = PerturbationData(lambda x: -1.0, lambda x: np.zeros(3))
     with pytest.raises(OutOfRange, match="must be positive"):
         core.perturbed_reeb(ch, bad, np.zeros(3))
-    # perturbed_projection used to return [1, 1, 0] here, and log_derivative_field
-    # to end in a RuntimeWarning from the log of the finite-difference route
+    # perturbed_projection used to return [1, 1, 0] here, and the xi-part of
+    # the dual field of dg to end in a RuntimeWarning from the log of the
+    # finite-difference route
     with pytest.raises(OutOfRange, match="must be positive"):
         core.perturbed_projection(ch, bad, np.ones(3), np.zeros(3))
     with pytest.raises(OutOfRange, match="must be positive"):
-        core.log_derivative_field(ch, PerturbationData(lambda y: -2.0), np.zeros(3))
+        core.perturbed_reeb(ch, PerturbationData(lambda y: -2.0), np.zeros(3))
 
 
 def test_rescaled_identities_evaluate_the_chart_once(counting_chart):
@@ -161,8 +163,7 @@ def test_rescaled_identities_evaluate_the_chart_once(counting_chart):
     x, Z = g.uniform(-1, 1, (2, 5))
     pert = random_positive_factor(g, 5)
     for call in [lambda ch: core.perturbed_reeb(ch, pert, x),
-                 lambda ch: core.perturbed_projection(ch, pert, Z, x),
-                 lambda ch: core.log_derivative_field(ch, pert, x)]:
+                 lambda ch: core.perturbed_projection(ch, pert, Z, x)]:
         ch, calls = counting_chart(exp_factor_chart(2))
         assert np.array_equal(call(ch), call(exp_factor_chart(2)))
         assert calls == {"lam": 1, "grad": 1}

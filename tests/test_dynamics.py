@@ -25,12 +25,12 @@ from contactlab.dynamics import (
 from contactlab.errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
-    exp_factor_chart,
     perturbed_tube_chart,
     torus_chart,
     weighted_tube_chart,
     weighted_tube_flow,
 )
+from oracle_models import exp_factor_chart
 
 
 def test_flow_standard_chart_is_z_translation():

