@@ -17,7 +17,6 @@ re-running a scenario yields byte-identical report files.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -625,52 +624,30 @@ def _cmd_run(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _suite_worker(item):
-    path, seed, out, fmt = item
-    scenario = load_scenario(path)
-    try:
-        report = run_scenario(scenario, seed_override=seed)
-    except ContactLabError as err:
-        return scenario["name"], False, 0.0, str(err)
-    emit_report(report, out, fmt)
-    return scenario["name"], report.all_passed, report.wall_time, None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CONTACTLAB_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"CONTACTLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _cmd_suite(args) -> int:
     paths = sorted(Path(args.scenario_dir).glob("*.json"))
     if not paths:
         print(f"config error: no scenarios in {args.scenario_dir}", file=sys.stderr)
         return 2
     try:
-        threads = _thread_count()
         scenarios = [load_scenario(p) for p in paths]  # validate everything before running anything
         if args.seed is not None:
             _resolve({**scenarios[0], "seed": args.seed}, "--seed")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    items = [(p, args.seed, args.out, args.format) for p in paths]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_suite_worker, items))
-    else:
-        results = [_suite_worker(i) for i in items]
-    ok = True
-    for name, passed, wall, err in results:
-        suffix = f" ({wall:.2f}s)" if err is None else f" [{err}]"
-        print(f"{name}: {'pass' if passed else 'FAIL'}{suffix}")
-        ok = ok and passed
-    print(f"suite: {sum(1 for r in results if r[1])}/{len(results)} passed")
-    return 0 if ok else 1
+    n_passed = 0
+    for scenario in scenarios:
+        try:
+            report = run_scenario(scenario, seed_override=args.seed)
+        except ContactLabError as err:
+            print(f"{scenario['name']}: FAIL [{err}]")
+            continue
+        emit_report(report, args.out, args.format)
+        n_passed += report.all_passed
+        print(f"{scenario['name']}: {'pass' if report.all_passed else 'FAIL'} ({report.wall_time:.2f}s)")
+    print(f"suite: {n_passed}/{len(scenarios)} passed")
+    return 0 if n_passed == len(scenarios) else 1
 
 
 def main(argv=None) -> int:

@@ -382,19 +382,6 @@ def _system_error(chart: ContactChart, system: str, s, x, i=None):
     return SingularChart(f"{chart.name}: {system} {_at(x, i)} (sigma_min = {s[-1]:.2e}, sigma_max = {s[0]:.2e})")
 
 
-def _checked_solve(M, rhs, chart: ContactChart, x, system: str):
-    """(v, cond) with M v = rhs and cond = sigma_max / sigma_min of M, from
-    ``_dual_systems`` and so finite.
-
-    The singular values give the rank check and the condition number; the
-    solve itself is one LU factorization.  Raises ``_system_error`` when
-    sigma_min <= _RANK_TOL sigma_max."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if not s[-1] > _RANK_TOL * s[0]:
-        raise _system_error(chart, system, s, x)
-    return np.linalg.solve(M, rhs), float(s[0] / s[-1])
-
-
 def _dots(a, b):
     """Dot products of a and b along the last axis, shape a.shape[:-1].
 
@@ -424,7 +411,9 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     condition number are reported rather than silently accepted.  A point x
     (d,) is solved on its own, a stack (N, d) in one pass (one stacked SVD
     rank test and LU solve; the worst residual and condition number), with
-    the vectors of the point solves bit for bit.
+    the vectors of the point solves bit for bit.  At a point the singular
+    values give the rank check and the condition number, and the solve is
+    one LU factorization.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (chart.dim,) or not _finite(x):
@@ -436,8 +425,11 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
         residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
         return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
     L, D, M = _dual_systems(chart, x)
-    v, cond = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")
-    return ReebSolve(v, float(np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))), cond, L)
+    s = np.linalg.svd(M, compute_uv=False)
+    if not s[-1] > _RANK_TOL * s[0]:
+        raise _system_error(chart, "Reeb system rank-deficient", s, x)
+    v = np.linalg.solve(M, L)
+    return ReebSolve(v, float(np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))), float(s[0] / s[-1]), L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
@@ -460,11 +452,9 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     """Matrix I - X lam^T at a point (d,) of the projection onto the contact
-    distribution along the Reeb field X, from one chart evaluation."""
-    x = _points(chart.dim, x, stack=False)[0]
-    L, _, M = _dual_systems(chart, x)
-    X = _checked_solve(M, L, chart, x, "Reeb system rank-deficient")[0]
-    return np.eye(chart.dim) - np.outer(X, L)
+    distribution along the Reeb field X, from one ``reeb_solve``."""
+    sol = reeb_solve(chart, _points(chart.dim, x, stack=False)[0])
+    return np.eye(chart.dim) - np.outer(sol.vector, sol.lam)
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -598,9 +588,17 @@ def contact_volume(chart: ContactChart, x):
     The chart is evaluated once per point (``_chart_forms``), and one
     stacked ``_pfaffian`` call takes the bordered matrices
     [[0, lam^T], [-lam, dlam]], whose Pfaffian times n! is the density.
+    Its n + 1 pivots can multiply past the largest float even where lam and
+    dlam are ``_bounded``: the product runs with float overflow silent, and
+    a density that is not finite raises OutOfRange at the first such point.
     """
     x = _points(chart.dim, x)[0]
     L, D = _chart_forms(chart, x)
     B = np.zeros(L.shape[:-1] + (chart.dim + 1, chart.dim + 1))
     B[..., 0, 1:], B[..., 1:, 0], B[..., 1:, 1:] = L, -L, D
-    return math.factorial(chart.n) * _pfaffian(B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = math.factorial(chart.n) * _pfaffian(B)
+    bad = np.flatnonzero(~np.isfinite(vol))
+    if bad.size:
+        raise OutOfRange(f"{chart.name}: contact volume overflows a float {_at(x, None if x.ndim == 1 else bad[0])}")
+    return vol

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContactChart, _dots, _points, _record, _require_int, _require_real, reeb_solve, unwrap_angles
-from .core import wrap_angles
+from .core import ContactChart, _array, _dots, _finite, _points, _record, _require_int, _require_real, reeb_solve
+from .core import unwrap_angles, wrap_angles
 from .errors import (
     InsufficientDecay,
     ModeMismatch,
@@ -32,7 +32,7 @@ FIT_FLOOR = 1e-12
 FIT_UPPER_FRAC = 0.1
 FIT_MIN_SLICES = 10
 THREE_INTERVAL_SLACK = 1e-12  # three_interval_bound's slack, relative to max(1, max x)
-# center_of_mass: tube radius about the reference orbit, residual, Newton steps
+# center_of_mass: tube radius about the orbit through gamma[0], residual, Newton steps
 CENTER_OF_MASS_TUBE = 0.25
 CENTER_OF_MASS_TOL = 1e-9
 CENTER_OF_MASS_MAX_ITER = 30
@@ -187,19 +187,22 @@ class CylinderField:
 class Forcing:
     """Separable forcing L(tau, t) = e^(-delta0 tau) * profile(t).
 
-    The profile is either grid samples (n_t, rank) or a dict mapping Galerkin
-    eigenmode indices (integers, not bools) to amplitudes (resolved against
-    the operator's eigenbasis at solve time).  delta0 is finite and > 0.
+    The profile is grid samples (n_t, rank) on the operator's grid, read once
+    here as a float array: ModeMismatch unless it is 2-D, OutOfRange for a
+    non-finite entry.  delta0 is finite and > 0.
     """
 
     delta0: float
-    profile: Union[np.ndarray, dict, None] = None
+    profile: np.ndarray
 
     def __post_init__(self):
         _require_real("delta0", self.delta0, 0)
-        if isinstance(self.profile, dict):
-            for idx in self.profile:
-                _require_int("eigenmode index", idx)
+        profile = _array("profile", self.profile)
+        if profile.ndim != 2:
+            raise ModeMismatch(f"profile needs shape (n_t, rank), got {profile.shape}")
+        if not _finite(profile):
+            raise OutOfRange("profile must be finite")
+        object.__setattr__(self, "profile", profile)
 
 
 _RESONANCE_TOL = 1e-9
@@ -227,12 +230,10 @@ def solve_cylinder(
     Crank-Nicolson march (second-order accurate) with the same selection,
     required when S depends on tau (``S_of_tau``).
 
-    ``zeta0`` is either grid samples (len(op.t_grid), rank) on the operator's
-    own grid or a coefficient vector in the operator's Galerkin basis; a grid
-    forcing profile is sampled on the same grid, and a dict profile gives
-    eigenmode amplitudes, for either method.  ``n_t`` (default: the operator
-    grid) sets the output grid, on which every tau-slice is synthesized in
-    one product.
+    ``zeta0`` and the forcing profile are grid samples (len(op.t_grid),
+    rank) on the operator's own grid, else ModeMismatch.  ``n_t`` (default:
+    the operator grid) sets the output grid, on which every tau-slice is
+    synthesized in one product.
 
     The march covers [0, R] in ``n_tau`` equal steps.  ResolutionTooCoarse
     when ``n_t`` cannot carry the operator's modes, or when a Crank-Nicolson
@@ -252,21 +253,13 @@ def solve_cylinder(
     tau = np.linspace(0.0, R, n_tau + 1)
     t = np.arange(n_t) * (op.period / n_t)
 
-    zeta0 = np.asarray(zeta0, dtype=float)
-    grid = zeta0.ndim == 2
-    c0 = op.coefficients_from_grid(zeta0) if grid else _points(op.dim, zeta0, stack=False, name="zeta0")[0]
+    c0 = op.coefficients_from_grid(zeta0)
     evals, evecs = _eigh(op, vectors=True)
     a0 = evecs.T @ c0
     # forcing amplitudes in eigen-coordinates (ascending-eigenvalue order)
-    delta0, profile = (forcing.delta0, forcing.profile) if forcing is not None else (1.0, None)
-    ell = np.zeros(op.dim)
-    if isinstance(profile, dict):
-        for idx, amp in profile.items():
-            if not 0 <= idx < op.dim:
-                raise ModeMismatch(f"eigenmode index {idx} out of range")
-            ell[idx] = _require_real(f"profile[{idx}]", amp)
-    elif profile is not None:
-        ell = evecs.T @ op.coefficients_from_grid(profile)
+    delta0, ell = 1.0, np.zeros(op.dim)
+    if forcing is not None:
+        delta0, ell = forcing.delta0, evecs.T @ op.coefficients_from_grid(forcing.profile)
 
     if method == "cn" or S_of_tau is not None:
         A = _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau)
@@ -487,7 +480,6 @@ def center_of_mass(
     model,
     gamma: np.ndarray,
     T: float,
-    reference=None,
 ) -> CenterOfMassResult:
     """Center of mass m and reparametrization h of a loop near the Reeb locus.
 
@@ -497,8 +489,8 @@ def center_of_mass(
     freedom along the orbit direction.
 
     The tube precondition measures the C^0 distance between the loop and the
-    period-T orbit through ``reference`` (default: the loop's own base
-    point); beyond CENTER_OF_MASS_TUBE the solve refuses with OutsideTube.
+    period-T orbit through its first sample gamma[0]; beyond
+    CENTER_OF_MASS_TUBE the solve refuses with OutsideTube.
     Newton stops below the residual CENTER_OF_MASS_TOL, or raises
     NoConvergence after CENTER_OF_MASS_MAX_ITER steps.
     """
@@ -510,11 +502,10 @@ def center_of_mass(
     m = gamma[0].copy()
     eta = np.zeros(N)
 
-    anchor = gamma[0] if reference is None else _points(d, reference, stack=False, name="reference")[0]
-    dist = float(np.max(np.linalg.norm(model.inv_exp(anchor, model.flow(gamma, -T * ts)), axis=1)))
+    dist = float(np.max(np.linalg.norm(model.inv_exp(gamma[0], model.flow(gamma, -T * ts)), axis=1)))
     if dist > CENTER_OF_MASS_TUBE:
         raise OutsideTube(
-            f"loop deviates {dist:.3g} from the reference orbit "
+            f"loop deviates {dist:.3g} from the orbit through its first sample "
             f"(tube radius {CENTER_OF_MASS_TUBE:g})"
         )
 

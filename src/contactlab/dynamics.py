@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ContactChart, _angle_columns, _points, _record, _require_int, _require_real
 from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
-from .errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
+from .errors import LeftChartDomain, NoConvergence, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
 ORBIT_CLOSURE_TOL = 1e-8
@@ -34,7 +34,8 @@ MIN_PERIOD_FRACTION = 1e-3
 STALL_STEP = 1e-12
 # Newton steps of ``find_closed_orbit`` before it gives up.
 MAX_NEWTON_STEPS = 25
-# A return-map eigenvalue within this distance of 1 counts as a unit eigenvalue.
+# A singular value of Psi - I at most this counts one unit direction of the
+# return map Psi, a fixed direction of the linearized flow.
 UNIT_TOL = 1e-6
 
 
@@ -210,21 +211,19 @@ def find_closed_orbit(
     chart: ContactChart,
     guess,
     T_guess: float,
-    winding: Optional[Sequence] = None,
     fix_point: bool = False,
 ) -> ReebOrbit:
     """Shooting Newton for a closed Reeb orbit near (guess, T_guess).
 
     The point unknown lives on the contact plane xi through the guess,
     spanned by its ``xi_frame`` and transverse to the Reeb direction because
-    lam(X) = 1; the period is the remaining unknown.  ``winding``
-    optionally prescribes how many period cells the orbit must traverse per
-    angular coordinate; when omitted, the lattice offset is locked in from
-    the first shot.  Newton steps are minimum-norm, so Morse-Bott families
-    (rank-deficient transverse Jacobians) converge to some orbit of the
-    family.  A shot closes when it misses its start by less than
-    ``ORBIT_CLOSURE_TOL``, and the orbit is sampled at ``ORBIT_SAMPLES``
-    points.
+    lam(X) = 1; the period is the remaining unknown.  The orbit closes in
+    the period cell of the first shot: its lattice offset on the angle
+    coordinates is locked in there.  Newton steps are minimum-norm, so
+    Morse-Bott families (rank-deficient transverse Jacobians) converge to
+    some orbit of the family.  A shot closes when it misses its start by
+    less than ``ORBIT_CLOSURE_TOL``, and the orbit is sampled at
+    ``ORBIT_SAMPLES`` points.
 
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
@@ -239,28 +238,12 @@ def find_closed_orbit(
     collapses below ``MIN_PERIOD_FRACTION * T_guess``, when the Gauss-Newton
     step stalls (see ``STALL_STEP``), or after ``MAX_NEWTON_STEPS`` steps.
     Zero lattice offsets are not rejected: contractible orbits legitimately
-    have them.  Raises OutOfRange for a non-positive ``T_guess`` and for a
-    ``winding`` that is not one integer per coordinate or that the chart's
-    periods cannot carry.
+    have them.  Raises OutOfRange for a non-positive ``T_guess``.
     """
     T_guess = _require_real("T_guess", T_guess, 0)
     x0 = _points(chart.dim, guess, stack=False, name="guess")[0]
     d = chart.dim
     S = np.zeros((d, 0)) if fix_point else xi_frame(chart, x0)
-    offset = None
-    if winding is not None:
-        if chart.periods is None:
-            raise OutOfRange(f"{chart.name}: winding requires a chart with declared periods")
-        if len(winding) != d:
-            raise OutOfRange(f"{chart.name}: winding needs {d} entries, got {len(winding)}")
-        offset = np.zeros(d)
-        for i, (w, P) in enumerate(zip(winding, chart.periods)):
-            _require_int(f"winding[{i}]", w)
-            if w:
-                if P is None:
-                    raise OutOfRange(f"{chart.name}: winding {w} on coordinate {i}, which is not periodic")
-                offset[i] = w * P
-
     c = np.zeros(S.shape[1])
     T = T_guess
     history = []
@@ -275,7 +258,7 @@ def find_closed_orbit(
         except LeftChartDomain:
             raise NoConvergence(it, np.inf, history)
         raw = end - x
-        if offset is None:  # the lattice offset of the first shot
+        if it == 0:  # the lattice offset of the first shot, kept for every later one
             cols, P = _angle_columns(chart.periods)
             offset = np.zeros(d)
             offset[cols] = np.round(raw[cols] / P) * P
@@ -310,8 +293,10 @@ class ReturnMap:
 
 
 def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
-    """Monodromy of the variational flow projected to the xi-frame at the base;
-    ``unit_eigen_dim`` counts the eigenvalues within ``UNIT_TOL`` of 1."""
+    """Monodromy Psi of the variational flow projected to the xi-frame at the
+    base; ``unit_eigen_dim`` is dim ker(Psi - I), the singular values of
+    Psi - I at most ``UNIT_TOL``: the geometric multiplicity of the
+    eigenvalue 1, so a Jordan block [[1, a], [0, 1]] counts once."""
     p = _record("orbit", orbit, ReebOrbit).base_point
     S = orbit.frame
     _, MS = monodromy(chart, p, orbit.period, S)
@@ -320,7 +305,7 @@ def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
     Omega0 = S.T @ D @ S
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)
-    unit_dim = int(np.sum(np.abs(eig - 1.0) <= UNIT_TOL))
+    unit_dim = int(np.sum(np.linalg.svd(Psi - np.eye(len(Psi)), compute_uv=False) <= UNIT_TOL))
     return ReturnMap(Psi, eig, unit_dim, Omega0, sperr)
 
 
@@ -335,8 +320,9 @@ class MorseBottCandidate:
 
 
 def classify_orbit(rm: ReturnMap):
-    """Nondegenerate iff ``return_map`` counted no unit eigenvalue (within
-    ``UNIT_TOL`` of 1), else a Morse-Bott candidate of that multiplicity."""
+    """Nondegenerate iff ``return_map`` counted no unit direction (see
+    ``UNIT_TOL``), else a Morse-Bott candidate whose multiplicity is that
+    count, dim ker(Psi - I)."""
     if _record("rm", rm, ReturnMap).unit_eigen_dim:
         return MorseBottCandidate(rm.unit_eigen_dim)
     return Nondegenerate(float(np.min(np.abs(rm.eigenvalues - 1.0))))
@@ -366,7 +352,6 @@ def orbit_family_scan(
     directions: Sequence,
     n_samples: int = 5,
     step: float = 0.05,
-    winding: Optional[Sequence] = None,
 ) -> FamilyScan:
     """Continue the seed orbit in transverse directions and track periods.
 
@@ -385,9 +370,7 @@ def orbit_family_scan(
             s = step * i
             guess = seed.base_point + s * direc
             try:
-                orb = find_closed_orbit(
-                    chart, guess, seed.period, winding=winding, fix_point=True
-                )
+                orb = find_closed_orbit(chart, guess, seed.period, fix_point=True)
                 rows.append(FamilySample(di, s, orb.period, orb.closure_residual, True))
                 periods.append(orb.period)
             except NoConvergence as err:

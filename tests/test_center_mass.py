@@ -72,18 +72,17 @@ def test_h_is_monotone_winding_one():
 
 
 def test_outside_tube():
-    # distance measured against the declared reference orbit: on the torus
-    # the offset loop is itself an orbit, so an anchor is required for the
-    # tube precondition to bite (radius CENTER_OF_MASS_TUBE = 0.25)
+    # distance measured against the orbit through the loop's first sample:
+    # a transverse wobble that vanishes there and peaks at 0.4 leaves the
+    # tube (radius CENTER_OF_MASS_TUBE = 0.25), one that peaks at 0.1 does not
     model = FlatTorusQ(2)
-    gamma, _ = torus_orbit_samples(model, [0.0, 0.0], 1.0, 32)
-    far = np.mod(gamma + np.array([0.0, 0.4]), model.periods)
+    gamma, ts = torus_orbit_samples(model, [0.0, 0.0], 1.0, 32)
+    wobble = np.stack([np.zeros_like(ts), np.sin(2 * np.pi * ts)], axis=1)
     with pytest.raises(OutsideTube):
-        center_of_mass(model, far, 1.0, reference=[0.0, 0.0])
-    # within the tube the same call succeeds
-    near = np.mod(gamma + np.array([0.0, 0.1]), model.periods)
-    res = center_of_mass(model, near, 1.0, reference=[0.0, 0.0])
-    assert np.max(np.abs(model.wrap(res.m - np.array([0.0, 0.1])))) < 1e-9
+        center_of_mass(model, np.mod(gamma + 0.4 * wobble, model.periods), 1.0)
+    # within the tube the same call succeeds; the wobble averages to zero
+    res = center_of_mass(model, np.mod(gamma + 0.1 * wobble, model.periods), 1.0)
+    assert np.max(np.abs(model.wrap(res.m))) < 1e-9
 
 
 def test_one_flow_call_per_residual(monkeypatch):

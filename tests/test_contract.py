@@ -193,9 +193,7 @@ CONTRACT = {
         "p": bad_points(3, stack=False), "T": bad_real(0), "n_samples": bad_count(1), "chart": bad_charts(TORUS)}),
     "find_closed_orbit": Entry(dynamics.find_closed_orbit, lambda: dict(
         chart=TORUS, guess=[0.3, 0.6, 0.0], T_guess=1.2), {
-        "guess": bad_points(3, stack=False), "T_guess": bad_real(0), "chart": bad_charts(TORUS),
-        "winding": st.one_of(st.sampled_from([(1, 0), (1, 0, 0, 0)]),
-                             st.one_of(NONFINITE, st.just(0.5), st.just(True)).map(lambda w: (w, 0, 0)))}),
+        "guess": bad_points(3, stack=False), "T_guess": bad_real(0), "chart": bad_charts(TORUS)}),
     "orbit_family_scan": Entry(dynamics.orbit_family_scan, lambda: dict(
         chart=TORUS, seed=torus_orbit(), directions=[[0.0, 1.0, 0.0]], n_samples=1), {
         "directions": bad_points(3), "n_samples": bad_count(1), "step": bad_real(0), "chart": bad_charts(TORUS)}),
@@ -235,9 +233,9 @@ CONTRACT = {
         "n_trials": bad_count(1), "seed": bad_count(0)}),
     # decay
     "FlatTorusQ": Entry(decay.FlatTorusQ, lambda: dict(dim=2), {"dim": bad_count(1)}),
-    "Forcing": Entry(decay.Forcing, lambda: dict(delta0=0.5, profile={1: 1.0}), {
+    "Forcing": Entry(decay.Forcing, lambda: dict(delta0=0.5, profile=np.ones((32, 2))), {
         "delta0": bad_real(0),
-        "profile": st.one_of(bad_real(), st.floats(-1e3, 1e3), st.booleans()).map(lambda k: {k: 1.0})}),
+        "profile": st.one_of(bad_array(np.ones((32, 2)), [(64,), (), (2, 32, 2)]), st.just({1: 1.0}))}),
     "IntervalSeq": Entry(decay.IntervalSeq, lambda: dict(x=[1.0, 0.5, 0.3], gamma=0.4), {
         "x": st.one_of(bad_array([1.0, 0.5, 0.3], [(2, 2, 3)]), st.just([1.0, -0.5, 0.3])),
         "gamma": st.one_of(bad_real(0), st.just(0.5))}),
@@ -245,7 +243,7 @@ CONTRACT = {
         "w_samples": bad_array(torus_cylinder(), [(5, 8), (5, 8, 2), (2, 8, 3), (5, 0, 3)]), "R": bad_real(0),
         "chart": bad_charts(TORUS)}),
     "center_of_mass": Entry(decay.center_of_mass, lambda: dict(model=decay.FlatTorusQ(2), gamma=torus_loop(), T=1.0), {
-        "gamma": bad_points(2, point=False), "T": bad_real(0), "reference": bad_points(2, stack=False)}),
+        "gamma": bad_points(2, point=False), "T": bad_real(0)}),
     "decay_rate": Entry(decay.decay_rate, lambda: dict(field=decay.solve_cylinder(
         operator(), None, np.ones((32, 2)), R=20.0, n_tau=100))),
     "gamma_of_c": Entry(decay.gamma_of_c, lambda: dict(c=0.5), {"c": st.one_of(bad_real(0), st.floats(709.0, 1e308))}),
@@ -289,15 +287,13 @@ KEYWORDS = {
     "core.PerturbationData": ("grad_f",),
     "core.unwrap_angles": ("axis",),
     "decay.FlatTorusQ": ("dim", "periods"),
-    "decay.Forcing": ("profile",),
-    "decay.center_of_mass": ("reference",),
     "decay.solve_cylinder": ("n_t", "method", "S_of_tau"),
     "dynamics.FamilySample": ("history",),
     "dynamics.ReebOrbit.from_point": ("n_samples",),
-    "dynamics.find_closed_orbit": ("winding", "fix_point"),
+    "dynamics.find_closed_orbit": ("fix_point",),
     "dynamics.flow": ("steps",),
     "dynamics.monodromy": ("V",),
-    "dynamics.orbit_family_scan": ("n_samples", "step", "winding"),
+    "dynamics.orbit_family_scan": ("n_samples", "step"),
     "errors.BadBlocks": ("message",),
     "errors.NoConvergence": ("history",),
     "errors.NotContact": ("message",),
@@ -424,7 +420,6 @@ DEGENERATE = {
     "reeb_batch_nan_point": lambda: core.reeb_batch(TORUS, NAN3[None]),  # used to return NaN vectors
     # used to return NaN vectors: the chart is NaN at a finite point
     "reeb_batch_nan_chart": lambda: core.reeb_batch(NAN_CHART, STACK3),
-    "forcing_fractional_index": lambda: decay.Forcing(0.5, {1.5: 1.0}),  # used to force eigenmode 1
     "contact_volume_nan_point": lambda: core.contact_volume(TORUS, NAN3),  # used to return nan
     # used to return nan: lam is NaN at a finite point
     "contact_volume_nan_chart": lambda: core.contact_volume(NAN_CHART, P3),
@@ -580,6 +575,33 @@ def test_a_bad_chart_value_raises_before_any_warning(call, where, chart, what, a
         warnings.simplefilter(action)
         with pytest.raises(OutOfRange, match=rf"^{re.escape(chart.name)}: {what} at {where}"):
             call(chart)
+    assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# bounded chart values whose contact volume overflows: the n + 1 Pfaffian
+# pivots of modulus 1e140 multiply to 1e420.  Before, contact_volume printed
+# numpy's "overflow encountered in multiply" and returned -inf, and under an
+# error filter it ended in a raw RuntimeWarning
+
+DARBOUX2 = models.darboux_chart(2)
+BIG_DARBOUX2 = models.darboux_chart(2, scale=1e140)
+# the Darboux form scaled by 1e140 where x_0 > 0.5
+BIG_AWAY = core.ContactChart(2, lambda x: (1e140 if x[0] > 0.5 else 1.0) * DARBOUX2.lam(x),
+                             lambda x: (1e140 if x[0] > 0.5 else 1.0) * DARBOUX2.grad(x), name="big_away")
+STACK5 = np.array([[0.1] * 5, [0.9] + [0.1] * 4, [0.9] * 5])
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("chart, x, where", [
+    (BIG_DARBOUX2, STACK5[0], r"\[0\.1 0\.1 0\.1 0\.1 0\.1\]$"),
+    (BIG_AWAY, STACK5, r"point 1 of the stack, \[0\.9 0\.1 0\.1 0\.1 0\.1\]$"),
+], ids=["point", "stack"])
+def test_a_contact_volume_that_overflows_is_out_of_range(chart, x, where, action):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(OutOfRange, match=rf"^{re.escape(chart.name)}: contact volume overflows a float at {where}"):
+            core.contact_volume(chart, x)
     assert [str(w.message) for w in caught] == []
 
 

@@ -21,6 +21,12 @@ def constant_slice(n_t, component=0, value=1.0):
     return z
 
 
+def eigenmode_profile(op, amplitudes):
+    """Grid samples of sum amp * (eigenvector idx of op) over {idx: amp}."""
+    evecs = _eigh(op, vectors=True)[1]
+    return op.grid_from_coefficients(sum(amp * evecs[:, idx] for idx, amp in amplitudes.items()))
+
+
 def test_eigenvector_initial_data_decays_exactly():
     op = shifted_op(-0.7)
     z0 = constant_slice(64)
@@ -62,7 +68,7 @@ def test_kernel_conserved_with_orthogonal_forcing():
     # forcing on a nonzero eigenmode: pick index of the largest eigenvalue
     evals = np.linalg.eigvalsh(op.matrix)
     idx = int(np.argmax(evals))
-    field = solve_cylinder(op, Forcing(1.0, {idx: 0.5}), z0, 10.0, 200, n_t=64)
+    field = solve_cylinder(op, Forcing(1.0, eigenmode_profile(op, {idx: 0.5})), z0, 10.0, 200, n_t=64)
     # kernel component of every slice equals the initial one
     mean0 = field.values[0].mean(axis=0)
     meanR = field.values[-1].mean(axis=0)
@@ -87,7 +93,7 @@ def test_unstable_modes_selected_decaying():
     evals = np.linalg.eigvalsh(op.matrix)
     idx = int(np.argmin(evals))  # most negative eigenvalue
     z0 = constant_slice(32)
-    field = solve_cylinder(op, Forcing(0.5, {idx: 1.0}), z0, 12.0, 240, n_t=32)
+    field = solve_cylinder(op, Forcing(0.5, eigenmode_profile(op, {idx: 1.0})), z0, 12.0, 240, n_t=32)
     assert np.isfinite(field.values).all()
     assert field.slice_norms[-1] < 10.0
     # final slice reflects the zero condition for that mode's contribution
@@ -104,9 +110,9 @@ def test_cn_agrees_with_eigen_and_converges_quadratically():
     g1 = np.max(np.abs(cn200.values[-1] - exact200.values[-1]))
     g2 = np.max(np.abs(cn400.values[-1] - exact.values[-1]))
     assert g1 / g2 >= 3.5
-    # eigenmode (dict) forcing, on the slowest stable mode and an unstable one
+    # eigenmode forcing, on the slowest stable mode and an unstable one
     evals = np.linalg.eigvalsh(op.matrix)
-    forcing = Forcing(1.3, {int(np.searchsorted(evals, 0.0)): 0.8, 0: 0.5})
+    forcing = Forcing(1.3, eigenmode_profile(op, {int(np.searchsorted(evals, 0.0)): 0.8, 0: 0.5}))
     fields = {(n, m): solve_cylinder(op, forcing, z0, 5.0, n, n_t=32, method=m)
               for n in (200, 400) for m in ("eigen", "cn")}
     gaps = [np.max(np.abs(fields[n, "cn"].values - fields[n, "eigen"].values)) for n in (200, 400)]
@@ -145,11 +151,16 @@ def test_mode_mismatch_errors():
     op = shifted_op(-0.7, n_modes=4, n_t=32)
     with pytest.raises(ModeMismatch):
         solve_cylinder(op, None, np.zeros((16, 2)), 1.0, 10, n_t=32)
-    with pytest.raises(ModeMismatch):
-        solve_cylinder(op, Forcing(1.0, {10**6: 1.0}), constant_slice(32), 1.0, 10, n_t=32)
     # grid data lives on the operator's own grid, whatever the output grid
     with pytest.raises(ModeMismatch):
+        solve_cylinder(op, Forcing(1.0, constant_slice(16)), constant_slice(32), 1.0, 10, n_t=32)
+    with pytest.raises(ModeMismatch):
         solve_cylinder(op, None, constant_slice(16), 1.0, 10, n_t=16)
+    # a coefficient vector is not grid samples
+    with pytest.raises(ModeMismatch):
+        solve_cylinder(op, None, np.zeros(op.dim), 1.0, 10, n_t=32)
+    with pytest.raises(ModeMismatch):
+        Forcing(1.0, np.zeros(op.dim))
 
 
 

@@ -199,18 +199,6 @@ def test_free_point_shots_carry_the_xi_frame(monkeypatch, chart, guess, T_guess,
     assert all(np.array_equal(V, core.xi_frame(chart, guess)) for V in frames)
 
 
-@pytest.mark.parametrize(
-    "chart, winding",
-    # the Darboux chart declares no periods; the torus fiber coordinate p has
-    # none; a fourth entry on a three-dimensional chart would be dropped
-    [(darboux_chart(1), (0, 0, 1)), (torus_chart(), (1, 0, 1)), (torus_chart(), (1, 0, 0, 5))],
-    ids=["chart_without_periods", "non_periodic_coordinate", "wrong_length"],
-)
-def test_winding_misuse_is_out_of_range(chart, winding):
-    with pytest.raises(OutOfRange):
-        find_closed_orbit(chart, [0.0, 0.0, 0.0], 1.0, winding=winding)
-
-
 def test_torus_orbit_found_anywhere():
     ch = torus_chart()
     orb = find_closed_orbit(ch, [0.3, 0.6, 0.0], 1.2)
@@ -219,15 +207,6 @@ def test_torus_orbit_found_anywhere():
     # also away from p = 0: the whole chart is foliated by period-1 orbits
     orb2 = find_closed_orbit(ch, [0.0, 0.0, 0.25], 0.9)
     assert abs(orb2.period - 1.0) < 1e-9
-
-
-def test_torus_orbit_with_impossible_winding():
-    # demanding closure winding once around t2 cannot be met: the flow is a
-    # pure t1-translation, so the t2 residual never moves
-    ch = torus_chart()
-    with pytest.raises(NoConvergence) as err:
-        find_closed_orbit(ch, [0.0, 0.0, 0.3], 1.0, winding=(1, 1, 0))
-    assert err.value.residual > 0.5
 
 
 def test_weighted_short_orbit_period():
@@ -313,17 +292,31 @@ def test_classify_orbit_contract():
     rm_id = ReturnMap(np.eye(2), np.ones(2, dtype=complex), 2, Om, 0.0)
     cls = classify_orbit(rm_id)
     assert isinstance(cls, MorseBottCandidate) and cls.multiplicity == 2
-    # an eigenvalue within half of UNIT_TOL of 1 is one that return_map
-    # counts, and classify_orbit reads that count
+    # a singular value of Psi - I within half of UNIT_TOL of 0 is one that
+    # return_map counts, and classify_orbit reads that count
     m = np.diag([1.0 + 0.5 * UNIT_TOL, 0.37])
-    eig = np.linalg.eigvals(m)
-    rm_close = ReturnMap(m, eig, int(np.sum(np.abs(eig - 1.0) <= UNIT_TOL)), Om, 0.0)
+    unit = int(np.sum(np.linalg.svd(m - np.eye(2), compute_uv=False) <= UNIT_TOL))
+    rm_close = ReturnMap(m, np.linalg.eigvals(m), unit, Om, 0.0)
     cls2 = classify_orbit(rm_close)
     assert isinstance(cls2, MorseBottCandidate) and cls2.multiplicity == 1
     # on a computed orbit the two agree: the torus return map is the identity
     ch = torus_chart()
     rm_torus = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 1.0))
     assert classify_orbit(rm_torus) == MorseBottCandidate(rm_torus.unit_eigen_dim)
+
+
+def test_unit_count_of_a_shear_is_the_family_dimension():
+    # lam = (1 + 0.35 p^2) dt1 + p dt2 on (t1, t2, p): the period-1 orbits
+    # through p = 0 form a one-parameter family in t2, and the return map at
+    # the origin is the shear [[1, -0.7], [0, 1]], whose eigenvalue 1 is
+    # double but whose kernel of Psi - I is one line
+    ch = ContactChart(1, lambda x: np.array([1.0 + 0.35 * x[2] ** 2, x[2], 0.0]),
+                      lambda x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.7 * x[2], 1.0, 0.0]]),
+                      name="twisted_torus", periods=(1.0, 1.0, None))
+    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 1.0))
+    assert np.max(np.abs(rm.matrix - np.array([[1.0, -0.7], [0.0, 1.0]]))) < 1e-8
+    assert rm.unit_eigen_dim == 1
+    assert classify_orbit(rm) == MorseBottCandidate(1)
 
 
 def test_family_scan_torus_constant_period():
