@@ -114,7 +114,7 @@ def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", 
     """[x, *vectors] as float arrays: x a point (d,) or a stack (N, d), as
     ``point`` and ``stack`` allow, and each named vector of the shape of x,
     else ModeMismatch; OutOfRange for N = 0 or a non-finite entry."""
-    x = np.asarray(x, dtype=float)
+    x = _array(name, x)
     if not ((point and x.shape == (d,)) or (stack and x.ndim == 2 and x.shape[1] == d)):
         forms = [f"({d},)"] * point + [f"(N, {d})"] * stack
         raise ModeMismatch(f"{name} needs shape {' or '.join(forms)}, got {x.shape}")
@@ -124,7 +124,7 @@ def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", 
         raise OutOfRange(f"{name} must be finite")
     out = [x]
     for k, v in vectors.items():
-        out.append(np.asarray(v, dtype=float))
+        out.append(_array(k, v))
         if out[-1].shape != x.shape:
             raise ModeMismatch(f"{k} needs the shape of {name}, {x.shape}, got {out[-1].shape}")
         if not _finite(out[-1]):
@@ -208,8 +208,7 @@ class ContactChart:
     when given, returns its Jacobian G with G[i, j] = d lam_j / d x_i, and
     otherwise dlam goes through ``fd_gradient`` on ``lam``.  ``periods[i]``
     declares coordinate i as an angle with that period (None for a plain real
-    coordinate); ``domain`` is an optional membership test used by flow
-    integration.
+    coordinate).
     """
 
     n: int
@@ -217,7 +216,6 @@ class ContactChart:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "chart"
     periods: Optional[tuple] = None
-    domain: Optional[Callable[[np.ndarray], bool]] = None
 
     @property
     def dim(self) -> int:
@@ -264,16 +262,14 @@ class ContactChart:
         """Componentwise a - b, reduced to the nearest representative on angles."""
         return wrap_angles(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), self.periods)
 
-    def contains(self, x) -> bool:
-        return True if self.domain is None else bool(self.domain(np.asarray(x, dtype=float)))
-
 
 @dataclass(frozen=True)
 class PerturbationData:
-    """A positive factor f rescaling the contact form, with g = log f."""
+    """A positive factor f rescaling the contact form, with g = log f, and
+    its gradient ``grad_f(x)``, the d components of df at x."""
 
     f: Callable[[np.ndarray], float]
-    grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_f: Callable[[np.ndarray], np.ndarray]
 
     def f_at(self, x) -> float:
         """f(x), one finite number > 0, so g = log f exists (else ModeMismatch
@@ -284,18 +280,10 @@ class PerturbationData:
             raise OutOfRange(f"conformal factor must be positive and finite, got {fx}")
         return fx
 
-    def g_at(self, x) -> float:
-        return float(np.log(self.f_at(x)))
-
     def dg_at(self, x) -> np.ndarray:
+        """dg = df / f at x; OutOfRange when ``grad_f`` returns no numbers."""
         x = np.asarray(x, dtype=float)
-        if self.grad_f is not None:
-            return np.asarray(self.grad_f(x), dtype=float) / self.f_at(x)
-        return fd_gradient(self.g_at, x)
-
-    def dg_check(self, x) -> float:
-        """Gap between the declared dg and a finite-difference recomputation."""
-        return float(np.max(np.abs(self.dg_at(x) - fd_gradient(self.g_at, x))))
+        return _array("grad_f", self.grad_f(x)) / self.f_at(x)
 
 
 @dataclass(frozen=True)
@@ -415,7 +403,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     values give the rank check and the condition number, and the solve is
     one LU factorization.
     """
-    x = np.asarray(x, dtype=float)
+    x = _array("x", x)
     if x.shape != (chart.dim,) or not _finite(x):
         x = _points(chart.dim, x)[0]  # a stack, else it raises
         L, D, M = _dual_systems(chart, x)
@@ -436,7 +424,7 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     """Reeb field at a stack of points (N, d) via one stacked LU solve (hot
     path for variational integration); the rank test runs only when LU
     fails or gives a non-finite field, to name the first bad point."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _array("xs", xs)
     if xs.ndim != 2 or xs.shape[1] != chart.dim or not len(xs) or not _finite(xs):
         _points(chart.dim, xs, point=False, name="xs")  # raises the typed error
     L, _, M = _dual_systems(chart, xs)
@@ -517,7 +505,6 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart
         lam=lambda y: pert.f_at(y) * chart.lam(y),
         name=f"{chart.name}*f",
         periods=chart.periods,
-        domain=chart.domain,
     )
 
 

@@ -46,7 +46,7 @@ def growth_factor(gamma: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
     A scalar gamma gives a float, an array gives an array of the same shape;
     OutOfRange if any entry lies outside (0, 1/2)."""
-    g = np.asarray(gamma, dtype=float)
+    g = _array("gamma", gamma)
     if not np.all((0.0 < g) & (g < 0.5)):
         raise OutOfRange(f"gamma must lie strictly in (0, 1/2), got {gamma}")
     xi = (1.0 + np.sqrt(1.0 - 4.0 * g * g)) / (2.0 * g)
@@ -77,7 +77,7 @@ class IntervalSeq:
     gamma: Union[float, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "x", _array("x", self.x))
         # nan fails both comparisons, so this also rejects non-finite entries
         if not np.all((self.x >= 0) & (self.x < np.inf)):
             raise OutOfRange("sequence entries must be finite and nonnegative")
@@ -573,7 +573,7 @@ def action_charge(
     decay claim.
     """
     R = _require_real("R", R, 0)
-    w_samples = np.asarray(w_samples, dtype=float)
+    w_samples = _array("w_samples", w_samples)
     if w_samples.ndim != 3 or w_samples.shape[2] != chart.dim:
         raise ModeMismatch(
             f"need samples of shape (n_tau, n_t, {chart.dim}), got {w_samples.shape}"

@@ -6,9 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _angle_columns, _points, _record, _require_int, _require_real
+from .core import ContactChart, _angle_columns, _array, _points, _record, _require_int, _require_real
 from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
-from .errors import LeftChartDomain, NoConvergence, SingularChart
+from .errors import NoConvergence, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
 ORBIT_CLOSURE_TOL = 1e-8
@@ -81,10 +81,10 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     """Integrate x' = X_lam(x) with the variations Y' = DX_lam(x) Y, Y(0) = V.
 
     One adaptive DOP853 run (the 8th-order Dormand-Prince pair, see RTOL) over
-    [0, T] of the state [x, Y] with ``V`` of shape (d, k).  Every right-hand
-    side checks the chart domain.  With k = 0 it is one Reeb solve, whose
-    worst defining-equation residual is tracked; with k > 0 it is one batched
-    solve for the field and its Jacobian.  Returns
+    [0, T] of the state [x, Y] with ``V`` of shape (d, k).  With k = 0 each
+    right-hand side is one Reeb solve, whose worst defining-equation residual
+    is tracked; with k > 0 it is one batched solve for the field and its
+    Jacobian.  Returns
     (times, states, max_residual); each state row is [x, Y.ravel()] and
     max_residual stays 0 when k > 0.
     """
@@ -96,8 +96,6 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     def rhs(t, y):
         nonlocal max_residual
         x = y[:d]
-        if not chart.contains(x):
-            raise LeftChartDomain(f"{chart.name}: left domain at t={t:g}, x={x}")
         if k == 0:
             sol = reeb_solve(chart, x)
             max_residual = max(max_residual, sol.residual)
@@ -116,8 +114,7 @@ def flow(chart: ContactChart, x0, T: float, steps: int = 200) -> Trajectory:
     """Integrate the Reeb flow for time T from x0, sampled at steps + 1 equally
     spaced times.
 
-    Raises LeftChartDomain when the trajectory leaves the chart domain and
-    OutOfRange for steps < 1, which would stop the samples at t = 0.
+    Raises OutOfRange for steps < 1, which would stop the samples at t = 0.
     """
     _require_int("steps", steps, 1)
     T = _require_real("T", T)
@@ -136,13 +133,12 @@ def monodromy(chart: ContactChart, x0, T, V=None):
 
     ``V`` (d x k, default the identity, so the full dphi^T(x0)) holds the
     tangent vectors to carry; only those k columns are integrated, and with
-    k = 0 the run is the flow alone.  Raises LeftChartDomain when the
-    trajectory leaves the chart domain.
+    k = 0 the run is the flow alone.
     """
     T = _require_real("T", T)
     x0 = _points(chart.dim, x0, stack=False, name="x0")[0]
     d = chart.dim
-    V = np.eye(d) if V is None else np.asarray(V, dtype=float)
+    V = np.eye(d) if V is None else _array("V", V)
     if V.shape != (d, 0):  # the k tangent vectors, one row each
         V = _points(d, V.T, point=False, name="V.T")[0].T
     _, states, _ = _integrate(chart, x0, T, V)
@@ -249,14 +245,11 @@ def find_closed_orbit(
     history = []
     for it in range(MAX_NEWTON_STEPS):
         x = x0 + S @ c
-        try:
-            if fix_point:
-                traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
-                end, MS = traj.end, S
-            else:
-                end, MS = monodromy(chart, x, T, S)
-        except LeftChartDomain:
-            raise NoConvergence(it, np.inf, history)
+        if fix_point:
+            traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
+            end, MS = traj.end, S
+        else:
+            end, MS = monodromy(chart, x, T, S)
         raw = end - x
         if it == 0:  # the lattice offset of the first shot, kept for every later one
             cols, P = _angle_columns(chart.periods)
@@ -356,9 +349,9 @@ def orbit_family_scan(
     """Continue the seed orbit in transverse directions and track periods.
 
     ``directions`` is one vector (d,) or a stack (N, d) of them.  Failures
-    at individual samples (no convergence, a singular chart, a trajectory
-    leaving the chart) are recorded per sample, not raised; the spread
-    max|T_i - T_seed| is taken over the converged samples.
+    at individual samples (no convergence, a singular chart) are recorded
+    per sample, not raised; the spread max|T_i - T_seed| is taken over the
+    converged samples.
     """
     _require_int("n_samples", n_samples, 1)
     step = _require_real("step", step, 0)
@@ -375,7 +368,7 @@ def orbit_family_scan(
                 periods.append(orb.period)
             except NoConvergence as err:
                 rows.append(FamilySample(di, s, None, err.residual, False, tuple(err.history)))
-            except (SingularChart, LeftChartDomain):
+            except SingularChart:
                 rows.append(FamilySample(di, s, None, np.inf, False))
     spread = float(max(abs(T - seed.period) for T in periods)) if periods else np.nan
     return FamilyScan(seed.period, rows, spread, sum(1 for r in rows if not r.converged))

@@ -13,10 +13,6 @@ class IncompatibleJ(ContactLabError):
     """An almost complex structure fails its compatibility check."""
 
 
-class LeftChartDomain(ContactLabError):
-    """A trajectory left the declared chart domain."""
-
-
 class NoConvergence(ContactLabError):
     """Newton-type iteration failed to converge."""
 
@@ -32,17 +28,17 @@ class NoConvergence(ContactLabError):
 class NotContact(ContactLabError):
     """A one-form failed the contact condition on the requested region."""
 
-    def __init__(self, radius, message=""):
+    def __init__(self, radius, message):
         self.radius = radius
-        super().__init__(message or f"not a contact form at radius {radius:g}")
+        super().__init__(message)
 
 
 class BadBlocks(ContactLabError):
     """Block data for an adapted complex structure violates a precondition."""
 
-    def __init__(self, which, message=""):
+    def __init__(self, which, message):
         self.which = which
-        super().__init__(message or f"bad block data: {which}")
+        super().__init__(message)
 
 
 class AsymmetricHessian(ContactLabError):

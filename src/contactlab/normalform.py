@@ -39,10 +39,10 @@ class MorseBottSetup:
     """Pre-contact base data (Q, theta, X_theta, splitting).
 
     dim Q = 1 + m + 2g; ``theta(q)`` and ``x_theta(q)`` return the dim_q
-    components of the form and of the field at q, and ``theta_grad(q)``, when
-    given, the Jacobian G[i, j] = d theta_j / d q_i (finite differences
-    otherwise).  ``n_basis`` spans the integrable complement H inside
-    ker d theta, ``g_basis`` a symplectic complement of ker d theta in TQ.
+    components of the form and of the field at q, and ``theta_grad(q)`` the
+    Jacobian G[i, j] = d theta_j / d q_i.  ``n_basis`` spans the integrable
+    complement H inside ker d theta, ``g_basis`` a symplectic complement of
+    ker d theta in TQ.
     Frames are constant vectors in the base coordinates (flat models).
     """
 
@@ -50,7 +50,7 @@ class MorseBottSetup:
     x_theta: Callable[[np.ndarray], np.ndarray]
     n_basis: tuple  # m constant vectors, each of length dim_q
     g_basis: tuple  # 2g constant vectors
-    theta_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    theta_grad: Callable[[np.ndarray], np.ndarray]
     periods: Optional[tuple] = None
     name: str = "setup"
 
@@ -66,19 +66,9 @@ class MorseBottSetup:
     def g(self) -> int:
         return len(self.g_basis) // 2
 
-    def theta_jacobian(self, q) -> np.ndarray:
-        """G[i, j] = d theta_j / d q_i at q."""
-        q = np.asarray(q, dtype=float)
-        return self.theta_grad(q) if self.theta_grad is not None else fd_gradient(self.theta, q)
-
-    def dtheta_at(self, q) -> np.ndarray:
-        G = self.theta_jacobian(q)
-        return G - G.T
-
-    def splitting_matrix(self, q=None) -> np.ndarray:
-        """Columns [X_theta | N | G] in base coordinates, each a finite (dim_q,)."""
-        q0 = np.zeros(self.dim_q) if q is None else _points(self.dim_q, q, stack=False, name="q")[0]
-        cols = [self.x_theta(q0), *self.n_basis, *self.g_basis]
+    def splitting_matrix(self) -> np.ndarray:
+        """Columns [X_theta | N | G] at q = 0, each a finite (dim_q,)."""
+        cols = [self.x_theta(np.zeros(self.dim_q)), *self.n_basis, *self.g_basis]
         return np.column_stack([_array(f"{self.name}: column {j} of [X_theta | N | G]", v, (self.dim_q,))
                                 for j, v in enumerate(cols)])
 
@@ -86,7 +76,7 @@ class MorseBottSetup:
         """(theta, X_theta, d theta) at q, each finite and (dim_q,) or
         (dim_q, dim_q), else OutOfRange or ModeMismatch."""
         shape = (self.dim_q,)
-        G = _array(f"{self.name}: the Jacobian of theta", self.theta_jacobian(q), shape * 2)
+        G = _array(f"{self.name}: the Jacobian of theta", self.theta_grad(q), shape * 2)
         return (_array(f"{self.name}: theta", self.theta(q), shape),
                 _array(f"{self.name}: x_theta", self.x_theta(q), shape), G - G.T)
 
@@ -171,8 +161,9 @@ class ThickeningChart:
         x[: self.dim_q] = _points(self.dim_q, q, stack=False, name="q")[0]
         return x
 
-    def omega_tilde(self, x) -> np.ndarray:
-        """Matrix of the extended fiberwise two-form at x (E-fiber block)."""
+    def omega_tilde(self) -> np.ndarray:
+        """Matrix of the extended fiberwise two-form (E-fiber block), the same
+        at every point of the flat model."""
         D = np.zeros((self.dim, self.dim))
         s = self.dim_q + self.m
         D[s:, s:] = self.Omega
@@ -201,7 +192,7 @@ def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
 
     def grad(x):
         G = G_fibers.copy()
-        G[:dq, :dq] = setup.theta_jacobian(x[:dq])
+        G[:dq, :dq] = setup.theta_grad(x[:dq])
         return G
 
     return lam, grad, N_co
@@ -304,7 +295,7 @@ def build_thickening(
     Omega is 2k x 2k with k = Omega.shape[0] // 2 (else BadBlocks), and the
     set-up's ``base_data`` at q = 0 is checked and its splitting a basis.
     """
-    Omega = np.asarray(Omega, dtype=float)
+    Omega = _array("Omega", Omega)
     Omega = Omega.reshape(0, 0) if Omega.size == 0 else np.atleast_2d(Omega)
     k = Omega.shape[0] // 2
     if Omega.shape != (2 * k, 2 * k):
@@ -387,8 +378,8 @@ def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
 
     worst_scale = 0.0
     worst_cartan = 0.0
+    Om = tc.omega_tilde()  # the flat model's Omega~, the same at x and at R_c x
     for x in points:
-        Om = tc.omega_tilde(x)  # the flat model's Omega~ is the same at x and at R_c x
         for _ in range(4):
             v = rng.standard_normal(dim)
             w = rng.standard_normal(dim)
@@ -427,11 +418,12 @@ def _check_tamed(J_blk: np.ndarray, omega: np.ndarray, label: str):
         raise BadBlocks(label, f"{label} not omega-tamed (positivity)")
 
 
-def _structure_matrix(tc: ThickeningChart, q=None) -> np.ndarray:
+def _structure_matrix(tc: ThickeningChart) -> np.ndarray:
     """Coordinate columns [X | N | G | MU | E] of the splitting RX + N + G +
-    T*N + E: the base splitting matrix and the fiber identity, block diagonal."""
+    T*N + E at q = 0: the base splitting matrix and the fiber identity, block
+    diagonal."""
     P = np.zeros((tc.dim, tc.dim))
-    P[: tc.dim_q, : tc.dim_q] = tc.setup.splitting_matrix(q)
+    P[: tc.dim_q, : tc.dim_q] = tc.setup.splitting_matrix()
     P[tc.dim_q :, tc.dim_q :] = np.eye(tc.dim - tc.dim_q)
     return P
 
@@ -454,10 +446,10 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B) -> AdaptedJ:
     B = _array("B", B, (k2, g2))
 
     q0 = np.zeros(tc.dim_q)
-    P = _structure_matrix(tc, q0)
+    P = _structure_matrix(tc)
     m, dq = tc.m, tc.dim_q
     Gcols = P[:dq, 1 + m : dq]
-    omega_G = Gcols.T @ tc.setup.dtheta_at(q0) @ Gcols
+    omega_G = Gcols.T @ tc.setup.base_data(q0)[2] @ Gcols
     _check_tamed(J_G, omega_G, "J_G")
     _check_tamed(J_E, tc.Omega, "J_E")
     if B.size and np.max(np.abs(B @ J_G)) > COUPLING_TOL:
@@ -477,7 +469,7 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B) -> AdaptedJ:
 
     Pi = xi_projection_matrix(tc.chart, tc.zero_section_point(q0))
     square_defect = float(np.max(np.abs(Jmat @ Jmat + Pi)))
-    ok, _ = check_adapted(tc, Jmat, q0)
+    ok, _ = check_adapted(tc, Jmat)
     return AdaptedJ(J_G, J_E, B, Jmat, square_defect, bool(ok))
 
 
@@ -491,16 +483,17 @@ class AdaptedDiagnostics:
     gj_dim: int
 
 
-def check_adapted(tc: ThickeningChart, J, q=None):
-    """Two equivalent adaptedness tests for an endomorphism at the zero section.
+def check_adapted(tc: ThickeningChart, J):
+    """Two equivalent adaptedness tests for an endomorphism J, a finite
+    (tc.dim, tc.dim) array, at the zero section over q = 0.
 
     Containment: J TQ lies inside TQ + J N (rank of the stacked spans does
     not exceed dim TQ + m).  Splitting: TQ is the direct sum of TQ intersect
     J TQ and the characteristic directions RX + N.  Both are computed, with
     ranks at the relative cutoff ADAPTED_RANK_TOL, and must agree.
     """
-    J = np.asarray(J, dtype=float)
-    P = _structure_matrix(tc, q)
+    J = _array("J", J, (tc.dim, tc.dim))
+    P = _structure_matrix(tc)
     TQ, TF, N = P[:, : tc.dim_q], P[:, : 1 + tc.m], P[:, 1 : 1 + tc.m]
     JN = J @ N
     JTQ = J @ TQ

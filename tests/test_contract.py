@@ -3,13 +3,14 @@ raises a typed error.
 
 Each callable in ``contactlab.__all__``, and ``core.reeb_batch``, has one
 valid call here and strategies that break one argument at a time: wrong
-shapes, NaN and +-inf, zero and negative sizes, bools or floats where a count
-belongs, and callable arguments (a chart's ``lam`` and ``grad``, a factor
-``f``, a set-up's ``theta``, ``S`` and ``S_of_tau``) that return a wrong
-shape, a NaN or +-inf entry or no numbers; every entry that takes a chart
-breaks it.  A broken argument must raise a ``ContactLabError`` (pyproject
-makes a ``RuntimeWarning`` an error, so a warning fails too), and a valid call
-must return finite arrays.  The record types the library returns are listed
+shapes, NaN and +-inf, arrays that are not numbers, zero and negative sizes,
+bools or floats where a count belongs, and callable arguments (a chart's
+``lam`` and ``grad``, a factor ``f`` and ``grad_f``, a set-up's ``theta`` and
+``theta_grad``, ``S`` and ``S_of_tau``) that return a wrong shape, a NaN or
++-inf entry or no numbers; every entry that takes a chart breaks it.  A
+broken argument must raise a ``ContactLabError`` (pyproject makes a
+``RuntimeWarning`` an error, so a warning fails too), and a valid call must
+return finite arrays.  The record types the library returns are listed
 apart; any other public callable without an entry fails the meta-check, so a
 new public function cannot skip the contract.
 
@@ -18,7 +19,7 @@ public callable of the package, so adding or dropping one shows up as a
 change of that table.  And every public function and class of the library's
 computing modules must have a caller in the library (``NO_LIBRARY_CALLER``
 names the few whose callers are elsewhere), so no public API lives for its
-tests alone.
+tests alone, and every error class of ``errors.py`` must be raised there.
 
 The regression cases below name what each one did before it raised.
 """
@@ -59,8 +60,14 @@ def bad_count(lo):
     return st.one_of(st.integers(max_value=lo - 1), st.booleans(), NONFINITE, st.floats(-1e3, 1e3))
 
 
+# values that are not an array of numbers: a string, a list holding a string
+# and a ragged list
+NOT_NUMBERS = st.sampled_from(["x", [0.1, "x"], [[0.1], [0.1, 0.2]]])
+
+
 def bad_array(good, shapes=()):
-    """``good`` with one entry made non-finite, or an array of a wrong shape."""
+    """``good`` with one entry made non-finite, an array of a wrong shape, or
+    ``NOT_NUMBERS``."""
     good = np.asarray(good, dtype=float)
 
     def spoil(args):
@@ -69,8 +76,10 @@ def bad_array(good, shapes=()):
         out.flat[i % out.size] = value
         return out
 
-    spoiled = st.tuples(st.integers(0, 10**6), NONFINITE).map(spoil)
-    return st.one_of(spoiled, st.sampled_from(shapes).map(lambda s: np.full(s, 0.1))) if shapes else spoiled
+    parts = [st.tuples(st.integers(0, 10**6), NONFINITE).map(spoil), NOT_NUMBERS]
+    if shapes:
+        parts.append(st.sampled_from(shapes).map(lambda s: np.full(s, 0.1)))
+    return st.one_of(*parts)
 
 
 def bad_points(d, point=True, stack=True):
@@ -120,7 +129,7 @@ DARBOUX = models.darboux_chart(1)
 TORUS = models.torus_chart()
 P3 = np.array([0.1, 0.2, 0.3])
 STACK3 = np.array([[0.1, 0.2, 0.3], [-0.2, 0.4, 0.1]])
-PERT = core.PerturbationData(lambda x: 2.0 + np.sin(x[0]))
+PERT = core.PerturbationData(lambda x: 2.0 + np.sin(x[0]), lambda x: np.array([np.cos(x[0]), 0.0, 0.0]))
 STD = np.array([[0.0, 1.0], [-1.0, 0.0]])
 JSTD = np.array([[0.0, -1.0], [1.0, 0.0]])
 CIRCLE = normalform.circle_setup()
@@ -131,6 +140,7 @@ TORUS_SETUP = normalform.torus_setup()
 SHORT_N = dataclasses.replace(CIRCLE, n_basis=(np.array([1.0]),))
 PARALLEL_N = dataclasses.replace(TORUS_SETUP, n_basis=(np.array([1.0, 0.0]),))
 BAD_SETUPS = st.one_of(bad_callables(CIRCLE.theta).map(lambda f: dataclasses.replace(CIRCLE, theta=f)),
+                       bad_callables(CIRCLE.theta_grad).map(lambda f: dataclasses.replace(CIRCLE, theta_grad=f)),
                        st.sampled_from([SHORT_N, PARALLEL_N]))
 
 
@@ -165,7 +175,7 @@ CONTRACT = {
     "ContactChart": Entry(core.ContactChart, lambda: dict(n=1, lam=DARBOUX.lam, periods=(1.0, None, None)), {
         "n": bad_count(0),
         "periods": st.one_of(bad_real(0).map(lambda P: (P, None, None)), st.just((1.0, None)))}),
-    "PerturbationData": Entry(core.PerturbationData, lambda: dict(f=lambda x: 2.0)),
+    "PerturbationData": Entry(core.PerturbationData, lambda: dict(f=lambda x: 2.0, grad_f=lambda x: np.zeros(3))),
     "contact_volume": Entry(core.contact_volume, lambda: dict(chart=DARBOUX, x=STACK3),
                             {"x": bad_points(3), "chart": bad_charts(DARBOUX)}),
     "flat_dual": Entry(core.flat_dual, lambda: dict(chart=DARBOUX, alpha=P3[::-1], x=P3), {
@@ -175,7 +185,9 @@ CONTRACT = {
     "perturbed_projection": Entry(core.perturbed_projection, lambda: dict(chart=DARBOUX, pert=PERT, Z=P3, x=P3), {
         "Z": bad_points(3, stack=False), "x": bad_points(3, stack=False), "chart": bad_charts(DARBOUX)}),
     "perturbed_reeb": Entry(core.perturbed_reeb, lambda: dict(chart=DARBOUX, pert=PERT, x=P3), {
-        "x": bad_points(3, stack=False), "pert": bad_callables(PERT.f).map(core.PerturbationData),
+        "x": bad_points(3, stack=False),
+        "pert": st.one_of(bad_callables(PERT.f).map(lambda f: core.PerturbationData(f, PERT.grad_f)),
+                          bad_callables(PERT.grad_f).map(lambda g: core.PerturbationData(PERT.f, g))),
         "chart": bad_charts(DARBOUX)}),
     "reeb_solve": Entry(core.reeb_solve, lambda: dict(chart=TORUS, x=STACK3),
                         {"x": bad_points(3), "chart": bad_charts(TORUS)}),
@@ -208,7 +220,7 @@ CONTRACT = {
         "fiber_pts": st.one_of(bad_count(1), st.sampled_from([1, 2])), "base_pts": bad_count(1)}),
     "check_adapted": Entry(normalform.check_adapted, lambda: dict(
         tc=thickening(), J=normalform.make_adapted_J(thickening(), np.zeros((0, 0)), JSTD, np.zeros((2, 0))).matrix),
-        {"q": bad_points(1, stack=False)}),
+        {"J": bad_array(np.eye(3), [(3, 2), (3,), (4, 4)])}),
     "make_adapted_J": Entry(normalform.make_adapted_J, lambda: dict(
         tc=thickening(), J_G=np.zeros((0, 0)), J_E=JSTD, B=np.zeros((2, 0))), {
         "J_G": st.sampled_from([np.zeros(0), np.eye(2), "x"]), "J_E": bad_array(JSTD, [(4,), (1, 2), ()]),
@@ -248,7 +260,7 @@ CONTRACT = {
         operator(), None, np.ones((32, 2)), R=20.0, n_tau=100))),
     "gamma_of_c": Entry(decay.gamma_of_c, lambda: dict(c=0.5), {"c": st.one_of(bad_real(0), st.floats(709.0, 1e308))}),
     "growth_factor": Entry(decay.growth_factor, lambda: dict(gamma=0.3),
-                           {"gamma": st.one_of(bad_real(0), st.just(0.5), st.just([0.3, np.nan]))}),
+                           {"gamma": st.one_of(bad_real(0), st.just(0.5), st.just([0.3, np.nan]), NOT_NUMBERS)}),
     "random_hypothesis_sequences": Entry(decay.random_hypothesis_sequences, lambda: dict(
         rng=np.random.default_rng(0), n_seq=3, N=5), {"n_seq": bad_count(1), "N": bad_count(1)}),
     # 20 steps, fine enough for the Crank-Nicolson march a broken S_of_tau starts
@@ -283,8 +295,7 @@ KEYWORDS = {
     "cli.emit_report": ("fmt",),
     "cli.main": ("argv",),
     "cli.run_scenario": ("seed_override",),
-    "core.ContactChart": ("grad", "name", "periods", "domain"),
-    "core.PerturbationData": ("grad_f",),
+    "core.ContactChart": ("grad", "name", "periods"),
     "core.unwrap_angles": ("axis",),
     "decay.FlatTorusQ": ("dim", "periods"),
     "decay.solve_cylinder": ("n_t", "method", "S_of_tau"),
@@ -294,14 +305,10 @@ KEYWORDS = {
     "dynamics.flow": ("steps",),
     "dynamics.monodromy": ("V",),
     "dynamics.orbit_family_scan": ("n_samples", "step"),
-    "errors.BadBlocks": ("message",),
     "errors.NoConvergence": ("history",),
-    "errors.NotContact": ("message",),
     "models.darboux_chart": ("n", "scale"),
-    "normalform.MorseBottSetup": ("theta_grad", "periods", "name"),
-    "normalform.MorseBottSetup.splitting_matrix": ("q",),
+    "normalform.MorseBottSetup": ("periods", "name"),
     "normalform.build_thickening": ("radius", "fiber_pts", "base_pts"),
-    "normalform.check_adapted": ("q",),
     "normalform.contact_tube_radius": ("fiber_pts", "base_pts"),
     "spectral.SpectralOperator": ("_matrix", "_eigenvalues"),
     "spectral.SpectralOperator.grid_from_coefficients": ("n_t",),
@@ -475,9 +482,7 @@ RAW = {
     "thickening_parallel_n_basis": (SingularChart, lambda: normalform.build_thickening(PARALLEL_N, np.zeros((0, 0)))),
     # used to end in a TypeError from float()
     "perturbed_reeb_vector_f": (ModeMismatch, lambda: core.perturbed_reeb(
-        DARBOUX, core.PerturbationData(lambda x: np.array([2.0, 1.0])), P3)),
-    # used to end in a RuntimeWarning from np.log
-    "dg_check_negative_f": (OutOfRange, lambda: core.PerturbationData(lambda x: -1.0).dg_check(P3)),
+        DARBOUX, core.PerturbationData(lambda x: np.array([2.0, 1.0]), lambda x: np.zeros(3)), P3)),
     # used to end in a ValueError from np.asarray
     "reeb_solve_string_lambda": (OutOfRange, lambda: core.reeb_solve(core.ContactChart(1, lambda x: "abc"), P3)),
     "assemble_operator_string_S": (OutOfRange, lambda: spectral.assemble_operator(
@@ -673,3 +678,45 @@ def test_the_dead_api_guard_finds_an_uncalled_function():
         "cli": ast.parse("from . import core as c\nfrom .core import by_name\n\nc.used()\nby_name()\n"),
     }
     assert uncalled_api(trees) == ["core.recursive", "core.Record"]
+
+
+# ---------------------------------------------------------------------------
+# no dead error class: every ContactLabError subclass of errors.py is raised
+# somewhere in the library
+
+
+def raised_names(trees: dict) -> set:
+    """Names the ``raise Name`` and ``raise Name(...)`` statements of the
+    parsed modules ``trees`` raise."""
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def unraised_errors(trees: dict) -> list:
+    """Each class of the ``errors`` tree, but its base ContactLabError, that no
+    ``raise`` of ``trees`` names."""
+    raised = raised_names(trees)
+    return [node.name for node in trees["errors"].body
+            if isinstance(node, ast.ClassDef) and node.name != "ContactLabError" and node.name not in raised]
+
+
+def test_every_error_class_is_raised_in_the_library():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(LIBRARY.glob("*.py"))}
+    assert unraised_errors(trees) == []
+
+
+def test_the_dead_error_guard_finds_an_unraised_class():
+    trees = {
+        "errors": ast.parse("class ContactLabError(Exception):\n    pass\n\n\nclass Raised(ContactLabError):\n"
+                            "    pass\n\n\nclass Bare(ContactLabError):\n    pass\n\n\n"
+                            "class Caught(ContactLabError):\n    pass\n"),
+        "core": ast.parse("def f():\n    try:\n        raise Raised('x') from None\n    except Caught:\n"
+                          "        raise Bare\n"),
+    }
+    assert unraised_errors(trees) == ["Caught"]

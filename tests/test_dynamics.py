@@ -1,7 +1,5 @@
 """Flows, closed orbits, return maps, and family scans."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from contactlab.dynamics import (
     orbit_family_scan,
     return_map,
 )
-from contactlab.errors import LeftChartDomain, NoConvergence, OutOfRange, SingularChart
+from contactlab.errors import NoConvergence, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
     perturbed_tube_chart,
@@ -64,26 +62,6 @@ def test_flow_preserves_unit_speed():
         lam = ch.lambda_at(x)
         X = dynamics.reeb_solve(ch, x).vector
         assert abs(lam @ X - 1) < 1e-10
-
-
-def test_flow_leaves_domain():
-    ch = ContactChart(
-        n=1,
-        lam=darboux_chart(1).lam,
-        grad=darboux_chart(1).grad,
-        domain=lambda x: abs(x[2]) < 0.5,
-    )
-    with pytest.raises(LeftChartDomain):
-        flow(ch, [0.0, 0.0, 0.0], 1.0)
-
-
-def test_monodromy_enforces_chart_domain():
-    # the torus flow runs along t1 and leaves |t1| < 0.5 at time 0.4
-    ch = dataclasses.replace(torus_chart(), domain=lambda x: abs(x[0]) < 0.5)
-    with pytest.raises(LeftChartDomain):
-        dynamics.monodromy(ch, [0.1, 0.2, 0.0], 1.0)
-    with pytest.raises(NoConvergence):
-        find_closed_orbit(ch, [0.1, 0.2, 0.0], 1.1)
 
 
 CHARTS = {
@@ -362,7 +340,7 @@ def test_family_scan_records_chart_failures_per_sample(monkeypatch):
         if len(calls) == 2:
             raise SingularChart("singular at the second sample")
         if len(calls) == 3:
-            raise LeftChartDomain("left the chart at the third sample")
+            raise SingularChart("singular at the third sample")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "find_closed_orbit", flaky)

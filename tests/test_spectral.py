@@ -431,7 +431,7 @@ def test_linearized_operator_hypothesis_checked():
     bad = PerturbationData(lambda x: 2.0, lambda x: np.zeros(3))
     with pytest.raises(HypothesisViolated):
         asymptotic_operator(ch, orb, 15, pert=bad)
-    bad_df = PerturbationData(lambda x: float(np.exp(x[1])), None)
+    bad_df = PerturbationData(lambda x: float(np.exp(x[1])), lambda x: np.array([0.0, np.exp(x[1]), 0.0]))
     with pytest.raises(HypothesisViolated):
         asymptotic_operator(ch, orb, 15, pert=bad_df)
 
