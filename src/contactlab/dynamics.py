@@ -73,8 +73,9 @@ def _reeb_and_jacobian(chart: ContactChart, x):
 
 
 def reeb_jacobian(chart: ContactChart, x) -> np.ndarray:
-    """Jacobian of the Reeb field by centered differences (batched solves)."""
-    return _reeb_and_jacobian(chart, np.asarray(x, dtype=float))[1]
+    """Jacobian of the Reeb field at a point x (d,) by centered differences
+    (batched solves)."""
+    return _reeb_and_jacobian(chart, _points(chart.dim, x, stack=False)[0])[1]
 
 
 def _integrate(chart: ContactChart, x0, T, V, t_eval=None):

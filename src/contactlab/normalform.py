@@ -8,23 +8,21 @@ its structural identities (zero-section pullback, Reeb lift, the splitting
 of the contact distribution, radial scaling), and constructs / tests complex
 structures adapted to the base.
 
-The set-up gives theta and X_theta as callables of the base point, like a
-chart's ``lam``.  On coordinates (q, mu, e) the canonical form is
-lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2: one callable for
-its coefficients and one for its Jacobian, which is constant apart from the
-d theta block.
-
 Everything here works in flat trivializations: the splitting frames are
 constant in the base coordinates and the bundle connection is the trivial
 one, which satisfies the required invariance axioms in these model charts.
+A set-up is data, read once at construction: theta is affine in q and
+X_theta constant.  On coordinates x = (q, mu, e) the canonical form
+lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 is then one affine
+form c + x . G_F, whose Jacobian G_F is constant.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import _RANK_TOL, ContactChart, _array, _points, _require_int, _require_real, contact_volume
+from .core import _RANK_TOL, ContactChart, _array, _points, _record, _require_int, _require_real, contact_volume
 from .core import fd_gradient, reeb_solve, xi_projection_matrix
 from .errors import BadBlocks, NotContact, OutOfRange, SingularChart
 
@@ -36,23 +34,32 @@ ADAPTED_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MorseBottSetup:
-    """Pre-contact base data (Q, theta, X_theta, splitting).
+    """Pre-contact base data (Q, theta, X_theta, splitting) of a flat model.
 
-    dim Q = 1 + m + 2g; ``theta(q)`` and ``x_theta(q)`` return the dim_q
-    components of the form and of the field at q, and ``theta_grad(q)`` the
-    Jacobian G[i, j] = d theta_j / d q_i.  ``n_basis`` spans the integrable
-    complement H inside ker d theta, ``g_basis`` a symplectic complement of
-    ker d theta in TQ.
-    Frames are constant vectors in the base coordinates (flat models).
+    dim Q = 1 + m + 2g.  theta(q) = theta0 + q . theta_grad, with the
+    constant Jacobian theta_grad[i, j] = d theta_j / d q_i, and X_theta is a
+    constant vector.  ``n_basis`` spans the integrable complement H inside
+    ker d theta, ``g_basis`` a symplectic complement of ker d theta in TQ,
+    each a tuple of constant vectors.  Every field is read once, here: a
+    wrong shape raises ModeMismatch, a non-finite entry or a value that is
+    not numbers OutOfRange.
     """
 
-    theta: Callable[[np.ndarray], np.ndarray]
-    x_theta: Callable[[np.ndarray], np.ndarray]
-    n_basis: tuple  # m constant vectors, each of length dim_q
-    g_basis: tuple  # 2g constant vectors
-    theta_grad: Callable[[np.ndarray], np.ndarray]
+    theta0: np.ndarray
+    theta_grad: np.ndarray
+    x_theta: np.ndarray
+    n_basis: tuple  # m vectors, each of length dim_q
+    g_basis: tuple  # 2g vectors
     periods: Optional[tuple] = None
     name: str = "setup"
+
+    def __post_init__(self):
+        vec = (self.dim_q,)
+        for field, shape in (("theta0", vec), ("theta_grad", vec * 2), ("x_theta", vec)):
+            object.__setattr__(self, field, _array(f"{self.name}: {field}", getattr(self, field), shape))
+        for field in ("n_basis", "g_basis"):
+            vectors = (_array(f"{self.name}: {field}[{j}]", v, vec) for j, v in enumerate(getattr(self, field)))
+            object.__setattr__(self, field, tuple(vectors))
 
     @property
     def dim_q(self) -> int:
@@ -66,45 +73,29 @@ class MorseBottSetup:
     def g(self) -> int:
         return len(self.g_basis) // 2
 
-    def splitting_matrix(self) -> np.ndarray:
-        """Columns [X_theta | N | G] at q = 0, each a finite (dim_q,)."""
-        cols = [self.x_theta(np.zeros(self.dim_q)), *self.n_basis, *self.g_basis]
-        return np.column_stack([_array(f"{self.name}: column {j} of [X_theta | N | G]", v, (self.dim_q,))
-                                for j, v in enumerate(cols)])
+    def theta(self, q) -> np.ndarray:
+        """theta at a base point q (dim_q,), or at each row of a stack."""
+        return self.theta0 + q @ self.theta_grad
 
-    def base_data(self, q):
-        """(theta, X_theta, d theta) at q, each finite and (dim_q,) or
-        (dim_q, dim_q), else OutOfRange or ModeMismatch."""
-        shape = (self.dim_q,)
-        G = _array(f"{self.name}: the Jacobian of theta", self.theta_grad(q), shape * 2)
-        return (_array(f"{self.name}: theta", self.theta(q), shape),
-                _array(f"{self.name}: x_theta", self.x_theta(q), shape), G - G.T)
+    @property
+    def dtheta(self) -> np.ndarray:
+        """Matrix of the constant two-form d theta."""
+        return self.theta_grad - self.theta_grad.T
+
+    def splitting_matrix(self) -> np.ndarray:
+        """Columns [X_theta | N | G]."""
+        return np.column_stack([self.x_theta, *self.n_basis, *self.g_basis])
 
 
 def circle_setup() -> MorseBottSetup:
     """Q = S^1 with theta = d t: m = 0, g = 0 (prequantization-type base)."""
-    return MorseBottSetup(
-        theta=lambda q: np.array([1.0]),
-        x_theta=lambda q: np.array([1.0]),
-        n_basis=(),
-        g_basis=(),
-        theta_grad=lambda q: np.zeros((1, 1)),
-        periods=(1.0,),
-        name="circle",
-    )
+    return MorseBottSetup([1.0], [[0.0]], [1.0], (), (), periods=(1.0,), name="circle")
 
 
 def torus_setup() -> MorseBottSetup:
     """Q = T^2 with theta = d t1, H spanned by d/d t2: m = 1, g = 0."""
-    return MorseBottSetup(
-        theta=lambda q: np.array([1.0, 0.0]),
-        x_theta=lambda q: np.array([1.0, 0.0]),
-        n_basis=(np.array([0.0, 1.0]),),
-        g_basis=(),
-        theta_grad=lambda q: np.zeros((2, 2)),
-        periods=(1.0, 1.0),
-        name="torus",
-    )
+    return MorseBottSetup([1.0, 0.0], np.zeros((2, 2)), [1.0, 0.0], ([0.0, 1.0],), (), periods=(1.0, 1.0),
+                          name="torus")
 
 
 def mixed_setup() -> MorseBottSetup:
@@ -113,19 +104,11 @@ def mixed_setup() -> MorseBottSetup:
     ker d theta is spanned by d/dt1 and d/dt2, d theta restricts to the
     standard symplectic form on the (a, b) plane.
     """
-    dim = 4
-    G = np.zeros((dim, dim))
+    e = np.eye(4)
+    G = np.zeros((4, 4))
     G[3, 2] = -0.5  # d/db of the da coefficient -b/2
     G[2, 3] = 0.5  # d/da of the db coefficient a/2
-    return MorseBottSetup(
-        theta=lambda q: np.array([1.0, 0.0, -0.5 * q[3], 0.5 * q[2]]),
-        x_theta=lambda q: np.array([1.0, 0.0, 0.0, 0.0]),
-        n_basis=(np.array([0.0, 1.0, 0.0, 0.0]),),
-        g_basis=(np.eye(dim)[:, 2], np.eye(dim)[:, 3]),
-        theta_grad=lambda q: G,
-        periods=(1.0, 1.0, None, None),
-        name="mixed",
-    )
+    return MorseBottSetup(e[0], G, e[0], (e[1],), (e[2], e[3]), periods=(1.0, 1.0, None, None), name="mixed")
 
 
 @dataclass(frozen=True)
@@ -171,10 +154,11 @@ class ThickeningChart:
 
 
 def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
-    """lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 on (q, mu, e).
+    """lambda_F = pi^* theta + mu . (N-coframe) + Omega(e, .)/2 on (q, mu, e),
+    the affine form c + x . G_F.
 
-    Returns the coefficient callable, its Jacobian callable and the m x dim_q
-    N-coframe; SingularChart unless the splitting at q = 0 is a basis.
+    Returns c = (theta0, 0, 0), the constant Jacobian G_F (read-only) and
+    the m x dim_q N-coframe; SingularChart unless the splitting is a basis.
     """
     dq, m = setup.dim_q, setup.m
     s = dq + m  # first E-fiber coordinate
@@ -183,19 +167,12 @@ def _assemble_lambda_F(setup: MorseBottSetup, Omega: np.ndarray, k: int):
     if not sv[-1] > _RANK_TOL * sv[0]:
         raise SingularChart(f"{setup.name}: [X_theta | N | G] is no basis (singular values {sv})")
     N_co = np.linalg.inv(B)[1 : 1 + m, :]
-    G_fibers = np.zeros((s + 2 * k, s + 2 * k))
-    G_fibers[dq:s, :dq] = N_co
-    G_fibers[s:, s:] = 0.5 * Omega
-
-    def lam(x):
-        return np.concatenate([setup.theta(x[:dq]) + x[dq:s] @ N_co, np.zeros(m), 0.5 * (x[s:] @ Omega)])
-
-    def grad(x):
-        G = G_fibers.copy()
-        G[:dq, :dq] = setup.theta_grad(x[:dq])
-        return G
-
-    return lam, grad, N_co
+    G_F = np.zeros((s + 2 * k, s + 2 * k))
+    G_F[:dq, :dq] = setup.theta_grad
+    G_F[dq:s, :dq] = N_co
+    G_F[s:, s:] = 0.5 * Omega
+    G_F.flags.writeable = False
+    return np.concatenate([setup.theta0, np.zeros(m + 2 * k)]), G_F, N_co
 
 
 def _fiber_grid(r: float, fdim: int, pts_per_dim: int) -> np.ndarray:
@@ -293,8 +270,9 @@ def build_thickening(
     volume drops below half its zero-section value somewhere on the sample
     grid; the largest verified radius is found by bisection and stored.
     Omega is 2k x 2k with k = Omega.shape[0] // 2 (else BadBlocks), and the
-    set-up's ``base_data`` at q = 0 is checked and its splitting a basis.
+    set-up's splitting [X_theta | N | G] a basis (else SingularChart).
     """
+    setup = _record("setup", setup, MorseBottSetup)
     Omega = _array("Omega", Omega)
     Omega = Omega.reshape(0, 0) if Omega.size == 0 else np.atleast_2d(Omega)
     k = Omega.shape[0] // 2
@@ -305,14 +283,13 @@ def build_thickening(
             raise BadBlocks("Omega", "fiber symplectic matrix must be antisymmetric")
         if not abs(np.linalg.det(Omega)) >= 1e-12:
             raise BadBlocks("Omega", "fiber symplectic matrix is degenerate")
-    setup.base_data(np.zeros(setup.dim_q))
-    lam, grad, N_co = _assemble_lambda_F(setup, Omega, k)
+    c, G_F, N_co = _assemble_lambda_F(setup, Omega, k)
     dq, m = setup.dim_q, setup.m
     n = (dq + m + 2 * k - 1) // 2  # total dim = dq + m + 2k = 2n + 1
     periods = None
     if setup.periods is not None:
         periods = tuple(setup.periods) + (None,) * (m + 2 * k)
-    chart = ContactChart(n, lam, grad, name=f"thicken({setup.name})", periods=periods)
+    chart = ContactChart(n, lambda x: c + x @ G_F, lambda x: G_F, name=f"thicken({setup.name})", periods=periods)
     verified = contact_tube_radius(chart, dq, radius, fiber_pts=fiber_pts, base_pts=base_pts)
     return ThickeningChart(setup, k, Omega, chart, N_co, float(verified))
 
@@ -324,9 +301,11 @@ def reeb_of_thickening(tc: ThickeningChart, q) -> np.ndarray:
 
 
 def lifted_x_theta(tc: ThickeningChart, q) -> np.ndarray:
-    """Horizontal lift of the base circle field (flat connection: zero fiber part)."""
+    """Horizontal lift of the base circle field at a base point q (dim_q,):
+    X_theta with a zero fiber part (flat connection), the same at every q."""
+    _points(tc.dim_q, q, stack=False, name="q")
     v = np.zeros(tc.dim)
-    v[: tc.dim_q] = tc.setup.x_theta(np.asarray(q, dtype=float))
+    v[: tc.dim_q] = tc.setup.x_theta
     return v
 
 
@@ -398,9 +377,6 @@ def radial_identities(tc: ThickeningChart, c: float, points) -> RadialReport:
 
 @dataclass
 class AdaptedJ:
-    J_G: np.ndarray
-    J_E: np.ndarray
-    B: np.ndarray
     matrix: np.ndarray  # endomorphism in thickening coordinates
     square_defect: float
     adapted: bool
@@ -420,8 +396,8 @@ def _check_tamed(J_blk: np.ndarray, omega: np.ndarray, label: str):
 
 def _structure_matrix(tc: ThickeningChart) -> np.ndarray:
     """Coordinate columns [X | N | G | MU | E] of the splitting RX + N + G +
-    T*N + E at q = 0: the base splitting matrix and the fiber identity, block
-    diagonal."""
+    T*N + E, the same at every point of the zero section: the base splitting
+    matrix and the fiber identity, block diagonal."""
     P = np.zeros((tc.dim, tc.dim))
     P[: tc.dim_q, : tc.dim_q] = tc.setup.splitting_matrix()
     P[tc.dim_q :, tc.dim_q :] = np.eye(tc.dim - tc.dim_q)
@@ -438,18 +414,18 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B) -> AdaptedJ:
     the constraint forces B = 0 up to COUPLING_TOL; the coupling slot is
     kept so that violating inputs are caught rather than ignored.  The
     blocks are finite arrays (2g, 2g), (2k, 2k) and (2k, 2g) (OutOfRange,
-    ModeMismatch).
+    ModeMismatch).  The square defect |J^2 + Pi| takes Pi, the projection
+    onto xi, at the zero-section point over q = 0.
     """
     g2, k2 = 2 * tc.setup.g, 2 * tc.k
     J_G = _array("J_G", J_G, (g2, g2))
     J_E = _array("J_E", J_E, (k2, k2))
     B = _array("B", B, (k2, g2))
 
-    q0 = np.zeros(tc.dim_q)
     P = _structure_matrix(tc)
     m, dq = tc.m, tc.dim_q
     Gcols = P[:dq, 1 + m : dq]
-    omega_G = Gcols.T @ tc.setup.base_data(q0)[2] @ Gcols
+    omega_G = Gcols.T @ tc.setup.dtheta @ Gcols
     _check_tamed(J_G, omega_G, "J_G")
     _check_tamed(J_E, tc.Omega, "J_E")
     if B.size and np.max(np.abs(B @ J_G)) > COUPLING_TOL:
@@ -467,10 +443,10 @@ def make_adapted_J(tc: ThickeningChart, J_G, J_E, B) -> AdaptedJ:
     Jb[dq + m :, dq + m :] = J_E
     Jmat = P @ Jb @ np.linalg.inv(P)
 
-    Pi = xi_projection_matrix(tc.chart, tc.zero_section_point(q0))
+    Pi = xi_projection_matrix(tc.chart, tc.zero_section_point(np.zeros(tc.dim_q)))
     square_defect = float(np.max(np.abs(Jmat @ Jmat + Pi)))
     ok, _ = check_adapted(tc, Jmat)
-    return AdaptedJ(J_G, J_E, B, Jmat, square_defect, bool(ok))
+    return AdaptedJ(Jmat, square_defect, bool(ok))
 
 
 @dataclass
@@ -485,7 +461,8 @@ class AdaptedDiagnostics:
 
 def check_adapted(tc: ThickeningChart, J):
     """Two equivalent adaptedness tests for an endomorphism J, a finite
-    (tc.dim, tc.dim) array, at the zero section over q = 0.
+    (tc.dim, tc.dim) array, at the zero section (the flat splitting is the
+    same at every q).
 
     Containment: J TQ lies inside TQ + J N (rank of the stacked spans does
     not exceed dim TQ + m).  Splitting: TQ is the direct sum of TQ intersect
@@ -537,12 +514,10 @@ def check_adapted(tc: ThickeningChart, J):
 
 
 def zero_section_pullback_defect(tc: ThickeningChart, points) -> float:
-    """Worst gap between lambda_F restricted to base directions and theta."""
-    worst = 0.0
-    for q in points:
-        x = tc.zero_section_point(q)
-        lam = tc.chart.lambda_at(x)
-        th = tc.setup.theta(np.asarray(q, dtype=float))
-        worst = max(worst, float(np.max(np.abs(lam[: tc.dim_q] - th))))
-        worst = max(worst, float(np.max(np.abs(lam[tc.dim_q :]))) if tc.dim > tc.dim_q else 0.0)
-    return worst
+    """Worst gap between lambda_F and pi^* theta (theta on the base
+    directions, zero on the fibers) over a non-empty (N, dim_q) stack of
+    zero-section points."""
+    points = _points(tc.dim_q, points, point=False, name="points")[0]
+    fibers = np.zeros((len(points), tc.dim - tc.dim_q))
+    lam = np.array([tc.chart.lambda_at(x) for x in np.hstack([points, fibers])])
+    return float(np.max(np.abs(lam - np.hstack([tc.setup.theta(points), fibers]))))

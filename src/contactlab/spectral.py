@@ -39,7 +39,11 @@ SYM_TOL = 1e-10  # largest asymmetry of S that assemble_operator accepts
 
 
 def standard_J(rank: int) -> np.ndarray:
-    """Block complex structure [[0, -I], [I, 0]] on R^rank (rank even)."""
+    """Block complex structure [[0, -I], [I, 0]] on R^rank; OutOfRange
+    unless rank is an even integer >= 0."""
+    _require_int("rank", rank, 0)
+    if rank % 2:
+        raise OutOfRange(f"rank must be even, got {rank!r}")
     k = rank // 2
     J = np.zeros((rank, rank))
     J[:k, k:] = -np.eye(k)

@@ -5,14 +5,14 @@ Each callable in ``contactlab.__all__``, and ``core.reeb_batch``, has one
 valid call here and strategies that break one argument at a time: wrong
 shapes, NaN and +-inf, arrays that are not numbers, zero and negative sizes,
 bools or floats where a count belongs, and callable arguments (a chart's
-``lam`` and ``grad``, a factor ``f`` and ``grad_f``, a set-up's ``theta`` and
-``theta_grad``, ``S`` and ``S_of_tau``) that return a wrong shape, a NaN or
-+-inf entry or no numbers; every entry that takes a chart breaks it.  A
-broken argument must raise a ``ContactLabError`` (pyproject makes a
-``RuntimeWarning`` an error, so a warning fails too), and a valid call must
-return finite arrays.  The record types the library returns are listed
-apart; any other public callable without an entry fails the meta-check, so a
-new public function cannot skip the contract.
+``lam`` and ``grad``, a factor ``f`` and ``grad_f``, ``S`` and ``S_of_tau``)
+that return a wrong shape, a NaN or +-inf entry or no numbers; every entry
+that takes a chart breaks it.  A broken argument must raise a
+``ContactLabError`` (pyproject makes a ``RuntimeWarning`` an error, so a
+warning fails too), and a valid call must return finite arrays.  The record
+types the library returns are listed apart; any other public callable without
+an entry fails the meta-check, so a new public function cannot skip the
+contract.
 
 ``KEYWORDS`` lists the keyword parameters (those with a default) of every
 public callable of the package, so adding or dropping one shows up as a
@@ -134,14 +134,11 @@ STD = np.array([[0.0, 1.0], [-1.0, 0.0]])
 JSTD = np.array([[0.0, -1.0], [1.0, 0.0]])
 CIRCLE = normalform.circle_setup()
 TORUS_SETUP = normalform.torus_setup()
-# one n_basis vector makes the circle's base 2-d, so a (1,) vector has the
-# wrong length; a torus n_basis vector parallel to X_theta makes a splitting
-# that is no basis
-SHORT_N = dataclasses.replace(CIRCLE, n_basis=(np.array([1.0]),))
+# a torus n_basis vector parallel to X_theta makes a splitting that is no
+# basis; a set-up with bad data does not construct, so this and a value that
+# is no set-up are the set-ups that reach build_thickening
 PARALLEL_N = dataclasses.replace(TORUS_SETUP, n_basis=(np.array([1.0, 0.0]),))
-BAD_SETUPS = st.one_of(bad_callables(CIRCLE.theta).map(lambda f: dataclasses.replace(CIRCLE, theta=f)),
-                       bad_callables(CIRCLE.theta_grad).map(lambda f: dataclasses.replace(CIRCLE, theta_grad=f)),
-                       st.sampled_from([SHORT_N, PARALLEL_N]))
+BAD_SETUPS = st.sampled_from([PARALLEL_N, dataclasses.asdict(CIRCLE)])
 
 
 @functools.cache
@@ -213,7 +210,9 @@ CONTRACT = {
                         {"chart": bad_charts(TORUS)}),
     "classify_orbit": Entry(dynamics.classify_orbit, lambda: dict(rm=dynamics.return_map(TORUS, torus_orbit()))),
     # normalform
-    "MorseBottSetup": Entry(normalform.MorseBottSetup, lambda: dataclasses.asdict(normalform.circle_setup())),
+    "MorseBottSetup": Entry(normalform.MorseBottSetup, lambda: dataclasses.asdict(TORUS_SETUP), {
+        "theta0": bad_array([1.0, 0.0], [(3,), (1,), ()]), "theta_grad": bad_array(np.zeros((2, 2)), [(2,), (3, 3)]),
+        "x_theta": bad_array([1.0, 0.0], [(3,), (2, 1)]), "n_basis": bad_array([[0.0, 1.0]], [(1, 3), (1, 1)])}),
     "build_thickening": Entry(normalform.build_thickening, lambda: dict(
         setup=CIRCLE, Omega=STD, radius=0.5, fiber_pts=5, base_pts=2), {
         "setup": BAD_SETUPS, "Omega": bad_array(STD, [(3, 3), (4,), ()]), "radius": bad_real(0),
@@ -406,6 +405,8 @@ INF_GRAD_CHART = dataclasses.replace(DARBOUX, grad=lambda x: np.diag([np.inf, 0.
 
 
 DEGENERATE = {
+    # used to return 0.0, a pullback check over no points that passes
+    "pullback_defect_empty_stack": lambda: normalform.zero_section_pullback_defect(thickening(), np.zeros((0, 1))),
     # used to return 1.1 as verified: a grid with no fiber point inside the
     # tube checks nothing (fiber_pts = 17 raises NotContact near 0.84)
     "tube_fiber_pts_0": lambda: normalform.contact_tube_radius(warped_tube(), 1, 1.1, fiber_pts=0),
@@ -476,8 +477,26 @@ RAW = {
     "tube_base_pts_0": (OutOfRange, lambda: normalform.contact_tube_radius(warped_tube(), 1, 0.4, base_pts=0)),
     # used to end in a RuntimeWarning (inf * 0 in the dual matrix)
     "contact_volume_inf_chart": (OutOfRange, lambda: core.contact_volume(INF_CHART, P3)),
-    # used to end in a ValueError from splitting_matrix
-    "thickening_short_n_basis": (ModeMismatch, lambda: normalform.build_thickening(SHORT_N, STD)),
+    # used to end in a ValueError from splitting_matrix; a basis vector of
+    # the wrong length now raises when the set-up is built
+    "thickening_short_n_basis": (ModeMismatch, lambda: normalform.build_thickening(
+        dataclasses.replace(TORUS_SETUP, n_basis=([1.0],)), STD)),
+    # used to build: set-up data is read once, when the set-up is built
+    "setup_short_n_basis": (ModeMismatch, lambda: dataclasses.replace(TORUS_SETUP, n_basis=([1.0],))),
+    "setup_nan_theta0": (OutOfRange, lambda: dataclasses.replace(CIRCLE, theta0=[np.nan])),
+    "setup_nan_theta_grad": (OutOfRange, lambda: dataclasses.replace(TORUS_SETUP, theta_grad=np.diag([0.0, np.nan]))),
+    # used to return [1.0, 0.0, 0.0] on the circle's 1-d base
+    "lifted_x_theta_long_q": (ModeMismatch, lambda: normalform.lifted_x_theta(thickening(), P2)),
+    # used to end in a ValueError
+    "lifted_x_theta_string_q": (OutOfRange, lambda: normalform.lifted_x_theta(thickening(), "abc")),
+    # used to return 0.0, a pullback check over no points that passes
+    "pullback_defect_empty_list": (ModeMismatch, lambda: normalform.zero_section_pullback_defect(thickening(), [])),
+    # used to end in a ValueError (string conversion)
+    "reeb_jacobian_string_point": (OutOfRange, lambda: dynamics.reeb_jacobian(TORUS, "abc")),
+    # used to end in a ValueError (broadcast of (2,) against the (7, 3) stencil)
+    "reeb_jacobian_short_point": (ModeMismatch, lambda: dynamics.reeb_jacobian(TORUS, P2)),
+    # used to return a 3 x 3 matrix whose square is not -I
+    "standard_J_odd_rank": (OutOfRange, lambda: spectral.standard_J(3)),
     # used to end in a LinAlgError from np.linalg.inv
     "thickening_parallel_n_basis": (SingularChart, lambda: normalform.build_thickening(PARALLEL_N, np.zeros((0, 0)))),
     # used to end in a TypeError from float()

@@ -236,22 +236,18 @@ def test_return_map_torus_identity():
     assert cls.multiplicity == 2
 
 
-@pytest.mark.parametrize("ratio", [2.0, 1.41421356])
-def test_return_map_rotation_eigenvalues(ratio):
-    ch = weighted_tube_chart(1.0, ratio)
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    rm = return_map(ch, orb)
-    angle = 2 * np.pi * ratio
-    expected = np.sort_complex(np.array([np.exp(1j * angle), np.exp(-1j * angle)]))
-    got = np.sort_complex(rm.eigenvalues)
-    assert np.max(np.abs(got - expected)) < 1e-6
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 1.0))
+def test_tube_return_map_is_the_symplectic_rotation(w_theta, w_fiber, quartic):
+    # the quartic term vanishes to 4th order at the center, so the center
+    # orbit (period 2 pi / w_theta) returns the fiber rotated by
+    # 2 pi w_fiber / w_theta
+    ch = perturbed_tube_chart(w_theta, w_fiber, quartic)
+    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi / w_theta))
+    angle = 2 * np.pi * w_fiber / w_theta
+    expected = np.sort_complex(np.exp([1j * angle, -1j * angle]))
+    assert np.max(np.abs(np.sort_complex(rm.eigenvalues) - expected)) < 1e-6
     assert abs(np.linalg.det(rm.matrix) - 1.0) < 1e-8
-
-
-def test_return_map_symplectic():
-    ch = weighted_tube_chart(1.0, 0.31)
-    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    rm = return_map(ch, orb)
     assert rm.symplectic_error < 1e-6
 
 

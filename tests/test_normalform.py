@@ -38,17 +38,28 @@ def mixed_full():
 
 
 def test_setup_invariants():
-    # theta(X_theta) = 1, rank d theta = 2g, and ker d theta = R X_theta + H
+    # rank d theta = 2g, ker d theta = R X_theta + H, and theta(X_theta) = 1
+    # at every q
     g = rng(1)
     for setup, dim in ((nf.circle_setup(), 1), (nf.torus_setup(), 2), (nf.mixed_setup(), 4)):
+        D, X = setup.dtheta, setup.x_theta
+        s = np.linalg.svd(D, compute_uv=False)
+        big = int(np.sum(s > 1e-6))
+        assert big == 2 * setup.g and np.all(s[big:] < 1e-10)
+        for v in (X, *setup.n_basis):
+            assert np.max(np.abs(D @ v)) < 1e-8
         for q in [g.uniform(0, 1, dim) for _ in range(5)]:
-            th, X, D = setup.base_data(q)
-            assert abs(float(th @ X) - 1.0) < 1e-10
-            s = np.linalg.svd(D, compute_uv=False)
-            big = int(np.sum(s > 1e-6))
-            assert big == 2 * setup.g and np.all(s[big:] < 1e-10)
-            for v in (X, *setup.n_basis):
-                assert np.max(np.abs(D @ np.asarray(v, float))) < 1e-8
+            assert abs(float(setup.theta(q) @ X) - 1.0) < 1e-10
+
+
+def test_thickening_form_is_affine_with_one_read_only_jacobian(circle_e2, torus_cot, mixed_full):
+    g = rng(9)
+    for tc in (circle_e2, torus_cot, mixed_full):
+        G = tc.chart.grad(np.zeros(tc.dim))
+        assert not G.flags.writeable
+        x, y = g.uniform(-0.2, 0.2, (2, tc.dim))
+        assert tc.chart.grad(x) is G
+        assert np.max(np.abs(tc.chart.lambda_at(x) - tc.chart.lambda_at(y) - (x - y) @ G)) < 1e-14
 
 
 def test_circle_model_is_rotation_invariant_form(circle_e2):
@@ -94,16 +105,6 @@ def warped_tube():
     return ContactChart(n=1, lam=lam, periods=(1.0, None, None))
 
 
-def test_not_contact_reports_verified_radius():
-    warped = warped_tube()
-    assert nf.contact_tube_radius(warped, 1, 0.4) == 0.4
-    # odd grid count puts samples on the fiber axes; half-volume is crossed
-    # at x = 0.5^(1/4) ~ 0.84
-    with pytest.raises(NotContact) as err:
-        nf.contact_tube_radius(warped, 1, 1.1, fiber_pts=17)
-    assert 0.75 < err.value.radius < 0.95
-
-
 def test_tube_check_makes_one_volume_call_per_radius(monkeypatch):
     real = nf.contact_volume
     calls = []
@@ -112,6 +113,8 @@ def test_tube_check_makes_one_volume_call_per_radius(monkeypatch):
     assert nf.contact_tube_radius(warped, 1, 0.4) == 0.4
     assert len(calls) == 1
     calls.clear()
+    # odd grid count puts samples on the fiber axes; half-volume is crossed
+    # at x = 0.5^(1/4) ~ 0.84
     with pytest.raises(NotContact) as err:
         nf.contact_tube_radius(warped, 1, 1.1, fiber_pts=17)
     assert 0.75 < err.value.radius < 0.95
