@@ -236,6 +236,25 @@ def test_return_map_torus_identity():
     assert cls.multiplicity == 2
 
 
+@pytest.mark.parametrize("ratio", [2.0, 1.41421356])
+def test_return_map_rotation_eigenvalues(ratio):
+    ch = weighted_tube_chart(1.0, ratio)
+    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
+    rm = return_map(ch, orb)
+    angle = 2 * np.pi * ratio
+    expected = np.sort_complex(np.array([np.exp(1j * angle), np.exp(-1j * angle)]))
+    got = np.sort_complex(rm.eigenvalues)
+    assert np.max(np.abs(got - expected)) < 1e-6
+    assert abs(np.linalg.det(rm.matrix) - 1.0) < 1e-8
+
+
+def test_return_map_symplectic():
+    ch = weighted_tube_chart(1.0, 0.31)
+    orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
+    rm = return_map(ch, orb)
+    assert rm.symplectic_error < 1e-6
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.5, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 1.0))
 def test_tube_return_map_is_the_symplectic_rotation(w_theta, w_fiber, quartic):
