@@ -182,7 +182,7 @@ def _run_return_map(p, seed, report):
         w_theta, w_fiber = p["w"]
         ch = models.weighted_tube_chart(w_theta, w_fiber)
         orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi / w_theta)
-        rm = dynamics.return_map(ch, orb)
+        rm = dynamics.return_map(orb)
         angle = 2 * np.pi * w_fiber / w_theta
         expected = np.array([np.exp(1j * angle), np.exp(-1j * angle)])
         got = np.sort_complex(rm.eigenvalues)
@@ -195,7 +195,7 @@ def _run_return_map(p, seed, report):
     else:
         ch = models.torus_chart()
         orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), 1.0)
-        rm = dynamics.return_map(ch, orb)
+        rm = dynamics.return_map(orb)
         err = float(np.max(np.abs(rm.matrix - np.eye(2))))
         cls = dynamics.classify_orbit(rm)
         is_mb2 = isinstance(cls, dynamics.MorseBottCandidate) and cls.multiplicity == 2

@@ -11,7 +11,7 @@ cylinder maps.  Angles wrap and lift through ``core``'s circle primitives.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     OutsideTube,
     ResolutionTooCoarse,
 )
-from .spectral import SpectralOperator, _eigh
+from .spectral import SpectralOperator, _eigh, assemble_operator
 
 # decay_rate fits >= FIT_MIN_SLICES slices with norm in (FIT_FLOOR, FIT_UPPER_FRAC * initial)
 FIT_FLOOR = 1e-12
@@ -310,8 +310,6 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     e_(m+1)) / 2 * ell) are built once, in place; every entry is the one the
     per-step recurrence over each branch gives, bit for bit.
     """
-    from .spectral import assemble_operator
-
     dtau = tau[1] - tau[0]
     lam_max = float(np.max(np.abs(evals)))
     if dtau * lam_max >= 2.0:
@@ -345,10 +343,7 @@ def _crank_nicolson_march(op, evals, evecs, a0, ell, delta0, tau, S_of_tau):
     Ik = np.eye(len(gy))
 
     def B_red(s):
-        B = assemble_operator(
-            S_of_tau(s), period=op.period, n_modes=op.n_modes, rank=op.rank,
-            J0=op.J0, n_t=len(op.t_grid),
-        )
+        B = assemble_operator(S_of_tau(s), period=op.period, n_modes=op.n_modes, rank=op.rank, n_t=len(op.t_grid))
         return B.apply(P.T) @ P  # (B P)^T P = P^T B P, mode by mode for constant S
 
     for m in range(len(tau) - 1):
@@ -421,20 +416,18 @@ class FlatTorusQ:
     """Flat d-torus Morse-Bott locus: theta = first coordinate form, the Reeb
     flow is unit translation in coordinate 0, and exp is affine.
 
-    ``periods`` follows the chart convention (None on a plain coordinate),
-    default all 1; the attribute is their float array, nan on a plain
-    coordinate.  ``flow(q, s)`` takes a point (dim,) with a scalar s or a
-    stack (N, dim) with s of shape (N,); ``inv_exp`` acts on the last axis.
+    Every coordinate is an angle of period 1; ``periods`` is their float
+    array.  ``flow(q, s)`` takes a point (dim,) with a scalar s or a stack
+    (N, dim) with s of shape (N,); ``inv_exp`` acts on the last axis.
     """
 
-    def __init__(self, dim: int = 2, periods: Optional[Sequence[Optional[float]]] = None):
+    def __init__(self, dim: int = 2):
         _require_int("dim", dim, 1)
         self.dim = dim
-        self._angles = tuple(periods) if periods is not None else (1.0,) * dim
-        self.periods = np.array(self._angles, dtype=float)
+        self.periods = np.ones(dim)
 
     def wrap(self, v):
-        return wrap_angles(v, self._angles)
+        return wrap_angles(v, self.periods)
 
     def flow(self, q, s):
         q = np.array(q, dtype=float)

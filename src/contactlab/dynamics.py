@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import ContactChart, _angle_columns, _array, _points, _record, _require_int, _require_real
-from .core import periodic_derivative, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
-from .errors import NoConvergence, SingularChart
+from .core import periodic_derivative, reeb_batch, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
+from .errors import ModeMismatch, NoConvergence, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
 ORBIT_CLOSURE_TOL = 1e-8
@@ -66,8 +66,6 @@ def _stencil_offsets(d: int) -> np.ndarray:
 def _reeb_and_jacobian(chart: ContactChart, x):
     """Reeb field at x and its Jacobian by centred differences, both from one
     batched solve over x and its 2d stencil points."""
-    from .core import reeb_batch
-
     vals = reeb_batch(chart, x + _stencil_offsets(chart.dim))
     return vals[0], ((vals[1::2] - vals[2::2]) / (2 * REEB_JACOBIAN_STEP)).T
 
@@ -148,18 +146,20 @@ def monodromy(chart: ContactChart, x0, T, V=None):
 
 @dataclass
 class ReebOrbit:
-    """A numerically closed Reeb orbit.
+    """A numerically closed Reeb orbit of ``chart``: what the flow computed.
 
-    ``samples[i]`` is the point at loop parameter t = i/len(samples); the
-    frame columns span the contact distribution at the base point.
+    ``samples[i]`` is the point at loop parameter t = i/len(samples), so
+    ``samples[0]`` is the start point of the flow, the base point.
     """
 
     chart: ContactChart
     period: float
     samples: np.ndarray
-    base_point: np.ndarray
-    frame: np.ndarray
     closure_residual: float
+
+    @property
+    def base_point(self) -> np.ndarray:
+        return self.samples[0]
 
     @classmethod
     def from_point(cls, chart, p, T, n_samples: int = ORBIT_SAMPLES):
@@ -179,14 +179,7 @@ class ReebOrbit:
         closure = float(np.max(np.abs(chart.wrap_diff(traj.end, p))))
         if closure > tol:
             raise NoConvergence(0, closure)
-        return cls(
-            chart=chart,
-            period=float(T),
-            samples=traj.states[:-1],
-            base_point=np.asarray(p, dtype=float),
-            frame=xi_frame(chart, p),
-            closure_residual=closure,
-        )
+        return cls(chart=chart, period=float(T), samples=traj.states[:-1], closure_residual=closure)
 
     def action(self) -> float:
         """Integral of the contact form over the loop, by spectral differentiation.
@@ -282,17 +275,17 @@ class ReturnMap:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     unit_eigen_dim: int
-    symplectic_form: np.ndarray
-    symplectic_error: float
+    symplectic_error: float  # max |Psi^T Omega0 Psi - Omega0|, Omega0 = dlam in the frame
 
 
-def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
-    """Monodromy Psi of the variational flow projected to the xi-frame at the
-    base; ``unit_eigen_dim`` is dim ker(Psi - I), the singular values of
-    Psi - I at most ``UNIT_TOL``: the geometric multiplicity of the
-    eigenvalue 1, so a Jordan block [[1, a], [0, 1]] counts once."""
-    p = _record("orbit", orbit, ReebOrbit).base_point
-    S = orbit.frame
+def return_map(orbit: ReebOrbit) -> ReturnMap:
+    """Monodromy Psi of the variational flow of ``orbit.chart``, projected to
+    the ``xi_frame`` at the base point; ``unit_eigen_dim`` is dim
+    ker(Psi - I), the singular values of Psi - I at most ``UNIT_TOL``: the
+    geometric multiplicity of the eigenvalue 1, so a Jordan block
+    [[1, a], [0, 1]] counts once."""
+    chart, p = _record("orbit", orbit, ReebOrbit).chart, orbit.base_point
+    S = xi_frame(chart, p)
     _, MS = monodromy(chart, p, orbit.period, S)
     Psi = S.T @ (xi_projection_matrix(chart, p) @ MS)
     D = chart.dlambda_at(p)
@@ -300,7 +293,7 @@ def return_map(chart: ContactChart, orbit: ReebOrbit) -> ReturnMap:
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)
     unit_dim = int(np.sum(np.linalg.svd(Psi - np.eye(len(Psi)), compute_uv=False) <= UNIT_TOL))
-    return ReturnMap(Psi, eig, unit_dim, Omega0, sperr)
+    return ReturnMap(Psi, eig, unit_dim, sperr)
 
 
 @dataclass(frozen=True)
@@ -349,11 +342,14 @@ def orbit_family_scan(
 ) -> FamilyScan:
     """Continue the seed orbit in transverse directions and track periods.
 
-    ``directions`` is one vector (d,) or a stack (N, d) of them.  Failures
-    at individual samples (no convergence, a singular chart) are recorded
-    per sample, not raised; the spread max|T_i - T_seed| is taken over the
+    ``seed`` must be an orbit of ``chart`` (ModeMismatch otherwise), and
+    ``directions`` one vector (d,) or a stack (N, d) of them.  Failures at
+    individual samples (no convergence, a singular chart) are recorded per
+    sample, not raised; the spread max|T_i - T_seed| is taken over the
     converged samples.
     """
+    if _record("seed", seed, ReebOrbit).chart != chart:
+        raise ModeMismatch(f"seed is an orbit of another chart ({seed.chart.name}) than the one given ({chart.name})")
     _require_int("n_samples", n_samples, 1)
     step = _require_real("step", step, 0)
     directions = _points(chart.dim, directions, name="directions")[0].reshape(-1, chart.dim)

@@ -9,10 +9,6 @@ class SingularChart(ContactLabError):
     """The linear system defining a Reeb field / dual is rank-deficient."""
 
 
-class IncompatibleJ(ContactLabError):
-    """An almost complex structure fails its compatibility check."""
-
-
 class NoConvergence(ContactLabError):
     """Newton-type iteration failed to converge."""
 

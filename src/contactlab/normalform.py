@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import _RANK_TOL, ContactChart, _array, _points, _record, _require_int, _require_real, contact_volume
 from .core import fd_gradient, reeb_solve, xi_projection_matrix
-from .errors import BadBlocks, NotContact, OutOfRange, SingularChart
+from .errors import BadBlocks, ModeMismatch, NotContact, OutOfRange, SingularChart
 
 # make_adapted_J accepts a coupling block B with |B J_G| up to this.
 COUPLING_TOL = 1e-12
@@ -41,8 +41,8 @@ class MorseBottSetup:
     constant vector.  ``n_basis`` spans the integrable complement H inside
     ker d theta, ``g_basis`` a symplectic complement of ker d theta in TQ,
     each a tuple of constant vectors.  Every field is read once, here: a
-    wrong shape raises ModeMismatch, a non-finite entry or a value that is
-    not numbers OutOfRange.
+    wrong shape, or a basis that is no sequence, raises ModeMismatch, a
+    non-finite entry or a value that is not numbers OutOfRange.
     """
 
     theta0: np.ndarray
@@ -54,6 +54,12 @@ class MorseBottSetup:
     name: str = "setup"
 
     def __post_init__(self):
+        for field in ("n_basis", "g_basis"):
+            try:
+                object.__setattr__(self, field, tuple(getattr(self, field)))
+            except TypeError:
+                raise ModeMismatch(f"{self.name}: {field} must be a sequence of vectors, "
+                                   f"got {getattr(self, field)!r:.80}") from None
         vec = (self.dim_q,)
         for field, shape in (("theta0", vec), ("theta_grad", vec * 2), ("x_theta", vec)):
             object.__setattr__(self, field, _array(f"{self.name}: {field}", getattr(self, field), shape))

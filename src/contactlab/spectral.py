@@ -2,15 +2,16 @@
 spectra, spectral gaps, and the gap inequality.
 
 The operator acts on loops u: R/TZ -> R^(2k) as  B u = J0 u' - S(t) u  with
-J0 a constant complex structure and S(t) symmetric; this is the composition
-of the first-order linearization along an orbit with J0, and it is
-self-adjoint on periodic loops.  ``asymptotic_operator`` builds it from a
-computed closed Reeb orbit, in a dlam-symplectic frame of the contact
-distribution.  The discretization is Galerkin in the real Fourier basis (not
-collocation), and the assembled matrix is exactly symmetric: a constant S
-gives one block per Fourier mode, a time-dependent S a dense matrix filled
-from one DFT of its samples (Toeplitz and Hankel gathers of the
-coefficients), which then takes one dense eigen-solve.
+J0 = ``standard_J(2k)`` and S(t) symmetric; this is the composition of the
+first-order linearization along an orbit with J0, and it is self-adjoint on
+periodic loops.  ``asymptotic_operator`` builds it from a computed closed
+Reeb orbit, in a dlam-symplectic frame of the contact distribution: that
+frame fixes J0, so no other complex structure is taken.  The
+discretization is Galerkin in the real Fourier basis (not collocation), and
+the assembled matrix is exactly symmetric: a constant S gives one block per
+Fourier mode, a time-dependent S a dense matrix filled from one DFT of its
+samples (Toeplitz and Hankel gathers of the coefficients), which then takes
+one dense eigen-solve.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .dynamics import ReebOrbit, reeb_jacobian
 from .errors import (
     AsymmetricHessian,
     HypothesisViolated,
-    IncompatibleJ,
     ModeMismatch,
     OutOfRange,
     ResolutionTooCoarse,
@@ -69,7 +69,8 @@ def _scalar_basis_samples(n_modes: int, period: float, n_t: int):
 
 @dataclass
 class SpectralOperator:
-    """Galerkin form of B = J0 d/dt - S(t) on loops of rank-2k sections.
+    """Galerkin form of B = J0 d/dt - S(t) on loops of rank-2k sections,
+    J0 = ``standard_J(rank)``.
 
     In the real Fourier basis (constant, then (cos_k, sin_k) per mode, each
     times R^rank) a constant S makes B block-diagonal: ``block0`` is the
@@ -83,7 +84,6 @@ class SpectralOperator:
     rank: int
     n_modes: int
     period: float
-    J0: np.ndarray
     S_samples: np.ndarray  # (n_t, rank, rank), symmetric in the last two axes
     t_grid: np.ndarray
     block0: Optional[np.ndarray]  # (rank, rank), constant S only
@@ -188,10 +188,9 @@ def assemble_operator(
     period: float,
     n_modes: int = DEFAULT_MODES,
     rank: int = 2,
-    J0: Optional[np.ndarray] = None,
     n_t: Optional[int] = None,
 ) -> SpectralOperator:
-    """Build the Galerkin form of J0 d/dt - S(t).
+    """Build the Galerkin form of J0 d/dt - S(t), J0 = ``standard_J(rank)``.
 
     ``S`` is a constant symmetric matrix, a callable t -> matrix, or an array
     of samples (n_t, rank, rank) on the uniform grid (default n_t =
@@ -203,25 +202,17 @@ def assemble_operator(
     rectangle-rule Galerkin integral, aliasing included, and the matrix is
     exactly symmetric.
 
-    Inputs follow the input contract (README; ``rank`` even, J0 and each
-    sample of S rank x rank); IncompatibleJ unless J0 is antisymmetric with
-    J0^2 = -I to 1e-10, AsymmetricHessian when S deviates from symmetry by
-    more than SYM_TOL.
+    Inputs follow the input contract (README; ``rank`` even, each sample of
+    S rank x rank); AsymmetricHessian when S deviates from symmetry by more
+    than SYM_TOL.
     """
     _require_int("rank", rank, 2)
-    if rank % 2:
-        raise OutOfRange(f"rank must be even, got {rank!r}")
+    J0 = standard_J(rank)
     period = _require_real("period", period, 0)
     _require_int("n_modes", n_modes, 0)
     if n_t is None:
         n_t = max(4 * n_modes + 4, 64)
     _require_int("n_t", n_t, 1)
-    J0 = standard_J(rank) if J0 is None else np.asarray(J0, dtype=float)
-    if J0.shape != (rank, rank):
-        raise ModeMismatch(f"J0 must be a ({rank}, {rank}) matrix, got shape {J0.shape}")
-    defect = max(float(np.max(np.abs(J0 + J0.T))), float(np.max(np.abs(J0 @ J0 + np.eye(rank)))))
-    if not defect <= 1e-10:
-        raise IncompatibleJ(f"J0 is no complex structure: J0 + J0^T and J0^2 + I deviate by {defect:.3e}")
     t_grid = np.arange(n_t) * (period / n_t)
 
     if callable(S):
@@ -244,12 +235,11 @@ def assemble_operator(
     S_samples = 0.5 * (S_samples + np.transpose(S_samples, (0, 2, 1)))
 
     # First-order part: exact entries.  Within mode k the (cos, sin) block is
-    # [[0, w J0], [-w J0, 0]], which is symmetric because J0 is antisymmetric;
-    # antisymmetrizing w J0 makes that exact.
+    # [[0, w J0], [-w J0, 0]], which is exactly symmetric because J0, a
+    # matrix of 0 and +-1, is exactly antisymmetric.
     r, K = rank, n_modes
     ks = np.arange(1, K + 1)
     wJ = (2 * np.pi * ks / period)[:, None, None] * J0
-    wJ = 0.5 * (wJ - wJ.transpose(0, 2, 1))
     if np.all(S_samples == S_samples[0]):
         # S acts on each scalar mode alone: B is block-diagonal
         block0 = np.zeros((r, r))
@@ -259,7 +249,7 @@ def assemble_operator(
         blocks[:, r:, :r] -= wJ
         blocks[:, :r, :r] -= S_samples[0]
         blocks[:, r:, r:] -= S_samples[0]
-        return SpectralOperator(rank, K, float(period), J0, S_samples, t_grid, block0, blocks)
+        return SpectralOperator(rank, K, float(period), S_samples, t_grid, block0, blocks)
 
     # Zeroth-order part from the coefficients s(m) = P(m) + i Q(m) of -S.
     # With c = cos, s = sin the scalar products of modes k, l >= 1 are
@@ -288,7 +278,7 @@ def assemble_operator(
     view = M.reshape(2 * K + 1, r, 2 * K + 1, r)
     view[2 * ks - 1, :, 2 * ks, :] += wJ
     view[2 * ks, :, 2 * ks - 1, :] -= wJ
-    return SpectralOperator(rank, K, float(period), J0, S_samples, t_grid, None, None, _matrix=M)
+    return SpectralOperator(rank, K, float(period), S_samples, t_grid, None, None, _matrix=M)
 
 
 def _symplectic_frame(F: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -314,8 +304,9 @@ def _symplectic_frame(F: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.column_stack(es + fs)
 
 
-def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperator:
-    """Asymptotic operator B = J0 d/dt - S(t) of a closed Reeb orbit.
+def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
+    """Asymptotic operator B = J0 d/dt - S(t) of a closed Reeb orbit of
+    ``orbit.chart``.
 
     At each point z(t) of ``orbit.samples`` the contact distribution gets the
     frame F(t) = ``xi_frame``, made symplectic (F^T dlam F = -J0, J0 =
@@ -335,7 +326,7 @@ def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperat
     samples.
     """
     _require_int("n_modes", n_modes, 0)
-    z, T = _record("orbit", orbit, ReebOrbit).samples, orbit.period
+    chart, z, T = _record("orbit", orbit, ReebOrbit).chart, orbit.samples, orbit.period
     if len(z) < 2 * n_modes + 2:
         raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
     if pert is not None:
@@ -352,7 +343,7 @@ def asymptotic_operator(chart, orbit, n_modes: int, pert=None) -> SpectralOperat
     F = np.array([_symplectic_frame(xi_frame(chart, p), chart.dlambda_at(p)) for p in z])
     A = np.linalg.pinv(F) @ Pi @ (DX @ F - periodic_derivative(F, T))
     J0 = standard_J(2 * chart.n)
-    return assemble_operator(J0 @ A, period=T, n_modes=n_modes, rank=2 * chart.n, J0=J0, n_t=len(z))
+    return assemble_operator(J0 @ A, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=len(z))
 
 
 @dataclass

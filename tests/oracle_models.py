@@ -3,7 +3,7 @@ rescaled Reeb field and the Morse-Bott locus of the weighted tube."""
 
 import numpy as np
 
-from contactlab.core import ContactChart
+from contactlab.core import ContactChart, wrap_angles
 from contactlab.decay import FlatTorusQ
 from contactlab.models import weighted_tube_flow
 
@@ -33,11 +33,17 @@ def exp_factor_chart(n: int = 1) -> ContactChart:
 
 class RotatingTubeQ(FlatTorusQ):
     """Morse-Bott locus of the weighted tube: circle direction plus a fiber
-    plane that the flow rotates with angular speed w_fiber."""
+    plane that the flow rotates with angular speed w_fiber.  Only the circle
+    coordinate is an angle, of period 2 pi / w_theta."""
 
     def __init__(self, w_theta: float, w_fiber: float):
-        super().__init__(3, (2 * np.pi / w_theta, None, None))
+        super().__init__(3)
+        self.angles = (2 * np.pi / w_theta, None, None)
+        self.periods = np.array(self.angles, dtype=float)
         self.w_fiber = w_fiber
+
+    def wrap(self, v):
+        return wrap_angles(v, self.angles)
 
     def flow(self, q, s):
         return weighted_tube_flow(self.w_fiber, q, s)

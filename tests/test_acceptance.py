@@ -84,14 +84,14 @@ def test_criterion_3_return_maps():
     ratio = 1.41421356
     ch = weighted_tube_chart(1.0, ratio)
     orb = dynamics.ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    rm = dynamics.return_map(ch, orb)
+    rm = dynamics.return_map(orb)
     angle = 2 * np.pi * ratio
     expected = np.sort_complex(np.array([np.exp(1j * angle), np.exp(-1j * angle)]))
     eig_err = float(np.max(np.abs(np.sort_complex(rm.eigenvalues) - expected)))
 
     cht = torus_chart()
     orbt = dynamics.ReebOrbit.from_point(cht, np.zeros(3), 1.0)
-    rmt = dynamics.return_map(cht, orbt)
+    rmt = dynamics.return_map(orbt)
     id_err = float(np.max(np.abs(rmt.matrix - np.eye(2))))
     cls = dynamics.classify_orbit(rmt)
     is_mb2 = isinstance(cls, dynamics.MorseBottCandidate) and cls.multiplicity == 2

@@ -228,7 +228,7 @@ def test_period_collapse_is_not_an_orbit():
 def test_return_map_torus_identity():
     ch = torus_chart()
     orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0)
-    rm = return_map(ch, orb)
+    rm = return_map(orb)
     assert np.max(np.abs(rm.matrix - np.eye(2))) < 1e-8
     assert rm.symplectic_error < 1e-6
     cls = classify_orbit(rm)
@@ -240,7 +240,7 @@ def test_return_map_torus_identity():
 def test_return_map_rotation_eigenvalues(ratio):
     ch = weighted_tube_chart(1.0, ratio)
     orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    rm = return_map(ch, orb)
+    rm = return_map(orb)
     angle = 2 * np.pi * ratio
     expected = np.sort_complex(np.array([np.exp(1j * angle), np.exp(-1j * angle)]))
     got = np.sort_complex(rm.eigenvalues)
@@ -251,7 +251,7 @@ def test_return_map_rotation_eigenvalues(ratio):
 def test_return_map_symplectic():
     ch = weighted_tube_chart(1.0, 0.31)
     orb = ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi)
-    rm = return_map(ch, orb)
+    rm = return_map(orb)
     assert rm.symplectic_error < 1e-6
 
 
@@ -262,7 +262,7 @@ def test_tube_return_map_is_the_symplectic_rotation(w_theta, w_fiber, quartic):
     # orbit (period 2 pi / w_theta) returns the fiber rotated by
     # 2 pi w_fiber / w_theta
     ch = perturbed_tube_chart(w_theta, w_fiber, quartic)
-    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi / w_theta))
+    rm = return_map(ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi / w_theta))
     angle = 2 * np.pi * w_fiber / w_theta
     expected = np.sort_complex(np.exp([1j * angle, -1j * angle]))
     assert np.max(np.abs(np.sort_complex(rm.eigenvalues) - expected)) < 1e-6
@@ -273,28 +273,27 @@ def test_tube_return_map_is_the_symplectic_rotation(w_theta, w_fiber, quartic):
 def test_irrational_return_map_is_symplectic_to_1e10():
     # the shipped return_map_irrational scenario
     ch = weighted_tube_chart(1.0, 1.41421356)
-    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi))
+    rm = return_map(ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi))
     assert rm.symplectic_error < 1e-10
 
 
 def test_classify_orbit_contract():
-    Om = np.array([[0.0, 1.0], [-1.0, 0.0]])
     rot = np.array([[np.cos(np.pi / 3), -np.sin(np.pi / 3)], [np.sin(np.pi / 3), np.cos(np.pi / 3)]])
-    rm = ReturnMap(rot, np.linalg.eigvals(rot), 0, Om, 0.0)
+    rm = ReturnMap(rot, np.linalg.eigvals(rot), 0, 0.0)
     assert isinstance(classify_orbit(rm), Nondegenerate)
-    rm_id = ReturnMap(np.eye(2), np.ones(2, dtype=complex), 2, Om, 0.0)
+    rm_id = ReturnMap(np.eye(2), np.ones(2, dtype=complex), 2, 0.0)
     cls = classify_orbit(rm_id)
     assert isinstance(cls, MorseBottCandidate) and cls.multiplicity == 2
     # a singular value of Psi - I within half of UNIT_TOL of 0 is one that
     # return_map counts, and classify_orbit reads that count
     m = np.diag([1.0 + 0.5 * UNIT_TOL, 0.37])
     unit = int(np.sum(np.linalg.svd(m - np.eye(2), compute_uv=False) <= UNIT_TOL))
-    rm_close = ReturnMap(m, np.linalg.eigvals(m), unit, Om, 0.0)
+    rm_close = ReturnMap(m, np.linalg.eigvals(m), unit, 0.0)
     cls2 = classify_orbit(rm_close)
     assert isinstance(cls2, MorseBottCandidate) and cls2.multiplicity == 1
     # on a computed orbit the two agree: the torus return map is the identity
     ch = torus_chart()
-    rm_torus = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 1.0))
+    rm_torus = return_map(ReebOrbit.from_point(ch, np.zeros(3), 1.0))
     assert classify_orbit(rm_torus) == MorseBottCandidate(rm_torus.unit_eigen_dim)
 
 
@@ -306,7 +305,7 @@ def test_unit_count_of_a_shear_is_the_family_dimension():
     ch = ContactChart(1, lambda x: np.array([1.0 + 0.35 * x[2] ** 2, x[2], 0.0]),
                       lambda x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.7 * x[2], 1.0, 0.0]]),
                       name="twisted_torus", periods=(1.0, 1.0, None))
-    rm = return_map(ch, ReebOrbit.from_point(ch, np.zeros(3), 1.0))
+    rm = return_map(ReebOrbit.from_point(ch, np.zeros(3), 1.0))
     assert np.max(np.abs(rm.matrix - np.array([[1.0, -0.7], [0.0, 1.0]]))) < 1e-8
     assert rm.unit_eigen_dim == 1
     assert classify_orbit(rm) == MorseBottCandidate(1)

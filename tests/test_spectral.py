@@ -14,7 +14,6 @@ from contactlab.dynamics import ReebOrbit, monodromy, return_map
 from contactlab.errors import (
     AsymmetricHessian,
     HypothesisViolated,
-    IncompatibleJ,
     ModeMismatch,
     OutOfRange,
     ResolutionTooCoarse,
@@ -118,9 +117,7 @@ def test_gap_invariant_under_orthogonal_frame_change():
     th = 0.73
     Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     op = assemble_operator(S(0), period=1.0, n_modes=16)
-    op2 = assemble_operator(
-        Q.T @ S(0) @ Q, period=1.0, n_modes=16, J0=Q.T @ standard_J(2) @ Q
-    )
+    op2 = assemble_operator(Q.T @ S(0) @ Q, period=1.0, n_modes=16)  # Q commutes with standard_J(2)
     assert abs(spectrum(op).gap - spectrum(op2).gap) < 1e-10
 
 
@@ -198,24 +195,6 @@ def test_grid_size_that_is_not_a_positive_integer_is_out_of_range(n_t):
         assemble_operator(varying_S, period=1.0, n_modes=4, n_t=n_t)
 
 
-@pytest.mark.parametrize("J0", [standard_J(4), np.ones(2), np.ones((2, 3))], ids=["rank_4", "vector", "2x3"])
-def test_J0_of_the_wrong_shape_is_a_mode_mismatch(J0):
-    with pytest.raises(ModeMismatch, match=r"J0 must be a \(2, 2\) matrix"):
-        assemble_operator(varying_S, period=1.0, n_modes=4, J0=J0)
-
-
-@pytest.mark.parametrize(
-    "J0",
-    [np.eye(2), 2.0 * standard_J(2), standard_J(2) + 1e-6 * np.eye(2), np.full((2, 2), np.nan)],
-    ids=["identity", "scaled", "not_antisymmetric", "nan"],
-)
-@pytest.mark.parametrize("S", [0.4 * np.eye(2), varying_S], ids=["constant", "time_dependent"])
-def test_J0_that_is_no_complex_structure_is_incompatible(J0, S):
-    # J0 = I used to be replaced by its zero antisymmetric part
-    with pytest.raises(IncompatibleJ):
-        assemble_operator(S, period=1.0, n_modes=4, J0=J0)
-
-
 def test_callable_that_changes_shape_names_the_first_such_t():
     # used to end in numpy's "inhomogeneous shape" ValueError
     def S(t):
@@ -288,7 +267,7 @@ def tube_orbit(w, n_samples=64):
 
 def test_asymptotic_operator_of_the_weighted_tube():
     ch, orb = tube_orbit(0.3)
-    res = spectrum(asymptotic_operator(ch, orb, 15))
+    res = spectrum(asymptotic_operator(orb, 15))
     assert np.max(np.abs(res.eigenvalues - expected_free_spectrum(2 * np.pi, range(-15, 16), 0.3))) <= 1e-10
     assert res.kernel_dim == 0 and abs(res.gap - 0.3) <= 1e-10
 
@@ -298,7 +277,7 @@ def test_asymptotic_operator_of_an_elliptic_tube_pins_the_sign():
     # (a + mu)(b + mu) = k^2, once for k = 0 and twice for k >= 1
     a, b, K = 0.3, -0.45, 31
     ch = quadratic_tube([(a, b)])
-    ev = spectrum(asymptotic_operator(ch, central_orbit(ch, 128), K)).eigenvalues
+    ev = spectrum(asymptotic_operator(central_orbit(ch, 128), K)).eigenvalues
     expected = []
     for k in range(K + 1):
         root = np.sqrt((a - b) ** 2 + 4 * k**2)
@@ -311,7 +290,7 @@ def test_asymptotic_operator_of_a_modulated_tube():
     # spectrum {k - mean c}, each value twice.  Galerkin truncation moves only
     # the eigenvalues near the edge |mu| ~ 15, so the window |mu| < 8 is exact.
     ch = quadratic_tube([(0.0, 0.0)], lambda th: 0.3 + 0.2 * np.cos(th), lambda th: -0.2 * np.sin(th))
-    op = asymptotic_operator(ch, central_orbit(ch), 15)
+    op = asymptotic_operator(central_orbit(ch), 15)
     assert op.blocks is None  # the dense time-dependent path
     ev = spectrum(op).eigenvalues
     expected = expected_free_spectrum(2 * np.pi, range(-15, 16), 0.3)
@@ -323,7 +302,7 @@ def test_asymptotic_operator_of_a_modulated_tube():
 def test_asymptotic_operator_of_a_two_frequency_tube():
     w1, w2 = 0.3, 0.45
     ch = quadratic_tube([(w1, w1), (w2, w2)])
-    op = asymptotic_operator(ch, central_orbit(ch), 15)
+    op = asymptotic_operator(central_orbit(ch), 15)
     assert op.rank == 4
     expected = np.sort(np.concatenate([expected_free_spectrum(2 * np.pi, range(-15, 16), w)
                                        for w in (w1, w2)]))
@@ -334,7 +313,7 @@ def test_asymptotic_operator_of_a_rescaled_tube():
     # f = exp(a r^2 / 2) adds a to the rotation weight of the tube
     w, a = 0.3, 0.35
     ch, orb = tube_orbit(w)
-    op = asymptotic_operator(ch, orb, 15, pert=quad_fiber_perturbation(a))
+    op = asymptotic_operator(orb, 15, pert=quad_fiber_perturbation(a))
     assert np.max(np.abs(op.S_samples - (w + a) * np.eye(2))) <= 1e-10
     expected = expected_free_spectrum(2 * np.pi, range(-15, 16), w + a)
     assert np.max(np.abs(spectrum(op).eigenvalues - expected)) <= 1e-10
@@ -343,8 +322,8 @@ def test_asymptotic_operator_of_a_rescaled_tube():
 @pytest.mark.parametrize("w", [0.3, 0.5, 1.0, 1.7, 2.0])
 def test_asymptotic_kernel_is_the_return_map_unit_multiplicity(w):
     ch, orb = tube_orbit(w)
-    kernel = spectrum(asymptotic_operator(ch, orb, 15)).kernel_dim
-    assert kernel == return_map(ch, orb).unit_eigen_dim
+    kernel = spectrum(asymptotic_operator(orb, 15)).kernel_dim
+    assert kernel == return_map(orb).unit_eigen_dim
     assert kernel == (2 if w in (1.0, 2.0) else 0)
 
 
@@ -388,8 +367,8 @@ def test_asymptotic_kernel_of_a_sheared_tube(w):
     # {k - w}; the kernel, the pushed-forward sections dphi^t v, stays
     ch = sheared_tube(w, 0.4)
     orb = central_orbit(ch)
-    op = asymptotic_operator(ch, orb, 15)
-    assert op.blocks is None and spectrum(op).kernel_dim == return_map(ch, orb).unit_eigen_dim
+    op = asymptotic_operator(orb, 15)
+    assert op.blocks is None and spectrum(op).kernel_dim == return_map(orb).unit_eigen_dim
     if w == 1.0:
         u = pushforward_in_operator_frame(ch, orb, 0.4)
         assert np.max(np.abs(op.apply(op.coefficients_from_grid(u)))) < 1e-10
@@ -399,7 +378,7 @@ def test_linearized_operator_torus_reduces_to_derivative():
     # the torus chart has DX = 0 and a constant frame along the orbit: S = 0
     ch = torus_chart()
     orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0, n_samples=64)
-    op = asymptotic_operator(ch, orb, 15)
+    op = asymptotic_operator(orb, 15)
     assert np.max(np.abs(op.S_samples)) < 1e-10
     ev = spectrum(op).eigenvalues
     assert np.max(np.abs(ev - expected_free_spectrum(1.0, range(-15, 16)))) <= 1e-10
@@ -411,7 +390,7 @@ def test_torus_model_operator_kernel_dimension():
     # of the orbit manifold, i.e. its dimension minus the orbit direction)
     ch = torus_chart()
     orb = ReebOrbit.from_point(ch, np.zeros(3), 1.0, n_samples=64)
-    res = spectrum(asymptotic_operator(ch, orb, 15))
+    res = spectrum(asymptotic_operator(orb, 15))
     assert res.kernel_dim == 2
     assert abs(res.gap - 2 * np.pi) < 1e-10
 
@@ -420,7 +399,7 @@ def test_linearized_operator_kernel_is_flow_pushforward():
     # Morse-Bott tube (resonant fiber rotation): dphi^t(v) is a periodic
     # section, and in the operator's frame it lies in the kernel
     ch, orb = tube_orbit(1.0)
-    op = asymptotic_operator(ch, orb, 15)
+    op = asymptotic_operator(orb, 15)
     assert spectrum(op).kernel_dim == 2
     u = pushforward_in_operator_frame(ch, orb)
     assert np.max(np.abs(op.apply(op.coefficients_from_grid(u)))) < 1e-10
@@ -430,33 +409,33 @@ def test_linearized_operator_hypothesis_checked():
     ch, orb = tube_orbit(0.8)
     bad = PerturbationData(lambda x: 2.0, lambda x: np.zeros(3))
     with pytest.raises(HypothesisViolated):
-        asymptotic_operator(ch, orb, 15, pert=bad)
+        asymptotic_operator(orb, 15, pert=bad)
     bad_df = PerturbationData(lambda x: float(np.exp(x[1])), lambda x: np.array([0.0, np.exp(x[1]), 0.0]))
     with pytest.raises(HypothesisViolated):
-        asymptotic_operator(ch, orb, 15, pert=bad_df)
+        asymptotic_operator(orb, 15, pert=bad_df)
 
 
 def test_linearized_operator_matches_galerkin_vertical_block():
     # quadratic fiber factor on the flat tube: S is the Hessian term a I alone
     a = 0.35
     ch, orb = tube_orbit(0.0)
-    op = asymptotic_operator(ch, orb, 15, pert=quad_fiber_perturbation(a))
+    op = asymptotic_operator(orb, 15, pert=quad_fiber_perturbation(a))
     assert np.max(np.abs(op.S_samples - a * np.eye(2))) <= 1e-10
 
 
 def test_linearized_operator_constant_unit_factor_reduces():
     ch, orb = tube_orbit(0.6)
     one = PerturbationData(lambda x: 1.0, lambda x: np.zeros(3))
-    with_one = asymptotic_operator(ch, orb, 15, pert=one)
-    plain = asymptotic_operator(ch, orb, 15)
+    with_one = asymptotic_operator(orb, 15, pert=one)
+    plain = asymptotic_operator(orb, 15)
     assert np.max(np.abs(with_one.S_samples - plain.S_samples)) < 1e-8
 
 
 def test_asymptotic_operator_needs_two_samples_per_mode():
     ch, orb = tube_orbit(0.3)
-    assert asymptotic_operator(ch, orb, 31).n_modes == 31  # 64 = 2 * 31 + 2 samples
+    assert asymptotic_operator(orb, 31).n_modes == 31  # 64 = 2 * 31 + 2 samples
     with pytest.raises(ResolutionTooCoarse):
-        asymptotic_operator(ch, orb, 32)
+        asymptotic_operator(orb, 32)
 
 
 def test_time_dependent_S_rotating_frame_oracle():
@@ -500,14 +479,6 @@ def dense_gap(ev):
 
 
 @st.composite
-def complex_structures(draw, rank):
-    """J0 = Q^T standard_J Q with Q orthogonal (the Q factor of a drawn matrix)."""
-    X = draw(st.lists(st.floats(-1.0, 1.0), min_size=rank * rank, max_size=rank * rank))
-    Q = np.linalg.qr(np.reshape(X, (rank, rank)))[0]
-    return Q.T @ standard_J(rank) @ Q
-
-
-@st.composite
 def constant_operators(draw):
     rank = draw(st.sampled_from([2, 4]))
     ints = st.integers(-8, 8)
@@ -515,8 +486,7 @@ def constant_operators(draw):
     A = A.reshape(rank, rank) / 4.0
     period = draw(st.floats(0.2, 5.0))
     n_modes = draw(st.integers(0, 8))
-    J0 = draw(complex_structures(rank))
-    return assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank, J0=J0)
+    return assemble_operator(A + A.T, period=period, n_modes=n_modes, rank=rank)
 
 
 @settings(max_examples=60, deadline=None)
@@ -643,14 +613,14 @@ def constant_problems(draw):
         return np.array(draw(entries)).reshape(rank, rank)
 
     A = square(3.0)
-    return A + A.T, draw(complex_structures(rank)), draw(st.floats(0.2, 5.0)), draw(st.integers(0, 12))
+    return A + A.T, standard_J(rank), draw(st.floats(0.2, 5.0)), draw(st.integers(0, 12))
 
 
 @settings(max_examples=60, deadline=None)
 @given(constant_problems(), st.integers(0, 2**31 - 1))
 def test_blocks_are_the_dense_galerkin_matrix(problem, seed):
     S, J0, period, n_modes = problem
-    op = assemble_operator(S, period=period, n_modes=n_modes, rank=len(S), J0=J0)
+    op = assemble_operator(S, period=period, n_modes=n_modes, rank=len(S))
     assert op.blocks.shape == (n_modes, 2 * op.rank, 2 * op.rank)
     assert op._matrix is None  # nothing dense until asked for
     M = op.matrix
@@ -790,7 +760,7 @@ def time_dependent_problems(draw):
     # even and odd grids, below 2 n_modes + 1 (aliased) and above 4 n_modes + 1
     n_t = draw(st.integers(2, 4 * n_modes + 8))
     A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n_t, rank, rank))
-    return A + A.transpose(0, 2, 1), draw(complex_structures(rank)), draw(st.floats(0.2, 5.0)), n_modes
+    return A + A.transpose(0, 2, 1), standard_J(rank), draw(st.floats(0.2, 5.0)), n_modes
 
 
 @settings(max_examples=80, deadline=None)
@@ -798,7 +768,7 @@ def time_dependent_problems(draw):
 def test_dft_fill_is_the_quadrature_galerkin_matrix(problem):
     S_samples, J0, period, n_modes = problem
     rank, n_t = S_samples.shape[1], len(S_samples)
-    op = assemble_operator(S_samples, period=period, n_modes=n_modes, rank=rank, J0=J0, n_t=n_t)
+    op = assemble_operator(S_samples, period=period, n_modes=n_modes, rank=rank, n_t=n_t)
     assert op.blocks is None
     M = op.matrix
     assert np.array_equal(M, M.T)
