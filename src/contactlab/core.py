@@ -11,6 +11,12 @@ vector fields, the closed-form identities for a conformally rescaled contact
 form.  Reeb fields and duals take one point (d,) or a stack (N, d), and make
 one stacked solve of the chart's dual system per call.
 
+A chart is read one point at a time (``lambda_at``, ``dlambda_at``), the hot
+leaf of every solve, so per-point work avoids numpy scalars, which cost more
+than their arithmetic: a chart's ``dim`` is computed once, and a point Reeb
+solve forms its residual in Python floats, to the bits of the numpy
+expression.
+
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
 ``wrap_angles`` reduces angle differences to [-P/2, P/2), ``unwrap_angles``
@@ -18,6 +24,8 @@ lifts samples along a loop or grid axis to the universal cover, and
 ``periodic_derivative`` differentiates periodic samples spectrally.
 """
 
+import contextlib
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -138,17 +146,23 @@ def fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
 
     A scalar f gives its gradient, shape (d,); a vector-valued f with m
     components gives the (d, m) matrix G[i, j] = d f_j / d x_i.
+
+    The 4d stencil points x + s e_i, s = 2h, h, -h, -2h, come from one array
+    op and f is called at each in turn, i = 0 first, as in a loop over the
+    rows; the zero offsets carry the sign of s, so every point has the bits
+    of that loop's x + s e_i or x - |s| e_i, signed zeros too.  Stencil
+    values that are not ``_bounded`` are combined with the warnings off:
+    their inf - inf or overflow gives a non-finite entry, which a chart read
+    rejects, without a numpy warning first.
     """
     x = np.asarray(x, dtype=float)
     h = DEFAULT_FD_STEP
-    rows = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = 1.0
-        rows.append(
-            (-f(x + 2 * h * e) + 8 * f(x + h * e) - 8 * f(x - h * e) + f(x - 2 * h * e)) / (12 * h)
-        )
-    return np.array(rows, dtype=float)
+    steps = np.array([2 * h, h, -h, -2 * h])
+    points = (x + np.eye(x.size)[:, None, :] * steps[:, None]).reshape(4 * x.size, x.size)
+    F = np.array([f(p) for p in points], dtype=float)
+    F = F.reshape((x.size, 4) + F.shape[1:])
+    with contextlib.nullcontext() if _bounded(F) else np.errstate(all="ignore"):
+        return (-F[:, 0] + 8 * F[:, 1] - 8 * F[:, 2] + F[:, 3]) / (12 * h)
 
 
 def _angle_columns(periods):
@@ -217,7 +231,7 @@ class ContactChart:
     name: str = "chart"
     periods: Optional[tuple] = None
 
-    @property
+    @functools.cached_property  # read on every chart evaluation
     def dim(self) -> int:
         return 2 * self.n + 1
 
@@ -315,12 +329,13 @@ def _read_forms(chart: ContactChart, x):
     """``_chart_forms`` without its retry and its check of lam."""
     if x.ndim == 1:
         return chart.lambda_at(x), chart.dlambda_at(x)
-    L = np.empty((len(x), chart.dim))
-    D = np.empty((len(x), chart.dim, chart.dim))
+    d, lambda_at, dlambda_at = chart.dim, chart.lambda_at, chart.dlambda_at
+    L = np.empty((len(x), d))
+    D = np.empty((len(x), d, d))
     for i, xi in enumerate(x):
-        L[i] = chart.lambda_at(xi)
+        L[i] = lambda_at(xi)
         try:
-            D[i] = chart.dlambda_at(xi)
+            D[i] = dlambda_at(xi)
         except _FormOutOfRange as err:
             raise _FormOutOfRange.at(err.what, _at(x, i)) from None
     return L, D
@@ -332,10 +347,10 @@ def _chart_forms(chart: ContactChart, x):
     this module.  OutOfRange at the first point whose Jacobian of lam is not
     ``_bounded`` (the check of ``dlambda_at``), else at the first whose lam
     is not, so the dual matrix dlam^T + lam lam^T cannot overflow.  Where a
-    warnings filter raises a RuntimeWarning while the chart is read (the
-    finite-difference Jacobian of an inf lam), the chart is read again with
-    the warnings off: np.errstate on every call would cost 3 us, a twentieth
-    of a point Reeb solve."""
+    warnings filter raises a RuntimeWarning while the chart is read (a lam
+    or grad that warns itself, as a numpy division by zero does), the chart
+    is read again with the warnings off, where np.errstate on every read
+    would cost about 2.5 us."""
     try:
         L, D = _read_forms(chart, x)
     except RuntimeWarning:
@@ -391,6 +406,22 @@ def _rank_test(chart: ContactChart, x, M, system: str):
     return s
 
 
+def _point_residual(L, D, v) -> float:
+    """sqrt((lam(v) - 1)^2 + |D^T v|^2) at a point, as the numpy expression
+    ``np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))`` gives it, in
+    Python floats: a float's ``** 2`` is the same ``pow`` as a numpy scalar's,
+    ``u * u`` is ``np.square``, and np.sum adds fewer than 8 entries left to
+    right (from 8 on it sums pairwise, so it stays)."""
+    Dv = D.T @ v
+    if len(Dv) < 8:
+        total = 0.0
+        for u in Dv.tolist():
+            total += u * u
+    else:
+        total = float(np.sum(Dv**2))
+    return math.sqrt((float(L @ v) - 1.0) ** 2 + total)
+
+
 def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     """Solve the stacked (2n+2)x(2n+1) system lam(X)=1, X . dlam = 0.
 
@@ -417,7 +448,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     if not s[-1] > _RANK_TOL * s[0]:
         raise _system_error(chart, "Reeb system rank-deficient", s, x)
     v = np.linalg.solve(M, L)
-    return ReebSolve(v, float(np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))), float(s[0] / s[-1]), L)
+    return ReebSolve(v, _point_residual(L, D, v), float(s[0] / s[-1]), L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:

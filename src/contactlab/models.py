@@ -9,27 +9,57 @@ Coordinate conventions:
   * Weighted tube: a solid-torus chart (theta, x, y) around a closed Reeb
     orbit whose transverse plane rotates linearly, the local model of a
     weighted-sphere orbit.
+
+A model's ``lam`` and ``grad`` are frozen value records of its parameters,
+callables of one point (d,).  Each reads the point once with ``tolist`` and
+computes in Python floats: the bits of the numpy formula, without the cost of
+numpy scalars.  Records of equal parameters compare equal, so two calls of a
+model give equal charts.  A constant Jacobian is one read-only array.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ContactChart, _dots
 
 
+@dataclass(frozen=True)
+class _ConstantJacobian:
+    """``grad`` of a form whose Jacobian is the constant matrix ``rows`` (a
+    tuple of rows): one read-only array, returned at every point."""
+
+    rows: tuple
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        G = np.array(self.rows, dtype=float)
+        G.flags.writeable = False
+        object.__setattr__(self, "G", G)
+
+    def __call__(self, x):
+        return self.G
+
+
+@dataclass(frozen=True)
+class _DarbouxLam:
+    """lam = scale * (dz - sum p_i dq_i) at one point (q, p, z)."""
+
+    n: int
+    scale: float
+
+    def __call__(self, x):
+        s = -self.scale
+        return np.array([s * p for p in x.tolist()[self.n : 2 * self.n]] + [0.0] * self.n + [self.scale])
+
+
 def darboux_chart(n: int = 1, scale: float = 1.0) -> ContactChart:
     """Standard chart with lam = scale * (dz - sum p_i dq_i)."""
-    dim = 2 * n + 1
-    G = np.zeros((dim, dim))
+    scale = float(scale)
+    G = np.zeros((2 * n + 1, 2 * n + 1))
     G[np.arange(n, 2 * n), np.arange(n)] = -scale  # d/dp_i of the dq_i coefficient
-
-    def lam(x):
-        out = np.zeros(dim)
-        out[:n] = -scale * x[n : 2 * n]
-        out[-1] = scale
-        return out
-
     name = f"darboux(n={n})" if scale == 1.0 else f"{scale:g}*darboux(n={n})"
-    return ContactChart(n, lam, lambda x: G, name=name)
+    return ContactChart(n, _DarbouxLam(n, scale), _ConstantJacobian(tuple(map(tuple, G.tolist()))), name=name)
 
 
 def darboux_flat_dual_formula(n: int, alpha0, a, b, x) -> np.ndarray:
@@ -52,29 +82,54 @@ def darboux_flat_dual_formula(n: int, alpha0, a, b, x) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class _TorusLam:
+    """lam = dt1 + p dt2 at one point (t1, t2, p)."""
+
+    def __call__(self, x):
+        return np.array([1.0, x.tolist()[2], 0.0])
+
+
 def torus_chart() -> ContactChart:
     """lam = dt1 + p dt2 on (t1, t2, p); t1 and t2 are unit-period angles."""
-    G = np.zeros((3, 3))
-    G[2, 1] = 1.0
-    return ContactChart(
-        1, lambda x: np.array([1.0, x[2], 0.0]), lambda x: G, name="torus", periods=(1.0, 1.0, None)
-    )
+    G = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0))  # d/dp of the dt2 coefficient
+    return ContactChart(1, _TorusLam(), _ConstantJacobian(G), name="torus", periods=(1.0, 1.0, None))
+
+
+@dataclass(frozen=True)
+class _SolidTorusLam:
+    """lam = (1 + c r^2/2 + q r^4/4) dtheta + (x dy - y dx)/2 at one point
+    (theta, x, y), with r^2 = x^2 + y^2."""
+
+    c: float
+    q: float
+
+    def __call__(self, x):
+        _, a, b = x.tolist()
+        r2 = a**2 + b**2
+        return np.array([1.0 + 0.5 * self.c * r2 + 0.25 * self.q * r2**2, -0.5 * b, 0.5 * a])
+
+
+@dataclass(frozen=True)
+class _SolidTorusGrad:
+    """Jacobian of ``_SolidTorusLam(c, q)`` at one point (theta, x, y)."""
+
+    c: float
+    q: float
+
+    def __call__(self, x):
+        _, a, b = x.tolist()
+        s = self.c + self.q * (a**2 + b**2)
+        # a flat list converts to an array faster than nested ones
+        return np.array([0.0, 0.0, 0.0, s * a, 0.0, 0.5, s * b, -0.5, 0.0]).reshape(3, 3)
 
 
 def _solid_torus_chart(w_theta: float, w_fiber: float, quartic: float, name: str) -> ContactChart:
     """lam = (1 + w_fiber*r^2/2 + quartic*r^4/4) dtheta + (x dy - y dx)/2."""
-    c = float(w_fiber)
-    q = float(quartic)
-
-    def lam(x):
-        r2 = x[1] ** 2 + x[2] ** 2
-        return np.array([1.0 + 0.5 * c * r2 + 0.25 * q * r2**2, -0.5 * x[2], 0.5 * x[1]])
-
-    def grad(x):
-        s = c + q * (x[1] ** 2 + x[2] ** 2)
-        return np.array([[0.0, 0.0, 0.0], [s * x[1], 0.0, 0.5], [s * x[2], -0.5, 0.0]])
-
-    return ContactChart(1, lam, grad, name=name, periods=(2 * np.pi / w_theta, None, None))
+    c, q = float(w_fiber), float(quartic)
+    return ContactChart(
+        1, _SolidTorusLam(c, q), _SolidTorusGrad(c, q), name=name, periods=(2 * np.pi / w_theta, None, None)
+    )
 
 
 def weighted_tube_chart(w_theta: float, w_fiber: float) -> ContactChart:

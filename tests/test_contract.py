@@ -588,11 +588,11 @@ def test_a_non_finite_chart_reads_the_same_from_every_entry_point(call, where, c
         call(chart)
 
 
-# an inf lam without ``grad``: its finite-difference Jacobian warns of
-# inf - inf, which the error filter of pyproject raises inside the chart read.
-# core reads the chart again with the warnings off and names the form
+# a lam that warns itself (numpy's "divide by zero"), which the error filter
+# of pyproject raises inside the chart read.  core reads the chart again with
+# the warnings off and names the form
 
-INF_FD_CHART = core.ContactChart(1, lambda x: np.array([np.inf, 0.0, 1.0]))
+DIV0_CHART = core.ContactChart(1, lambda x: np.array([1.0, 0.0, 1.0]) / np.array([0.0, 1.0, 1.0]), name="div0")
 
 
 @pytest.mark.parametrize("call, where", [
@@ -604,8 +604,8 @@ INF_FD_CHART = core.ContactChart(1, lambda x: np.array([np.inf, 0.0, 1.0]))
 def test_a_chart_read_that_warns_is_read_again_under_the_error_filter(call, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(OutOfRange, match=rf"^{re.escape(INF_FD_CHART.name)}: {where}"):
-            call(INF_FD_CHART)
+        with pytest.raises(OutOfRange, match=rf"^{re.escape(DIV0_CHART.name)}: {where}"):
+            call(DIV0_CHART)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +617,9 @@ def test_a_chart_read_that_warns_is_read_again_under_the_error_filter(call, wher
 # OutOfRange
 
 HUGE_CHART = core.ContactChart(1, lambda x: np.array([1e200, 0.0, 1.0]), lambda x: np.zeros((3, 3)))
+# an inf lam without ``grad``: before, its finite-difference Jacobian printed
+# numpy's "invalid value encountered in add" (inf - inf in the stencil sum)
+INF_FD_CHART = core.ContactChart(1, lambda x: np.array([np.inf, 0.0, 1.0]))
 # the Darboux form with a Jacobian whose G - G^T overflows
 HUGE_GRAD_CHART = dataclasses.replace(DARBOUX, grad=lambda x: np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0],
                                                                         [0.0, 0.0, 0.0]]))
@@ -629,8 +632,9 @@ NONFINITE_FORM = "non-finite contact form"
     (lambda ch: core.reeb_solve(ch, P3), r"\[0\.1 0\.2 0\.3\]$"),
     (lambda ch: core.reeb_batch(ch, STACK3), r"point 0 of the stack, \[0\.1 0\.2 0\.3\]$"),
 ], ids=["reeb_solve", "reeb_batch"])
-@pytest.mark.parametrize("chart, what", [(HUGE_CHART, HUGE), (HUGE_GRAD_CHART, HUGE), (INF_GRAD_CHART, NONFINITE_FORM)],
-                         ids=["huge_lam", "huge_dlam", "inf_dlam"])
+@pytest.mark.parametrize("chart, what", [(HUGE_CHART, HUGE), (HUGE_GRAD_CHART, HUGE), (INF_GRAD_CHART, NONFINITE_FORM),
+                                         (INF_FD_CHART, NONFINITE_FORM)],
+                         ids=["huge_lam", "huge_dlam", "inf_dlam", "inf_fd_lam"])
 def test_a_bad_chart_value_raises_before_any_warning(call, where, chart, what, action):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)

@@ -17,7 +17,7 @@ from contactlab.models import (
     torus_chart,
     weighted_tube_chart,
 )
-from oracle_models import exp_factor_chart
+from oracle_models import exp_factor_chart, loop_fd_gradient
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -183,6 +183,43 @@ def test_hamiltonian_dual_formula():
     hz, hq, hp = 2 * z, p, q
     expected = np.array([hp, -hq - p * hz, hz + p * hp])
     assert np.max(np.abs(got - expected)) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 3), st.data())
+def test_fd_gradient_is_the_row_loop_bit_for_bit(d, m, data):
+    # f is a polynomial with m components (a scalar for m = 0); the one-op
+    # stencil calls f at the loop's points in the loop's order, signed zeros
+    # of x included, and combines the values to the same bits
+    coord = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=float)
+    A, B = (np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=max(m, 1) * d, max_size=max(m, 1) * d)))
+            .reshape(max(m, 1), d) for _ in range(2))
+
+    def recorded(calls):
+        def f(y):
+            calls.append(y.copy())
+            v = A @ y + B @ (y * y) + y[0] * y[-1]
+            return v if m else v[0]
+        return f
+
+    calls, loop_calls = [], []
+    got, want = core.fd_gradient(recorded(calls), x), loop_fd_gradient(recorded(loop_calls), x)
+    assert got.shape == want.shape == ((d, m) if m else (d,))
+    assert got.tobytes() == want.tobytes()
+    assert np.array(calls).tobytes() == np.array(loop_calls).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_point_reeb_residual_is_the_numpy_expression(d, seed):
+    # the float residual of a point solve: below 8 entries of D^T v it sums
+    # as np.sum does, from 8 on it calls np.sum; entries of mixed magnitude,
+    # so the order of the sum shows in the last bits
+    g = rng(seed)
+    L, v = g.standard_normal((2, d)) * 10.0 ** g.integers(-3, 4, (2, d))
+    D = g.standard_normal((d, d)) * 10.0 ** g.integers(-3, 4, (d, d))
+    assert core._point_residual(L, D, v) == float(np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2)))
 
 
 def test_singular_chart_raises():

@@ -319,6 +319,16 @@ def test_family_scan_torus_constant_period():
     assert scan.period_spread < 1e-8
 
 
+def test_family_scan_takes_a_seed_of_an_equal_chart():
+    # the seed and the scan get their charts from two calls of the model;
+    # this raised ModeMismatch "another chart (torus) than the one given
+    # (torus)" while each call built new lambdas
+    seed = ReebOrbit.from_point(torus_chart(), np.zeros(3), 1.0)
+    scan = orbit_family_scan(torus_chart(), seed, [[0.0, 1.0, 0.0]])
+    assert scan.n_failed == 0
+    assert scan.period_spread < 1e-8
+
+
 def test_family_scan_round_sphere_tube():
     # equal frequencies: every nearby point sits on a period-2pi orbit
     ch = weighted_tube_chart(1.0, 1.0)
