@@ -15,7 +15,14 @@ A chart is read one point at a time (``lambda_at``, ``dlambda_at``), the hot
 leaf of every solve, so per-point work avoids numpy scalars, which cost more
 than their arithmetic: a chart's ``dim`` is computed once, and a point Reeb
 solve forms its residual in Python floats, to the bits of the numpy
-expression.
+expression.  One point's dual system goes through ``_point_solve``, which
+calls LAPACK's ``dgesdd`` (singular values) and ``dgesv`` (one column each)
+directly through ``scipy.linalg.lapack``, imported on first use so that
+importing the package loads no scipy solver; numpy.linalg's per-call wrapper
+costs more than the arithmetic of a 3x3 system.  A stack keeps numpy's
+stacked solves, which give the point solves' bits on the lab's charts (the
+tests check it there; on other matrices the two LAPACK builds may differ in
+the last bits).
 
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
@@ -406,6 +413,46 @@ def _rank_test(chart: ContactChart, x, M, system: str):
     return s
 
 
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on first use."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def _singular_values(M) -> np.ndarray:
+    """Singular values of one matrix M, descending: LAPACK ``dgesdd`` without
+    vectors, the routine of ``np.linalg.svd(M, compute_uv=False)`` without its
+    wrapper; ``np.linalg.LinAlgError`` when it does not converge."""
+    _, s, _, info = _lapack().dgesdd(M, compute_uv=0)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dgesdd info = {info}")
+    return s
+
+
+def _point_solve(chart: ContactChart, x, M, system: str, *rhs):
+    """(s, [v, ...]) for the finite dual matrix M (d, d) at the point x: its
+    singular values s, then the solution v of M v = b for each vector b of
+    rhs, one LAPACK ``dgesv`` call each.  ``_system_error`` when sigma_min
+    <= _RANK_TOL sigma_max, and SingularChart naming x when LAPACK reports
+    info != 0."""
+    try:
+        s = _singular_values(M)
+    except np.linalg.LinAlgError as err:
+        raise SingularChart(f"{chart.name}: {system} {_at(x)} ({err})") from None
+    if not s[-1] > _RANK_TOL * s[0]:
+        raise _system_error(chart, system, s, x)
+    dgesv = _lapack().dgesv
+    vs = []
+    for b in rhs:
+        _, _, v, info = dgesv(M, b)
+        if info:
+            raise SingularChart(f"{chart.name}: {system} {_at(x)} (LAPACK dgesv info = {info})")
+        vs.append(v)
+    return s, vs
+
+
 def _point_residual(L, D, v) -> float:
     """sqrt((lam(v) - 1)^2 + |D^T v|^2) at a point, as the numpy expression
     ``np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))`` gives it, in
@@ -429,10 +476,10 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     (dlam^T + lam lam^T) X = lam; the residual of the stacked system and the
     condition number are reported rather than silently accepted.  A point x
     (d,) is solved on its own, a stack (N, d) in one pass (one stacked SVD
-    rank test and LU solve; the worst residual and condition number), with
-    the vectors of the point solves bit for bit.  At a point the singular
-    values give the rank check and the condition number, and the solve is
-    one LU factorization.
+    rank test and LU solve; the worst residual and condition number).  At a
+    point ``_point_solve`` gives the singular values, for the rank check and
+    the condition number, and the LU solve; on the lab's charts the vectors
+    of a stack and of its point solves agree bit for bit.
     """
     x = _array("x", x)
     if x.shape != (chart.dim,) or not _finite(x):
@@ -444,10 +491,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
         residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
         return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
     L, D, M = _dual_systems(chart, x)
-    s = np.linalg.svd(M, compute_uv=False)
-    if not s[-1] > _RANK_TOL * s[0]:
-        raise _system_error(chart, "Reeb system rank-deficient", s, x)
-    v = np.linalg.solve(M, L)
+    s, (v,) = _point_solve(chart, x, M, "Reeb system rank-deficient", L)
     return ReebSolve(v, _point_residual(L, D, v), float(s[0] / s[-1]), L)
 
 
@@ -469,11 +513,20 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 
+def _xi_projection(chart: ContactChart, x):
+    """(Pi, D) at a point x (d,): Pi = I - X lam^T, the matrix of
+    ``xi_projection_matrix``, and D = dlam, from one chart read and one
+    ``_point_solve`` of the Reeb system."""
+    x = _points(chart.dim, x, stack=False)[0]
+    L, D, M = _dual_systems(chart, x)
+    _, (v,) = _point_solve(chart, x, M, "Reeb system rank-deficient", L)
+    return np.eye(chart.dim) - np.outer(v, L), D
+
+
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     """Matrix I - X lam^T at a point (d,) of the projection onto the contact
-    distribution along the Reeb field X, from one ``reeb_solve``."""
-    sol = reeb_solve(chart, _points(chart.dim, x, stack=False)[0])
-    return np.eye(chart.dim) - np.outer(sol.vector, sol.lam)
+    distribution along the Reeb field X."""
+    return _xi_projection(chart, x)[0]
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -504,17 +557,16 @@ def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     g = log f.
 
     ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken.
-    One evaluation of the chart's dual system M, one rank test and one stacked
-    LU solve of M against dg and against lam: two right-hand sides of one
+    One evaluation of the chart's dual system M and one ``_point_solve`` of M
+    against dg and against lam, one column each: two right-hand sides of one
     system would take LAPACK's multi-column triangular solve, which moves last
     bits against the one-column solves of ``flat_dual``."""
     x = _points(chart.dim, x, stack=False)[0]
     fx = pert.f_at(x)
     dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
-    L, _, M = _stacked_systems(chart, x)
-    _rank_test(chart, x, M, "dual system singular")
-    v, X = np.linalg.solve(np.concatenate([M, M]), np.concatenate([dg[None], L])[:, :, None])[:, :, 0]
-    return fx, L[0], X, v - _dots(L[0], v) * X
+    L, _, M = _dual_systems(chart, x)
+    _, (v, X) = _point_solve(chart, x, M, "dual system singular", dg, L)
+    return fx, L, X, v - _dots(L, v) * X
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
@@ -556,8 +608,13 @@ def xi_frame(chart: ContactChart, x) -> np.ndarray:
     order, so the result is reproducible, skipping a column whose remainder
     has norm at most 1e-10, until 2n are found (else SingularChart).
     """
+    return _frame(chart, xi_projection_matrix(chart, x), x)
+
+
+def _frame(chart: ContactChart, Pi, x) -> np.ndarray:
+    """``xi_frame`` at x from its projection matrix Pi."""
     cols = []
-    for v in xi_projection_matrix(chart, x).T:
+    for v in Pi.T:
         if len(cols) == 2 * chart.n:
             break
         v = v.copy()

@@ -6,8 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _angle_columns, _array, _points, _record, _require_int, _require_real
-from .core import periodic_derivative, reeb_batch, reeb_solve, unwrap_angles, xi_frame, xi_projection_matrix
+from .core import ContactChart, _angle_columns, _array, _frame, _points, _record, _require_int, _require_real
+from .core import _singular_values, _xi_projection, periodic_derivative, reeb_batch, reeb_solve
+from .core import unwrap_angles, xi_frame
 from .errors import ModeMismatch, NoConvergence, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
@@ -283,16 +284,17 @@ def return_map(orbit: ReebOrbit) -> ReturnMap:
     the ``xi_frame`` at the base point; ``unit_eigen_dim`` is dim
     ker(Psi - I), the singular values of Psi - I at most ``UNIT_TOL``: the
     geometric multiplicity of the eigenvalue 1, so a Jordan block
-    [[1, a], [0, 1]] counts once."""
+    [[1, a], [0, 1]] counts once.  The projection, the frame and dlam at the
+    base point come from one chart read and one Reeb solve."""
     chart, p = _record("orbit", orbit, ReebOrbit).chart, orbit.base_point
-    S = xi_frame(chart, p)
+    Pi, D = _xi_projection(chart, p)
+    S = _frame(chart, Pi, p)
     _, MS = monodromy(chart, p, orbit.period, S)
-    Psi = S.T @ (xi_projection_matrix(chart, p) @ MS)
-    D = chart.dlambda_at(p)
+    Psi = S.T @ (Pi @ MS)
     Omega0 = S.T @ D @ S
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)
-    unit_dim = int(np.sum(np.linalg.svd(Psi - np.eye(len(Psi)), compute_uv=False) <= UNIT_TOL))
+    unit_dim = int(np.sum(_singular_values(Psi - np.eye(len(Psi))) <= UNIT_TOL))
     return ReturnMap(Psi, eig, unit_dim, sperr)
 
 

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _array, _points, _record, _require_int, _require_real, fd_gradient, periodic_derivative
-from .core import perturbed_reeb, reeb_solve, xi_frame
+from .core import _array, _frame, _points, _record, _require_int, _require_real, _xi_projection, fd_gradient
+from .core import periodic_derivative, perturbed_reeb, reeb_solve
 from .dynamics import ReebOrbit, reeb_jacobian
 from .errors import (
     AsymmetricHessian,
@@ -340,7 +340,8 @@ def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
         DX = np.array([reeb_jacobian(chart, p) for p in z])
     sol = reeb_solve(chart, z)
     Pi = np.eye(chart.dim) - sol.vector[:, :, None] * sol.lam[:, None, :]
-    F = np.array([_symplectic_frame(xi_frame(chart, p), chart.dlambda_at(p)) for p in z])
+    frames = [(p, *_xi_projection(chart, p)) for p in z]  # one chart read per sample
+    F = np.array([_symplectic_frame(_frame(chart, Pi_p, p), D_p) for p, Pi_p, D_p in frames])
     A = np.linalg.pinv(F) @ Pi @ (DX @ F - periodic_derivative(F, T))
     J0 = standard_J(2 * chart.n)
     return assemble_operator(J0 @ A, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=len(z))

@@ -1,5 +1,7 @@
 """Dual isomorphism, projections, Darboux-chart identities, contact volume."""
 
+import functools
+import types
 import warnings
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import cli, core
+from contactlab import cli, core, dynamics
+from contactlab import normalform as nf
 from contactlab.core import ContactChart
 from contactlab.errors import ModeMismatch, OutOfRange, SingularChart
 from contactlab.models import (
@@ -377,6 +380,124 @@ def test_xi_projections_evaluate_lambda_once():
     P = core.xi_projection_matrix(ch, x)
     assert len(calls) == 1
     assert np.array_equal(P, np.eye(3) - np.outer(core.reeb_solve(base, x).vector, base.lam(x)))
+
+
+def test_return_map_reads_its_base_point_once(monkeypatch):
+    # the projection, the frame and dlam at p come from one chart read
+    base = torus_chart()
+    reads, in_monodromy = [], []
+
+    def counted(kind, fn):
+        def read(x):
+            if not in_monodromy:
+                reads.append((kind, x.tolist()))
+            return fn(x)
+
+        return read
+
+    ch = ContactChart(1, counted("lam", base.lam), counted("grad", base.grad), "torus", base.periods)
+    orbit = dynamics.ReebOrbit.from_point(ch, np.array([0.1, 0.2, 0.3]), 1.0)
+    monodromy = dynamics.monodromy
+
+    def flagged(*args, **kwargs):
+        in_monodromy.append(1)
+        try:
+            return monodromy(*args, **kwargs)
+        finally:
+            in_monodromy.pop()
+
+    monkeypatch.setattr(dynamics, "monodromy", flagged)
+    reads.clear()
+    rm = dynamics.return_map(orbit)
+    p = orbit.base_point.tolist()
+    assert reads == [("lam", p), ("grad", p)]
+    assert np.max(np.abs(rm.matrix - np.eye(2))) < 1e-8
+
+
+STD_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# chart name -> (chart factory, point sampler); d = 3, 5 and 7
+KERNEL_CHARTS = {
+    **{f"darboux{n}": (lambda n=n: darboux_chart(n), lambda g, d: g.uniform(-1, 1, d)) for n in (1, 2, 3)},
+    **{f"exp_factor{n}": (lambda n=n: exp_factor_chart(n), lambda g, d: g.uniform(-1, 1, d)) for n in (1, 2)},
+    "torus": (torus_chart, lambda g, d: g.uniform(-1, 1, d)),
+    "tube": (lambda: weighted_tube_chart(1.0, 2**0.5), lambda g, d: g.uniform(-1, 1, d)),
+    "mixed": (
+        lambda: nf.build_thickening(nf.mixed_setup(), STD_OMEGA, radius=0.3, fiber_pts=5, base_pts=3).chart,
+        lambda g, d: np.concatenate([g.uniform(0, 1, 4), g.uniform(-0.15, 0.15, 3)]),
+    ),
+}
+
+
+@functools.cache
+def kernel_chart(name):
+    return KERNEL_CHARTS[name][0]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_CHARTS)), st.integers(min_value=0, max_value=2**31 - 1))
+def test_point_kernel_is_numpy_linalg_bit_for_bit_on_the_lab_charts(name, seed):
+    ch, g = kernel_chart(name), rng(seed)
+    for _ in range(25):
+        x = KERNEL_CHARTS[name][1](g, ch.dim)
+        a = g.uniform(-1, 1, ch.dim)
+        L, D = ch.lambda_at(x), ch.dlambda_at(x)
+        M = D.T + np.outer(L, L)
+        s, (X, v) = core._point_solve(ch, x, M, "dual system", L, a)
+        assert np.array_equal(s, np.linalg.svd(M, compute_uv=False))
+        assert np.array_equal(X, np.linalg.solve(M, L))
+        assert np.array_equal(v, np.linalg.solve(M, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**31 - 1))
+def test_point_kernel_is_backward_stable_on_dense_systems(d, seed):
+    # the two LAPACK builds may differ in the last bits here, so a bound
+    g = rng(seed)
+    M, b = g.standard_normal((d, d)), g.standard_normal(d)
+    eps = np.finfo(float).eps
+    s, (v,) = core._point_solve(darboux_chart(1), np.zeros(3), M, "dense system", b)
+    norm_M = np.linalg.norm(M, np.inf)
+    assert np.linalg.norm(M @ v - b, np.inf) <= 4 * d * eps * norm_M * np.linalg.norm(v, np.inf)
+    assert np.max(np.abs(s - np.linalg.svd(M, compute_uv=False))) <= 4 * d * eps * s[0]
+
+
+@pytest.mark.parametrize("routine", ["dgesdd", "dgesv"])
+def test_a_lapack_failure_is_a_singular_chart_naming_the_point(monkeypatch, routine):
+    lapack = core._lapack()
+    failing = {
+        "dgesdd": lambda M, compute_uv: lapack.dgesdd(M, compute_uv=compute_uv)[:3] + (2,),
+        "dgesv": lambda M, b: lapack.dgesv(M, b)[:3] + (3,),
+    }
+    fake = types.SimpleNamespace(dgesdd=lapack.dgesdd, dgesv=lapack.dgesv)
+    setattr(fake, routine, failing[routine])
+    monkeypatch.setattr(core, "_lapack", lambda: fake)
+    x = np.array([0.1, 0.2, 0.3])
+    for call in (lambda: core.reeb_solve(torus_chart(), x), lambda: core.xi_frame(torus_chart(), x)):
+        with pytest.raises(SingularChart, match=rf"torus: Reeb system rank-deficient at \[0\.1 0\.2 0\.3\] .*{routine}"):
+            call()
+
+
+def test_point_work_does_not_reach_numpy_linalg(monkeypatch):
+    # one matrix through np.linalg pays its per-call wrapper; stacks (a
+    # variational right-hand side, stacked duals) stay on numpy's gufuncs
+    def single_matrices_raise(fn):
+        def guarded(a, *args, **kwargs):
+            assert np.ndim(a) > 2, f"np.linalg.{fn.__name__} on one matrix"
+            return fn(a, *args, **kwargs)
+
+        return guarded
+
+    for name in ("solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, single_matrices_raise(getattr(np.linalg, name)))
+    tc, x = torus_chart(), np.array([0.1, 0.2, 0.3])
+    pert = core.PerturbationData(lambda y: 2.0 + np.sin(y[0]), lambda y: np.array([np.cos(y[0]), 0.0, 0.0]))
+    core.reeb_solve(tc, x)
+    core.xi_projection_matrix(tc, x)
+    core.xi_frame(tc, x)
+    core.perturbed_reeb(tc, pert, x)
+    core.perturbed_projection(tc, pert, x, x)
+    dynamics.return_map(dynamics.ReebOrbit.from_point(tc, x, 1.0))
+    dynamics.flow(weighted_tube_chart(1.0, 2**0.5), x, 0.5, steps=4)
 
 
 @settings(max_examples=30, deadline=None)
