@@ -8,15 +8,15 @@ finite-difference stencil, ``fd_gradient``, applied to the whole vector.
 Everything here is a pure function of the point: Reeb fields, the projection
 to the contact distribution, the dual isomorphism between one-forms and
 vector fields, the closed-form identities for a conformally rescaled contact
-form.  Reeb fields and duals take one point (d,) or a stack (N, d), and make
-one stacked solve of the chart's dual system per call.
+form.  Reeb fields, duals and xi-projections take one point (d,) or a stack
+(N, d), and make one solve of the chart's dual system per call (``_solve``).
 
 A chart is read one point at a time (``lambda_at``, ``dlambda_at``), the hot
 leaf of every solve, so per-point work avoids numpy scalars, which cost more
 than their arithmetic: a chart's ``dim`` is computed once, and a point Reeb
 solve forms its residual in Python floats, to the bits of the numpy
-expression.  One point's dual system goes through ``_point_solve``, which
-calls LAPACK's ``dgesdd`` (singular values) and ``dgesv`` (one column each)
+expression.  ``_solve`` takes a point to ``_point_solve``, which calls
+LAPACK's ``dgesdd`` (singular values) and ``dgesv`` (one column each)
 directly through ``scipy.linalg.lapack``, imported on first use so that
 importing the package loads no scipy solver; numpy.linalg's per-call wrapper
 costs more than the arithmetic of a 3x3 system.  A stack keeps numpy's
@@ -147,6 +147,24 @@ def _points(d: int, x, point: bool = True, stack: bool = True, name: str = "x", 
     return out
 
 
+def _fd_points(x) -> np.ndarray:
+    """The points x + s e_i, s = 2h, h, -h, -2h, h = DEFAULT_FD_STEP, of
+    ``fd_gradient``'s stencil at a point x (d,), shape (d, 4, d), or at each
+    row of a stack, (N, d, 4, d); a zero offset has the sign of s."""
+    steps = DEFAULT_FD_STEP * np.array([2.0, 1.0, -1.0, -2.0])
+    return x[..., None, None, :] + np.eye(x.shape[-1])[:, None, :] * steps[:, None]
+
+
+def _fd_sum(F, axis: int) -> np.ndarray:
+    """The 4th-order centered difference from the values F at the points of
+    ``_fd_points``, s along ``axis``.  Values that are not ``_bounded``
+    combine with the warnings off: their inf - inf gives a non-finite entry,
+    which a chart read rejects, without a numpy warning first."""
+    up2, up1, down1, down2 = np.moveaxis(F, axis, 0)
+    with contextlib.nullcontext() if _bounded(F) else np.errstate(all="ignore"):
+        return (-up2 + 8 * up1 - 8 * down1 + down2) / (12 * DEFAULT_FD_STEP)
+
+
 def fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     """4th-order centered finite differences of f at x, step DEFAULT_FD_STEP;
     row i is d f / d x_i.
@@ -154,22 +172,12 @@ def fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     A scalar f gives its gradient, shape (d,); a vector-valued f with m
     components gives the (d, m) matrix G[i, j] = d f_j / d x_i.
 
-    The 4d stencil points x + s e_i, s = 2h, h, -h, -2h, come from one array
-    op and f is called at each in turn, i = 0 first, as in a loop over the
-    rows; the zero offsets carry the sign of s, so every point has the bits
-    of that loop's x + s e_i or x - |s| e_i, signed zeros too.  Stencil
-    values that are not ``_bounded`` are combined with the warnings off:
-    their inf - inf or overflow gives a non-finite entry, which a chart read
-    rejects, without a numpy warning first.
+    f is called at each point of ``_fd_points`` in turn, i = 0 first, as in
+    a loop over the rows, and ``_fd_sum`` combines the values.
     """
     x = np.asarray(x, dtype=float)
-    h = DEFAULT_FD_STEP
-    steps = np.array([2 * h, h, -h, -2 * h])
-    points = (x + np.eye(x.size)[:, None, :] * steps[:, None]).reshape(4 * x.size, x.size)
-    F = np.array([f(p) for p in points], dtype=float)
-    F = F.reshape((x.size, 4) + F.shape[1:])
-    with contextlib.nullcontext() if _bounded(F) else np.errstate(all="ignore"):
-        return (-F[:, 0] + 8 * F[:, 1] - 8 * F[:, 2] + F[:, 3]) / (12 * h)
+    F = np.array([f(p) for p in _fd_points(x).reshape(4 * x.size, x.size)], dtype=float)
+    return _fd_sum(F.reshape((x.size, 4) + F.shape[1:]), 1)
 
 
 def _angle_columns(periods):
@@ -380,12 +388,6 @@ def _dual_systems(chart: ContactChart, x):
     return L, D, D.swapaxes(-1, -2) + L[..., :, None] * L[..., None, :]
 
 
-def _stacked_systems(chart: ContactChart, x):
-    """``_dual_systems`` at x with a point as the one-row stack."""
-    forms = _dual_systems(chart, x)
-    return forms if x.ndim == 2 else [a[None] for a in forms]
-
-
 def _system_error(chart: ContactChart, system: str, s, x, i=None):
     """SingularChart naming the ``system`` and the singular values s of its
     dual matrix at the point x, or at row i of the stack x (see ``_at``)."""
@@ -398,19 +400,6 @@ def _dots(a, b):
     A matmul of each pair of rows rather than an einsum, so every entry is bit
     for bit the ``a_i @ b_i`` of a point-by-point loop."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _rank_test(chart: ContactChart, x, M, system: str):
-    """Singular values (N, d) of the finite stack M of ``_dual_systems`` at x,
-    a point (d,) (N = 1) or a stack (N, d); ``_system_error`` for the first
-    point with sigma_min <= _RANK_TOL sigma_max."""
-    s = np.linalg.svd(M, compute_uv=False)
-    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
-    bad = np.flatnonzero(~(s[:, -1] > _RANK_TOL * s[:, 0]))
-    if bad.size:
-        i = bad[0]
-        raise _system_error(chart, system, s[i], x, None if x.ndim == 1 else i)
-    return s
 
 
 @functools.cache
@@ -453,6 +442,20 @@ def _point_solve(chart: ContactChart, x, M, system: str, *rhs):
     return s, vs
 
 
+def _solve(chart: ContactChart, x, M, system: str, *rhs):
+    """``_point_solve`` at a point x (d,); over a stack x (N, d) the same for
+    the stack M of dual matrices and each stack b (N, d) of rhs, by one
+    stacked SVD and one stacked LU solve per b."""
+    if x.ndim == 1:
+        return _point_solve(chart, x, M, system, *rhs)
+    s = np.linalg.svd(M, compute_uv=False)
+    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
+    bad = np.flatnonzero(~(s[:, -1] > _RANK_TOL * s[:, 0]))
+    if bad.size:
+        raise _system_error(chart, system, s[bad[0]], x, bad[0])
+    return s, [np.linalg.solve(M, b[:, :, None])[:, :, 0] for b in rhs]
+
+
 def _point_residual(L, D, v) -> float:
     """sqrt((lam(v) - 1)^2 + |D^T v|^2) at a point, as the numpy expression
     ``np.sqrt((L @ v - 1.0) ** 2 + np.sum((D.T @ v) ** 2))`` gives it, in
@@ -485,8 +488,7 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     if x.shape != (chart.dim,) or not _finite(x):
         x = _points(chart.dim, x)[0]  # a stack, else it raises
         L, D, M = _dual_systems(chart, x)
-        s = _rank_test(chart, x, M, "Reeb system rank-deficient")
-        v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
+        s, (v,) = _solve(chart, x, M, "Reeb system rank-deficient", L)
         Dv = (D.swapaxes(1, 2) @ v[:, :, None])[:, :, 0]  # one gemv per point, as ``D.T @ v``
         residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
         return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
@@ -509,24 +511,24 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
             return v
     except np.linalg.LinAlgError:  # LU is backward stable, so the rank test fails too
         pass
-    _rank_test(chart, xs, M, "Reeb system rank-deficient")
+    _solve(chart, xs, M, "Reeb system rank-deficient")
     raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 
 def _xi_projection(chart: ContactChart, x):
-    """(Pi, D) at a point x (d,): Pi = I - X lam^T, the matrix of
-    ``xi_projection_matrix``, and D = dlam, from one chart read and one
-    ``_point_solve`` of the Reeb system."""
-    x = _points(chart.dim, x, stack=False)[0]
+    """(Pi, D, X) at a point x (d,) or over a stack x (N, d): Pi = I - X lam^T,
+    the matrix of ``xi_projection_matrix``, D = dlam and X the Reeb field,
+    from one chart read per point and one ``_solve`` of the Reeb system."""
+    x = _points(chart.dim, x)[0]
     L, D, M = _dual_systems(chart, x)
-    _, (v,) = _point_solve(chart, x, M, "Reeb system rank-deficient", L)
-    return np.eye(chart.dim) - np.outer(v, L), D
+    _, (v,) = _solve(chart, x, M, "Reeb system rank-deficient", L)
+    return np.eye(chart.dim) - v[..., :, None] * L[..., None, :], D, v
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
     """Matrix I - X lam^T at a point (d,) of the projection onto the contact
     distribution along the Reeb field X."""
-    return _xi_projection(chart, x)[0]
+    return _xi_projection(chart, _points(chart.dim, x, stack=False)[0])[0]
 
 
 def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
@@ -537,18 +539,15 @@ def flat_dual(chart: ContactChart, alpha, x) -> np.ndarray:
     alpha has the shape of x.
     """
     x, alpha = _points(chart.dim, x, alpha=alpha)
-    M = _stacked_systems(chart, x)[2]
-    _rank_test(chart, x, M, "dual system singular")
-    return np.linalg.solve(M, alpha.reshape(-1, chart.dim, 1)).reshape(x.shape)
+    return _solve(chart, x, _dual_systems(chart, x)[2], "dual system singular", alpha)[1][0]
 
 
 def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
     """The one-form dual to a vector field X (shaped as x): X . dlam + lam(X) lam."""
     x, X = _points(chart.dim, x, X=X)
-    Xs = X.reshape(-1, chart.dim)
-    L, D, _ = _stacked_systems(chart, x)
+    L, D, _ = _dual_systems(chart, x)
     # one gemv per point, as ``D.T @ X``
-    return ((D.swapaxes(1, 2) @ Xs[:, :, None])[:, :, 0] + _dots(L, Xs)[:, None] * L).reshape(x.shape)
+    return (D.swapaxes(-1, -2) @ X[..., None])[..., 0] + _dots(L, X)[..., None] * L
 
 
 def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
@@ -562,7 +561,7 @@ def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     system would take LAPACK's multi-column triangular solve, which moves last
     bits against the one-column solves of ``flat_dual``."""
     x = _points(chart.dim, x, stack=False)[0]
-    fx = pert.f_at(x)
+    fx = _record("pert", pert, PerturbationData).f_at(x)
     dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
     L, _, M = _dual_systems(chart, x)
     _, (v, X) = _point_solve(chart, x, M, "dual system singular", dg, L)
@@ -583,6 +582,7 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart
     finite-difference path on purpose so the closed-form identities are
     checked against an independent evaluation.
     """
+    _record("pert", pert, PerturbationData)
     return ContactChart(
         n=chart.n,
         lam=lambda y: pert.f_at(y) * chart.lam(y),

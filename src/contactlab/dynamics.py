@@ -71,12 +71,6 @@ def _reeb_and_jacobian(chart: ContactChart, x):
     return vals[0], ((vals[1::2] - vals[2::2]) / (2 * REEB_JACOBIAN_STEP)).T
 
 
-def reeb_jacobian(chart: ContactChart, x) -> np.ndarray:
-    """Jacobian of the Reeb field at a point x (d,) by centered differences
-    (batched solves)."""
-    return _reeb_and_jacobian(chart, _points(chart.dim, x, stack=False)[0])[1]
-
-
 def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     """Integrate x' = X_lam(x) with the variations Y' = DX_lam(x) Y, Y(0) = V.
 
@@ -287,7 +281,7 @@ def return_map(orbit: ReebOrbit) -> ReturnMap:
     [[1, a], [0, 1]] counts once.  The projection, the frame and dlam at the
     base point come from one chart read and one Reeb solve."""
     chart, p = _record("orbit", orbit, ReebOrbit).chart, orbit.base_point
-    Pi, D = _xi_projection(chart, p)
+    Pi, D, _ = _xi_projection(chart, p)
     S = _frame(chart, Pi, p)
     _, MS = monodromy(chart, p, orbit.period, S)
     Psi = S.T @ (Pi @ MS)

@@ -2,11 +2,12 @@
 spectra, spectral gaps, and the gap inequality.
 
 The operator acts on loops u: R/TZ -> R^(2k) as  B u = J0 u' - S(t) u  with
-J0 = ``standard_J(2k)`` and S(t) symmetric; this is the composition of the
-first-order linearization along an orbit with J0, and it is self-adjoint on
-periodic loops.  ``asymptotic_operator`` builds it from a computed closed
-Reeb orbit, in a dlam-symplectic frame of the contact distribution: that
-frame fixes J0, so no other complex structure is taken.  The
+J0 = ``standard_J(2k)`` and S(t) symmetric, the linearization along an orbit
+composed with J0, self-adjoint on periodic loops.  ``asymptotic_operator``
+builds it from a computed closed Reeb orbit in one stacked pass, in the
+dlam-symplectic frame of the xi-projected axes Pi e_j, j != k (k the axis
+most transverse to xi along the orbit) differentiated along the Reeb field:
+that frame fixes J0, so the eigenvalues off the kernel depend on it.  The
 discretization is Galerkin in the real Fourier basis (not collocation), and
 the assembled matrix is exactly symmetric: a constant S gives one block per
 Fourier mode, a time-dependent S a dense matrix filled from one DFT of its
@@ -20,15 +21,16 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _array, _frame, _points, _record, _require_int, _require_real, _xi_projection, fd_gradient
-from .core import periodic_derivative, perturbed_reeb, reeb_solve
-from .dynamics import ReebOrbit, reeb_jacobian
+from .core import _RANK_TOL, PerturbationData, _array, _fd_points, _fd_sum, _points, _record, _require_int
+from .core import _require_real, _xi_projection, perturbed_reeb
+from .dynamics import ReebOrbit
 from .errors import (
     AsymmetricHessian,
     HypothesisViolated,
     ModeMismatch,
     OutOfRange,
     ResolutionTooCoarse,
+    SingularChart,
 )
 
 KERNEL_TOL = 1e-8  # an eigenvalue of modulus at most this counts as kernel
@@ -281,70 +283,73 @@ def assemble_operator(
     return SpectralOperator(rank, K, float(period), S_samples, t_grid, None, None, _matrix=M)
 
 
-def _symplectic_frame(F: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The columns of a frame F of xi recombined so that F^T D F = -standard_J.
+def _orbit_frames(chart, Pi, D, X):
+    """Frames F (N, d, 2n), F^T D F = -standard_J(2n), of the columns Pi e_j,
+    j != k, k the axis with the largest min |X_k|, given the ``_xi_projection``
+    (Pi, D, X) of N points: symplectic Gram-Schmidt with the pairing of the
+    first point kept at every point; SingularChart where a pair degenerates."""
 
-    Symplectic Gram-Schmidt for dlam(u, v) = u . D v over the columns in
-    order: each column is paired with the later column it pairs most
-    strongly with, the pair scaled so that dlam(e, f) = 1, and the remaining
-    columns made dlam-orthogonal to it.  Returns (e_1..e_n, f_1..f_n); for
-    n = 1 this is F scaled by |dlam(F1, F2)|^(-1/2), with the sign of that
-    value on the second column.
-    """
-    cols, es, fs = list(F.T), [], []
+    def dlam(u, v):  # u . D v, point by point
+        return np.einsum("ni,nij,nj->n", u, D, v)
+
+    k = int(np.argmax(np.min(np.abs(X), axis=0)))
+    cols, es, fs = [Pi[:, :, j] for j in range(chart.dim) if j != k], [], []
     while cols:
         a = cols.pop(0)
-        w = np.array([a @ D @ c for c in cols])
-        j = int(np.argmax(np.abs(w)))
-        scale = 1.0 / np.sqrt(abs(w[j]))
-        e, f = scale * a, np.sign(w[j]) * scale * cols.pop(j)
+        w = np.array([dlam(a, c) for c in cols])
+        j = int(np.argmax(np.abs(w[:, 0])))
+        w = w[j]
+        if not np.all(np.abs(w) > _RANK_TOL * abs(w[0])):
+            raise SingularChart(f"{chart.name}: the xi-frame of the axes other than {k} degenerates along the orbit")
+        scale = 1.0 / np.sqrt(np.abs(w))
+        e, f = scale[:, None] * a, (np.sign(w) * scale)[:, None] * cols.pop(j)
         es.append(e)
         fs.append(f)
-        cols = [c + (f @ D @ c) * e - (e @ D @ c) * f for c in cols]
-    return np.column_stack(es + fs)
+        cols = [c + dlam(f, c)[:, None] * e - dlam(e, c)[:, None] * f for c in cols]
+    return np.stack(es + fs, axis=-1)
 
 
 def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
-    """Asymptotic operator B = J0 d/dt - S(t) of a closed Reeb orbit of
-    ``orbit.chart``.
+    """Asymptotic operator B = J0 d/dt - S(t), J0 = standard_J(2n), of a
+    closed Reeb orbit of ``orbit.chart``, on its samples z.
 
-    At each point z(t) of ``orbit.samples`` the contact distribution gets the
-    frame F(t) = ``xi_frame``, made symplectic (F^T dlam F = -J0, J0 =
-    standard_J(2n)).  A section Y = F u of xi then has Y' - DX Y = F (u' - A u)
-    with A = F^+ Pi (DX F - F'): Pi = I - X lam^T projects onto xi along the
-    Reeb field X (one stacked ``reeb_solve``), DX is ``reeb_jacobian`` and F'
-    the spectral derivative of the frame.  The linearized Reeb flow keeps
-    dlam on xi, so S = J0 A is symmetric, and ``assemble_operator`` (on the
-    len(orbit.samples) grid) checks that, which also tests the frame.  The
-    frame fixes the complex structure (J0 in the frame): the kernel does not
-    depend on it, the other eigenvalues do.
+    xi gets the frame F of ``_orbit_frames``: Pi e_j, j != k, for the one
+    coordinate k most transverse to xi along the orbit, made symplectic.  A
+    section Y = F u of xi has Y' - DX Y = F (u' - A u), A = F^+ Pi (DX F - F'),
+    with Pi = I - X lam^T the projection along the Reeb field X, DX and DF
+    from ``fd_gradient``'s 4th-order stencil around each sample, and
+    F' = DF . X: no step assumes that the samples close exactly.  X, Pi, dlam
+    and F at the samples and their stencils come from one stacked
+    ``_xi_projection``.  The flow keeps dlam on xi, so S = J0 A is
+    symmetric, and ``assemble_operator`` checks that, which also tests the
+    frame.  The frame fixes J0 on xi: the kernel does not depend on it, the
+    eigenvalues off the kernel do.
 
-    With ``pert`` the form is f lam and DX the finite-difference Jacobian of
-    ``perturbed_reeb``.  f = 1 and df = 0 on the orbit are required
-    (HypothesisViolated otherwise), so the orbit, X, xi and dlam on xi are
-    those of lam.  Raises ResolutionTooCoarse for fewer than 2 n_modes + 2
-    samples.
+    With ``pert`` (a PerturbationData, else ModeMismatch) the form is f lam
+    and its Reeb field ``perturbed_reeb`` takes the place of X in DX and F';
+    f = 1 and df = 0 on the orbit are required (HypothesisViolated
+    otherwise), so the orbit, xi and dlam on xi are those of lam.
+    ResolutionTooCoarse for fewer than 2 n_modes + 2 samples.
     """
     _require_int("n_modes", n_modes, 0)
     chart, z, T = _record("orbit", orbit, ReebOrbit).chart, orbit.samples, orbit.period
     if len(z) < 2 * n_modes + 2:
         raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
+    N, d = z.shape
+    points = np.concatenate([z, _fd_points(z).reshape(-1, d)])
     if pert is not None:
+        _record("pert", pert, PerturbationData)
         for p in z:
-            if abs(pert.f_at(p) - 1.0) > 1e-8:
-                raise HypothesisViolated(f"f != 1 on orbit: f({p}) = {pert.f_at(p)!r}")
-            if np.max(np.abs(pert.dg_at(p) * pert.f_at(p))) > 1e-8:
-                raise HypothesisViolated(f"df != 0 on orbit at {p}")
-        DX = np.array([fd_gradient(lambda y: perturbed_reeb(chart, pert, y), p).T for p in z])
-    else:
-        DX = np.array([reeb_jacobian(chart, p) for p in z])
-    sol = reeb_solve(chart, z)
-    Pi = np.eye(chart.dim) - sol.vector[:, :, None] * sol.lam[:, None, :]
-    frames = [(p, *_xi_projection(chart, p)) for p in z]  # one chart read per sample
-    F = np.array([_symplectic_frame(_frame(chart, Pi_p, p), D_p) for p, Pi_p, D_p in frames])
-    A = np.linalg.pinv(F) @ Pi @ (DX @ F - periodic_derivative(F, T))
-    J0 = standard_J(2 * chart.n)
-    return assemble_operator(J0 @ A, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=len(z))
+            if abs(pert.f_at(p) - 1.0) > 1e-8 or np.max(np.abs(pert.dg_at(p) * pert.f_at(p))) > 1e-8:
+                raise HypothesisViolated(f"f != 1 or df != 0 on the orbit at {p}: f = {pert.f_at(p)!r}")
+    Pi, D, X = _xi_projection(chart, points)
+    V = X if pert is None else np.array([perturbed_reeb(chart, pert, p) for p in points])
+    F = _orbit_frames(chart, Pi, D, X)
+    # rows d/dx_i of X and of F at each sample, from its stencil
+    grads = _fd_sum(np.concatenate([V[:, :, None], F], axis=2)[N:].reshape(N, d, 4, d, -1), 2)
+    dF = np.einsum("ni,nijk->njk", V[:N], grads[..., 1:])
+    A = np.linalg.pinv(F[:N]) @ Pi[:N] @ (grads[..., 0].swapaxes(1, 2) @ F[:N] - dF)
+    return assemble_operator(standard_J(2 * chart.n) @ A, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=N)
 
 
 @dataclass

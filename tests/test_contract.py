@@ -500,10 +500,6 @@ RAW = {
     "lifted_x_theta_string_q": (OutOfRange, lambda: normalform.lifted_x_theta(thickening(), "abc")),
     # used to return 0.0, a pullback check over no points that passes
     "pullback_defect_empty_list": (ModeMismatch, lambda: normalform.zero_section_pullback_defect(thickening(), [])),
-    # used to end in a ValueError (string conversion)
-    "reeb_jacobian_string_point": (OutOfRange, lambda: dynamics.reeb_jacobian(TORUS, "abc")),
-    # used to end in a ValueError (broadcast of (2,) against the (7, 3) stencil)
-    "reeb_jacobian_short_point": (ModeMismatch, lambda: dynamics.reeb_jacobian(TORUS, P2)),
     # used to return a 3 x 3 matrix whose square is not -I
     "standard_J_odd_rank": (OutOfRange, lambda: spectral.standard_J(3)),
     # used to end in a LinAlgError from np.linalg.inv
@@ -519,6 +515,13 @@ RAW = {
     "spectrum_array": (ModeMismatch, lambda: spectral.spectrum(np.eye(4))),
     "gap_inequality_check_array": (ModeMismatch, lambda: spectral.gap_inequality_check(np.eye(4))),
     "asymptotic_operator_dict_orbit": (ModeMismatch, lambda: spectral.asymptotic_operator({}, 2)),
+    # a factor that is no PerturbationData used to end in an AttributeError
+    # ("'str' object has no attribute 'f_at'"), from perturbed_chart at the
+    # first read of its lam
+    "perturbed_reeb_string_pert": (ModeMismatch, lambda: core.perturbed_reeb(DARBOUX, "f", P3)),
+    "perturbed_projection_string_pert": (ModeMismatch, lambda: core.perturbed_projection(DARBOUX, "f", P3, P3)),
+    "perturbed_chart_string_pert": (ModeMismatch, lambda: core.perturbed_chart(DARBOUX, "f").lambda_at(P3)),
+    "asymptotic_operator_string_pert": (ModeMismatch, lambda: spectral.asymptotic_operator(torus_orbit(), 2, "f")),
     "classify_orbit_dict": (ModeMismatch, lambda: dynamics.classify_orbit({})),
     "return_map_dict_orbit": (ModeMismatch, lambda: dynamics.return_map({})),
     "family_scan_dict_seed": (ModeMismatch, lambda: dynamics.orbit_family_scan(TORUS, {}, [[0.0, 1.0, 0.0]])),

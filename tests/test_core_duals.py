@@ -500,6 +500,22 @@ def test_point_work_does_not_reach_numpy_linalg(monkeypatch):
     dynamics.flow(weighted_tube_chart(1.0, 2**0.5), x, 0.5, steps=4)
 
 
+def test_a_point_flat_dual_takes_the_point_kernel(monkeypatch):
+    # a point used to go through numpy's solves as a one-row stack, which cost
+    # about 1.5 times a point Reeb solve
+    solved = []
+    point_solve = core._point_solve
+
+    def counted(chart, x, *args):
+        solved.append(x.shape)
+        return point_solve(chart, x, *args)
+
+    monkeypatch.setattr(core, "_point_solve", counted)
+    x = np.array([0.1, 0.2, 0.3])
+    core.flat_dual(torus_chart(), x[::-1], x)
+    assert solved == [(3,)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import spectral
-from contactlab.core import ContactChart, PerturbationData, xi_frame
-from contactlab.dynamics import ReebOrbit, monodromy, return_map
+from contactlab import core, spectral
+from contactlab.core import ContactChart, PerturbationData
+from contactlab.dynamics import ReebOrbit, find_closed_orbit, monodromy, return_map
 from contactlab.errors import (
     AsymmetricHessian,
     HypothesisViolated,
@@ -18,7 +18,7 @@ from contactlab.errors import (
     OutOfRange,
     ResolutionTooCoarse,
 )
-from contactlab.models import torus_chart, weighted_tube_chart
+from contactlab.models import perturbed_tube_chart, torus_chart, weighted_tube_chart
 from contactlab.spectral import (
     assemble_operator,
     asymptotic_operator,
@@ -357,7 +357,7 @@ def pushforward_in_operator_frame(ch, orb, amp=0.0):
     # sanity: the closed form matches the variational integration at one t
     _, Mnum = monodromy(ch, orb.base_point, ts[5])
     assert np.max(np.abs(Mnum - dphi[5])) < 1e-8
-    F = np.array([spectral._symplectic_frame(xi_frame(ch, z), ch.dlambda_at(z)) for z in orb.samples])
+    F = spectral._orbit_frames(ch, *core._xi_projection(ch, orb.samples))
     return np.einsum("tij,tjk,k->ti", np.linalg.pinv(F), dphi, [0.0, 0.3, -0.2])
 
 
@@ -436,6 +436,58 @@ def test_asymptotic_operator_needs_two_samples_per_mode():
     assert asymptotic_operator(orb, 31).n_modes == 31  # 64 = 2 * 31 + 2 samples
     with pytest.raises(ResolutionTooCoarse):
         asymptotic_operator(orb, 32)
+
+
+# the resonant torus of the perturbed tube: with s = r^2/2 its form is
+# h(s) dtheta + s dphi, h = 1 + c s + q s^2, and the fiber turns at rate
+# -(c + 2 q s) per unit of theta, so at s0 = (1 - c)/(2 q) it turns once per
+# theta-turn and every orbit on {s = s0} closes, with period
+# T = 2 pi (h - s0 h_s): a Morse-Bott torus Q smaller than its chart
+
+
+def resonant_torus(c, q):
+    s0 = (1 - c) / (2 * q)
+    h, h_s = 1 + c * s0 + q * s0**2, c + 2 * q * s0
+    return perturbed_tube_chart(1.0, c, q), np.sqrt(2 * s0), 2 * np.pi * (h - s0 * h_s)
+
+
+def test_asymptotic_operator_of_the_resonant_torus():
+    # the samples close only to the integrator's tolerance (about 5e-9): a
+    # frame derivative that assumed exact closure left S asymmetric by
+    # 1.6e-7 on both orbits and raised AsymmetricHessian
+    ch, r0, T = resonant_torus(0.5, 1.0)
+    p = np.array([0.0, r0, 0.0])
+    gaps = []
+    for orb in (find_closed_orbit(ch, p, 6.0), ReebOrbit.from_point(ch, p, T)):
+        assert abs(orb.period - T) < 1e-9 and abs(np.hypot(*orb.base_point[1:]) - r0) < 1e-8
+        res = spectrum(asymptotic_operator(orb, 15))
+        assert res.kernel_dim == return_map(orb).unit_eigen_dim == 1
+        gaps.append(res.gap)
+    # the gap depends on the frame; in the (Pi e_x, Pi e_y) frame it is 0.6592
+    assert abs(gaps[0] - gaps[1]) < 1e-8 and abs(gaps[0] - 0.659236) < 1e-6
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.2, 0.8), st.floats(0.5, 2.0), st.floats(0.0, 2 * np.pi))
+def test_asymptotic_kernel_on_resonant_tori_is_the_return_map_unit_multiplicity(c, q, angle):
+    ch, r0, T = resonant_torus(c, q)
+    orb = ReebOrbit.from_point(ch, [0.0, r0 * np.cos(angle), r0 * np.sin(angle)], T, n_samples=64)
+    assert spectrum(asymptotic_operator(orb, 15)).kernel_dim == return_map(orb).unit_eigen_dim == 1
+
+
+def test_plain_operator_makes_the_same_solves_at_any_sample_count(monkeypatch):
+    # one stacked projection over the samples and their stencils; per-sample
+    # solves made 2 N + 1 dual systems
+    systems = []
+    dual_systems = core._dual_systems
+    monkeypatch.setattr(core, "_dual_systems", lambda chart, x: systems.append(len(x)) or dual_systems(chart, x))
+    counts = []
+    for n in (64, 128):
+        _, orb = tube_orbit(0.3, n)
+        systems.clear()
+        asymptotic_operator(orb, 15)
+        counts.append(len(systems))
+    assert counts[0] == counts[1] == 1
 
 
 def test_time_dependent_S_rotating_frame_oracle():
