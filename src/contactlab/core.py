@@ -402,6 +402,12 @@ def _dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _dot_column(a, b):
+    """``_dots`` shaped to scale rows: a number for vectors (d,), whose 1-D
+    product skips the stacked matmul, and a column (N, 1) for stacks (N, d)."""
+    return a @ b if a.ndim == 1 else _dots(a, b)[:, None]
+
+
 @functools.cache
 def _lapack():
     """``scipy.linalg.lapack``, imported on first use."""
@@ -547,30 +553,34 @@ def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
     x, X = _points(chart.dim, x, X=X)
     L, D, _ = _dual_systems(chart, x)
     # one gemv per point, as ``D.T @ X``
-    return (D.swapaxes(-1, -2) @ X[..., None])[..., 0] + _dots(L, X)[..., None] * L
+    return (D.swapaxes(-1, -2) @ X[..., None])[..., 0] + _dot_column(L, X) * L
 
 
 def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
-    """(f, lam, X_lam, Y_dg) at one point x: the pieces of every identity of
-    the rescaled form f*lam, with Y_dg the xi-part of the dual field of dg,
-    g = log f.
+    """(f, lam, X_lam, Y_dg) at a checked point x (d,), or a stack (N, d)
+    with f a column (N, 1): the pieces of every identity of the rescaled form
+    f*lam, Y_dg the xi-part of the dual field of dg, g = log f.
 
     ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken.
-    One evaluation of the chart's dual system M and one ``_point_solve`` of M
-    against dg and against lam, one column each: two right-hand sides of one
-    system would take LAPACK's multi-column triangular solve, which moves last
-    bits against the one-column solves of ``flat_dual``."""
-    x = _points(chart.dim, x, stack=False)[0]
-    fx = _record("pert", pert, PerturbationData).f_at(x)
-    dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
+    One read of the chart's dual systems M and one ``_solve`` of M against dg
+    and against lam, one column each: two right-hand sides of one system
+    would take LAPACK's multi-column triangular solve, which moves last bits
+    against the one-column solves of ``flat_dual``."""
+    _record("pert", pert, PerturbationData)
+    if x.ndim == 1:
+        fx = pert.f_at(x)
+        dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
+    else:
+        fx = np.array([[pert.f_at(p)] for p in x])
+        dg = _array("grad_f", [pert.grad_f(p) for p in x], x.shape) / fx
     L, _, M = _dual_systems(chart, x)
-    _, (v, X) = _point_solve(chart, x, M, "dual system singular", dg, L)
-    return fx, L, X, v - _dots(L, v) * X
+    _, (v, X) = _solve(chart, x, M, "dual system singular", dg, L)
+    return fx, L, X, v - _dot_column(L, v) * X
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
     """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f."""
-    fx, _, X, Y = _rescaled_parts(chart, pert, x)
+    fx, _, X, Y = _rescaled_parts(chart, pert, _points(chart.dim, x)[0])
     return (X + Y) / fx
 
 
@@ -592,40 +602,51 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart
 
 
 def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> np.ndarray:
-    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg.
-
-    ModeMismatch unless Z is one vector (chart.dim,)."""
-    Z = _points(chart.dim, Z, stack=False, name="Z")[0]
+    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg, Z of the shape of x."""
+    x, Z = _points(chart.dim, x, Z=Z)
     _, L, X, Y = _rescaled_parts(chart, pert, x)
-    lz = float(L @ Z)
+    lz = _dot_column(L, Z)
     return Z - lz * X - lz * Y
 
 
 def xi_frame(chart: ContactChart, x) -> np.ndarray:
-    """Orthonormal 2n-frame of the contact distribution at x.
-
-    Gram-Schmidt over the columns of ``xi_projection_matrix`` in coordinate
-    order, so the result is reproducible, skipping a column whose remainder
-    has norm at most 1e-10, until 2n are found (else SingularChart).
-    """
-    return _frame(chart, xi_projection_matrix(chart, x), x)
+    """dlam-symplectic 2n-frame of the contact distribution at a point x:
+    ``_xi_frames`` of the axes j != k, k that of the largest |X_k|."""
+    Pi, D, X = _xi_projection(chart, _points(chart.dim, x, stack=False)[0])
+    return _xi_frames(chart, Pi[None], D[None], int(np.argmax(np.abs(X))))[0]
 
 
-def _frame(chart: ContactChart, Pi, x) -> np.ndarray:
-    """``xi_frame`` at x from its projection matrix Pi."""
-    cols = []
-    for v in Pi.T:
-        if len(cols) == 2 * chart.n:
-            break
-        v = v.copy()
-        for u in cols:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            cols.append(v / nv)
-    if len(cols) != 2 * chart.n:
-        raise SingularChart(f"{chart.name}: could not frame xi at {x}")
-    return np.column_stack(cols) if cols else np.zeros((chart.dim, 0))
+def _loop_axis(chart: ContactChart, z) -> int:
+    """The axis k of the ``_xi_frames`` of a closed loop of samples z (N, d),
+    read from no chart: the coordinate whose wrapped step to the next sample
+    (the last steps to the first) has the largest minimum modulus."""
+    steps = wrap_angles(np.diff(z, axis=0, append=z[:1]), chart.periods)
+    return int(np.argmax(np.min(np.abs(steps), axis=0)))
+
+
+def _xi_frames(chart: ContactChart, Pi, D, k: int) -> np.ndarray:
+    """The one xi-frame rule: frames F (N, d, 2n), F^T D F = -[[0, -I], [I, 0]],
+    of the columns Pi e_j, j != k, given the xi-projections Pi and dlam D
+    (N, d, d) of N points: symplectic Gram-Schmidt with the pairing of the
+    first point kept at every point; SingularChart where a pair degenerates."""
+
+    def dlam(u, v):  # u . D v, point by point
+        return np.einsum("ni,nij,nj->n", u, D, v)
+
+    cols, es, fs = [Pi[:, :, j] for j in range(chart.dim) if j != k], [], []
+    while cols:
+        a = cols.pop(0)
+        w = np.array([dlam(a, c) for c in cols])
+        j = int(np.argmax(np.abs(w[:, 0])))
+        w = w[j]
+        if not np.all(np.abs(w) > _RANK_TOL * abs(w[0])):
+            raise SingularChart(f"{chart.name}: the xi-frame of the axes other than {k} degenerates")
+        scale = 1.0 / np.sqrt(np.abs(w))
+        e, f = scale[:, None] * a, (np.sign(w) * scale)[:, None] * cols.pop(j)
+        es.append(e)
+        fs.append(f)
+        cols = [c + dlam(f, c)[:, None] * e - dlam(e, c)[:, None] * f for c in cols]
+    return np.stack(es + fs, axis=-1) if es else np.zeros(Pi.shape[:-1] + (0,))
 
 
 def _pfaffian(A: np.ndarray):

@@ -6,10 +6,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContactChart, _angle_columns, _array, _frame, _points, _record, _require_int, _require_real
-from .core import _singular_values, _xi_projection, periodic_derivative, reeb_batch, reeb_solve
+from .core import ContactChart, _angle_columns, _array, _loop_axis, _points, _record, _require_int, _require_real
+from .core import _singular_values, _xi_frames, _xi_projection, periodic_derivative, reeb_batch, reeb_solve
 from .core import unwrap_angles, xi_frame
-from .errors import ModeMismatch, NoConvergence, SingularChart
+from .errors import ModeMismatch, NoConvergence, OutOfRange, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
 ORBIT_CLOSURE_TOL = 1e-8
@@ -80,7 +80,7 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     is tracked; with k > 0 it is one batched solve for the field and its
     Jacobian.  Returns
     (times, states, max_residual); each state row is [x, Y.ravel()] and
-    max_residual stays 0 when k > 0.
+    max_residual stays 0 when k > 0; OutOfRange when the run stops before T.
     """
     from scipy.integrate import solve_ivp
 
@@ -100,7 +100,7 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     y0 = np.concatenate([x0, V.ravel()])
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=RTOL, atol=ATOL, t_eval=t_eval)
     if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise OutOfRange(f"{chart.name}: the integration stopped at t = {float(sol.t[-1])!r} of {T!r}: {sol.message}")
     return sol.t, sol.y.T, max_residual
 
 
@@ -201,12 +201,13 @@ def find_closed_orbit(
     """Shooting Newton for a closed Reeb orbit near (guess, T_guess).
 
     The point unknown lives on the contact plane xi through the guess,
-    spanned by its ``xi_frame`` and transverse to the Reeb direction because
-    lam(X) = 1; the period is the remaining unknown.  The orbit closes in
-    the period cell of the first shot: its lattice offset on the angle
-    coordinates is locked in there.  Newton steps are minimum-norm, so
-    Morse-Bott families (rank-deficient transverse Jacobians) converge to
-    some orbit of the family.  A shot closes when it misses its start by
+    spanned by its dlam-symplectic ``xi_frame``, transverse to the Reeb
+    direction as lam(X) = 1; the period is the remaining unknown.  The orbit
+    closes in the period cell of the first shot: its lattice offset on the
+    angle coordinates is locked in there.  Newton steps are minimum-norm in
+    the frame's coordinates, so Morse-Bott families (rank-deficient
+    transverse Jacobians) converge to the orbit of the family the frame
+    picks.  A shot closes when it misses its start by
     less than ``ORBIT_CLOSURE_TOL``, and the orbit is sampled at
     ``ORBIT_SAMPLES`` points.
 
@@ -265,7 +266,7 @@ def find_closed_orbit(
 
 @dataclass
 class ReturnMap:
-    """Linearized Poincare return map restricted to the contact distribution."""
+    """Linearized return map on xi, in the asymptotic operator's frame: its period map."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -274,18 +275,19 @@ class ReturnMap:
 
 
 def return_map(orbit: ReebOrbit) -> ReturnMap:
-    """Monodromy Psi of the variational flow of ``orbit.chart``, projected to
-    the ``xi_frame`` at the base point; ``unit_eigen_dim`` is dim
-    ker(Psi - I), the singular values of Psi - I at most ``UNIT_TOL``: the
-    geometric multiplicity of the eigenvalue 1, so a Jordan block
-    [[1, a], [0, 1]] counts once.  The projection, the frame and dlam at the
-    base point come from one chart read and one Reeb solve."""
+    """Monodromy Psi = pinv(F) Pi dphi^T F of the variational flow of
+    ``orbit.chart``, F the frame ``asymptotic_operator`` takes at the base
+    point (the orbit's ``_loop_axis``), so Psi is that operator's period map;
+    ``unit_eigen_dim`` is dim ker(Psi - I), the singular values of Psi - I at
+    most ``UNIT_TOL``: the geometric multiplicity of the eigenvalue 1, so a
+    Jordan block [[1, a], [0, 1]] counts once.  Pi, F and dlam at the base
+    point come from one chart read and one Reeb solve; F^T dlam F is measured."""
     chart, p = _record("orbit", orbit, ReebOrbit).chart, orbit.base_point
     Pi, D, _ = _xi_projection(chart, p)
-    S = _frame(chart, Pi, p)
-    _, MS = monodromy(chart, p, orbit.period, S)
-    Psi = S.T @ (Pi @ MS)
-    Omega0 = S.T @ D @ S
+    F = _xi_frames(chart, Pi[None], D[None], _loop_axis(chart, orbit.samples))[0]
+    _, MF = monodromy(chart, p, orbit.period, F)
+    Psi = np.linalg.pinv(F) @ (Pi @ MF)
+    Omega0 = F.T @ D @ F
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)
     unit_dim = int(np.sum(_singular_values(Psi - np.eye(len(Psi))) <= UNIT_TOL))

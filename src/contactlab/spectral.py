@@ -5,9 +5,9 @@ The operator acts on loops u: R/TZ -> R^(2k) as  B u = J0 u' - S(t) u  with
 J0 = ``standard_J(2k)`` and S(t) symmetric, the linearization along an orbit
 composed with J0, self-adjoint on periodic loops.  ``asymptotic_operator``
 builds it from a computed closed Reeb orbit in one stacked pass, in the
-dlam-symplectic frame of the xi-projected axes Pi e_j, j != k (k the axis
-most transverse to xi along the orbit) differentiated along the Reeb field:
-that frame fixes J0, so the eigenvalues off the kernel depend on it.  The
+library's one xi-frame (``core._xi_frames``, the frame of ``return_map``, so
+its period map is the return map) differentiated along the Reeb field: that
+frame fixes J0, so the eigenvalues off the kernel depend on it.  The
 discretization is Galerkin in the real Fourier basis (not collocation), and
 the assembled matrix is exactly symmetric: a constant S gives one block per
 Fourier mode, a time-dependent S a dense matrix filled from one DFT of its
@@ -21,8 +21,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _RANK_TOL, PerturbationData, _array, _fd_points, _fd_sum, _points, _record, _require_int
-from .core import _require_real, _xi_projection, perturbed_reeb
+from .core import PerturbationData, _array, _fd_points, _fd_sum, _loop_axis, _points, _record, _require_int
+from .core import _require_real, _xi_frames, _xi_projection, perturbed_reeb
 from .dynamics import ReebOrbit
 from .errors import (
     AsymmetricHessian,
@@ -30,7 +30,6 @@ from .errors import (
     ModeMismatch,
     OutOfRange,
     ResolutionTooCoarse,
-    SingularChart,
 )
 
 KERNEL_TOL = 1e-8  # an eigenvalue of modulus at most this counts as kernel
@@ -283,38 +282,12 @@ def assemble_operator(
     return SpectralOperator(rank, K, float(period), S_samples, t_grid, None, None, _matrix=M)
 
 
-def _orbit_frames(chart, Pi, D, X):
-    """Frames F (N, d, 2n), F^T D F = -standard_J(2n), of the columns Pi e_j,
-    j != k, k the axis with the largest min |X_k|, given the ``_xi_projection``
-    (Pi, D, X) of N points: symplectic Gram-Schmidt with the pairing of the
-    first point kept at every point; SingularChart where a pair degenerates."""
-
-    def dlam(u, v):  # u . D v, point by point
-        return np.einsum("ni,nij,nj->n", u, D, v)
-
-    k = int(np.argmax(np.min(np.abs(X), axis=0)))
-    cols, es, fs = [Pi[:, :, j] for j in range(chart.dim) if j != k], [], []
-    while cols:
-        a = cols.pop(0)
-        w = np.array([dlam(a, c) for c in cols])
-        j = int(np.argmax(np.abs(w[:, 0])))
-        w = w[j]
-        if not np.all(np.abs(w) > _RANK_TOL * abs(w[0])):
-            raise SingularChart(f"{chart.name}: the xi-frame of the axes other than {k} degenerates along the orbit")
-        scale = 1.0 / np.sqrt(np.abs(w))
-        e, f = scale[:, None] * a, (np.sign(w) * scale)[:, None] * cols.pop(j)
-        es.append(e)
-        fs.append(f)
-        cols = [c + dlam(f, c)[:, None] * e - dlam(e, c)[:, None] * f for c in cols]
-    return np.stack(es + fs, axis=-1)
-
-
 def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
     """Asymptotic operator B = J0 d/dt - S(t), J0 = standard_J(2n), of a
     closed Reeb orbit of ``orbit.chart``, on its samples z.
 
-    xi gets the frame F of ``_orbit_frames``: Pi e_j, j != k, for the one
-    coordinate k most transverse to xi along the orbit, made symplectic.  A
+    xi gets the frame F of ``core._xi_frames``: Pi e_j, j != k, made
+    symplectic, for the orbit's ``_loop_axis`` k, as ``return_map`` does.  A
     section Y = F u of xi has Y' - DX Y = F (u' - A u), A = F^+ Pi (DX F - F'),
     with Pi = I - X lam^T the projection along the Reeb field X, DX and DF
     from ``fd_gradient``'s 4th-order stencil around each sample, and
@@ -340,11 +313,12 @@ def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
     if pert is not None:
         _record("pert", pert, PerturbationData)
         for p in z:
-            if abs(pert.f_at(p) - 1.0) > 1e-8 or np.max(np.abs(pert.dg_at(p) * pert.f_at(p))) > 1e-8:
-                raise HypothesisViolated(f"f != 1 or df != 0 on the orbit at {p}: f = {pert.f_at(p)!r}")
+            fp, dfp = pert.f_at(p), _array("grad_f", pert.grad_f(p), (d,))
+            if abs(fp - 1.0) > 1e-8 or np.max(np.abs(dfp)) > 1e-8:
+                raise HypothesisViolated(f"f != 1 or df != 0 on the orbit at {p}: f = {fp!r}")
     Pi, D, X = _xi_projection(chart, points)
-    V = X if pert is None else np.array([perturbed_reeb(chart, pert, p) for p in points])
-    F = _orbit_frames(chart, Pi, D, X)
+    V = X if pert is None else perturbed_reeb(chart, pert, points)
+    F = _xi_frames(chart, Pi, D, _loop_axis(chart, z))
     # rows d/dx_i of X and of F at each sample, from its stencil
     grads = _fd_sum(np.concatenate([V[:, :, None], F], axis=2)[N:].reshape(N, d, 4, d, -1), 2)
     dF = np.einsum("ni,nijk->njk", V[:N], grads[..., 1:])

@@ -189,9 +189,9 @@ CONTRACT = {
     "sharp_dual": Entry(core.sharp_dual, lambda: dict(chart=DARBOUX, X=STACK3[::-1], x=STACK3), {
         "X": bad_array(STACK3, [(3,), (1, 3)]), "x": bad_points(3, point=False), "chart": bad_charts(DARBOUX)}),
     "perturbed_projection": Entry(core.perturbed_projection, lambda: dict(chart=DARBOUX, pert=PERT, Z=P3, x=P3), {
-        "Z": bad_points(3, stack=False), "x": bad_points(3, stack=False), "chart": bad_charts(DARBOUX)}),
+        "Z": bad_points(3), "x": bad_points(3), "chart": bad_charts(DARBOUX)}),
     "perturbed_reeb": Entry(core.perturbed_reeb, lambda: dict(chart=DARBOUX, pert=PERT, x=P3), {
-        "x": bad_points(3, stack=False),
+        "x": bad_points(3),
         "pert": st.one_of(bad_callables(PERT.f).map(lambda f: core.PerturbationData(f, PERT.grad_f)),
                           bad_callables(PERT.grad_f).map(lambda g: core.PerturbationData(PERT.f, g))),
         "chart": bad_charts(DARBOUX)}),

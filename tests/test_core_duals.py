@@ -20,6 +20,7 @@ from contactlab.models import (
     torus_chart,
     weighted_tube_chart,
 )
+from contactlab.spectral import standard_J
 from oracle_models import exp_factor_chart, loop_fd_gradient
 
 
@@ -431,6 +432,20 @@ KERNEL_CHARTS = {
 @functools.cache
 def kernel_chart(name):
     return KERNEL_CHARTS[name][0]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["darboux1", "darboux2", "darboux3", "torus", "tube", "mixed"]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_xi_frame_is_dlam_symplectic_in_xi(name, seed):
+    # the orthonormal Gram-Schmidt frame gave F^T dlam F = +J0 on Darboux and
+    # a scaled pairing elsewhere
+    ch = kernel_chart(name)
+    x = KERNEL_CHARTS[name][1](rng(seed), ch.dim)
+    F = core.xi_frame(ch, x)
+    assert F.shape == (ch.dim, 2 * ch.n)
+    assert np.max(np.abs(F.T @ ch.dlambda_at(x) @ F + standard_J(2 * ch.n))) <= 1e-12
+    assert np.max(np.abs(ch.lambda_at(x) @ F)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

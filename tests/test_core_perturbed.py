@@ -6,7 +6,7 @@ import pytest
 from contactlab import cli, core
 from contactlab.core import PerturbationData, perturbed_chart
 from contactlab.errors import ModeMismatch, OutOfRange
-from contactlab.models import darboux_chart
+from contactlab.models import darboux_chart, weighted_tube_chart
 from oracle_models import exp_factor_chart
 
 
@@ -188,3 +188,15 @@ def test_perturbed_reeb_scenario_solves_the_rescaled_chart_once_per_sample(monke
         {"kind": "perturbed_reeb", "seed": 3, "params": {"n": 2, "n_samples": n_samples}}, "test"))
     assert report.verdicts and all(v.passed for v in report.verdicts)
     assert sum(c["lam"] for c in lam_calls) == n_samples * probe_calls["lam"]
+
+
+@pytest.mark.parametrize("chart", [darboux_chart(1), darboux_chart(2), weighted_tube_chart(1.0, 2**0.5)],
+                         ids=["darboux1", "darboux2", "tube"])
+def test_rescaled_identities_of_a_stack_are_those_of_its_rows(chart):
+    g = rng(5)
+    pert = random_positive_factor(g, chart.dim)
+    xs, Zs = g.uniform(-0.5, 0.5, (6, chart.dim)), g.standard_normal((6, chart.dim))
+    rows = np.array([core.perturbed_reeb(chart, pert, x) for x in xs])
+    assert np.array_equal(core.perturbed_reeb(chart, pert, xs), rows)
+    rows = np.array([core.perturbed_projection(chart, pert, Z, x) for Z, x in zip(Zs, xs)])
+    assert np.array_equal(core.perturbed_projection(chart, pert, Zs, xs), rows)

@@ -1,11 +1,13 @@
 """Flows, closed orbits, return maps, and family scans."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import core, dynamics
+from contactlab import cli, core, dynamics
 from contactlab.core import ContactChart
 from contactlab.dynamics import (
     UNIT_TOL,
@@ -20,7 +22,7 @@ from contactlab.dynamics import (
     orbit_family_scan,
     return_map,
 )
-from contactlab.errors import NoConvergence, OutOfRange, SingularChart
+from contactlab.errors import NoConvergence, NumericalFailure, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
     perturbed_tube_chart,
@@ -300,13 +302,14 @@ def test_classify_orbit_contract():
 def test_unit_count_of_a_shear_is_the_family_dimension():
     # lam = (1 + 0.35 p^2) dt1 + p dt2 on (t1, t2, p): the period-1 orbits
     # through p = 0 form a one-parameter family in t2, and the return map at
-    # the origin is the shear [[1, -0.7], [0, 1]], whose eigenvalue 1 is
-    # double but whose kernel of Psi - I is one line
+    # the origin is the shear [[1, 0.7], [0, 1]] in the dlam-symplectic frame
+    # (dlam(e, f) = +1; the orthonormal frame, with dlam(e, f) = -1, read
+    # -0.7), whose eigenvalue 1 is double but whose kernel of Psi - I is one line
     ch = ContactChart(1, lambda x: np.array([1.0 + 0.35 * x[2] ** 2, x[2], 0.0]),
                       lambda x: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.7 * x[2], 1.0, 0.0]]),
                       name="twisted_torus", periods=(1.0, 1.0, None))
     rm = return_map(ReebOrbit.from_point(ch, np.zeros(3), 1.0))
-    assert np.max(np.abs(rm.matrix - np.array([[1.0, -0.7], [0.0, 1.0]]))) < 1e-8
+    assert np.max(np.abs(rm.matrix - np.array([[1.0, 0.7], [0.0, 1.0]]))) < 1e-8
     assert rm.unit_eigen_dim == 1
     assert classify_orbit(rm) == MorseBottCandidate(1)
 
@@ -382,3 +385,20 @@ def test_off_center_orbit_action():
     orb = find_closed_orbit(ch, [0.1, 0.25, -0.1], 6.2, fix_point=True)
     assert abs(orb.period - 2 * np.pi) < 1e-8
     assert abs(orb.action() - orb.period) < 1e-8
+
+
+def test_a_failed_integration_is_out_of_range_naming_where_it_stopped(monkeypatch):
+    # used to end in a bare RuntimeError, and a scenario in a raw traceback
+    import scipy.integrate
+
+    def failing(fun, t_span, y0, **kwargs):
+        return types.SimpleNamespace(success=False, message="Required step size is less than spacing between numbers.",
+                                     t=np.array([0.0, 0.25]), y=np.stack([y0, y0], axis=1))
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    stopped = r"torus: the integration stopped at t = 0\.25 of 1\.0: Required step size"
+    for call in (lambda: flow(torus_chart(), np.zeros(3), 1.0), lambda: monodromy(torus_chart(), np.zeros(3), 1.0)):
+        with pytest.raises(OutOfRange, match=stopped):
+            call()
+    with pytest.raises(NumericalFailure, match="return_map: " + stopped):
+        cli.run_scenario({"kind": "return_map", "seed": 1, "params": {"model": "torus"}, "name": "return_map"})

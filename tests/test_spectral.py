@@ -357,7 +357,8 @@ def pushforward_in_operator_frame(ch, orb, amp=0.0):
     # sanity: the closed form matches the variational integration at one t
     _, Mnum = monodromy(ch, orb.base_point, ts[5])
     assert np.max(np.abs(Mnum - dphi[5])) < 1e-8
-    F = spectral._orbit_frames(ch, *core._xi_projection(ch, orb.samples))
+    Pi, D, _ = core._xi_projection(ch, orb.samples)
+    F = core._xi_frames(ch, Pi, D, core._loop_axis(ch, orb.samples))
     return np.einsum("tij,tjk,k->ti", np.linalg.pinv(F), dphi, [0.0, 0.3, -0.2])
 
 
@@ -473,6 +474,32 @@ def test_asymptotic_kernel_on_resonant_tori_is_the_return_map_unit_multiplicity(
     ch, r0, T = resonant_torus(c, q)
     orb = ReebOrbit.from_point(ch, [0.0, r0 * np.cos(angle), r0 * np.sin(angle)], T, n_samples=64)
     assert spectrum(asymptotic_operator(orb, 15)).kernel_dim == return_map(orb).unit_eigen_dim == 1
+
+
+def operator_period_map(op):
+    """Phi(T) of u' = -J0 S(t) u, S the trigonometric interpolant of the
+    operator's samples, by DOP853."""
+    from scipy.integrate import solve_ivp
+
+    n_t, r = len(op.S_samples), op.rank
+    coef, k = np.fft.fft(op.S_samples, axis=0) / n_t, np.fft.fftfreq(n_t, 1.0 / n_t)
+    J0 = standard_J(r)
+
+    def rhs(t, y):
+        S = np.real(np.tensordot(np.exp(2j * np.pi * k * t / op.period), coef, axes=(0, 0)))
+        return (-J0 @ S @ y.reshape(r, r)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, op.period), np.eye(r).ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+    return sol.y[:, -1].reshape(r, r)
+
+
+@pytest.mark.parametrize("c, q, angle", [(0.5, 1.0, 0.0), (0.3, 1.7, 1.1), (0.7, 0.6, 4.0)])
+def test_return_map_is_the_period_map_of_the_asymptotic_operator(c, q, angle):
+    # both read the orbit in one xi-frame; the orthonormal frame of the
+    # return map differed from the operator's period map by 8.30, 18.2 and 2.79
+    ch, r0, T = resonant_torus(c, q)
+    orb = ReebOrbit.from_point(ch, [0.0, r0 * np.cos(angle), r0 * np.sin(angle)], T)
+    assert np.max(np.abs(return_map(orb).matrix - operator_period_map(asymptotic_operator(orb, 15)))) <= 1e-6
 
 
 def test_plain_operator_makes_the_same_solves_at_any_sample_count(monkeypatch):
