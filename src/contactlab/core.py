@@ -309,11 +309,6 @@ class PerturbationData:
             raise OutOfRange(f"conformal factor must be positive and finite, got {fx}")
         return fx
 
-    def dg_at(self, x) -> np.ndarray:
-        """dg = df / f at x; OutOfRange when ``grad_f`` returns no numbers."""
-        x = np.asarray(x, dtype=float)
-        return _array("grad_f", self.grad_f(x)) / self.f_at(x)
-
 
 @dataclass(frozen=True)
 class ReebSolve:
@@ -521,14 +516,18 @@ def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
     raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 
-def _xi_projection(chart: ContactChart, x):
+def _xi_projection(chart: ContactChart, x, pert=None):
     """(Pi, D, X) at a point x (d,) or over a stack x (N, d): Pi = I - X lam^T,
     the matrix of ``xi_projection_matrix``, D = dlam and X the Reeb field,
-    from one chart read per point and one ``_solve`` of the Reeb system."""
+    from one chart read per point and one ``_solve``; with a PerturbationData
+    ``pert``, those of ``_rescaled_parts``, then its f, df and Y_dg."""
     x = _points(chart.dim, x)[0]
-    L, D, M = _dual_systems(chart, x)
-    _, (v,) = _solve(chart, x, M, "Reeb system rank-deficient", L)
-    return np.eye(chart.dim) - v[..., :, None] * L[..., None, :], D, v
+    if pert is None:
+        L, D, M = _dual_systems(chart, x)
+        X, rescaled = _solve(chart, x, M, "Reeb system rank-deficient", L)[1][0], ()
+    else:
+        L, D, X, *rescaled = _rescaled_parts(chart, pert, x)
+    return (np.eye(chart.dim) - X[..., :, None] * L[..., None, :], D, X, *rescaled)
 
 
 def xi_projection_matrix(chart: ContactChart, x) -> np.ndarray:
@@ -557,30 +556,27 @@ def sharp_dual(chart: ContactChart, X, x) -> np.ndarray:
 
 
 def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
-    """(f, lam, X_lam, Y_dg) at a checked point x (d,), or a stack (N, d)
-    with f a column (N, 1): the pieces of every identity of the rescaled form
-    f*lam, Y_dg the xi-part of the dual field of dg, g = log f.
+    """(lam, dlam, X_lam, f, df, Y_dg) at a checked point x (d,), or a stack
+    (N, d) with f a column (N, 1): the pieces of every identity of the rescaled
+    form f*lam, Y_dg the xi-part of the dual field of dg = df / f, g = log f.
 
-    ``f_at`` raises OutOfRange unless 0 < f < inf, before g = log f is taken.
-    One read of the chart's dual systems M and one ``_solve`` of M against dg
-    and against lam, one column each: two right-hand sides of one system
-    would take LAPACK's multi-column triangular solve, which moves last bits
-    against the one-column solves of ``flat_dual``."""
+    f and df (``grad_f``) are read once per point; ``f_at`` raises OutOfRange
+    unless 0 < f < inf, before g = log f is taken.  One read of the chart's
+    dual systems M and one ``_solve`` of M against dg and against lam, one
+    column each: two right-hand sides of one system would take LAPACK's
+    multi-column triangular solve, which moves last bits against the
+    one-column solves of ``flat_dual``."""
     _record("pert", pert, PerturbationData)
-    if x.ndim == 1:
-        fx = pert.f_at(x)
-        dg = _points(chart.dim, pert.dg_at(x), stack=False, name="dg")[0]
-    else:
-        fx = np.array([[pert.f_at(p)] for p in x])
-        dg = _array("grad_f", [pert.grad_f(p) for p in x], x.shape) / fx
-    L, _, M = _dual_systems(chart, x)
-    _, (v, X) = _solve(chart, x, M, "dual system singular", dg, L)
-    return fx, L, X, v - _dot_column(L, v) * X
+    fx = pert.f_at(x) if x.ndim == 1 else np.array([[pert.f_at(p)] for p in x])
+    df = _array("grad_f", pert.grad_f(x) if x.ndim == 1 else [pert.grad_f(p) for p in x], x.shape)
+    L, D, M = _dual_systems(chart, x)
+    _, (v, X) = _solve(chart, x, M, "dual system singular", _points(chart.dim, df / fx, name="dg")[0], L)
+    return L, D, X, fx, df, v - _dot_column(L, v) * X
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
     """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f."""
-    fx, _, X, Y = _rescaled_parts(chart, pert, _points(chart.dim, x)[0])
+    _, _, X, fx, _, Y = _rescaled_parts(chart, pert, _points(chart.dim, x)[0])
     return (X + Y) / fx
 
 
@@ -604,7 +600,7 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart
 def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> np.ndarray:
     """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg, Z of the shape of x."""
     x, Z = _points(chart.dim, x, Z=Z)
-    _, L, X, Y = _rescaled_parts(chart, pert, x)
+    L, _, X, _, _, Y = _rescaled_parts(chart, pert, x)
     lz = _dot_column(L, Z)
     return Z - lz * X - lz * Y
 
@@ -619,16 +615,33 @@ def xi_frame(chart: ContactChart, x) -> np.ndarray:
 def _loop_axis(chart: ContactChart, z) -> int:
     """The axis k of the ``_xi_frames`` of a closed loop of samples z (N, d),
     read from no chart: the coordinate whose wrapped step to the next sample
-    (the last steps to the first) has the largest minimum modulus."""
+    (the last steps to the first) has the largest minimum modulus;
+    OutOfRange for n = 0, where xi is 0-dimensional."""
+    if not chart.n:
+        raise OutOfRange(f"{chart.name}: n = 0, so xi is 0-dimensional and an orbit has no linearization on it")
     steps = wrap_angles(np.diff(z, axis=0, append=z[:1]), chart.periods)
     return int(np.argmax(np.min(np.abs(steps), axis=0)))
 
 
+def standard_J(rank: int) -> np.ndarray:
+    """Block complex structure J0 = [[0, -I], [I, 0]] on R^rank; OutOfRange
+    unless rank is an even integer >= 0."""
+    _require_int("rank", rank, 0)
+    if rank % 2:
+        raise OutOfRange(f"rank must be even, got {rank!r}")
+    k = rank // 2
+    J = np.zeros((rank, rank))
+    J[:k, k:] = -np.eye(k)
+    J[k:, :k] = np.eye(k)
+    return J
+
+
 def _xi_frames(chart: ContactChart, Pi, D, k: int) -> np.ndarray:
-    """The one xi-frame rule: frames F (N, d, 2n), F^T D F = -[[0, -I], [I, 0]],
+    """The one xi-frame rule: frames F (N, d, 2n), F^T D F = -``standard_J(2n)``,
     of the columns Pi e_j, j != k, given the xi-projections Pi and dlam D
     (N, d, d) of N points: symplectic Gram-Schmidt with the pairing of the
-    first point kept at every point; SingularChart where a pair degenerates."""
+    first point kept at every point; SingularChart where a pair degenerates.
+    As D X = 0, Pi Y = F u for u = J0 F^T D Y: no pseudo-inverse is needed."""
 
     def dlam(u, v):  # u . D v, point by point
         return np.einsum("ni,nij,nj->n", u, D, v)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ContactChart, _angle_columns, _array, _loop_axis, _points, _record, _require_int, _require_real
 from .core import _singular_values, _xi_frames, _xi_projection, periodic_derivative, reeb_batch, reeb_solve
-from .core import unwrap_angles, xi_frame
+from .core import standard_J, unwrap_angles, xi_frame
 from .errors import ModeMismatch, NoConvergence, OutOfRange, SingularChart
 
 # An orbit closes when the flow returns within this distance of its start.
@@ -275,18 +275,19 @@ class ReturnMap:
 
 
 def return_map(orbit: ReebOrbit) -> ReturnMap:
-    """Monodromy Psi = pinv(F) Pi dphi^T F of the variational flow of
-    ``orbit.chart``, F the frame ``asymptotic_operator`` takes at the base
-    point (the orbit's ``_loop_axis``), so Psi is that operator's period map;
-    ``unit_eigen_dim`` is dim ker(Psi - I), the singular values of Psi - I at
-    most ``UNIT_TOL``: the geometric multiplicity of the eigenvalue 1, so a
-    Jordan block [[1, a], [0, 1]] counts once.  Pi, F and dlam at the base
-    point come from one chart read and one Reeb solve; F^T dlam F is measured."""
+    """Monodromy Psi = J0 F^T dlam dphi^T F of the variational flow of
+    ``orbit.chart``, the frame coordinates (``core._xi_frames``) of the pushed
+    F that ``asymptotic_operator`` takes at the base point (the orbit's
+    ``_loop_axis``; OutOfRange for n = 0), so Psi is that operator's period
+    map; ``unit_eigen_dim`` is dim ker(Psi - I), the singular values of Psi - I
+    at most ``UNIT_TOL``: the geometric multiplicity of the eigenvalue 1, so a
+    Jordan block [[1, a], [0, 1]] counts once.  F and dlam at the base point
+    come from one chart read and one Reeb solve; F^T dlam F is measured."""
     chart, p = _record("orbit", orbit, ReebOrbit).chart, orbit.base_point
     Pi, D, _ = _xi_projection(chart, p)
     F = _xi_frames(chart, Pi[None], D[None], _loop_axis(chart, orbit.samples))[0]
     _, MF = monodromy(chart, p, orbit.period, F)
-    Psi = np.linalg.pinv(F) @ (Pi @ MF)
+    Psi = standard_J(2 * chart.n) @ F.T @ D @ MF
     Omega0 = F.T @ D @ F
     sperr = float(np.max(np.abs(Psi.T @ Omega0 @ Psi - Omega0)))
     eig = np.linalg.eigvals(Psi)

@@ -2,12 +2,12 @@
 spectra, spectral gaps, and the gap inequality.
 
 The operator acts on loops u: R/TZ -> R^(2k) as  B u = J0 u' - S(t) u  with
-J0 = ``standard_J(2k)`` and S(t) symmetric, the linearization along an orbit
-composed with J0, self-adjoint on periodic loops.  ``asymptotic_operator``
-builds it from a computed closed Reeb orbit in one stacked pass, in the
-library's one xi-frame (``core._xi_frames``, the frame of ``return_map``, so
-its period map is the return map) differentiated along the Reeb field: that
-frame fixes J0, so the eigenvalues off the kernel depend on it.  The
+J0 = ``core.standard_J(2k)`` and S(t) symmetric, self-adjoint on periodic
+loops.  ``asymptotic_operator`` builds it from a computed closed Reeb orbit in
+one stacked pass, in the library's one xi-frame F (``core._xi_frames``, the
+frame of ``return_map``, so its period map is the return map): S = F^T dlam
+(F' - DX F), the form dlam(., (d/dt - DX) .) on xi, with no pseudo-inverse.
+That frame fixes J0, so the eigenvalues off the kernel depend on it.  The
 discretization is Galerkin in the real Fourier basis (not collocation), and
 the assembled matrix is exactly symmetric: a constant S gives one block per
 Fourier mode, a time-dependent S a dense matrix filled from one DFT of its
@@ -21,8 +21,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PerturbationData, _array, _fd_points, _fd_sum, _loop_axis, _points, _record, _require_int
-from .core import _require_real, _xi_frames, _xi_projection, perturbed_reeb
+from .core import _array, _fd_points, _fd_sum, _loop_axis, _points, _record, _require_int, _require_real
+from .core import _xi_frames, _xi_projection, standard_J
 from .dynamics import ReebOrbit
 from .errors import (
     AsymmetricHessian,
@@ -37,19 +37,6 @@ GAP_SLACK = 1e-8  # gap_inequality_check passes when min ||B s||^2/||s||^2 >= ga
 DEFAULT_MODES = 128
 _TRIAL_BLOCK = 64  # gap-check trial sections per matrix product
 SYM_TOL = 1e-10  # largest asymmetry of S that assemble_operator accepts
-
-
-def standard_J(rank: int) -> np.ndarray:
-    """Block complex structure [[0, -I], [I, 0]] on R^rank; OutOfRange
-    unless rank is an even integer >= 0."""
-    _require_int("rank", rank, 0)
-    if rank % 2:
-        raise OutOfRange(f"rank must be even, got {rank!r}")
-    k = rank // 2
-    J = np.zeros((rank, rank))
-    J[:k, k:] = -np.eye(k)
-    J[k:, :k] = np.eye(k)
-    return J
 
 
 def _scalar_basis_samples(n_modes: int, period: float, n_t: int):
@@ -288,21 +275,20 @@ def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
 
     xi gets the frame F of ``core._xi_frames``: Pi e_j, j != k, made
     symplectic, for the orbit's ``_loop_axis`` k, as ``return_map`` does.  A
-    section Y = F u of xi has Y' - DX Y = F (u' - A u), A = F^+ Pi (DX F - F'),
-    with Pi = I - X lam^T the projection along the Reeb field X, DX and DF
-    from ``fd_gradient``'s 4th-order stencil around each sample, and
-    F' = DF . X: no step assumes that the samples close exactly.  X, Pi, dlam
-    and F at the samples and their stencils come from one stacked
-    ``_xi_projection``.  The flow keeps dlam on xi, so S = J0 A is
-    symmetric, and ``assemble_operator`` checks that, which also tests the
-    frame.  The frame fixes J0 on xi: the kernel does not depend on it, the
-    eigenvalues off the kernel do.
+    section Y = F u of xi has Y' - DX Y = F u' + (F' - DX F) u, whose frame
+    coordinates J0 F^T dlam give u' = -J0 S u with S = F^T dlam (F' - DX F).
+    DX and DF come from ``fd_gradient``'s 4th-order stencil around each
+    sample, and F' = DF . X: no step assumes that the samples close exactly.
+    X, Pi, dlam and F at the samples and their stencils come from one stacked
+    ``_xi_projection``.  The flow keeps dlam on xi, so S is symmetric, and
+    ``assemble_operator`` checks that, which also tests the frame.
 
-    With ``pert`` (a PerturbationData, else ModeMismatch) the form is f lam
-    and its Reeb field ``perturbed_reeb`` takes the place of X in DX and F';
-    f = 1 and df = 0 on the orbit are required (HypothesisViolated
-    otherwise), so the orbit, xi and dlam on xi are those of lam.
-    ResolutionTooCoarse for fewer than 2 n_modes + 2 samples.
+    With ``pert`` (a PerturbationData, else ModeMismatch) the form is f lam,
+    and its Reeb field (X + Y_dg) / f, of the same read, takes the place of X
+    in DX and F'; f = 1 and df = 0 at the samples are required
+    (HypothesisViolated otherwise), so the orbit, xi and dlam on xi are those
+    of lam.  ResolutionTooCoarse for fewer than 2 n_modes + 2 samples,
+    OutOfRange for n = 0.
     """
     _require_int("n_modes", n_modes, 0)
     chart, z, T = _record("orbit", orbit, ReebOrbit).chart, orbit.samples, orbit.period
@@ -310,20 +296,19 @@ def asymptotic_operator(orbit, n_modes: int, pert=None) -> SpectralOperator:
         raise ResolutionTooCoarse(f"{len(z)} orbit samples cannot carry {n_modes} Fourier modes")
     N, d = z.shape
     points = np.concatenate([z, _fd_points(z).reshape(-1, d)])
-    if pert is not None:
-        _record("pert", pert, PerturbationData)
-        for p in z:
-            fp, dfp = pert.f_at(p), _array("grad_f", pert.grad_f(p), (d,))
-            if abs(fp - 1.0) > 1e-8 or np.max(np.abs(dfp)) > 1e-8:
-                raise HypothesisViolated(f"f != 1 or df != 0 on the orbit at {p}: f = {fp!r}")
-    Pi, D, X = _xi_projection(chart, points)
-    V = X if pert is None else perturbed_reeb(chart, pert, points)
+    Pi, D, V, *rescaled = _xi_projection(chart, points, pert)
+    if rescaled:
+        f, df, Y = rescaled
+        bad = np.flatnonzero((np.abs(f[:N, 0] - 1.0) > 1e-8) | (np.max(np.abs(df[:N]), axis=1) > 1e-8))
+        if bad.size:
+            raise HypothesisViolated(f"f != 1 or df != 0 on the orbit at {z[bad[0]]}: f = {float(f[bad[0], 0])!r}")
+        V = (V + Y) / f
     F = _xi_frames(chart, Pi, D, _loop_axis(chart, z))
-    # rows d/dx_i of X and of F at each sample, from its stencil
+    # rows d/dx_i of V and of F at each sample, from its stencil
     grads = _fd_sum(np.concatenate([V[:, :, None], F], axis=2)[N:].reshape(N, d, 4, d, -1), 2)
     dF = np.einsum("ni,nijk->njk", V[:N], grads[..., 1:])
-    A = np.linalg.pinv(F[:N]) @ Pi[:N] @ (grads[..., 0].swapaxes(1, 2) @ F[:N] - dF)
-    return assemble_operator(standard_J(2 * chart.n) @ A, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=N)
+    S = F[:N].swapaxes(1, 2) @ D[:N] @ (dF - grads[..., 0].swapaxes(1, 2) @ F[:N])
+    return assemble_operator(S, period=T, n_modes=n_modes, rank=2 * chart.n, n_t=N)
 
 
 @dataclass

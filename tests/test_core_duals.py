@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from contactlab import cli, core, dynamics
 from contactlab import normalform as nf
-from contactlab.core import ContactChart
+from contactlab.core import ContactChart, standard_J
 from contactlab.errors import ModeMismatch, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
@@ -20,7 +20,6 @@ from contactlab.models import (
     torus_chart,
     weighted_tube_chart,
 )
-from contactlab.spectral import standard_J
 from oracle_models import exp_factor_chart, loop_fd_gradient
 
 
@@ -442,10 +441,14 @@ def test_xi_frame_is_dlam_symplectic_in_xi(name, seed):
     # a scaled pairing elsewhere
     ch = kernel_chart(name)
     x = KERNEL_CHARTS[name][1](rng(seed), ch.dim)
-    F = core.xi_frame(ch, x)
+    F, D, J0 = core.xi_frame(ch, x), ch.dlambda_at(x), standard_J(2 * ch.n)
     assert F.shape == (ch.dim, 2 * ch.n)
-    assert np.max(np.abs(F.T @ ch.dlambda_at(x) @ F + standard_J(2 * ch.n))) <= 1e-12
+    assert np.max(np.abs(F.T @ D @ F + J0)) <= 1e-12
     assert np.max(np.abs(ch.lambda_at(x) @ F)) <= 1e-12
+    # so J0 F^T dlam reads frame coordinates with no pseudo-inverse: the
+    # identity on F, and zero on the Reeb field
+    assert np.max(np.abs(J0 @ F.T @ D @ F - np.eye(2 * ch.n))) <= 1e-12
+    assert np.max(np.abs(F.T @ D @ core.reeb_solve(ch, x).vector)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -502,7 +505,7 @@ def test_point_work_does_not_reach_numpy_linalg(monkeypatch):
 
         return guarded
 
-    for name in ("solve", "svd"):
+    for name in ("solve", "svd", "pinv"):
         monkeypatch.setattr(np.linalg, name, single_matrices_raise(getattr(np.linalg, name)))
     tc, x = torus_chart(), np.array([0.1, 0.2, 0.3])
     pert = core.PerturbationData(lambda y: 2.0 + np.sin(y[0]), lambda y: np.array([np.cos(y[0]), 0.0, 0.0]))

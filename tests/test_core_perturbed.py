@@ -66,12 +66,37 @@ def test_exp_factor_closed_form():
 
 
 def test_dg_validates_against_finite_differences():
+    # dg = grad_f / f, the form the rescaled identities take from one read of f
     g = rng(1)
     pert = random_positive_factor(g, 3)
     for _ in range(5):
         x = g.uniform(-1, 1, 3)
         fd = core.fd_gradient(lambda y: np.log(pert.f_at(y)), x)
-        assert np.max(np.abs(pert.dg_at(x) - fd)) < 1e-8
+        assert np.max(np.abs(pert.grad_f(x) / pert.f_at(x) - fd)) < 1e-8
+
+
+def test_a_point_rescaled_identity_reads_f_once():
+    # dg was taken from a second read of f after the one of the rescaled parts
+    calls = []
+    pert = exp_z_factor(3)
+    counted = PerturbationData(lambda y: calls.append("f") or pert.f(y),
+                               lambda y: calls.append("grad_f") or pert.grad_f(y))
+    x = np.array([0.4, 1.7, 0.6])
+    for fn in (lambda: core.perturbed_reeb(darboux_chart(1), counted, x),
+               lambda: core.perturbed_projection(darboux_chart(1), counted, x[::-1], x)):
+        calls.clear()
+        fn()
+        assert calls == ["f", "grad_f"]
+
+
+def test_a_factor_whose_dg_overflows_is_out_of_range():
+    # a stack returned nan where a point raised
+    pert = PerturbationData(lambda y: 1e-310, lambda y: np.array([1.0, 0.0, 0.0]))
+    x = np.array([0.1, 0.2, 0.3])
+    with np.errstate(over="ignore"):
+        for points in (x, x[None]):
+            with pytest.raises(OutOfRange, match="dg must be finite"):
+                core.perturbed_reeb(darboux_chart(1), pert, points)
 
 
 def test_formula_vs_direct_solve_random_factors():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import cli, core, dynamics
+from contactlab import cli, core, dynamics, spectral
 from contactlab.core import ContactChart
 from contactlab.dynamics import (
     UNIT_TOL,
@@ -277,6 +277,16 @@ def test_irrational_return_map_is_symplectic_to_1e10():
     ch = weighted_tube_chart(1.0, 1.41421356)
     rm = return_map(ReebOrbit.from_point(ch, np.zeros(3), 2 * np.pi))
     assert rm.symplectic_error < 1e-10
+
+
+def test_an_orbit_where_xi_is_0_dimensional_is_out_of_range_naming_the_chart():
+    # return_map ended in a raw ValueError (a maximum over no entries) and
+    # asymptotic_operator named a rank the caller never passed
+    ch = ContactChart(0, lambda x: np.array([1.0]), lambda x: np.zeros((1, 1)), name="circle", periods=(1.0,))
+    orb = ReebOrbit.from_point(ch, [0.0], 1.0, n_samples=8)
+    for call in (lambda: return_map(orb), lambda: spectral.asymptotic_operator(orb, 2)):
+        with pytest.raises(OutOfRange, match=r"^circle: n = 0"):
+            call()
 
 
 def test_classify_orbit_contract():

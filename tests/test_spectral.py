@@ -1,5 +1,6 @@
 """Fourier-Galerkin asymptotic operators: spectra, gaps, consistency."""
 
+import collections
 import tracemalloc
 from dataclasses import replace
 
@@ -502,6 +503,23 @@ def test_return_map_is_the_period_map_of_the_asymptotic_operator(c, q, angle):
     assert np.max(np.abs(return_map(orb).matrix - operator_period_map(asymptotic_operator(orb, 15)))) <= 1e-6
 
 
+@pytest.mark.parametrize("case", ["tube", (0.5, 1.0, 0.0), (0.3, 1.7, 1.1), (0.7, 0.6, 4.0)])
+def test_return_map_is_the_pseudo_inverse_reading_of_the_pushed_frame(case):
+    # the return map took pinv(F) Pi dphi^T F; J0 F^T dlam dphi^T F is the
+    # same map with no SVD and no projection
+    if case == "tube":
+        orb = central_orbit(weighted_tube_chart(1.0, 2**0.5))
+    else:
+        c, q, angle = case
+        ch, r0, T = resonant_torus(c, q)
+        orb = ReebOrbit.from_point(ch, [0.0, r0 * np.cos(angle), r0 * np.sin(angle)], T)
+    ch, p = orb.chart, orb.base_point
+    Pi, D, _ = core._xi_projection(ch, p)
+    F = core._xi_frames(ch, Pi[None], D[None], core._loop_axis(ch, orb.samples))[0]
+    _, MF = monodromy(ch, p, orb.period, F)
+    assert np.max(np.abs(return_map(orb).matrix - np.linalg.pinv(F) @ Pi @ MF)) <= 1e-12
+
+
 def test_plain_operator_makes_the_same_solves_at_any_sample_count(monkeypatch):
     # one stacked projection over the samples and their stencils; per-sample
     # solves made 2 N + 1 dual systems
@@ -515,6 +533,18 @@ def test_plain_operator_makes_the_same_solves_at_any_sample_count(monkeypatch):
         asymptotic_operator(orb, 15)
         counts.append(len(systems))
     assert counts[0] == counts[1] == 1
+    # the rescaled route reads the chart, f and grad_f once at each of the
+    # 13 N points (the samples and their stencils): it read the chart twice,
+    # and f once more at each sample for its f = 1, df = 0 check
+    quad = quad_fiber_perturbation(0.35)
+    for n in (64, 128):
+        _, orb = tube_orbit(0.3, n)
+        reads = collections.Counter()
+        pert = PerturbationData(lambda x: reads.update(["f"]) or quad.f(x),
+                                lambda x: reads.update(["grad_f"]) or quad.grad_f(x))
+        systems.clear()
+        asymptotic_operator(orb, 15, pert=pert)
+        assert systems == [13 * n] and reads == {"f": 13 * n, "grad_f": 13 * n}
 
 
 def test_time_dependent_S_rotating_frame_oracle():
