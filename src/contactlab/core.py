@@ -351,6 +351,21 @@ def _read_forms(chart: ContactChart, x):
     return L, D
 
 
+def _checked(what: Optional[str], op):
+    """op(), a float array, run again with the warnings off where a warnings
+    filter raises the RuntimeWarning of an overflow, as ``_chart_forms`` reads
+    a chart again: only a value that overflows pays for np.errstate.  With a
+    ``what``, OutOfRange "<what> must be finite" unless every entry is."""
+    try:
+        a = op()
+    except RuntimeWarning:
+        with np.errstate(all="ignore"):
+            a = op()
+    if what and not _finite(a):
+        raise OutOfRange(f"{what} must be finite")
+    return a
+
+
 def _chart_forms(chart: ContactChart, x):
     """(L, D) at a point x (d,), of shapes (d,) and (d, d), or over a stack x
     (N, d), of shapes (N, d) and (N, d, d): the one per-point chart loop of
@@ -565,19 +580,21 @@ def _rescaled_parts(chart: ContactChart, pert: PerturbationData, x):
     dual systems M and one ``_solve`` of M against dg and against lam, one
     column each: two right-hand sides of one system would take LAPACK's
     multi-column triangular solve, which moves last bits against the
-    one-column solves of ``flat_dual``."""
+    one-column solves of ``flat_dual``.  A tiny f overflows dg, which is
+    ``_checked``, or Y_dg, whose non-finite entries the callers' checks meet."""
     _record("pert", pert, PerturbationData)
     fx = pert.f_at(x) if x.ndim == 1 else np.array([[pert.f_at(p)] for p in x])
     df = _array("grad_f", pert.grad_f(x) if x.ndim == 1 else [pert.grad_f(p) for p in x], x.shape)
     L, D, M = _dual_systems(chart, x)
-    _, (v, X) = _solve(chart, x, M, "dual system singular", _points(chart.dim, df / fx, name="dg")[0], L)
-    return L, D, X, fx, df, v - _dot_column(L, v) * X
+    _, (v, X) = _solve(chart, x, M, "dual system singular", _checked("dg", lambda: df / fx), L)
+    return L, D, X, fx, df, _checked(None, lambda: v - _dot_column(L, v) * X)
 
 
 def perturbed_reeb(chart: ContactChart, pert: PerturbationData, x) -> np.ndarray:
-    """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f."""
+    """Closed-form Reeb field of the rescaled form f*lam: (X + Y_dg)/f,
+    OutOfRange where it overflows."""
     _, _, X, fx, _, Y = _rescaled_parts(chart, pert, _points(chart.dim, x)[0])
-    return (X + Y) / fx
+    return _checked("rescaled Reeb field", lambda: (X + Y) / fx)
 
 
 def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart:
@@ -598,11 +615,11 @@ def perturbed_chart(chart: ContactChart, pert: PerturbationData) -> ContactChart
 
 
 def perturbed_projection(chart: ContactChart, pert: PerturbationData, Z, x) -> np.ndarray:
-    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg, Z of the shape of x."""
+    """xi-projection of the rescaled form: pi_lam(Z) - lam(Z) Y_dg, Z of the
+    shape of x; OutOfRange where it overflows."""
     x, Z = _points(chart.dim, x, Z=Z)
     L, _, X, _, _, Y = _rescaled_parts(chart, pert, x)
-    lz = _dot_column(L, Z)
-    return Z - lz * X - lz * Y
+    return _checked("rescaled xi-projection", lambda: Z - (lz := _dot_column(L, Z)) * X - lz * Y)
 
 
 def xi_frame(chart: ContactChart, x) -> np.ndarray:

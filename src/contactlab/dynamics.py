@@ -1,6 +1,6 @@
 """Reeb flow integration, closed orbits, and linearized return maps."""
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +21,7 @@ ORBIT_SAMPLES = 256
 # quarter of the right-hand sides of a 5th-order pair.
 RTOL = 1e-10
 ATOL = 1e-12
-# Step of the centred differences of the Reeb field.
+# Step of the centred differences of the Reeb field along a unit direction.
 REEB_JACOBIAN_STEP = 1e-5
 # Every point closes up at T = 0, so a Newton period that falls below this
 # fraction of the guess has collapsed onto that trivial solution.
@@ -51,24 +51,20 @@ class Trajectory:
         return self.states[-1]
 
 
-@functools.cache
-def _stencil_offsets(d: int) -> np.ndarray:
-    """Offsets (2d + 1, d) of x and its centred-difference stencil: row 0 is x,
-    rows 1 + 2j and 2 + 2j are x_j + h and x_j - h.  The other entries are
-    -0.0, so x + offsets keeps every x_k bit for bit, signed zeros too."""
-    offsets = np.full((2 * d + 1, d), -0.0)
-    j = np.arange(d)
-    offsets[1 + 2 * j, j] = REEB_JACOBIAN_STEP
-    offsets[2 + 2 * j, j] = -REEB_JACOBIAN_STEP
-    offsets.flags.writeable = False
-    return offsets
-
-
-def _reeb_and_jacobian(chart: ContactChart, x):
-    """Reeb field at x and its Jacobian by centred differences, both from one
-    batched solve over x and its 2d stencil points."""
-    vals = reeb_batch(chart, x + _stencil_offsets(chart.dim))
-    return vals[0], ((vals[1::2] - vals[2::2]) / (2 * REEB_JACOBIAN_STEP)).T
+def _reeb_along(chart: ContactChart, x, Y):
+    """(X, DX . Y) at x from one ``reeb_batch`` over the 2k + 1 points x and
+    x +- h u_j, u_j = y_j / |y_j| for the k columns y_j of Y, h =
+    ``REEB_JACOBIAN_STEP``: DX . y_j = |y_j| (X(x + h u_j) - X(x - h u_j)) / 2h,
+    so the step is that of a unit column whatever |y_j|; 0 for y_j = 0."""
+    k = Y.shape[1]
+    norms = [math.hypot(*y) for y in Y.T.tolist()]
+    hU = (REEB_JACOBIAN_STEP * (Y / [r or 1.0 for r in norms])).T
+    pts = np.empty((2 * k + 1, len(x)))
+    pts[0] = x
+    np.add(x, hU, out=pts[1 : k + 1])
+    np.subtract(x, hU, out=pts[k + 1 :])
+    vals = reeb_batch(chart, pts)
+    return vals[0], (vals[1 : k + 1] - vals[k + 1 :]).T * norms / (2 * REEB_JACOBIAN_STEP)
 
 
 def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
@@ -77,9 +73,9 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     One adaptive DOP853 run (the 8th-order Dormand-Prince pair, see RTOL) over
     [0, T] of the state [x, Y] with ``V`` of shape (d, k).  With k = 0 each
     right-hand side is one Reeb solve, whose worst defining-equation residual
-    is tracked; with k > 0 it is one batched solve for the field and its
-    Jacobian.  Returns
-    (times, states, max_residual); each state row is [x, Y.ravel()] and
+    is tracked; with k > 0 it is ``_reeb_along``, one batched solve over 2k + 1
+    points for the field and its derivative along the k carried columns.
+    Returns (times, states, max_residual); each state row is [x, Y.ravel()] and
     max_residual stays 0 when k > 0; OutOfRange when the run stops before T.
     """
     from scipy.integrate import solve_ivp
@@ -94,8 +90,8 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
             sol = reeb_solve(chart, x)
             max_residual = max(max_residual, sol.residual)
             return sol.vector
-        X, A = _reeb_and_jacobian(chart, x)
-        return np.concatenate([X, (A @ y[d:].reshape(d, k)).ravel()])
+        X, DXY = _reeb_along(chart, x, y[d:].reshape(d, k))
+        return np.concatenate([X, DXY.ravel()])
 
     y0 = np.concatenate([x0, V.ravel()])
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=RTOL, atol=ATOL, t_eval=t_eval)

@@ -1,5 +1,7 @@
 """Closed-form identities for conformally rescaled contact forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,29 @@ def test_a_factor_whose_dg_overflows_is_out_of_range():
         for points in (x, x[None]):
             with pytest.raises(OutOfRange, match="dg must be finite"):
                 core.perturbed_reeb(darboux_chart(1), pert, points)
+
+
+@pytest.mark.parametrize("filters", ["error", "ignore"])
+@pytest.mark.parametrize(
+    "f, Z, name, what",
+    [(1e-300, 1.0, "reeb", "rescaled Reeb field must be finite"),
+     (1e-310, 1.0, "reeb", "dg must be finite"),
+     (1e-300, 1e10, "projection", "rescaled xi-projection must be finite"),
+     (1e-310, 1.0, "projection", "dg must be finite")],
+)
+def test_a_tiny_factor_is_out_of_range_naming_what_overflows(f, Z, name, what, filters):
+    # f = 1e-300 returned [0, -inf, 1e300] (Z = 1e10: inf in the projection),
+    # and under an error filter each case ended in a raw RuntimeWarning
+    pert = PerturbationData(lambda y: f, lambda y: np.array([1.0, 0.0, 0.0]))
+    x = np.array([0.1, 0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter(filters)
+        for points in (x, x[None]):
+            with pytest.raises(OutOfRange, match=what):
+                if name == "reeb":
+                    core.perturbed_reeb(darboux_chart(1), pert, points)
+                else:
+                    core.perturbed_projection(darboux_chart(1), pert, Z * np.ones_like(points), points)
 
 
 def test_formula_vs_direct_solve_random_factors():

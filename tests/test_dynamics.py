@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,7 +101,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
-    batches = _count_calls(monkeypatch, core, "reeb_batch")
+    batches = _count_calls(monkeypatch, dynamics, "reeb_batch")
     solves = _count_calls(monkeypatch, dynamics, "reeb_solve")
     runs = _count_calls(monkeypatch, dynamics, "_integrate")
     chart = weighted_tube_chart(1.0, 1.0)
@@ -126,37 +127,90 @@ def test_a_fixed_point_orbit_closing_at_once_is_one_integration(monkeypatch):
     assert len(runs) == 1
 
 
-def _tiled_stencil(x):
-    """The stencil as it was built on every call: x tiled, then +-h added."""
-    d = len(x)
-    j = np.arange(d)
-    pts = np.tile(x, (2 * d + 1, 1))
-    pts[1 + 2 * j, j] += dynamics.REEB_JACOBIAN_STEP
-    pts[2 + 2 * j, j] -= dynamics.REEB_JACOBIAN_STEP
-    return pts
+def _columns(seed, exponents):
+    """Random columns (3, k + 1) of sizes 10**exponents, then a zero column."""
+    Y = np.random.Generator(np.random.Philox(seed)).normal(size=(3, len(exponents) + 1))
+    Y[:, :-1] *= 10.0 ** np.array(exponents) / np.linalg.norm(Y[:, :-1], axis=0)
+    Y[:, -1] = 0.0
+    return Y
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["tube", "perturbed_tube", "torus"]),
     st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    st.floats(0.1, 3.0),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
 )
-def test_reeb_jacobian_stencil_is_the_tiled_one_bit_for_bit(name, x):
-    chart = CHARTS[name]
-    x = np.array(x)
-    pts = _tiled_stencil(x)
-    # the same bytes, so a signed zero in x stays signed
-    assert (x + dynamics._stencil_offsets(3)).tobytes() == pts.tobytes()
-    vals = core.reeb_batch(chart, pts)
-    X, A = dynamics._reeb_and_jacobian(chart, x)
-    assert np.array_equal(X, vals[0])
-    assert np.array_equal(A, ((vals[1::2] - vals[2::2]) / (2 * dynamics.REEB_JACOBIAN_STEP)).T)
+def test_reeb_along_the_carried_columns_is_the_tube_closed_form(x, c, exponents, seed):
+    # on the tube X = (1, c y, -c x), so DX . v = (0, c v_3, -c v_2) exactly
+    x, Y = np.array(x), _columns(seed, exponents)
+    X, DXY = dynamics._reeb_along(weighted_tube_chart(1.0, c), x, Y)
+    assert np.max(np.abs(X - [1.0, c * x[2], -c * x[1]])) <= 1e-9
+    exact = np.array([np.zeros(Y.shape[1]), c * Y[2], -c * Y[1]])
+    assert np.all(np.abs(DXY - exact) <= 1e-9 * np.linalg.norm(Y, axis=0))
+    assert np.array_equal(DXY[:, -1], np.zeros(3))  # a zero column: exactly 0, not NaN
+
+
+def _fourth_order_along(chart, x, y, h=1e-3):
+    """DX . y by the 4th-order centred difference of point Reeb solves along y."""
+    r = np.linalg.norm(y)
+    u = y / r
+    X = [dynamics.reeb_solve(chart, x + s * h * u).vector for s in (2, 1, -1, -2)]
+    return r * (-X[0] + 8 * X[1] - 8 * X[2] + X[3]) / (12 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["perturbed_tube", "exp_factor"]),
+    st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_reeb_along_the_carried_columns_is_the_fourth_order_difference(name, x, exponents, seed):
+    chart, x, Y = CHARTS[name], np.array(x), _columns(seed, exponents)
+    X, DXY = dynamics._reeb_along(chart, x, Y)
+    assert np.max(np.abs(X - dynamics.reeb_solve(chart, x).vector)) <= 1e-12
+    for j in range(Y.shape[1] - 1):
+        r = np.linalg.norm(Y[:, j])
+        assert np.max(np.abs(DXY[:, j] - _fourth_order_along(chart, x, Y[:, j]))) <= 1e-8 * r
+    assert np.array_equal(DXY[:, -1], np.zeros(3))
+
+
+TUBE = weighted_tube_chart(1.0, np.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "run, points",
+    [(lambda: find_closed_orbit(TUBE, [0.0, 0.1, 0.05], 6.2), 5),
+     (lambda: return_map(ReebOrbit.from_point(TUBE, np.zeros(3), 2 * np.pi)), 5),
+     (lambda: monodromy(torus_chart(), np.zeros(3), 0.05), 7),
+     (lambda: flow(TUBE, [0.0, 0.1, 0.05], 1.0), None)],
+    ids=["free_point_shots", "return_map", "full_monodromy", "flow"],
+)
+def test_a_variational_right_hand_side_is_one_batch_of_2k_plus_1_points(monkeypatch, run, points):
+    # the centred differences along the k carried columns: every batch had
+    # the 2d + 1 = 7 points of the full Jacobian
+    sizes, states = [], []
+    real_batch, real_ivp = dynamics.reeb_batch, scipy.integrate.solve_ivp
+    monkeypatch.setattr(dynamics, "reeb_batch", lambda chart, xs: sizes.append(len(xs)) or real_batch(chart, xs))
+    monkeypatch.setattr(
+        scipy.integrate, "solve_ivp",
+        lambda fun, *args, **kw: real_ivp(lambda t, y: states.append(len(y)) or fun(t, y), *args, **kw),
+    )
+    run()
+    variational = [n for n in states if n > 3]  # right-hand sides of the state [x, Y]
+    if points is None:
+        assert sizes == [] and variational == []
+    else:
+        assert len(sizes) == len(variational) > 0
+        assert set(sizes) == {points}
 
 
 def test_tube_orbit_takes_few_batched_right_hand_sides(monkeypatch):
     # one batched solve per variational right-hand side: about 1,050 with the
     # 8th-order pair, 4,830 with a 5th-order one at the same tolerances
-    batches = _count_calls(monkeypatch, core, "reeb_batch")
+    batches = _count_calls(monkeypatch, dynamics, "reeb_batch")
     orb = find_closed_orbit(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2)
     assert abs(orb.period - 2 * np.pi) < 1e-8
     assert len(batches) <= 1500
