@@ -18,8 +18,9 @@ solve forms its residual in Python floats, to the bits of the numpy
 expression.  ``_solve`` takes a point to ``_point_solve``, which calls
 LAPACK's ``dgesdd`` (singular values) and ``dgesv`` (one column each)
 directly through ``scipy.linalg.lapack``, imported on first use so that
-importing the package loads no scipy solver; numpy.linalg's per-call wrapper
-costs more than the arithmetic of a 3x3 system.  A stack keeps numpy's
+importing the package loads no part of scipy (a run loads scipy.linalg alone:
+the ODE integrator is the lab's own, ``_dop853``); numpy.linalg's per-call
+wrapper costs more than the arithmetic of a 3x3 system.  A stack keeps numpy's
 stacked solves, which give the point solves' bits on the lab's charts (the
 tests check it there; on other matrices the two LAPACK builds may differ in
 the last bits).

@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _dop853
 from .core import ContactChart, _angle_columns, _array, _loop_axis, _points, _record, _require_int, _require_real
 from .core import _singular_values, _xi_frames, _xi_projection, periodic_derivative, reeb_batch, reeb_solve
 from .core import standard_J, unwrap_angles, xi_frame
@@ -15,10 +16,11 @@ from .errors import ModeMismatch, NoConvergence, OutOfRange, SingularChart
 ORBIT_CLOSURE_TOL = 1e-8
 # Samples per period of a computed orbit.
 ORBIT_SAMPLES = 256
-# Relative and absolute tolerances of the adaptive integrator, the 8th-order
-# Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, "Solving Ordinary
-# Differential Equations I", sec. II.10): at these tolerances it takes about a
-# quarter of the right-hand sides of a 5th-order pair.
+# Relative and absolute tolerances of the adaptive integrator, the lab's own
+# 8th-order Dormand-Prince pair DOP853 (``_dop853``, ported from scipy 1.17.1;
+# Hairer, Norsett & Wanner, "Solving Ordinary Differential Equations I", sec.
+# II.10): at these tolerances it takes about a quarter of the right-hand sides
+# of a 5th-order pair.
 RTOL = 1e-10
 ATOL = 1e-12
 # Step of the centred differences of the Reeb field along a unit direction.
@@ -70,20 +72,20 @@ def _reeb_along(chart: ContactChart, x, Y):
 def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
     """Integrate x' = X_lam(x) with the variations Y' = DX_lam(x) Y, Y(0) = V.
 
-    One adaptive DOP853 run (the 8th-order Dormand-Prince pair, see RTOL) over
-    [0, T] of the state [x, Y] with ``V`` of shape (d, k).  With k = 0 each
-    right-hand side is one Reeb solve, whose worst defining-equation residual
-    is tracked; with k > 0 it is ``_reeb_along``, one batched solve over 2k + 1
-    points for the field and its derivative along the k carried columns.
-    Returns (times, states, max_residual); each state row is [x, Y.ravel()] and
-    max_residual stays 0 when k > 0; OutOfRange when the run stops before T.
+    One adaptive run of the lab's own DOP853 (``_dop853``, the 8th-order
+    Dormand-Prince pair ported from scipy 1.17.1, see RTOL) over [0, T] of the
+    state [x, Y] with ``V`` of shape (d, k).  With k = 0 each right-hand side
+    is one Reeb solve, whose worst defining-equation residual is tracked; with
+    k > 0 it is ``_reeb_along``, one batched solve over 2k + 1 points for the
+    field and its derivative along the k carried columns.  Returns (times,
+    states, max_residual); each state row is [x, Y.ravel()] and max_residual
+    stays 0 when k > 0; OutOfRange, naming the time reached, when the step
+    size underflows before T.
     """
-    from scipy.integrate import solve_ivp
-
     d, k = V.shape
     max_residual = 0.0
 
-    def rhs(t, y):
+    def rhs(y):
         nonlocal max_residual
         x = y[:d]
         if k == 0:
@@ -94,10 +96,11 @@ def _integrate(chart: ContactChart, x0, T, V, t_eval=None):
         return np.concatenate([X, DXY.ravel()])
 
     y0 = np.concatenate([x0, V.ravel()])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=RTOL, atol=ATOL, t_eval=t_eval)
-    if not sol.success:
-        raise OutOfRange(f"{chart.name}: the integration stopped at t = {float(sol.t[-1])!r} of {T!r}: {sol.message}")
-    return sol.t, sol.y.T, max_residual
+    try:
+        times, states = _dop853.solve(rhs, y0, T, RTOL, ATOL, t_eval)
+    except _dop853.StepSizeUnderflow as stop:
+        raise OutOfRange(f"{chart.name}: the integration stopped at t = {float(stop.t)!r} of {T!r}: {stop}") from None
+    return times, states, max_residual
 
 
 def flow(chart: ContactChart, x0, T: float, steps: int = 200) -> Trajectory:

@@ -192,11 +192,18 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_importing_the_cli_leaves_the_scipy_solvers_unloaded():
+    # and orbits, return maps and flows load none of scipy's ODE stack: the
+    # integrator is the lab's own DOP853
     code = ("import sys, contactlab.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]); "
+            "from contactlab import dynamics, models; "
+            "tube = models.weighted_tube_chart(1.0, 2 ** 0.5); "
+            "dynamics.return_map(dynamics.find_closed_orbit(tube, [0.0, 0.1, 0.05], 6.2)); "
+            "dynamics.flow(tube, [0.0, 0.1, 0.05], 1.0); "
+            "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.split() == ["[]", "[]"]
 
 
 def test_shipped_scenarios_validate():

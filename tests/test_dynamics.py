@@ -1,14 +1,12 @@
 """Flows, closed orbits, return maps, and family scans."""
 
-import types
-
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactlab import cli, core, dynamics, spectral
+from contactlab import _dop853, cli, core, dynamics, spectral
 from contactlab.core import ContactChart
 from contactlab.dynamics import (
     UNIT_TOL,
@@ -100,6 +98,58 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+TUBE = weighted_tube_chart(1.0, np.sqrt(2.0))
+
+
+def _beside_scipy(monkeypatch):
+    """Run scipy's DOP853 on the same right-hand side beside every ``_dop853``
+    run; returns the list of pairs (ours, scipy's), each (times, states, number
+    of right-hand sides)."""
+    real, runs = _dop853.solve, []
+
+    def both(fun, y0, T, rtol, atol, t_eval):
+        assert (rtol, atol) == (dynamics.RTOL, dynamics.ATOL)
+        ours, theirs = [], []
+        times, states = real(lambda y: ours.append(1) or fun(y), y0, T, rtol, atol, t_eval)
+        ref = scipy.integrate.solve_ivp(lambda t, y: theirs.append(1) or fun(y), (0.0, T), y0, method="DOP853",
+                                        rtol=rtol, atol=atol, t_eval=t_eval)
+        runs.append(((times, states, len(ours)), (ref.t, ref.y.T, len(theirs))))
+        return times, states
+
+    monkeypatch.setattr(_dop853, "solve", both)
+    return runs
+
+
+def _same_runs(runs):
+    return all(np.array_equal(t, t_ref) and np.array_equal(y, y_ref) and n == n_ref
+               for (t, y, n), (t_ref, y_ref, n_ref) in runs)
+
+
+ORACLE_CHARTS = {"tube": TUBE, "perturbed_tube": perturbed_tube_chart(1.0, 1.0, 0.8), "torus": torus_chart()}
+
+
+@pytest.mark.parametrize("T", [1.3, -0.9, 0.0], ids=["forward", "backward", "zero"])
+@pytest.mark.parametrize("chart", ORACLE_CHARTS.values(), ids=ORACLE_CHARTS)
+def test_the_integrator_is_scipys_dop853_bit_for_bit(monkeypatch, chart, T):
+    # the lab's port against scipy.integrate.solve_ivp(method="DOP853"): the
+    # same times and states to the bit, after the same right-hand sides
+    x = np.array([0.05, 0.1, 0.2])
+    runs = _beside_scipy(monkeypatch)
+    for k in (0, 2, 3):
+        monodromy(chart, x, T, np.eye(3)[:, :k])
+    for steps in (256, 17):
+        flow(chart, x, T, steps=steps)  # T = 0 makes no run
+    assert len(runs) == (5 if T else 3)
+    assert _same_runs(runs)
+
+
+def test_a_newton_orbit_and_its_return_map_are_scipys_runs(monkeypatch):
+    runs = _beside_scipy(monkeypatch)
+    return_map(find_closed_orbit(TUBE, [0.0, 0.1, 0.05], 6.2))
+    assert len(runs) == 5  # 3 shots, the sampled orbit and the return map
+    assert _same_runs(runs)
+
+
 def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
     batches = _count_calls(monkeypatch, dynamics, "reeb_batch")
     solves = _count_calls(monkeypatch, dynamics, "reeb_solve")
@@ -177,9 +227,6 @@ def test_reeb_along_the_carried_columns_is_the_fourth_order_difference(name, x, 
     assert np.array_equal(DXY[:, -1], np.zeros(3))
 
 
-TUBE = weighted_tube_chart(1.0, np.sqrt(2.0))
-
-
 @pytest.mark.parametrize(
     "run, points",
     [(lambda: find_closed_orbit(TUBE, [0.0, 0.1, 0.05], 6.2), 5),
@@ -192,11 +239,10 @@ def test_a_variational_right_hand_side_is_one_batch_of_2k_plus_1_points(monkeypa
     # the centred differences along the k carried columns: every batch had
     # the 2d + 1 = 7 points of the full Jacobian
     sizes, states = [], []
-    real_batch, real_ivp = dynamics.reeb_batch, scipy.integrate.solve_ivp
+    real_batch, real_solve = dynamics.reeb_batch, _dop853.solve
     monkeypatch.setattr(dynamics, "reeb_batch", lambda chart, xs: sizes.append(len(xs)) or real_batch(chart, xs))
     monkeypatch.setattr(
-        scipy.integrate, "solve_ivp",
-        lambda fun, *args, **kw: real_ivp(lambda t, y: states.append(len(y)) or fun(t, y), *args, **kw),
+        _dop853, "solve", lambda fun, *args: real_solve(lambda y: states.append(len(y)) or fun(y), *args)
     )
     run()
     variational = [n for n in states if n > 3]  # right-hand sides of the state [x, Y]
@@ -453,16 +499,21 @@ def test_off_center_orbit_action():
 
 def test_a_failed_integration_is_out_of_range_naming_where_it_stopped(monkeypatch):
     # used to end in a bare RuntimeError, and a scenario in a raw traceback
-    import scipy.integrate
+    def failing(fun, y0, T, *args):
+        raise _dop853.StepSizeUnderflow(0.25)
 
-    def failing(fun, t_span, y0, **kwargs):
-        return types.SimpleNamespace(success=False, message="Required step size is less than spacing between numbers.",
-                                     t=np.array([0.0, 0.25]), y=np.stack([y0, y0], axis=1))
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+    monkeypatch.setattr(_dop853, "solve", failing)
     stopped = r"torus: the integration stopped at t = 0\.25 of 1\.0: Required step size"
     for call in (lambda: flow(torus_chart(), np.zeros(3), 1.0), lambda: monodromy(torus_chart(), np.zeros(3), 1.0)):
         with pytest.raises(OutOfRange, match=stopped):
             call()
     with pytest.raises(NumericalFailure, match="return_map: " + stopped):
         cli.run_scenario({"kind": "return_map", "seed": 1, "params": {"model": "torus"}, "name": "return_map"})
+    # a real failure: y' = y^2, y(0) = 1 blows up at t = 1, where scipy's run stops too
+    monkeypatch.undo()
+    with pytest.raises(_dop853.StepSizeUnderflow, match="Required step size is less than spacing") as stop:
+        _dop853.solve(lambda y: y * y, np.array([1.0]), 2.0, dynamics.RTOL, dynamics.ATOL, None)
+    ref = scipy.integrate.solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], method="DOP853",
+                                    rtol=dynamics.RTOL, atol=dynamics.ATOL)
+    assert ref.status == -1 and stop.value.t == ref.t[-1]
+    assert abs(stop.value.t - 1.0) < 1e-8
