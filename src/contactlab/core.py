@@ -16,14 +16,13 @@ leaf of every solve, so per-point work avoids numpy scalars, which cost more
 than their arithmetic: a chart's ``dim`` is computed once, and a point Reeb
 solve forms its residual in Python floats, to the bits of the numpy
 expression.  ``_solve`` takes a point to ``_point_solve``, which calls
-LAPACK's ``dgesdd`` (singular values) and ``dgesv`` (one column each)
-directly through ``scipy.linalg.lapack``, imported on first use so that
-importing the package loads no part of scipy (a run loads scipy.linalg alone:
-the ODE integrator is the lab's own, ``_dop853``); numpy.linalg's per-call
-wrapper costs more than the arithmetic of a 3x3 system.  A stack keeps numpy's
-stacked solves, which give the point solves' bits on the lab's charts (the
-tests check it there; on other matrices the two LAPACK builds may differ in
-the last bits).
+numpy's own LAPACK gufuncs (``numpy.linalg._umath_linalg``) directly:
+``svd``, LAPACK's ``dgesdd`` for the singular values, and ``solve1``,
+``dgesv`` for one column each, what ``np.linalg.svd(M, compute_uv=False)``
+and ``np.linalg.solve`` call without their per-call wrappers, which cost
+more than the arithmetic of a 3x3 system.  A stack keeps numpy's stacked
+solves, so point and stack run on one LAPACK build, and the package needs
+numpy alone (the ODE integrator is the lab's own, ``_dop853``).
 
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
@@ -40,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ModeMismatch, OutOfRange, SingularChart
 
@@ -352,16 +352,17 @@ def _read_forms(chart: ContactChart, x):
     return L, D
 
 
-def _checked(what: Optional[str], op):
-    """op(), a float array, run again with the warnings off where a warnings
-    filter raises the RuntimeWarning of an overflow, as ``_chart_forms`` reads
-    a chart again: only a value that overflows pays for np.errstate.  With a
-    ``what``, OutOfRange "<what> must be finite" unless every entry is."""
+def _checked(what: Optional[str], op, *args):
+    """op(*args), a float array, run again with the warnings off where a
+    warnings filter raises the RuntimeWarning of an overflow or of a failed
+    LAPACK gufunc, as ``_chart_forms`` reads a chart again: only such a call
+    pays for np.errstate.  With a ``what``, OutOfRange "<what> must be
+    finite" unless every entry is."""
     try:
-        a = op()
+        a = op(*args)
     except RuntimeWarning:
         with np.errstate(all="ignore"):
-            a = op()
+            a = op(*args)
     if what and not _finite(a):
         raise OutOfRange(f"{what} must be finite")
     return a
@@ -419,44 +420,38 @@ def _dot_column(a, b):
     return a @ b if a.ndim == 1 else _dots(a, b)[:, None]
 
 
-@functools.cache
-def _lapack():
-    """``scipy.linalg.lapack``, imported on first use."""
-    from scipy.linalg import lapack
-
-    return lapack
+def _gufunc(routine: str, gufunc, *args) -> np.ndarray:
+    """gufunc(*args) for one of numpy's LAPACK gufuncs, through ``_checked``.
+    A gufunc reports a failed call of the LAPACK ``routine`` as an output of
+    NaNs and the floating-point invalid flag, whose RuntimeWarning
+    ``_checked`` turns into a second call with the warnings off; the NaN
+    output is then ``np.linalg.LinAlgError`` naming the routine."""
+    a = _checked(None, gufunc, *args)
+    if math.isnan(a[0]):
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed")
+    return a
 
 
 def _singular_values(M) -> np.ndarray:
-    """Singular values of one matrix M, descending: LAPACK ``dgesdd`` without
-    vectors, the routine of ``np.linalg.svd(M, compute_uv=False)`` without its
+    """Singular values of one matrix M, descending: the gufunc of
+    ``np.linalg.svd(M, compute_uv=False)``, LAPACK's ``dgesdd``, without its
     wrapper; ``np.linalg.LinAlgError`` when it does not converge."""
-    _, s, _, info = _lapack().dgesdd(M, compute_uv=0)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dgesdd info = {info}")
-    return s
+    return _gufunc("dgesdd", _umath_linalg.svd, M)
 
 
 def _point_solve(chart: ContactChart, x, M, system: str, *rhs):
     """(s, [v, ...]) for the finite dual matrix M (d, d) at the point x: its
     singular values s, then the solution v of M v = b for each vector b of
-    rhs, one LAPACK ``dgesv`` call each.  ``_system_error`` when sigma_min
-    <= _RANK_TOL sigma_max, and SingularChart naming x when LAPACK reports
-    info != 0."""
+    rhs, one call each of the gufunc of ``np.linalg.solve(M, b)``, LAPACK's
+    ``dgesv``.  ``_system_error`` when sigma_min <= _RANK_TOL sigma_max, and
+    SingularChart naming x when LAPACK fails."""
     try:
         s = _singular_values(M)
+        if not s[-1] > _RANK_TOL * s[0]:
+            raise _system_error(chart, system, s, x)
+        return s, [_gufunc("dgesv", _umath_linalg.solve1, M, b) for b in rhs]
     except np.linalg.LinAlgError as err:
         raise SingularChart(f"{chart.name}: {system} {_at(x)} ({err})") from None
-    if not s[-1] > _RANK_TOL * s[0]:
-        raise _system_error(chart, system, s, x)
-    dgesv = _lapack().dgesv
-    vs = []
-    for b in rhs:
-        _, _, v, info = dgesv(M, b)
-        if info:
-            raise SingularChart(f"{chart.name}: {system} {_at(x)} (LAPACK dgesv info = {info})")
-        vs.append(v)
-    return s, vs
 
 
 def _solve(chart: ContactChart, x, M, system: str, *rhs):

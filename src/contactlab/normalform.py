@@ -315,6 +315,15 @@ def lifted_x_theta(tc: ThickeningChart, q) -> np.ndarray:
     return v
 
 
+def _null_space(A) -> np.ndarray:
+    """Orthonormal basis of the null space of the (m, n) matrix A, as columns:
+    the rows of V^T of A's full SVD past its rank, the number of singular
+    values above eps max(m, n) sigma_max."""
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > np.finfo(float).eps * max(A.shape) * np.amax(s, initial=0.0)))
+    return vh[rank:].T
+
+
 def split_contact_distribution(tc: ThickeningChart, x):
     """Bases (V, W) with ker lambda_F = V + W.
 
@@ -328,10 +337,8 @@ def split_contact_distribution(tc: ThickeningChart, x):
     dq = tc.dim_q
     X_F = lifted_x_theta(tc, q)
     th = tc.setup.theta(q)
-    from scipy.linalg import null_space
-
     # deterministic basis of ker theta on the base
-    kerb = null_space(th[None, :])
+    kerb = _null_space(th[None, :])
     V = [np.concatenate([eta, np.zeros(tc.dim - dq)]) - float(mu @ (tc.n_coframe @ eta)) * X_F for eta in kerb.T]
     V = np.column_stack(V) if V else np.zeros((tc.dim, 0))
     # the vertical coordinate vectors e_j less lambda_F(e_j) X_F
@@ -500,9 +507,7 @@ def check_adapted(tc: ThickeningChart, J):
     gj_dim = r_TQ + r_JTQ - r_sum
     # basis of the intersection for the direct-sum test
     if gj_dim > 0:
-        from scipy.linalg import null_space
-
-        ns = null_space(np.column_stack([TQ, -JTQ]), rcond=None)
+        ns = _null_space(np.column_stack([TQ, -JTQ]))
         inter = TQ @ ns[: TQ.shape[1], :]
         # orthonormalize and drop numerically null columns
         Qm, Rm = np.linalg.qr(inter)

@@ -192,18 +192,26 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_importing_the_cli_leaves_the_scipy_solvers_unloaded():
-    # and orbits, return maps and flows load none of scipy's ODE stack: the
-    # integrator is the lab's own DOP853
+    # and no run loads any of scipy: orbits, return maps and flows run the
+    # lab's own DOP853, point solves and xi-frames numpy's LAPACK gufuncs, and
+    # normalform's null spaces (the base kernel of ker lambda_F and the
+    # intersection of adapted J) numpy's SVD
     code = ("import sys, contactlab.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]); "
-            "from contactlab import dynamics, models; "
+            "import numpy as np; "
+            "from contactlab import core, dynamics, models, normalform as nf; "
             "tube = models.weighted_tube_chart(1.0, 2 ** 0.5); "
             "dynamics.return_map(dynamics.find_closed_orbit(tube, [0.0, 0.1, 0.05], 6.2)); "
             "dynamics.flow(tube, [0.0, 0.1, 0.05], 1.0); "
-            "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules])")
+            "core.reeb_solve(tube, [0.0, 0.1, 0.05]); core.xi_frame(tube, [0.0, 0.1, 0.05]); "
+            "J = np.array([[0.0, -1.0], [1.0, 0.0]]); "
+            "tc = nf.build_thickening(nf.mixed_setup(), -J, radius=0.3, fiber_pts=3, base_pts=2); "
+            "nf.split_contact_distribution(tc, tc.zero_section_point(np.zeros(tc.dim_q))); "
+            "print(nf.check_adapted(tc, nf.make_adapted_J(tc, J, J, np.zeros((2, 2))).matrix)[1].gj_dim); "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["[]", "[]"]
+    assert r.stdout.split() == ["[]", "2", "[]"]
 
 
 def test_shipped_scenarios_validate():

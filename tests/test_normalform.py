@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactlab import models
@@ -227,6 +228,27 @@ def test_make_adapted_J_rejects_bad_blocks(circle_e2, mixed_full):
         nf.make_adapted_J(mixed_full, JSTD, JSTD, np.ones((2, 2)))
     with pytest.raises(BadBlocks):
         nf.make_adapted_J(mixed_full, -JSTD, JSTD, np.zeros((2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))
+def test_the_null_space_is_scipys(m, n, r, seed):
+    # scipy.linalg.null_space is the oracle: the same span, orthonormal
+    # columns, on (m, n) matrices of rank r and on the base row theta of a
+    # set-up, the two shapes normalform takes null spaces of
+    g = rng(seed)
+    r = min(r, m, n)
+    A = g.standard_normal((m, r)) @ g.standard_normal((r, n))
+    if r:
+        s = np.linalg.svd(A, compute_uv=False)
+        assume(s[r - 1] > 1e-3 * s[0])  # a rank well apart from the rounding
+    setup = nf.mixed_setup()
+    for B in (A, setup.theta(g.uniform(0, 1, setup.dim_q))[None, :]):
+        Q, ref = nf._null_space(B), scipy.linalg.null_space(B)
+        assert Q.shape == ref.shape
+        assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) <= 1e-12
+        assert np.max(np.abs(Q @ Q.T - ref @ ref.T), initial=0.0) <= 1e-12
 
 
 def test_coupling_block_null_space_is_trivial(mixed_full):
