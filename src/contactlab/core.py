@@ -15,14 +15,14 @@ A chart is read one point at a time (``lambda_at``, ``dlambda_at``), the hot
 leaf of every solve, so per-point work avoids numpy scalars, which cost more
 than their arithmetic: a chart's ``dim`` is computed once, and a point Reeb
 solve forms its residual in Python floats, to the bits of the numpy
-expression.  ``_solve`` takes a point to ``_point_solve``, which calls
-numpy's own LAPACK gufuncs (``numpy.linalg._umath_linalg``) directly:
-``svd``, LAPACK's ``dgesdd`` for the singular values, and ``solve1``,
+expression.  ``_solve`` calls numpy's own LAPACK gufuncs (``_umath_linalg``)
+directly: ``svd``, ``dgesdd`` for the singular values, and ``solve1``,
 ``dgesv`` for one column each, what ``np.linalg.svd(M, compute_uv=False)``
 and ``np.linalg.solve`` call without their per-call wrappers, which cost
-more than the arithmetic of a 3x3 system.  A stack keeps numpy's stacked
-solves, so point and stack run on one LAPACK build, and the package needs
-numpy alone (the ODE integrator is the lab's own, ``_dop853``).
+more than the arithmetic of a 3x3 system.  The gufuncs broadcast, so a point
+(d, d) and a stack (N, d, d) take the same calls and checks, and
+``reeb_batch`` the same ``solve1``.  The package needs numpy alone (the ODE
+integrator is the lab's own, ``_dop853``).
 
 The circle lives here too, once: a chart's ``periods`` is None or one entry
 per coordinate, a period P for an angle and None for a plain coordinate.
@@ -394,10 +394,12 @@ def _dual_systems(chart: ContactChart, x):
     and the dual matrix M = dlam^T + lam lam^T, of the shape of D.
 
     M X = X . dlam + lam(X) lam is the one-form dual to X, and the Reeb field
-    is the solution of M X = lam.
+    is the solution of M X = lam.  M is the transposed view of the sum of
+    contiguous arrays lam lam^T + dlam: dlam^T + lam lam^T bit for bit, signed
+    zeros included, where lam lam^T - dlam turns some +0 into -0.
     """
     L, D = _chart_forms(chart, x)
-    return L, D, D.swapaxes(-1, -2) + L[..., :, None] * L[..., None, :]
+    return L, D, (L[..., :, None] * L[..., None, :] + D).mT
 
 
 def _system_error(chart: ContactChart, system: str, s, x, i=None):
@@ -422,50 +424,46 @@ def _dot_column(a, b):
 
 def _gufunc(routine: str, gufunc, *args) -> np.ndarray:
     """gufunc(*args) for one of numpy's LAPACK gufuncs, through ``_checked``.
-    A gufunc reports a failed call of the LAPACK ``routine`` as an output of
-    NaNs and the floating-point invalid flag, whose RuntimeWarning
-    ``_checked`` turns into a second call with the warnings off; the NaN
-    output is then ``np.linalg.LinAlgError`` naming the routine."""
+    A gufunc reports a failed call of the LAPACK ``routine`` as NaNs in that
+    matrix's output and the floating-point invalid flag, whose RuntimeWarning
+    ``_checked`` turns into a second call with the warnings off; a NaN output
+    is then ``np.linalg.LinAlgError`` naming the routine, with ``row`` the
+    first failed matrix of a stack (None for one matrix)."""
     a = _checked(None, gufunc, *args)
-    if math.isnan(a[0]):
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed")
-    return a
+    if not (math.isnan(a[0]) if a.ndim == 1 else np.isnan(a[:, 0]).any()):
+        return a
+    err = np.linalg.LinAlgError(f"LAPACK {routine} failed")
+    err.row = None if a.ndim == 1 else int(np.argmax(np.isnan(a[:, 0])))
+    raise err
 
 
 def _singular_values(M) -> np.ndarray:
-    """Singular values of one matrix M, descending: the gufunc of
-    ``np.linalg.svd(M, compute_uv=False)``, LAPACK's ``dgesdd``, without its
-    wrapper; ``np.linalg.LinAlgError`` when it does not converge."""
+    """Singular values of a matrix M, or of each of a stack, descending: the
+    gufunc of ``np.linalg.svd(M, compute_uv=False)``, LAPACK's ``dgesdd``,
+    without its wrapper; ``np.linalg.LinAlgError`` when it does not converge."""
     return _gufunc("dgesdd", _umath_linalg.svd, M)
 
 
-def _point_solve(chart: ContactChart, x, M, system: str, *rhs):
-    """(s, [v, ...]) for the finite dual matrix M (d, d) at the point x: its
-    singular values s, then the solution v of M v = b for each vector b of
-    rhs, one call each of the gufunc of ``np.linalg.solve(M, b)``, LAPACK's
-    ``dgesv``.  ``_system_error`` when sigma_min <= _RANK_TOL sigma_max, and
-    SingularChart naming x when LAPACK fails."""
+def _solve(chart: ContactChart, x, M, system: str, *rhs):
+    """(s, [v, ...]) for the finite dual matrix M (d, d) at a point x (d,), or
+    the stack M (N, d, d) over a stack x (N, d): the singular values s, then
+    the solution v of M v = b for each b of rhs, shaped as x, one call each
+    of the gufunc of ``np.linalg.solve(M, b)``, LAPACK's ``dgesv`` for one
+    column.  The gufuncs take a point and a stack alike.  ``_system_error``
+    at the first point where sigma_min <= _RANK_TOL sigma_max (not a ratio
+    test: an all-zero M gives 0/0 = NaN, which would pass), and SingularChart
+    naming the first point where LAPACK fails."""
     try:
         s = _singular_values(M)
-        if not s[-1] > _RANK_TOL * s[0]:
-            raise _system_error(chart, system, s, x)
+        if x.ndim == 1:  # on numpy scalars, a tenth of the time of the stack's test
+            if not s[-1] > _RANK_TOL * s[0]:
+                raise _system_error(chart, system, s, x)
+        elif not (full := s[:, -1] > _RANK_TOL * s[:, 0]).all():
+            i = int(np.argmin(full))
+            raise _system_error(chart, system, s[i], x, i)
         return s, [_gufunc("dgesv", _umath_linalg.solve1, M, b) for b in rhs]
     except np.linalg.LinAlgError as err:
-        raise SingularChart(f"{chart.name}: {system} {_at(x)} ({err})") from None
-
-
-def _solve(chart: ContactChart, x, M, system: str, *rhs):
-    """``_point_solve`` at a point x (d,); over a stack x (N, d) the same for
-    the stack M of dual matrices and each stack b (N, d) of rhs, by one
-    stacked SVD and one stacked LU solve per b."""
-    if x.ndim == 1:
-        return _point_solve(chart, x, M, system, *rhs)
-    s = np.linalg.svd(M, compute_uv=False)
-    # not a ratio test: an all-zero M gives 0/0 = NaN, which would pass
-    bad = np.flatnonzero(~(s[:, -1] > _RANK_TOL * s[:, 0]))
-    if bad.size:
-        raise _system_error(chart, system, s[bad[0]], x, bad[0])
-    return s, [np.linalg.solve(M, b[:, :, None])[:, :, 0] for b in rhs]
+        raise SingularChart(f"{chart.name}: {system} {_at(x, err.row)} ({err})") from None
 
 
 def _point_residual(L, D, v) -> float:
@@ -491,10 +489,10 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
     (dlam^T + lam lam^T) X = lam; the residual of the stacked system and the
     condition number are reported rather than silently accepted.  A point x
     (d,) is solved on its own, a stack (N, d) in one pass (one stacked SVD
-    rank test and LU solve; the worst residual and condition number).  At a
-    point ``_point_solve`` gives the singular values, for the rank check and
-    the condition number, and the LU solve; on the lab's charts the vectors
-    of a stack and of its point solves agree bit for bit.
+    rank test and LU solve; the worst residual and condition number).
+    ``_solve`` gives the singular values, for the rank check and the
+    condition number, and the LU solve; on the lab's charts the vectors of a
+    stack and of its point solves agree bit for bit.
     """
     x = _array("x", x)
     if x.shape != (chart.dim,) or not _finite(x):
@@ -505,25 +503,22 @@ def reeb_solve(chart: ContactChart, x) -> ReebSolve:
         residual = np.sqrt((_dots(L, v) - 1.0) ** 2 + np.sum(Dv**2, axis=1))
         return ReebSolve(v, float(np.max(residual)), float(np.max(s[:, 0] / s[:, -1])), L)
     L, D, M = _dual_systems(chart, x)
-    s, (v,) = _point_solve(chart, x, M, "Reeb system rank-deficient", L)
+    s, (v,) = _solve(chart, x, M, "Reeb system rank-deficient", L)
     return ReebSolve(v, _point_residual(L, D, v), float(s[0] / s[-1]), L)
 
 
 def reeb_batch(chart: ContactChart, xs) -> np.ndarray:
-    """Reeb field at a stack of points (N, d) via one stacked LU solve (hot
-    path for variational integration); the rank test runs only when LU
-    fails or gives a non-finite field, to name the first bad point."""
+    """Reeb field at a stack of points (N, d) via one call of ``_solve``'s LU
+    gufunc (hot path for variational integration); ``_solve`` runs only when
+    LU fails or gives a non-finite field, to name the first bad point."""
     xs = _array("xs", xs)
     if xs.ndim != 2 or xs.shape[1] != chart.dim or not len(xs) or not _finite(xs):
         _points(chart.dim, xs, point=False, name="xs")  # raises the typed error
     L, _, M = _dual_systems(chart, xs)
-    try:
-        v = np.linalg.solve(M, L[:, :, None])[:, :, 0]
-        if _finite(v):
-            return v
-    except np.linalg.LinAlgError:  # LU is backward stable, so the rank test fails too
-        pass
-    _solve(chart, xs, M, "Reeb system rank-deficient")
+    v = _checked(None, _umath_linalg.solve1, M, L)
+    if _finite(v):
+        return v
+    _solve(chart, xs, M, "Reeb system rank-deficient", L)
     raise OutOfRange(f"{chart.name}: non-finite Reeb field from a finite, full-rank dual matrix")
 
 

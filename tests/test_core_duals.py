@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactlab import cli, core, dynamics
+from contactlab import cli, core, dynamics, spectral
 from contactlab import normalform as nf
 from contactlab.core import ContactChart, standard_J
 from contactlab.errors import ModeMismatch, OutOfRange, SingularChart
 from contactlab.models import (
     darboux_chart,
     darboux_flat_dual_formula,
+    perturbed_tube_chart,
     torus_chart,
     weighted_tube_chart,
 )
@@ -343,6 +344,31 @@ def test_stacked_reeb_solve_is_the_loop_of_point_solves(ch, n_points, seed):
     assert type(stacked.residual) is float and type(stacked.cond) is float
 
 
+BATCH_CHARTS = [weighted_tube_chart(1.0, 2**0.5), perturbed_tube_chart(1.0, 1.0, 0.8), torus_chart(), darboux_chart(2),
+                exp_factor_chart(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(BATCH_CHARTS),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reeb_batch_is_the_loop_of_point_solves_bit_for_bit(ch, n_points, seed):
+    # the variational right-hand side's batch and a point solve share one
+    # dual matrix and one LU gufunc; the matrix is dlam^T + lam lam^T to the
+    # bit, signed zeros included (a zero row of xs puts some on the Darboux
+    # chart)
+    xs = rng(seed).uniform(-1, 1, (n_points, ch.dim))
+    xs[0] = 0.0
+    batch = core.reeb_batch(ch, xs)
+    for x, v in zip(xs, batch):
+        assert v.tobytes() == core.reeb_solve(ch, x).vector.tobytes()
+    for x in (xs, xs[0]):
+        L, D, M = core._dual_systems(ch, x)
+        assert M.tobytes() == (D.swapaxes(-1, -2) + L[..., :, None] * L[..., None, :]).tobytes()
+
+
 def _vanishing_at_z0_chart():
     """z * (dz - p dq): contact where z != 0, lam = 0 on the plane z = 0."""
 
@@ -460,7 +486,7 @@ def test_point_kernel_is_numpy_linalg_bit_for_bit_on_the_lab_charts(name, seed):
         a = g.uniform(-1, 1, ch.dim)
         L, D = ch.lambda_at(x), ch.dlambda_at(x)
         M = D.T + np.outer(L, L)
-        s, (X, v) = core._point_solve(ch, x, M, "dual system", L, a)
+        s, (X, v) = core._solve(ch, x, M, "dual system", L, a)
         assert np.array_equal(s, np.linalg.svd(M, compute_uv=False))
         assert np.array_equal(X, np.linalg.solve(M, L))
         assert np.array_equal(v, np.linalg.solve(M, a))
@@ -473,7 +499,7 @@ def test_point_kernel_is_backward_stable_on_dense_systems(d, seed):
     g = rng(seed)
     M, b = g.standard_normal((d, d)), g.standard_normal(d)
     eps = np.finfo(float).eps
-    s, (v,) = core._point_solve(darboux_chart(1), np.zeros(3), M, "dense system", b)
+    s, (v,) = core._solve(darboux_chart(1), np.zeros(3), M, "dense system", b)
     norm_M = np.linalg.norm(M, np.inf)
     assert np.linalg.norm(M @ v - b, np.inf) <= 4 * d * eps * norm_M * np.linalg.norm(v, np.inf)
     assert np.max(np.abs(s - np.linalg.svd(M, compute_uv=False))) <= 4 * d * eps * s[0]
@@ -482,28 +508,41 @@ def test_point_kernel_is_backward_stable_on_dense_systems(d, seed):
 @pytest.mark.parametrize("routine", ["dgesdd", "dgesv"])
 def test_a_lapack_failure_is_a_singular_chart_naming_the_point(monkeypatch, routine):
     # numpy's gufuncs report a failed LAPACK call as NaNs and the invalid
-    # flag: a non-converged dgesdd is faked so, and dgesv fails for real on
-    # a zero matrix; neither surfaces a RuntimeWarning under an error filter
+    # flag, for a point or for the one failed matrix of a stack (here row 1):
+    # a non-converged dgesdd is faked so, and dgesv fails for real on a zero
+    # matrix; neither surfaces a RuntimeWarning under an error filter
     gufuncs = core._umath_linalg
-    failing = {
-        "dgesdd": lambda M: np.sqrt(np.full(len(M), -1.0)),
-        "dgesv": lambda M, b: gufuncs.solve1(np.zeros_like(M), b),
-    }
-    fake = types.SimpleNamespace(svd=gufuncs.svd, solve1=gufuncs.solve1)
-    setattr(fake, {"dgesdd": "svd", "dgesv": "solve1"}[routine], failing[routine])
+
+    def svd(M):
+        s = gufuncs.svd(M)
+        s[() if M.ndim == 2 else 1] = np.sqrt(np.full(M.shape[-1], -1.0))
+        return s
+
+    def solve1(M, b):
+        M = M.copy()
+        M[() if M.ndim == 2 else 1] = 0.0
+        return gufuncs.solve1(M, b)
+
+    fake = types.SimpleNamespace(svd=svd if routine == "dgesdd" else gufuncs.svd,
+                                 solve1=solve1 if routine == "dgesv" else gufuncs.solve1)
     monkeypatch.setattr(core, "_umath_linalg", fake)
-    x = np.array([0.1, 0.2, 0.3])
-    for call in (lambda: core.reeb_solve(torus_chart(), x), lambda: core.xi_frame(torus_chart(), x)):
+    x, xs = np.array([0.1, 0.2, 0.3]), np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+    at_point, at_row = r"\[0\.1 0\.2 0\.3\]", r"point 1 of the stack, \[0\.4 0\.5 0\.6\]"
+    calls = [(lambda: core.reeb_solve(torus_chart(), x), at_point), (lambda: core.xi_frame(torus_chart(), x), at_point),
+             (lambda: core.reeb_solve(torus_chart(), xs), at_row)]
+    if routine == "dgesv":  # reeb_batch reads singular values only once its LU solve has failed
+        calls.append((lambda: core.reeb_batch(torus_chart(), xs), at_row))
+    for call, where in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(SingularChart, match=rf"torus: Reeb system rank-deficient at \[0\.1 0\.2 0\.3\] .*{routine}"):
+            with pytest.raises(SingularChart, match=rf"torus: Reeb system rank-deficient at {where} .*{routine}"):
                 call()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([3, 5, 7]), st.integers(min_value=0, max_value=2**31 - 1))
 def test_the_point_kernel_is_numpys_gufuncs_bit_for_bit(d, seed):
-    # the point kernel calls numpy's private LAPACK gufuncs without the
+    # the dual kernel calls numpy's private LAPACK gufuncs without the
     # np.linalg wrappers, so a numpy that renames or changes them fails here;
     # the lab's charts are checked in the same way above
     g = rng(seed)
@@ -513,25 +552,27 @@ def test_the_point_kernel_is_numpys_gufuncs_bit_for_bit(d, seed):
     assume(s[-1] > 1e-6 * s[0])  # a well-conditioned dual system
     b, a = L, g.standard_normal(d)
     assert np.array_equal(core._singular_values(M), s)
-    s_point, (v, w) = core._point_solve(darboux_chart(1), np.zeros(3), M, "dual system", b, a)
+    s_point, (v, w) = core._solve(darboux_chart(1), np.zeros(3), M, "dual system", b, a)
     assert np.array_equal(s_point, s)
     assert np.array_equal(v, np.linalg.solve(M, b))
     assert np.array_equal(w, np.linalg.solve(M, a))
 
 
 def test_point_work_does_not_reach_numpy_linalg(monkeypatch):
-    # one matrix through np.linalg pays its per-call wrapper; stacks (a
-    # variational right-hand side, stacked duals) stay on numpy's gufuncs
-    def single_matrices_raise(fn):
-        def guarded(a, *args, **kwargs):
-            assert np.ndim(a) > 2, f"np.linalg.{fn.__name__} on one matrix"
-            return fn(a, *args, **kwargs)
+    # np.linalg pays its per-call wrapper on every call, one matrix or a
+    # stack: every dual solve, point or stack (a variational right-hand side,
+    # stacked duals, the samples of an asymptotic operator), calls numpy's
+    # LAPACK gufuncs directly
+    def raises(name):
+        def guarded(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
 
         return guarded
 
     for name in ("solve", "svd", "pinv"):
-        monkeypatch.setattr(np.linalg, name, single_matrices_raise(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, raises(name))
     tc, x = torus_chart(), np.array([0.1, 0.2, 0.3])
+    tube, xs = weighted_tube_chart(1.0, 2**0.5), rng(3).uniform(-1, 1, (4, 3))
     pert = core.PerturbationData(lambda y: 2.0 + np.sin(y[0]), lambda y: np.array([np.cos(y[0]), 0.0, 0.0]))
     core.reeb_solve(tc, x)
     core.xi_projection_matrix(tc, x)
@@ -539,20 +580,26 @@ def test_point_work_does_not_reach_numpy_linalg(monkeypatch):
     core.perturbed_reeb(tc, pert, x)
     core.perturbed_projection(tc, pert, x, x)
     dynamics.return_map(dynamics.ReebOrbit.from_point(tc, x, 1.0))
-    dynamics.flow(weighted_tube_chart(1.0, 2**0.5), x, 0.5, steps=4)
+    dynamics.flow(tube, x, 0.5, steps=4)
+    dynamics.monodromy(tube, x, 0.5, np.eye(3)[:, :2])
+    dynamics.monodromy(tube, x, 0.5)
+    core.reeb_solve(tube, xs)
+    core.flat_dual(tube, xs[::-1], xs)
+    core.sharp_dual(tube, xs[::-1], xs)
+    spectral.asymptotic_operator(dynamics.ReebOrbit.from_point(tube, np.zeros(3), 2 * np.pi, n_samples=16), 2)
 
 
 def test_a_point_flat_dual_takes_the_point_kernel(monkeypatch):
     # a point used to go through numpy's solves as a one-row stack, which cost
     # about 1.5 times a point Reeb solve
     solved = []
-    point_solve = core._point_solve
+    solve = core._solve
 
     def counted(chart, x, *args):
         solved.append(x.shape)
-        return point_solve(chart, x, *args)
+        return solve(chart, x, *args)
 
-    monkeypatch.setattr(core, "_point_solve", counted)
+    monkeypatch.setattr(core, "_solve", counted)
     x = np.array([0.1, 0.2, 0.3])
     core.flat_dual(torus_chart(), x[::-1], x)
     assert solved == [(3,)]
