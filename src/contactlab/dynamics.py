@@ -167,12 +167,13 @@ class ReebOrbit:
         return cls._closed(chart, p, T, flow(chart, p, T, steps=n_samples), ORBIT_CLOSURE_TOL)
 
     @classmethod
-    def _closed(cls, chart, p, T, traj: Trajectory, tol: float):
+    def _closed(cls, chart, p, T, traj: Trajectory, tol: float, history=()):
         """The orbit sampled by ``traj``, the flow of p for time T, after its
-        closure check (NoConvergence when the end misses p by more than tol)."""
+        closure check: NoConvergence when the end misses p by more than tol,
+        after the len(history) Newton shots whose residuals ``history`` holds."""
         closure = float(np.max(np.abs(chart.wrap_diff(traj.end, p))))
         if closure > tol:
-            raise NoConvergence(0, closure)
+            raise NoConvergence(len(history), closure, history)
         return cls(chart=chart, period=float(T), samples=traj.states[:-1], closure_residual=closure)
 
     def action(self) -> float:
@@ -212,12 +213,19 @@ def find_closed_orbit(
 
     With ``fix_point`` the base point is frozen and only the period is
     adjusted, which asks whether the guess itself lies on a closed orbit
-    (the continuation question for family scans).  Each Newton step of the
-    free point makes one ``monodromy`` call that carries only the xi-frame,
-    and the converged orbit is sampled by one more ``flow``.  With
-    ``fix_point`` there are no section columns, so each step is one
-    ``flow`` sampled at ``ORBIT_SAMPLES`` points, and the shot that closes is
-    the returned orbit: a fixed-point orbit is integrated once per step.
+    (the continuation question for family scans).
+
+    Each orbit is flown once where it can be.  The first free-point shot is
+    one ``monodromy`` call that carries only the xi-frame.  Every later one
+    first flies the plain ``flow``, sampled at ``ORBIT_SAMPLES`` points: if
+    it closes it is the returned orbit, and only a point that misses pays
+    for the ``monodromy`` shot that gives Newton its Jacobian (if that shot
+    closes, the flow just flown is the orbit).  With ``fix_point`` x never
+    moves, so the first shot is one sampled ``flow``, the orbit if it
+    closes, and each later shot flies the previous shot's end on for
+    T - T_last; a continued shot that closes is sampled by one ``flow`` of x
+    for T.  A returned orbit is that sampled flow, closed to within
+    ``10 * ORBIT_CLOSURE_TOL`` (else NoConvergence with the Newton history).
 
     Raises NoConvergence, with the Newton residual history, when the period
     collapses below ``MIN_PERIOD_FRACTION * T_guess``, when the Gauss-Newton
@@ -234,11 +242,14 @@ def find_closed_orbit(
     history = []
     for it in range(MAX_NEWTON_STEPS):
         x = x0 + S @ c
-        if fix_point:
+        traj, MS = None, S
+        if fix_point and it:  # x never moves: fly the last shot's end on to T
+            end = _integrate(chart, end, T - T_last, S)[1][-1]
+        elif fix_point or it:  # the sampled flow first, which is the orbit if it closes
             traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
-            end, MS = traj.end, S
-        else:
-            end, MS = monodromy(chart, x, T, S)
+            end = traj.end
+        if not fix_point and (it == 0 or not np.max(np.abs(end - x - offset)) < ORBIT_CLOSURE_TOL):
+            end, MS = monodromy(chart, x, T, S)  # only a shot that misses pays for the variations
         raw = end - x
         if it == 0:  # the lattice offset of the first shot, kept for every later one
             cols, P = _angle_columns(chart.periods)
@@ -248,16 +259,16 @@ def find_closed_orbit(
         res = float(np.max(np.abs(F)))
         history.append(res)
         if res < ORBIT_CLOSURE_TOL:
-            if not fix_point:  # the monodromy shot kept no samples
+            if traj is None:  # a first free-point shot or a continued one: sample the orbit
                 traj = flow(chart, x, T, steps=ORBIT_SAMPLES)
-            return ReebOrbit._closed(chart, x, T, traj, 10 * ORBIT_CLOSURE_TOL)
+            return ReebOrbit._closed(chart, x, T, traj, 10 * ORBIT_CLOSURE_TOL, history)
         Xend = reeb_solve(chart, end).vector
         Jac = np.column_stack([MS - S, Xend])
         step, *_ = np.linalg.lstsq(Jac, -F, rcond=None)
         if np.max(np.abs(step)) <= STALL_STEP * (1.0 + abs(T)):
             raise NoConvergence(it + 1, res, history)
         c = c + step[:-1]
-        T = T + step[-1]
+        T_last, T = T, T + step[-1]
         if T <= MIN_PERIOD_FRACTION * T_guess:
             raise NoConvergence(it + 1, res, history)
     raise NoConvergence(MAX_NEWTON_STEPS, history[-1], history)

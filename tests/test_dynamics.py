@@ -146,25 +146,42 @@ def test_the_integrator_is_scipys_dop853_bit_for_bit(monkeypatch, chart, T):
 def test_a_newton_orbit_and_its_return_map_are_scipys_runs(monkeypatch):
     runs = _beside_scipy(monkeypatch)
     return_map(find_closed_orbit(TUBE, [0.0, 0.1, 0.05], 6.2))
-    assert len(runs) == 5  # 3 shots, the sampled orbit and the return map
+    # 2 variational shots, 2 sampled flows (the first misses, the second is
+    # the orbit) and the return map
+    assert len(runs) == 5
     assert _same_runs(runs)
+
+
+def _integrations(monkeypatch):
+    """Spy on ``dynamics._integrate``; returns the list of (T, sampled) of its runs."""
+    real, runs = dynamics._integrate, []
+
+    def spy(chart, x0, T, V, t_eval=None):
+        runs.append((T, t_eval is not None))
+        return real(chart, x0, T, V, t_eval)
+
+    monkeypatch.setattr(dynamics, "_integrate", spy)
+    return runs
 
 
 def test_fixed_point_shooting_integrates_the_flow_alone(monkeypatch):
     batches = _count_calls(monkeypatch, dynamics, "reeb_batch")
     solves = _count_calls(monkeypatch, dynamics, "reeb_solve")
-    runs = _count_calls(monkeypatch, dynamics, "_integrate")
+    runs = _integrations(monkeypatch)
     chart = weighted_tube_chart(1.0, 1.0)
     x = np.array([0.1, 0.25, -0.1])
     orb = find_closed_orbit(chart, x, 6.2, fix_point=True)
     assert abs(orb.period - 2 * np.pi) < 1e-8
     assert batches == []
-    # the 8th-order pair takes about 940 solves here (1,070 when the orbit
-    # was integrated a second time); a 5th-order one took 4,460
-    assert len(solves) <= 1500
-    # three shots; the shot that closes is the orbit, where a fourth
-    # integration used to sample it again
-    assert len(runs) == 3
+    # the 8th-order pair takes 661 solves here, 10% margin (938 when every
+    # shot flew the whole period again); a 5th-order one took 4,460
+    assert len(solves) <= 730
+    # one sampled shot over the guessed period, two shots that fly its end on
+    # by the Newton steps in T (about 2 pi - 6.2, then 6.5e-6), and the
+    # sampled orbit; every shot used to integrate the whole period
+    assert [sampled for _, sampled in runs] == [True, False, False, True]
+    assert runs[0][0] == 6.2 and runs[-1][0] == orb.period
+    assert abs(runs[1][0] - (2 * np.pi - 6.2)) < 1e-3 and abs(runs[2][0]) < 1e-3
     again = ReebOrbit.from_point(chart, x, orb.period)
     assert np.array_equal(orb.samples, again.samples)
     assert orb.closure_residual == again.closure_residual
@@ -175,6 +192,35 @@ def test_a_fixed_point_orbit_closing_at_once_is_one_integration(monkeypatch):
     orb = find_closed_orbit(weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 2 * np.pi, fix_point=True)
     assert orb.period == 2 * np.pi
     assert len(runs) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(0.0, 0.3), st.floats(0.0, 2 * np.pi), st.floats(5.9, 6.6))
+def test_a_fixed_point_orbit_of_the_round_tube_is_its_sampled_flow(theta, r, phi, T_guess):
+    # every point of the round tube closes at 2 pi; the continued shots move
+    # the period, and the returned samples are one flow of x for that period
+    chart = weighted_tube_chart(1.0, 1.0)
+    x = np.array([theta, r * np.cos(phi), r * np.sin(phi)])
+    orb = find_closed_orbit(chart, x, T_guess, fix_point=True)
+    assert abs(orb.period - 2 * np.pi) < 1e-8
+    again = ReebOrbit.from_point(chart, x, orb.period)
+    assert np.array_equal(orb.samples, again.samples)
+    assert orb.closure_residual == again.closure_residual
+
+
+def test_the_broken_tube_stalls_after_three_shots_with_its_history(monkeypatch):
+    # the family_broken_tube sample of perfbench's orbits seed 1: a radius-
+    # dependent rotation speed leaves no orbit through the guess, and
+    # Gauss-Newton stalls after one sampled shot and two continued ones
+    runs = _integrations(monkeypatch)
+    chart = perturbed_tube_chart(1.0, 1.0, 0.8)
+    guess = 0.1 * np.array([0.0, 0.6778589130553349, -0.7351920116482769])
+    with pytest.raises(NoConvergence) as info:
+        find_closed_orbit(chart, guess, 2 * np.pi, fix_point=True)
+    assert info.value.iterations == 3
+    assert np.max(np.abs(np.subtract(
+        info.value.history, [0.0037892716203970223, 0.003740717538147184, 0.003740716926095039]))) < 1e-12
+    assert [sampled for _, sampled in runs] == [True, False, False]
 
 
 def _columns(seed, exponents):
@@ -254,28 +300,34 @@ def test_a_variational_right_hand_side_is_one_batch_of_2k_plus_1_points(monkeypa
 
 
 def test_tube_orbit_takes_few_batched_right_hand_sides(monkeypatch):
-    # one batched solve per variational right-hand side: about 1,050 with the
-    # 8th-order pair, 4,830 with a 5th-order one at the same tolerances
+    # one batched solve per variational right-hand side: 724 with the
+    # 8th-order pair and two variational shots, 10% margin (1,062 when the
+    # shot that closes carried the frame too), 4,830 with a 5th-order pair
     batches = _count_calls(monkeypatch, dynamics, "reeb_batch")
     orb = find_closed_orbit(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2)
     assert abs(orb.period - 2 * np.pi) < 1e-8
-    assert len(batches) <= 1500
+    assert len(batches) <= 800
 
 
 @pytest.mark.parametrize(
-    "chart, guess, T_guess, shots",
-    [(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2, 3),
-     (torus_chart(), [0.1, 0.2, 0.0], 1.1, 2),
-     (weighted_tube_chart(2.0, 1.0), [0.0, 0.1, 0.05], 3.0, 3)],
+    "chart, guess, T_guess, shots, flows",
+    [(weighted_tube_chart(1.0, np.sqrt(2.0)), [0.0, 0.1, 0.05], 6.2, 2, 2),
+     (torus_chart(), [0.1, 0.2, 0.0], 1.1, 1, 1),
+     (weighted_tube_chart(2.0, 1.0), [0.0, 0.1, 0.05], 3.0, 2, 2)],
     ids=["tube_1_sqrt2", "torus", "tube_2_1"],
 )
-def test_free_point_shots_carry_the_xi_frame(monkeypatch, chart, guess, T_guess, shots):
-    # the Newton section is the contact plane at the guess, spanned by its xi-frame
+def test_free_point_shots_carry_the_xi_frame(monkeypatch, chart, guess, T_guess, shots, flows):
+    # the Newton section is the contact plane at the guess, spanned by its
+    # xi-frame; after the first shot each point flies the sampled flow first,
+    # and the flow that closes is the orbit, so the frame is carried by every
+    # shot but the last
     frames = []
     real = dynamics.monodromy
     monkeypatch.setattr(dynamics, "monodromy", lambda ch, x, T, V=None: frames.append(V) or real(ch, x, T, V))
+    sampled = _count_calls(monkeypatch, dynamics, "flow")
     find_closed_orbit(chart, guess, T_guess)
     assert len(frames) == shots
+    assert len(sampled) == flows
     assert all(np.array_equal(V, core.xi_frame(chart, guess)) for V in frames)
 
 
@@ -325,6 +377,33 @@ def test_period_collapse_is_not_an_orbit():
         find_closed_orbit(torus_chart(), [0.1, 0.2, 0.0], 0.3)
     assert info.value.history
     assert info.value.history[0] > 0.1
+
+
+@pytest.mark.parametrize(
+    "chart, guess, T_guess, fix_point, good_flows, iterations",
+    [(torus_chart(), [0.1, 0.2, 0.0], 1.0, False, 0, 1),
+     (weighted_tube_chart(1.0, 1.0), [0.1, 0.25, -0.1], 6.2, True, 1, 3)],
+    ids=["free_point", "fixed_point"],
+)
+def test_a_sampled_orbit_that_misses_reports_its_newton_history(
+        monkeypatch, chart, guess, T_guess, fix_point, good_flows, iterations):
+    # the shots close but the flow that samples the orbit misses its start;
+    # this raised NoConvergence(0, closure) with no Newton history
+    real, calls = dynamics.flow, []
+
+    def missing(*args, **kwargs):
+        calls.append(1)
+        traj = real(*args, **kwargs)
+        if len(calls) <= good_flows:
+            return traj
+        return dynamics.Trajectory(traj.times, traj.states + 1e-6, traj.max_reeb_residual)
+
+    monkeypatch.setattr(dynamics, "flow", missing)
+    with pytest.raises(NoConvergence) as info:
+        find_closed_orbit(chart, guess, T_guess, fix_point=fix_point)
+    assert info.value.iterations == iterations == len(info.value.history)
+    assert info.value.history[-1] < dynamics.ORBIT_CLOSURE_TOL
+    assert info.value.residual > 10 * dynamics.ORBIT_CLOSURE_TOL
 
 
 def test_return_map_torus_identity():
